@@ -217,7 +217,6 @@ pub(crate) fn stage<'a>(
         }),
         Algorithm::TwoFace | Algorithm::AsyncFine => Box::new(twoface::PlannedAlgo {
             data: twoface.expect("runner stages plan data for plan-using algorithms"),
-            problem,
             config,
             exec,
         }),

@@ -20,19 +20,20 @@
 //! (line 15); with the Table-2 split that adds at most 8 of 128 threads, an
 //! effect the paper's own model also neglects, so the simulator charges sync
 //! compute at the sync pool's throughput regardless.
+//!
+//! One body serves every Two-Face run: it is generic over a
+//! [`StripeSource`], so resident, masked (sampled) and streamed runs issue
+//! one op sequence by construction.
 
 use crate::algo::SpmmAlgorithm;
 use crate::coalesce::coalesce_rows;
-use crate::config::TwoFaceConfig;
+use crate::config::{AsyncLayout, TwoFaceConfig};
 use crate::format::RankMatrices;
-use crate::kernels::{
-    async_stripe_kernel, par_async_stripe, par_sync_panels, sync_panel_kernel, BlockRows,
-    FetchedRows,
-};
+use crate::kernels::{par_async_stripe, par_sync_panels, BlockRows, FetchedRows};
 use crate::pool::{Pool, WallTimer};
 use crate::runner::{ExecOpts, Problem};
 use std::sync::Arc;
-use twoface_matrix::{Entry, SmallTriplet, SCALAR_BYTES};
+use twoface_matrix::{SmallTriplet, SCALAR_BYTES};
 use twoface_net::{Lane, NetError, Payload, PhaseClass, RankCtx};
 use twoface_partition::PartitionPlan;
 
@@ -89,7 +90,6 @@ impl TwoFaceData {
 /// decides which of the two it behaves as.
 pub(crate) struct PlannedAlgo<'a> {
     pub data: TwoFaceData,
-    pub problem: &'a Problem,
     pub config: &'a TwoFaceConfig,
     pub exec: ExecOpts,
 }
@@ -126,58 +126,106 @@ impl SpmmAlgorithm for PlannedAlgo<'_> {
     }
 
     fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError> {
-        twoface_rank(ctx, &self.data, self.problem, self.config, &self.exec)
+        let rank = ctx.rank();
+        let data = &self.data;
+        twoface_rank(
+            ctx,
+            &data.rank_matrices[rank],
+            &data.plan,
+            &data.b_blocks[rank],
+            self.config,
+            &self.exec,
+        )
     }
 }
 
-/// Executes Two-Face on one rank. Returns the rank's flat `C` block, or the
-/// first unrecoverable communication fault.
-pub(crate) fn twoface_rank(
-    ctx: &mut RankCtx,
-    data: &TwoFaceData,
-    problem: &Problem,
-    config: &TwoFaceConfig,
-    opts: &ExecOpts,
-) -> Result<Vec<f64>, NetError> {
-    twoface_rank_masked(ctx, data, problem, config, opts, None)
+/// One asynchronous stripe as the rank body consumes it.
+pub(crate) struct StripeView<'a> {
+    /// Global stripe index.
+    pub stripe: usize,
+    /// The stripe's nonzeros, row-major.
+    pub entries: &'a [SmallTriplet],
+    /// The distinct global columns of `entries`, ascending — Algorithm 3's
+    /// `UniqueColIDs`, identifying the `B` rows to fetch.
+    pub unique_cols: &'a [u32],
 }
 
-/// [`twoface_rank`] with an optional per-epoch edge mask (§5.4's sampled
-/// GNN sketch): the stripe classification and multicast schedule stay fixed
-/// from the one-time preprocessing, while masked-out nonzeros are skipped at
-/// runtime — asynchronous stripes even shrink their fetches to the rows the
-/// surviving nonzeros need.
-pub(crate) fn twoface_rank_masked(
+/// Where [`twoface_rank`] reads one rank's sparse structures from: the
+/// resident [`RankMatrices`], the same under a per-epoch edge mask
+/// ([`crate::sampling`]), or a streamed run's store file
+/// ([`crate::stream`]). Internal iteration lets the resident source lend
+/// its slices while the filtering and disk-backed sources refill one reused
+/// buffer.
+pub(crate) trait StripeSource {
+    /// What reading can fail with besides the transfers the visitor issues.
+    type Error: From<NetError>;
+
+    /// Visits the asynchronous stripes in ascending stripe order.
+    fn for_each_async(
+        &mut self,
+        visit: impl FnMut(StripeView<'_>) -> Result<(), Self::Error>,
+    ) -> Result<(), Self::Error>;
+
+    /// The sync/local nonzeros the sync compute charge counts, and the
+    /// non-empty row panels they occupy.
+    fn sync_counts(&self) -> (usize, usize);
+
+    /// Visits the sync/local nonzeros row-major, in chunks that never split
+    /// a row.
+    fn for_each_sync_chunk(
+        &mut self,
+        visit: impl FnMut(&[SmallTriplet]),
+    ) -> Result<(), Self::Error>;
+}
+
+impl StripeSource for &RankMatrices {
+    type Error = NetError;
+
+    fn for_each_async(
+        &mut self,
+        mut visit: impl FnMut(StripeView<'_>) -> Result<(), NetError>,
+    ) -> Result<(), NetError> {
+        for stripe in self.asynchronous.stripes() {
+            visit(StripeView {
+                stripe: stripe.stripe,
+                entries: stripe.entries_row_major(),
+                unique_cols: &stripe.unique_cols,
+            })?;
+        }
+        Ok(())
+    }
+
+    fn sync_counts(&self) -> (usize, usize) {
+        (self.sync_local.nnz(), self.sync_local.num_nonempty_panels())
+    }
+
+    fn for_each_sync_chunk(
+        &mut self,
+        mut visit: impl FnMut(&[SmallTriplet]),
+    ) -> Result<(), NetError> {
+        visit(self.sync_local.entries());
+        Ok(())
+    }
+}
+
+/// The sync lane's transfer phase (Algorithm 1, lines 5–8), shared with
+/// SDDMM, whose `Y` rows travel exactly as SpMM's `B` rows do: walk the
+/// stripes in the canonical global order — which keeps every rank's
+/// collective sequence consistent, as MPI requires — and join each
+/// multicast whose group lists this rank, as root when it owns the stripe.
+/// Returns this rank's own block plus every received stripe as one row
+/// source.
+pub(crate) fn sync_multicasts(
     ctx: &mut RankCtx,
-    data: &TwoFaceData,
-    problem: &Problem,
-    config: &TwoFaceConfig,
-    opts: &ExecOpts,
-    mask: Option<&crate::sampling::EdgeMask>,
-) -> Result<Vec<f64>, NetError> {
+    plan: &PartitionPlan,
+    b_block: &Arc<Vec<f64>>,
+    k: usize,
+) -> Result<BlockRows, NetError> {
     let rank = ctx.rank();
-    let layout = &problem.layout;
-    let k = opts.k;
-    // Real execution workers for this rank's local kernels; orthogonal to
-    // the modeled thread counts in `config` (see `crate::pool`).
-    let pool = Pool::new(opts.workers);
-    let plan = &data.plan;
-    let matrices = &data.rank_matrices[rank];
+    let layout = plan.layout();
     let my_cols = layout.col_range(rank);
-    let row_base = layout.row_range(rank).start;
-    let is_active =
-        |t: &SmallTriplet| mask.is_none_or(|m| m.is_active(row_base + t.row(), t.col()));
-
-    // Window exposing this rank's B block for fine-grained gets; creation is
-    // the "initial setup of data structures for MPI" that Figure 10 labels
-    // Other.
-    let win = ctx.create_window(Arc::clone(&data.b_blocks[rank]))?;
-
-    // --- Sync lane: dense stripe transfers (Algorithm 1, lines 5-8). ---
-    // Canonical global stripe order keeps every rank's collective sequence
-    // consistent, as MPI requires.
     let mut stripe_buffers = BlockRows::new(k);
-    stripe_buffers.add_block(my_cols.clone(), Arc::clone(&data.b_blocks[rank]));
+    stripe_buffers.add_block(my_cols.clone(), Arc::clone(b_block));
     for stripe in 0..layout.num_stripes() {
         let Some(group) = plan.multicast_group(stripe) else {
             continue; // nobody needs it synchronously: never communicated
@@ -192,50 +240,64 @@ pub(crate) fn twoface_rank_masked(
             let cols = layout.stripe_cols(stripe);
             let lo = (cols.start - my_cols.start) * k;
             let hi = (cols.end - my_cols.start) * k;
-            Payload::from(Arc::clone(&data.b_blocks[rank])).subslice(lo..hi)
+            Payload::from(Arc::clone(b_block)).subslice(lo..hi)
         });
         let buf = ctx.multicast(stripe as u64, owner, &group, payload)?;
         if owner != rank {
             stripe_buffers.add_block(layout.stripe_cols(stripe), buf);
         }
     }
+    Ok(stripe_buffers)
+}
+
+/// Executes Two-Face on one rank over `source`. Returns the rank's flat `C`
+/// block, or the first unrecoverable fault.
+pub(crate) fn twoface_rank<S: StripeSource>(
+    ctx: &mut RankCtx,
+    mut source: S,
+    plan: &PartitionPlan,
+    b_block: &Arc<Vec<f64>>,
+    config: &TwoFaceConfig,
+    opts: &ExecOpts,
+) -> Result<Vec<f64>, S::Error> {
+    let rank = ctx.rank();
+    let layout = plan.layout();
+    let k = opts.k;
+    // Real execution workers for this rank's local kernels; orthogonal to
+    // the modeled thread counts in `config` (see `crate::pool`).
+    let pool = Pool::new(opts.workers);
+
+    // Window exposing this rank's B block for fine-grained gets; creation is
+    // the "initial setup of data structures for MPI" that Figure 10 labels
+    // Other.
+    let win = ctx.create_window(Arc::clone(b_block))?;
+    let stripe_buffers = sync_multicasts(ctx, plan, b_block, k)?;
 
     // --- Async lane: Algorithm 3 per asynchronous stripe. ---
-    let local_rows = layout.row_range(rank).len();
-    let mut c_local = vec![0.0; local_rows * k];
+    let mut c_local = vec![0.0; layout.row_range(rank).len() * k];
     let max_distance = config.max_coalesce_distance(k);
+    // §7.1's rejected row-major variant: the required rows must be
+    // identified by a runtime sort+dedup before the transfer can even be
+    // issued; compute is then buffered (row-panel throughput on the async
+    // pool) instead of atomic-per-nonzero.
+    let row_major = config.async_layout == AsyncLayout::RowMajor;
     // Arena scratch shared across stripes: the fetch buffer cycles through
     // `FetchedRows` and back, and the owner-local column list is rebuilt in
     // place — no per-stripe allocations on the async lane's steady state.
     let mut fetch_scratch: Vec<f64> = Vec::new();
     let mut owner_local: Vec<usize> = Vec::new();
-    for stripe in matrices.asynchronous.stripes() {
+    source.for_each_async(|stripe| {
+        let nnz = stripe.entries.len();
+        if nnz == 0 {
+            return Ok(()); // fully masked out: no transfer at all
+        }
         let owner = layout.stripe_owner(stripe.stripe);
         debug_assert_ne!(owner, rank, "async stripes are remote-input by construction");
         let col_base = layout.col_range(owner).start;
-        // Under a mask, only the surviving nonzeros' rows are fetched —
-        // column-major order makes the filtered UniqueColIDs a single scan.
         owner_local.clear();
-        let active: Vec<SmallTriplet> = if mask.is_some() {
-            let active: Vec<_> = stripe.entries.iter().filter(|t| is_active(t)).copied().collect();
-            owner_local.extend(active.iter().map(|t| t.col() - col_base));
-            owner_local.dedup(); // column-major: already sorted by col
-            active
-        } else {
-            owner_local.extend(stripe.unique_cols.iter().map(|&c| c as usize - col_base));
-            Vec::new()
-        };
-        if owner_local.is_empty() && mask.is_some() {
-            continue; // fully masked out: no transfer at all
-        }
-        let active_nnz = if mask.is_some() { active.len() } else { stripe.nnz() };
-        // §7.1's rejected row-major variant: the required rows must be
-        // identified by a runtime sort+dedup before the transfer can even be
-        // issued; compute is then buffered (row-panel throughput on the
-        // async pool) instead of atomic-per-nonzero.
-        let row_major = config.async_layout == crate::config::AsyncLayout::RowMajor;
+        owner_local.extend(stripe.unique_cols.iter().map(|&c| c as usize - col_base));
         if row_major {
-            let identify = ctx.cost().identify_cost(active_nnz);
+            let identify = ctx.cost().identify_cost(nnz);
             ctx.advance(Lane::Async, identify, PhaseClass::AsyncComp);
         }
         let (runs, _padding) = coalesce_rows(&owner_local, max_distance);
@@ -248,9 +310,9 @@ pub(crate) fn twoface_rank_masked(
         let compute_cost = if row_major {
             let per_element = ctx.cost().gamma_sync
                 * (config.sync_comp_threads as f64 / config.async_comp_threads as f64);
-            per_element * (active_nnz * k) as f64 + ctx.cost().kappa_async
+            per_element * (nnz * k) as f64 + ctx.cost().kappa_async
         } else {
-            ctx.cost().async_compute_cost(active_nnz, k, 1)
+            ctx.cost().async_compute_cost(nnz, k, 1)
         };
         // The real kernel runs before its span is charged so its measured
         // wall time can ride on the event; the simulated clocks advance by
@@ -259,31 +321,15 @@ pub(crate) fn twoface_rank_masked(
         if opts.compute {
             let rows_src = FetchedRows::new(&runs, col_base, std::mem::take(&mut fetch_scratch), k);
             if row_major {
-                // Execute in row-major order with the buffered kernel; the
-                // numeric result is identical, only the summation order and
-                // the charged cost differ. The row-major ordering is
-                // precomputed at preprocessing time; a mask only needs a
-                // runtime filter, never a sort.
-                if mask.is_some() {
-                    let active_rm: Vec<SmallTriplet> = stripe
-                        .entries_row_major()
-                        .iter()
-                        .filter(|t| is_active(t))
-                        .copied()
-                        .collect();
-                    sync_panel_kernel(&active_rm, &rows_src, &mut c_local, k);
-                } else {
-                    par_sync_panels(&pool, stripe.entries_row_major(), &rows_src, &mut c_local, k);
-                }
-            } else if mask.is_some() {
-                async_stripe_kernel(&active, &rows_src, &mut c_local, k);
+                // The buffered kernel: the numeric result is identical,
+                // only the charged cost differs.
+                par_sync_panels(&pool, stripe.entries, &rows_src, &mut c_local, k);
             } else {
-                // The parallel driver consumes the row-major view: per
-                // output row the contribution order (ascending column)
-                // matches the serial column-major kernel exactly, so the
-                // result is bit-identical for any worker count.
-                let spans =
-                    par_async_stripe(&pool, stripe.entries_row_major(), &rows_src, &mut c_local, k);
+                // Per output row, the row-major view applies contributions
+                // in the ascending-column order of Algorithm 3's
+                // column-major loop, so the result is bit-identical to it
+                // for any worker count.
+                let spans = par_async_stripe(&pool, stripe.entries, &rows_src, &mut c_local, k);
                 // Span fan-out scales with the host pool, so it lives in the
                 // host-profiling namespace, gated with wall time.
                 if ctx.wall_time_enabled() {
@@ -297,45 +343,32 @@ pub(crate) fn twoface_rank_masked(
             Lane::Async,
             compute_cost,
             PhaseClass::AsyncComp,
-            (active_nnz * k) as u64,
+            (nnz * k) as u64,
             timer.elapsed_nanos(),
         );
-    }
+        Ok(())
+    })?;
 
     // --- Sync lane: row-panel compute (Algorithm 1 lines 15-19). ---
-    let sync_local = &matrices.sync_local;
-    if sync_local.nnz() > 0 {
-        let active_nnz = if mask.is_some() {
-            sync_local.entries().iter().filter(|t| is_active(t)).count()
-        } else {
-            sync_local.nnz()
-        };
+    let (sync_nnz, nonempty_panels) = source.sync_counts();
+    if sync_nnz > 0 {
         let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
         if opts.compute {
-            if mask.is_some() {
-                for panel in 0..sync_local.num_panels() {
-                    let active: Vec<SmallTriplet> =
-                        sync_local.panel(panel).iter().filter(|t| is_active(t)).copied().collect();
-                    sync_panel_kernel(&active, &stripe_buffers, &mut c_local, k);
-                }
-            } else {
-                // Row panels tile the local rows, so the whole row-major
-                // entry slice fans out over row-aligned chunks — the same
-                // per-row accumulation order as the per-panel serial loop.
-                par_sync_panels(&pool, sync_local.entries(), &stripe_buffers, &mut c_local, k);
-            }
+            // Row panels tile the local rows and chunks never split a row,
+            // so each chunk fans out over row-aligned spans with the same
+            // per-row accumulation order as the per-panel serial loop.
+            source.for_each_sync_chunk(|chunk| {
+                par_sync_panels(&pool, chunk, &stripe_buffers, &mut c_local, k);
+            })?;
         }
-        if active_nnz > 0 {
-            let cost =
-                ctx.cost().sync_compute_cost(active_nnz, k, sync_local.num_nonempty_panels());
-            ctx.advance_span(
-                Lane::Sync,
-                cost,
-                PhaseClass::SyncComp,
-                (active_nnz * k) as u64,
-                timer.elapsed_nanos(),
-            );
-        }
+        let cost = ctx.cost().sync_compute_cost(sync_nnz, k, nonempty_panels);
+        ctx.advance_span(
+            Lane::Sync,
+            cost,
+            PhaseClass::SyncComp,
+            (sync_nnz * k) as u64,
+            timer.elapsed_nanos(),
+        );
     }
     Ok(c_local)
 }

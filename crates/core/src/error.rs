@@ -39,8 +39,8 @@ pub enum RunError {
         nodes: usize,
     },
     /// A spill or store file operation of the streamed (out-of-core)
-    /// pipeline failed — disk full, permissions, or a vanished spill
-    /// directory.
+    /// pipeline failed — disk full, permissions, a vanished spill
+    /// directory, or a truncated store.
     Io {
         /// Human-readable description of the failed operation.
         context: String,
@@ -67,8 +67,8 @@ pub enum RunError {
         /// The failing rank's flight-recorder tail (its last operations in
         /// chronological order), captured automatically so the failure is
         /// post-mortem-debuggable without a traced re-run. Deterministic
-        /// for a given seed. Empty when constructed without a rank context
-        /// (see [`RunError::from_net`]).
+        /// for a given seed. Empty only when the cluster's flight recorder
+        /// is disabled.
         flight: Vec<FlightEntry>,
     },
     /// A one-sided transfer described an invalid range (e.g. a row run
@@ -97,12 +97,6 @@ pub enum RunError {
 }
 
 impl RunError {
-    /// Wraps a [`NetError`] surfaced by rank `rank` in the matching
-    /// `RunError` variant, without flight-recorder context.
-    pub fn from_net(rank: usize, source: NetError) -> RunError {
-        RunError::from_net_with_flight(rank, source, Vec::new())
-    }
-
     /// Wraps a [`NetError`] surfaced by rank `rank`, attaching that rank's
     /// flight-recorder tail to the variants where a post-mortem of the last
     /// operations is meaningful (timeouts and stalls).
@@ -125,6 +119,31 @@ impl RunError {
                 flight
             }
             _ => &[],
+        }
+    }
+}
+
+/// Why one rank's body stopped: a communication fault, or — streamed runs
+/// only — a failed read of the rank's store file.
+#[derive(Debug)]
+pub(crate) enum RankError {
+    Net(NetError),
+    Io(String),
+}
+
+impl From<NetError> for RankError {
+    fn from(e: NetError) -> RankError {
+        RankError::Net(e)
+    }
+}
+
+impl RankError {
+    /// The typed run error for rank `rank`, with its flight-recorder tail
+    /// attached where the variant carries one.
+    pub(crate) fn into_run_error(self, rank: usize, flight: Vec<FlightEntry>) -> RunError {
+        match self {
+            RankError::Net(e) => RunError::from_net_with_flight(rank, e, flight),
+            RankError::Io(context) => RunError::Io { context },
         }
     }
 }

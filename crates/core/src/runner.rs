@@ -5,7 +5,7 @@
 use crate::algo::twoface::TwoFaceData;
 use crate::algo::Algorithm;
 use crate::config::TwoFaceConfig;
-use crate::error::RunError;
+use crate::error::{RankError, RunError};
 use crate::pool::{resolve_workers, Pool};
 use crate::reference::reference_spmm_pooled;
 use serde::{Deserialize, Serialize};
@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use twoface_matrix::{CooMatrix, DenseMatrix, SCALAR_BYTES};
 use twoface_net::{
     export, seconds_by_class, Cluster, CostModel, FaultPlan, MetricsRegistry, Observability,
-    OpEvent, PhaseClass, ProfileSummary, RankTrace,
+    OpEvent, PhaseClass, ProfileSummary, RankOutput, RankTrace,
 };
 use twoface_partition::{
     ClassifierKind, ModelCoefficients, OneDimLayout, PartitionPlan, PlanOptions, StripeClass,
@@ -55,8 +55,8 @@ static PROFILE_SUMMARIES: Mutex<BTreeMap<PathBuf, ProfileSummary>> = Mutex::new(
 
 /// Resolved diagnostics for one run: the effective observability plus the
 /// optional trace and profile destinations forced by [`TRACE_ENV`] /
-/// [`PROFILE_ENV`]. Shared by the resident runner and the streamed
-/// pipeline, so both honor the same environment knobs.
+/// [`PROFILE_ENV`]. Every entry point resolves one and hands it to
+/// [`harvest`], so all honor the same environment knobs.
 pub(crate) struct ResolvedObservability {
     pub(crate) observability: Observability,
     pub(crate) trace_path: Option<PathBuf>,
@@ -86,7 +86,7 @@ pub(crate) fn resolve_observability(requested: &Observability) -> ResolvedObserv
 /// Folds one run's event stream into the process-global accumulator for
 /// `path` and rewrites the artifact. Like tracing, failures warn on stderr
 /// rather than failing the run.
-pub(crate) fn write_profile_file(path: &Path, events_by_rank: &[Vec<OpEvent>]) {
+fn write_profile_file(path: &Path, events_by_rank: &[Vec<OpEvent>]) {
     let run = ProfileSummary::from_events(events_by_rank);
     let mut all = PROFILE_SUMMARIES.lock().expect("profile accumulator poisoned");
     let total = all.entry(path.to_path_buf()).or_insert_with(ProfileSummary::empty);
@@ -101,7 +101,7 @@ pub(crate) fn write_profile_file(path: &Path, events_by_rank: &[Vec<OpEvent>]) {
 /// Writes one run's event stream to `path`, dispatching on the extension.
 /// Failures are reported on stderr rather than failing the run: tracing is
 /// diagnostics, not a correctness surface.
-pub(crate) fn write_trace_file(
+fn write_trace_file(
     path: &Path,
     events_by_rank: &[Vec<OpEvent>],
     traces: &[RankTrace],
@@ -537,11 +537,12 @@ pub(crate) fn prepare_plan_inner(
     workers: usize,
 ) -> PartitionPlan {
     let k = problem.k();
-    let base = base_bytes_all_ranks(problem).into_iter().max().unwrap_or(0);
-    // Leave headroom for the asynchronous fetch buffers (bounded by twice
-    // the widest stripe's rows) so the capped plan is actually runnable.
-    let fetch_allowance = 2 * problem.layout.stripe_width() * k * SCALAR_BYTES;
-    let budget = cost.memory_per_node.saturating_sub(base + fetch_allowance);
+    let budget = sync_buffer_budget(
+        &base_bytes_all_ranks(problem),
+        &problem.layout,
+        k,
+        cost.memory_per_node,
+    );
     PartitionPlan::build(
         &problem.a,
         problem.layout.clone(),
@@ -551,25 +552,65 @@ pub(crate) fn prepare_plan_inner(
     )
 }
 
-/// Bytes of every rank's own operands: its `A` partition, `B` block, and `C`
-/// block — computed for all ranks in one pass over the matrix (nonzeros are
-/// bucketed by row owner) instead of one full scan per rank.
-fn base_bytes_all_ranks(problem: &Problem) -> Vec<usize> {
-    let k = problem.k();
-    let layout = &problem.layout;
-    let mut nnz_local = vec![0usize; layout.nodes()];
-    for (r, _, _) in problem.a.iter() {
-        nnz_local[layout.owner_of_row(r)] += 1;
-    }
-    nnz_local
-        .into_iter()
+/// §6.3's sync-stripe buffer budget: the node capacity minus the largest
+/// rank's own `operands`, less headroom for the asynchronous fetch buffers
+/// (bounded by twice the widest stripe's rows) so the capped plan is
+/// actually runnable. Shared by the resident and streamed planners.
+pub(crate) fn sync_buffer_budget(
+    operands: &[usize],
+    layout: &OneDimLayout,
+    k: usize,
+    memory_per_node: usize,
+) -> usize {
+    let base = operands.iter().copied().max().unwrap_or(0);
+    let fetch_allowance = 2 * layout.stripe_width() * k * SCALAR_BYTES;
+    memory_per_node.saturating_sub(base + fetch_allowance)
+}
+
+/// The simulated per-node memory gate: each rank's `operands` plus its
+/// algorithm-specific `extra`. Returns the largest footprint, or
+/// [`RunError::OutOfMemory`] naming the rank that exceeds `available`.
+pub(crate) fn memory_gate(
+    operands: &[usize],
+    extra: impl Fn(usize) -> usize,
+    available: usize,
+) -> Result<usize, RunError> {
+    let (rank, required) = operands
+        .iter()
         .enumerate()
-        .map(|(rank, nnz)| {
+        .map(|(rank, base)| (rank, base + extra(rank)))
+        .max_by_key(|&(_, bytes)| bytes)
+        .expect("at least one rank");
+    if required > available {
+        return Err(RunError::OutOfMemory { rank, required, available });
+    }
+    Ok(required)
+}
+
+/// Bytes of each rank's own operands — its `A` partition, `B` block, and
+/// `C` block — from its nonzero count.
+pub(crate) fn operand_bytes(layout: &OneDimLayout, k: usize, nnz_by_rank: &[usize]) -> Vec<usize> {
+    nnz_by_rank
+        .iter()
+        .enumerate()
+        .map(|(rank, &nnz)| {
             nnz * NNZ_BYTES
                 + layout.col_range(rank).len() * k * SCALAR_BYTES
                 + layout.row_range(rank).len() * k * SCALAR_BYTES
         })
         .collect()
+}
+
+/// [`operand_bytes`] for every rank of a resident problem, in one pass over
+/// the matrix (nonzeros are bucketed by row owner) instead of one full scan
+/// per rank.
+fn base_bytes_all_ranks(problem: &Problem) -> Vec<usize> {
+    let layout = &problem.layout;
+    let mut nnz_local = vec![0usize; layout.nodes()];
+    for (r, _, _) in problem.a.iter() {
+        nnz_local[layout.owner_of_row(r)] += 1;
+    }
+    operand_bytes(layout, problem.k(), &nnz_local)
 }
 
 /// Runs one algorithm on one problem under one cost model.
@@ -757,21 +798,10 @@ fn run_algorithm_inner(
             return Err(RunError::HostBudgetExceeded { required, budget });
         }
     }
-    let (worst_rank, required) = (0..p)
-        .map(|rank| (rank, base_all[rank] + staged.memory_extra(rank)))
-        .max_by_key(|&(_, bytes)| bytes)
-        .expect("at least one rank");
-    if required > cost.memory_per_node {
-        return Err(RunError::OutOfMemory {
-            rank: worst_rank,
-            required,
-            available: cost.memory_per_node,
-        });
-    }
+    let required = memory_gate(&base_all, |rank| staged.memory_extra(rank), cost.memory_per_node)?;
 
     // Execute.
-    let ResolvedObservability { observability, trace_path, profile_path } =
-        resolve_observability(&options.observability);
+    let diagnostics = resolve_observability(&options.observability);
     let owned_cluster;
     let cluster = match external {
         Some(cluster) => cluster,
@@ -781,75 +811,10 @@ fn run_algorithm_inner(
         }
     };
     cluster.set_fault_plan(options.fault_plan.clone());
-    cluster.set_observability(observability.clone());
+    cluster.set_observability(diagnostics.observability.clone());
     let outputs = cluster.run(|ctx| staged.execute(ctx));
-
-    // Export the event stream before inspecting results, so a faulted run
-    // that errors out still leaves its trace behind for forensics.
-    let rank_traces: Vec<RankTrace> = outputs.iter().map(|o| o.trace.clone()).collect();
-    let rank_events: Vec<Vec<OpEvent>> = outputs.iter().map(|o| o.events.clone()).collect();
-    if let Some(path) = &trace_path {
-        write_trace_file(path, &rank_events, &rank_traces, observability.wall_time);
-    }
-    if let Some(path) = &profile_path {
-        write_profile_file(path, &rank_events);
-    }
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge(&o.metrics);
-    }
-
-    // A degraded run must produce a typed error, never silent corruption:
-    // surface the lowest-ranked failure (deterministic regardless of which
-    // rank's thread lost the race).
-    let mut rank_results = Vec::with_capacity(p);
-    for o in &outputs {
-        match &o.result {
-            Ok(block) => rank_results.push(block),
-            Err(e) => {
-                return Err(RunError::from_net_with_flight(o.rank, e.clone(), o.flight.clone()))
-            }
-        }
-    }
-
-    // Assemble and summarize.
-    let critical_rank =
-        outputs.iter().max_by_key(|o| o.finish_time()).expect("at least one rank").rank;
-    let seconds = outputs[critical_rank].finish_time().seconds();
-    let critical_breakdown = Breakdown::from_trace(&outputs[critical_rank].trace);
-    let mut mean_breakdown = Breakdown::default();
-    let mut elements_received = 0u64;
-    let mut messages = 0u64;
-    let mut recipients: Vec<usize> = Vec::new();
-    let mut rank_breakdowns = Vec::with_capacity(p);
-    let mut rank_seconds = Vec::with_capacity(p);
-    let mut faults_injected = 0u64;
-    for o in &outputs {
-        let b = Breakdown::from_trace(&o.trace);
-        mean_breakdown.add(&b);
-        rank_breakdowns.push(b);
-        rank_seconds.push(o.finish_time().seconds());
-        elements_received += o.trace.elements_received;
-        messages += o.trace.messages;
-        recipients.extend_from_slice(&o.trace.multicast_recipients);
-        faults_injected += o.trace.faults_injected();
-    }
-    let mean_breakdown = mean_breakdown.scaled(1.0 / p as f64);
-    let mean_multicast_recipients = if recipients.is_empty() {
-        None
-    } else {
-        Some(recipients.iter().sum::<usize>() as f64 / recipients.len() as f64)
-    };
-
-    let output = if exec.compute {
-        let mut flat = Vec::with_capacity(problem.a.rows() * k);
-        for block in &rank_results {
-            flat.extend_from_slice(block);
-        }
-        Some(DenseMatrix::from_vec(problem.a.rows(), k, flat).expect("rank blocks tile C exactly"))
-    } else {
-        None
-    };
+    let (blocks, report) = harvest(outputs, &diagnostics)?;
+    let output = exec.compute.then(|| stack_blocks(problem.a.rows(), k, &blocks));
 
     if options.validate {
         let got = output.as_ref().expect("validate implies compute");
@@ -865,22 +830,99 @@ fn run_algorithm_inner(
         } else {
             algorithm.name()
         },
-        p,
         k,
-        seconds,
-        critical_rank,
-        critical_breakdown,
-        mean_breakdown,
-        rank_breakdowns,
-        rank_seconds,
-        elements_received,
-        messages,
-        mean_multicast_recipients,
-        rank_traces,
-        faults_injected,
-        rank_events,
-        metrics,
         memory_peak_bytes: required,
         output,
+        ..report
     })
+}
+
+/// Everything a run derives from its [`Cluster::run`] outputs, shared by
+/// every entry point: trace and profile export, the merged metrics, the
+/// lowest rank's typed error with its flight-recorder tail, and the timing
+/// and volume summaries. Returns each rank's result in rank order plus a
+/// report whose caller-owned fields (`algorithm`, `k`, `memory_peak_bytes`,
+/// `output`) are left empty.
+pub(crate) fn harvest<T, E: Into<RankError>>(
+    outputs: Vec<RankOutput<Result<T, E>>>,
+    diagnostics: &ResolvedObservability,
+) -> Result<(Vec<T>, ExecutionReport), RunError> {
+    let p = outputs.len();
+    let mut results = Vec::with_capacity(p);
+    let mut flights = Vec::with_capacity(p);
+    let mut finish = Vec::with_capacity(p);
+    let mut rank_traces: Vec<RankTrace> = Vec::with_capacity(p);
+    let mut rank_events: Vec<Vec<OpEvent>> = Vec::with_capacity(p);
+    let mut metrics = MetricsRegistry::new();
+    for o in outputs {
+        finish.push(o.finish_time());
+        metrics.merge(&o.metrics);
+        results.push(o.result);
+        flights.push(o.flight);
+        rank_traces.push(o.trace);
+        rank_events.push(o.events);
+    }
+
+    // Export the event stream before inspecting results, so a faulted run
+    // that errors out still leaves its trace behind for forensics.
+    if let Some(path) = &diagnostics.trace_path {
+        write_trace_file(path, &rank_events, &rank_traces, diagnostics.observability.wall_time);
+    }
+    if let Some(path) = &diagnostics.profile_path {
+        write_profile_file(path, &rank_events);
+    }
+
+    // A degraded run must produce a typed error, never silent corruption:
+    // surface the lowest-ranked failure (deterministic regardless of which
+    // rank's thread lost the race).
+    let mut blocks = Vec::with_capacity(p);
+    for (rank, (result, flight)) in results.into_iter().zip(flights).enumerate() {
+        match result {
+            Ok(block) => blocks.push(block),
+            Err(e) => return Err(e.into().into_run_error(rank, flight)),
+        }
+    }
+
+    let critical_rank = (0..p).max_by_key(|&rank| finish[rank]).expect("at least one rank");
+    let mut mean_breakdown = Breakdown::default();
+    let mut rank_breakdowns = Vec::with_capacity(p);
+    let mut recipients: Vec<usize> = Vec::new();
+    for trace in &rank_traces {
+        let b = Breakdown::from_trace(trace);
+        mean_breakdown.add(&b);
+        rank_breakdowns.push(b);
+        recipients.extend_from_slice(&trace.multicast_recipients);
+    }
+    let mean_multicast_recipients = if recipients.is_empty() {
+        None
+    } else {
+        Some(recipients.iter().sum::<usize>() as f64 / recipients.len() as f64)
+    };
+    let report = ExecutionReport {
+        algorithm: String::new(),
+        p,
+        k: 0,
+        seconds: finish[critical_rank].seconds(),
+        critical_rank,
+        critical_breakdown: rank_breakdowns[critical_rank],
+        mean_breakdown: mean_breakdown.scaled(1.0 / p as f64),
+        rank_breakdowns,
+        rank_seconds: finish.iter().map(|t| t.seconds()).collect(),
+        elements_received: rank_traces.iter().map(|t| t.elements_received).sum(),
+        messages: rank_traces.iter().map(|t| t.messages).sum(),
+        mean_multicast_recipients,
+        faults_injected: rank_traces.iter().map(RankTrace::faults_injected).sum(),
+        rank_traces,
+        rank_events,
+        metrics,
+        memory_peak_bytes: 0,
+        output: None,
+    };
+    Ok((blocks, report))
+}
+
+/// Stacks per-rank `C` blocks, in rank (= row block) order, into the global
+/// output.
+pub(crate) fn stack_blocks(rows: usize, k: usize, blocks: &[Vec<f64>]) -> DenseMatrix {
+    DenseMatrix::from_vec(rows, k, blocks.concat()).expect("rank blocks tile C exactly")
 }

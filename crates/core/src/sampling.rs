@@ -18,13 +18,14 @@
 //!   rows the surviving nonzeros reference — fully masked stripes transfer
 //!   nothing.
 
-use crate::algo::twoface::{twoface_rank_masked, TwoFaceData};
+use crate::algo::twoface::{twoface_rank, StripeSource, StripeView, TwoFaceData};
+use crate::format::RankMatrices;
 use crate::reference::reference_spmm;
-use crate::runner::{ExecOpts, Problem};
+use crate::runner::{harvest, resolve_observability, stack_blocks, ExecOpts, Problem};
 use crate::{RunError, RunOptions};
 use std::sync::Arc;
-use twoface_matrix::{CooMatrix, DenseMatrix};
-use twoface_net::{Cluster, CostModel, MetricsRegistry};
+use twoface_matrix::{CooMatrix, DenseMatrix, Entry, SmallTriplet};
+use twoface_net::{Cluster, CostModel, MetricsRegistry, NetError};
 use twoface_partition::PartitionPlan;
 
 /// Derives deterministic per-epoch edge masks.
@@ -113,7 +114,10 @@ pub struct SampledReport {
 /// # Errors
 ///
 /// Returns [`RunError::ValidationFailed`] when `options.validate` is set and
-/// the output disagrees with a serial SpMM over the masked matrix.
+/// the output disagrees with a serial SpMM over the masked matrix, and
+/// [`RunError::TransferTimeout`] / [`RunError::RankStalled`], with the
+/// failing rank's flight-recorder tail, when `options.fault_plan` injects
+/// faults the run cannot absorb.
 pub fn run_sampled_twoface(
     problem: &Problem,
     plan: Arc<PartitionPlan>,
@@ -131,36 +135,24 @@ pub fn run_sampled_twoface(
     };
     let effective = options.config.effective_cost(cost);
     let data = TwoFaceData::build(problem, plan, &options.config, &crate::pool::Pool::new(workers));
-    let p = problem.layout.nodes();
-    let cluster = Cluster::new(p, effective);
+    let diagnostics = resolve_observability(&options.observability);
+    let cluster = Cluster::new(problem.layout.nodes(), effective);
     cluster.set_fault_plan(options.fault_plan.clone());
-    cluster.set_observability(options.observability.clone());
-    let outputs = cluster
-        .run(|ctx| twoface_rank_masked(ctx, &data, problem, &options.config, &exec, Some(&mask)));
-
-    let mut rank_results = Vec::with_capacity(p);
-    for o in &outputs {
-        match &o.result {
-            Ok(block) => rank_results.push(block),
-            Err(e) => return Err(RunError::from_net(o.rank, e.clone())),
-        }
-    }
-    let seconds = outputs.iter().map(|o| o.finish_time().seconds()).fold(0.0, f64::max);
-    let elements_received = outputs.iter().map(|o| o.trace.elements_received).sum();
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge(&o.metrics);
-    }
+    cluster.set_observability(diagnostics.observability.clone());
+    let outputs = cluster.run(|ctx| {
+        let rank = ctx.rank();
+        let source = MaskedSource {
+            matrices: &data.rank_matrices[rank],
+            mask,
+            row_base: problem.layout.row_range(rank).start,
+            entries: Vec::new(),
+            unique_cols: Vec::new(),
+        };
+        twoface_rank(ctx, source, &data.plan, &data.b_blocks[rank], &options.config, &exec)
+    });
+    let (blocks, report) = harvest(outputs, &diagnostics)?;
     let sampled = mask.apply(&problem.a);
-    let output = if exec.compute {
-        let mut flat = Vec::with_capacity(problem.a.rows() * k);
-        for block in &rank_results {
-            flat.extend_from_slice(block);
-        }
-        Some(DenseMatrix::from_vec(problem.a.rows(), k, flat).expect("blocks tile C"))
-    } else {
-        None
-    };
+    let output = exec.compute.then(|| stack_blocks(problem.a.rows(), k, &blocks));
     if options.validate {
         let got = output.as_ref().expect("validate implies compute");
         let want = reference_spmm(&sampled, &problem.b);
@@ -168,7 +160,76 @@ pub fn run_sampled_twoface(
             return Err(RunError::ValidationFailed { max_abs_diff: got.max_abs_diff(&want) });
         }
     }
-    Ok(SampledReport { seconds, elements_received, active_nnz: sampled.nnz(), metrics, output })
+    Ok(SampledReport {
+        seconds: report.seconds,
+        elements_received: report.elements_received,
+        active_nnz: sampled.nnz(),
+        metrics: report.metrics,
+        output,
+    })
+}
+
+/// [`StripeSource`] over one rank's resident structures under an epoch's
+/// mask: masked-out nonzeros are filtered into reused buffers, so an
+/// asynchronous stripe fetches only the rows its surviving nonzeros
+/// reference, and a stripe with none left transfers nothing.
+struct MaskedSource<'a> {
+    matrices: &'a RankMatrices,
+    mask: EdgeMask,
+    /// Global row of the rank's first local row.
+    row_base: usize,
+    entries: Vec<SmallTriplet>,
+    unique_cols: Vec<u32>,
+}
+
+impl MaskedSource<'_> {
+    /// The epoch's filter over this rank's (local-row) entries.
+    fn active(&self) -> impl Fn(&&SmallTriplet) -> bool {
+        let (mask, row_base) = (self.mask, self.row_base);
+        move |t| mask.is_active(row_base + t.row(), t.col())
+    }
+}
+
+impl StripeSource for MaskedSource<'_> {
+    type Error = NetError;
+
+    fn for_each_async(
+        &mut self,
+        mut visit: impl FnMut(StripeView<'_>) -> Result<(), NetError>,
+    ) -> Result<(), NetError> {
+        let active = self.active();
+        for stripe in self.matrices.asynchronous.stripes() {
+            self.entries.clear();
+            self.entries.extend(stripe.entries_row_major().iter().filter(&active));
+            // Column-major order makes the surviving UniqueColIDs a single
+            // filtered, deduplicated scan.
+            self.unique_cols.clear();
+            self.unique_cols.extend(stripe.entries.iter().filter(&active).map(|t| t.col));
+            self.unique_cols.dedup();
+            visit(StripeView {
+                stripe: stripe.stripe,
+                entries: &self.entries,
+                unique_cols: &self.unique_cols,
+            })?;
+        }
+        Ok(())
+    }
+
+    fn sync_counts(&self) -> (usize, usize) {
+        let sync = &self.matrices.sync_local;
+        (sync.entries().iter().filter(self.active()).count(), sync.num_nonempty_panels())
+    }
+
+    fn for_each_sync_chunk(
+        &mut self,
+        mut visit: impl FnMut(&[SmallTriplet]),
+    ) -> Result<(), NetError> {
+        let active = self.active();
+        self.entries.clear();
+        self.entries.extend(self.matrices.sync_local.entries().iter().filter(&active));
+        visit(&self.entries);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -176,6 +237,7 @@ mod tests {
     use super::*;
     use crate::prepare_plan;
     use twoface_matrix::gen::{webcrawl, WebcrawlConfig};
+    use twoface_net::FaultPlan;
     use twoface_partition::ModelCoefficients;
 
     fn fixture() -> (Problem, Arc<PartitionPlan>, CostModel) {
@@ -271,6 +333,20 @@ mod tests {
             full.elements_received
         );
         assert!(sampled.seconds <= full.seconds + 1e-12);
+    }
+
+    #[test]
+    fn faulted_epoch_error_carries_the_flight_recorder_tail() {
+        let (problem, plan, cost) = fixture();
+        let options = RunOptions {
+            fault_plan: Some(FaultPlan::seeded(3).with_get_failure_rate(1.0)),
+            ..Default::default()
+        };
+        let err =
+            run_sampled_twoface(&problem, plan, EdgeSampler::new(0.6, 11).mask(0), &cost, &options)
+                .expect_err("every get fails");
+        assert!(matches!(err, RunError::TransferTimeout { .. }), "got {err:?}");
+        assert!(!err.flight().is_empty(), "the failing rank's last operations are attached");
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! multicasts, and coalesced one-sided gets therefore apply unchanged; only
 //! the local kernel differs (a dot product per nonzero instead of an axpy).
 
-use crate::algo::twoface::TwoFaceData;
+use crate::algo::twoface::{sync_multicasts, TwoFaceData};
 use crate::coalesce::coalesce_rows;
 use crate::config::TwoFaceConfig;
-use crate::kernels::{BlockRows, FetchedRows, RowSource};
-use crate::runner::Problem;
+use crate::kernels::{FetchedRows, RowSource};
+use crate::runner::{harvest, resolve_observability, Problem};
 use crate::{prepare_plan, RunError, RunOptions};
 use std::sync::Arc;
 use twoface_matrix::{CooMatrix, DenseMatrix, Entry, Scalar, Triplet};
@@ -134,57 +134,17 @@ pub fn run_sddmm(
     let compute = options.compute_values || options.validate;
 
     let p = problem.layout.nodes();
-    // Honor the same env knobs as the SpMM runners: `TWOFACE_TRACE` forces
-    // full tracing, `TWOFACE_PROFILE` folds this run into the merged
-    // per-(phase, op-kind) profile artifact next to the report.
-    let resolved = crate::runner::resolve_observability(&options.observability);
+    let diagnostics = resolve_observability(&options.observability);
     let cluster = Cluster::new(p, effective);
     cluster.set_fault_plan(options.fault_plan.clone());
-    cluster.set_observability(resolved.observability.clone());
+    cluster.set_observability(diagnostics.observability.clone());
     let outputs =
         cluster.run(|ctx| sddmm_rank(ctx, &data, problem, x, &options.config, compute, algorithm));
-
-    let rank_traces: Vec<_> = outputs.iter().map(|o| o.trace.clone()).collect();
-    let rank_events: Vec<_> = outputs.iter().map(|o| o.events.clone()).collect();
-    if let Some(path) = &resolved.trace_path {
-        crate::runner::write_trace_file(
-            path,
-            &rank_events,
-            &rank_traces,
-            resolved.observability.wall_time,
-        );
-    }
-    if let Some(path) = &resolved.profile_path {
-        crate::runner::write_profile_file(path, &rank_events);
-    }
-
-    let mut rank_results = Vec::with_capacity(p);
-    for o in &outputs {
-        match &o.result {
-            Ok(triplets) => rank_results.push(triplets),
-            Err(e) => {
-                return Err(RunError::from_net_with_flight(o.rank, e.clone(), o.flight.clone()))
-            }
-        }
-    }
-    let seconds = outputs.iter().map(|o| o.finish_time().seconds()).fold(0.0, f64::max);
-    let elements_received = outputs.iter().map(|o| o.trace.elements_received).sum();
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge(&o.metrics);
-    }
-    let output = if compute {
-        let mut triplets: Vec<Triplet> = Vec::with_capacity(problem.a.nnz());
-        for r in &rank_results {
-            triplets.extend_from_slice(r);
-        }
-        Some(
-            CooMatrix::from_triplets(problem.a.rows(), problem.a.cols(), triplets)
-                .expect("pattern coordinates stay in bounds"),
-        )
-    } else {
-        None
-    };
+    let (rank_results, report) = harvest(outputs, &diagnostics)?;
+    let output = compute.then(|| {
+        CooMatrix::from_triplets(problem.a.rows(), problem.a.cols(), rank_results.concat())
+            .expect("pattern coordinates stay in bounds")
+    });
     if options.validate {
         let got = output.as_ref().expect("validate implies compute");
         let want = reference_sddmm(&problem.a, x, &problem.b);
@@ -199,9 +159,9 @@ pub fn run_sddmm(
     }
     Ok(SddmmReport {
         algorithm: algorithm.to_string(),
-        seconds,
-        elements_received,
-        metrics,
+        seconds: report.seconds,
+        elements_received: report.elements_received,
+        metrics: report.metrics,
         output,
     })
 }
@@ -222,34 +182,11 @@ fn sddmm_rank(
     let k = problem.k();
     let plan = &data.plan;
     let matrices = &data.rank_matrices[rank];
-    let my_cols = layout.col_range(rank);
     let row_base = layout.row_range(rank).start;
 
     let win = ctx.create_window(Arc::clone(&data.b_blocks[rank]))?;
-
-    // Sync lane: identical dense-stripe multicasts (now carrying Y rows).
-    let mut stripe_buffers = BlockRows::new(k);
-    stripe_buffers.add_block(my_cols.clone(), Arc::clone(&data.b_blocks[rank]));
-    for stripe in 0..layout.num_stripes() {
-        let Some(group) = plan.multicast_group(stripe) else {
-            continue;
-        };
-        if !group.contains(&rank) {
-            continue;
-        }
-        let owner = layout.stripe_owner(stripe);
-        let payload = (owner == rank).then(|| {
-            // Zero-copy stripe view, as in the SpMM sync lane.
-            let cols = layout.stripe_cols(stripe);
-            let lo = (cols.start - my_cols.start) * k;
-            let hi = (cols.end - my_cols.start) * k;
-            twoface_net::Payload::from(Arc::clone(&data.b_blocks[rank])).subslice(lo..hi)
-        });
-        let buf = ctx.multicast(stripe as u64, owner, &group, payload)?;
-        if owner != rank {
-            stripe_buffers.add_block(layout.stripe_cols(stripe), buf);
-        }
-    }
+    // Sync lane: SpMM's dense-stripe multicasts, now carrying Y rows.
+    let stripe_buffers = sync_multicasts(ctx, plan, &data.b_blocks[rank], k)?;
 
     let mut out: Vec<Triplet> = Vec::with_capacity(matrices.nnz());
 

@@ -22,29 +22,27 @@
 //!    ([`RankMatrices::build_from_rows`]) and serialize them to a per-rank
 //!    store file: async stripes first (ascending), sync entries last — the
 //!    order execution consumes them, so reads are purely sequential.
-//! 5. **Execute** — run the Two-Face executor with per-stripe
-//!    materialize→compute→drop on the async lane and row-aligned chunking
-//!    on the sync lane, so peak memory is the dense operands plus a few
-//!    panels of sparse entries per rank.
+//! 5. **Execute** — run the resident Two-Face rank body over a store
+//!    source: each rank reads its store front to back into one reused
+//!    buffer, one async stripe or one row-aligned sync chunk at a time, so
+//!    peak memory is the dense operands plus a few panels of sparse
+//!    entries per rank.
 //!
 //! The correctness contract is *bit-identity*: at any scale where the
 //! resident path also fits, the streamed run's output `C`, simulated
 //! seconds, per-lane breakdowns, and communication volumes equal the
-//! resident [`run_algorithm`](crate::run_algorithm)'s exactly (the
-//! differential suite in `tests/streamed_pipeline.rs` enforces this).
+//! resident [`run_algorithm`](crate::run_algorithm)'s exactly. Both paths
+//! execute the same rank body, so this holds by construction; the
+//! differential suite in `tests/streamed_pipeline.rs` checks it.
 
-use crate::algo::twoface::planned_memory_extra;
-use crate::coalesce::coalesce_rows;
+use crate::algo::twoface::{planned_memory_extra, twoface_rank, StripeSource, StripeView};
 use crate::config::TwoFaceConfig;
-use crate::error::RunError;
+use crate::error::{RankError, RunError};
 use crate::format::RankMatrices;
-use crate::kernels::{
-    par_async_stripe, par_sync_panels, sync_panel_kernel, BlockRows, FetchedRows,
-};
-use crate::pool::{resolve_workers, Pool, WallTimer};
+use crate::pool::resolve_workers;
 use crate::runner::{
-    generated_b_block, resolve_observability, write_profile_file, write_trace_file, Breakdown,
-    ExecOpts, ExecutionReport, ResolvedObservability, NNZ_BYTES,
+    generated_b_block, harvest, memory_gate, operand_bytes, resolve_observability, stack_blocks,
+    sync_buffer_budget, ExecOpts, ExecutionReport, NNZ_BYTES,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write as _};
@@ -55,8 +53,7 @@ use std::time::Instant;
 use twoface_matrix::gen::TripletSource;
 use twoface_matrix::{normalize_triplets, SmallTriplet, Triplet, SCALAR_BYTES};
 use twoface_net::{
-    Cluster, CostModel, Lane, MetricsRegistry, NetError, Observability, OpEvent, OpKind, Payload,
-    PhaseClass, RankCtx, RankTrace,
+    Cluster, CostModel, Lane, MetricsRegistry, Observability, OpEvent, OpKind, PhaseClass,
 };
 use twoface_partition::{
     ClassifierKind, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan, PlanOptions,
@@ -291,16 +288,13 @@ impl PipelineTelemetry {
         }
     }
 
-    /// Appends the driver events to rank 0's stream (renumbered to continue
-    /// its sequence) and returns the pipeline metrics for merging.
-    fn attach(self, rank_events: &mut [Vec<OpEvent>]) -> MetricsRegistry {
-        if self.enabled && !rank_events.is_empty() {
-            let stream = &mut rank_events[0];
-            let base = stream.last().map_or(0, |e| e.seq + 1);
-            for (i, mut event) in self.events.into_iter().enumerate() {
-                event.seq = base + i as u64;
-                stream.push(event);
-            }
+    /// Appends the driver events to rank 0's `stream` (renumbered to
+    /// continue its sequence) and returns the pipeline metrics for merging.
+    fn attach(self, stream: &mut Vec<OpEvent>) -> MetricsRegistry {
+        let base = stream.last().map_or(0, |e| e.seq + 1);
+        for (i, mut event) in self.events.into_iter().enumerate() {
+            event.seq = base + i as u64;
+            stream.push(event);
         }
         self.metrics
     }
@@ -413,7 +407,8 @@ fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<(RankStore, usi
 ///   exceeds [`StreamOptions::memory_budget`];
 /// * [`RunError::OutOfMemory`] under the same *simulated* per-node gate as
 ///   the resident path;
-/// * [`RunError::Io`] when spill or store files cannot be written.
+/// * [`RunError::Io`] when spill or store files cannot be written or read
+///   back (naming the rank and the file for store reads).
 pub fn run_twoface_streamed(
     source: &mut dyn TripletSource,
     k: usize,
@@ -438,7 +433,7 @@ pub fn run_twoface_streamed(
     let workers = resolve_workers(options.workers);
     let spill = SpillDir::create(options.spill_dir.as_ref())?;
     let mut spilled_bytes = 0usize;
-    let resolved: ResolvedObservability = resolve_observability(&options.observability);
+    let resolved = resolve_observability(&options.observability);
     let mut telemetry = PipelineTelemetry::new(&resolved.observability);
     let mut pass_started = Instant::now();
 
@@ -489,7 +484,6 @@ pub fn run_twoface_streamed(
     }
     telemetry.pass(1, (spilled_bytes / NNZ_BYTES) as u64, pass_started);
 
-    debug_rss("pass1 route");
     // --- Pass 2: normalize + profile per rank, one shard at a time. ---
     // Shards partition the draw stream by row and `normalize_triplets` sorts
     // by (row, col) with in-order duplicate summing, so the concatenation of
@@ -531,22 +525,13 @@ pub fn run_twoface_streamed(
         }
         let _ = std::fs::remove_file(&raw_paths[rank]);
     }
-    debug_rss("pass2 normalize+profile");
     let realized_nnz: usize = nnz_by_rank.iter().sum();
     telemetry.pass(2, realized_nnz as u64, pass_started);
 
     // --- Pass 3: classify from profiles, with the resident budget rule. ---
     pass_started = Instant::now();
-    let base_all: Vec<usize> = (0..p)
-        .map(|rank| {
-            nnz_by_rank[rank] * NNZ_BYTES
-                + layout.col_range(rank).len() * k * SCALAR_BYTES
-                + layout.row_range(rank).len() * k * SCALAR_BYTES
-        })
-        .collect();
-    let base_max = base_all.iter().copied().max().unwrap_or(0);
-    let fetch_allowance = 2 * stripe_width * k * SCALAR_BYTES;
-    let sync_budget = effective.memory_per_node.saturating_sub(base_max + fetch_allowance);
+    let operands = operand_bytes(&layout, k, &nnz_by_rank);
+    let sync_budget = sync_buffer_budget(&operands, &layout, k, effective.memory_per_node);
     let plan = Arc::new(PartitionPlan::build_from_profiles(
         profiles,
         layout.clone(),
@@ -558,19 +543,11 @@ pub fn run_twoface_streamed(
             workers,
         },
     ));
-
-    // Simulated per-node gate, identical to the resident staging gate.
-    let (worst_rank, required_sim) = (0..p)
-        .map(|rank| (rank, base_all[rank] + planned_memory_extra(&plan, k, rank)))
-        .max_by_key(|&(_, bytes)| bytes)
-        .expect("at least one rank");
-    if required_sim > effective.memory_per_node {
-        return Err(RunError::OutOfMemory {
-            rank: worst_rank,
-            required: required_sim,
-            available: effective.memory_per_node,
-        });
-    }
+    let required_sim = memory_gate(
+        &operands,
+        |rank| planned_memory_extra(&plan, k, rank),
+        effective.memory_per_node,
+    )?;
 
     // Host working-set estimate: the worst of the build pass (one shard plus
     // its structures) and the execute pass (dense operands plus every rank's
@@ -605,7 +582,6 @@ pub fn run_twoface_streamed(
     telemetry.gauge(estimated_host_bytes as u64, options.memory_budget.map(|b| b as u64));
     telemetry.pass(3, layout.num_stripes() as u64, pass_started);
 
-    debug_rss("pass3 classify");
     // --- Pass 4: build compact structures per rank, serialize, drop. ---
     pass_started = Instant::now();
     let mut stores: Vec<RankStore> = Vec::with_capacity(p);
@@ -626,7 +602,6 @@ pub fn run_twoface_streamed(
         let matrices =
             RankMatrices::build_from_rows(&shard, &plan, rank, options.config.row_panel_height);
         drop(shard);
-        debug_rss(&format!("pass4 built rank {rank} ({} nnz)", nnz_by_rank[rank]));
         let (store, bytes) = write_store(spill.path(format!("store.{rank}")), &matrices)?;
         spilled_bytes += bytes;
         if telemetry.enabled {
@@ -639,8 +614,7 @@ pub fn run_twoface_streamed(
     }
     telemetry.pass(4, store_bytes, pass_started);
 
-    debug_rss("pass4 build+store");
-    // --- Pass 5: execute with per-stripe materialize → compute → drop. ---
+    // --- Pass 5: execute the resident rank body over each rank's store. ---
     pass_started = Instant::now();
     let b_blocks: Vec<Arc<Vec<f64>>> =
         (0..p).map(|rank| Arc::new(generated_b_block(layout.col_range(rank), k))).collect();
@@ -661,288 +635,134 @@ pub fn run_twoface_streamed(
             telemetry.spill_read(rank, (async_bytes + sync_bytes) as u64);
         }
     }
+    // Open every store before the cluster starts, so a vanished spill file
+    // fails the run up front instead of inside a rank thread.
+    let files: Vec<File> = stores
+        .iter()
+        .enumerate()
+        .map(|(rank, store)| {
+            File::open(&store.path).map_err(|e| {
+                io_err(&format!("rank {rank} opening store {}", store.path.display()), e)
+            })
+        })
+        .collect::<Result<_, _>>()?;
     let cluster = Cluster::new(p, effective);
     cluster.set_observability(resolved.observability.clone());
-    let outputs = cluster.run(|ctx| {
-        twoface_rank_streamed(ctx, &plan, &stores[ctx.rank()], &b_blocks, options, &exec)
+    let mut outputs = cluster.run(|ctx| {
+        let rank = ctx.rank();
+        let source = StoreSource::new(rank, &stores[rank], &files[rank]);
+        twoface_rank(ctx, source, &plan, &b_blocks[rank], &options.config, &exec)
     });
     telemetry.pass(5, realized_nnz as u64, pass_started);
 
-    debug_rss("pass5 execute");
-    let rank_traces: Vec<RankTrace> = outputs.iter().map(|o| o.trace.clone()).collect();
-    let mut rank_events: Vec<Vec<OpEvent>> = outputs.iter().map(|o| o.events.clone()).collect();
-    let mut metrics = MetricsRegistry::new();
-    for o in &outputs {
-        metrics.merge(&o.metrics);
-    }
-    metrics.merge(&telemetry.attach(&mut rank_events));
-    // Export before inspecting results, as the resident runner does: a
-    // faulted run still leaves its trace and profile behind for forensics.
-    if let Some(path) = &resolved.trace_path {
-        write_trace_file(path, &rank_events, &rank_traces, resolved.observability.wall_time);
-    }
-    if let Some(path) = &resolved.profile_path {
-        write_profile_file(path, &rank_events);
-    }
-    let mut rank_results = Vec::with_capacity(p);
-    for o in &outputs {
-        match &o.result {
-            Ok(block) => rank_results.push(block),
-            Err(e) => {
-                return Err(RunError::from_net_with_flight(o.rank, e.clone(), o.flight.clone()))
-            }
-        }
-    }
-    let critical_rank =
-        outputs.iter().max_by_key(|o| o.finish_time()).expect("at least one rank").rank;
-    let seconds = outputs[critical_rank].finish_time().seconds();
-    let critical_breakdown = Breakdown::from_trace(&outputs[critical_rank].trace);
-    let mut mean_breakdown = Breakdown::default();
-    let mut elements_received = 0u64;
-    let mut messages = 0u64;
-    let mut recipients: Vec<usize> = Vec::new();
-    let mut rank_breakdowns = Vec::with_capacity(p);
-    let mut rank_seconds = Vec::with_capacity(p);
-    let mut faults_injected = 0u64;
-    for o in &outputs {
-        let b = Breakdown::from_trace(&o.trace);
-        mean_breakdown.add(&b);
-        rank_breakdowns.push(b);
-        rank_seconds.push(o.finish_time().seconds());
-        elements_received += o.trace.elements_received;
-        messages += o.trace.messages;
-        recipients.extend_from_slice(&o.trace.multicast_recipients);
-        faults_injected += o.trace.faults_injected();
-    }
-    let mean_breakdown = mean_breakdown.scaled(1.0 / p as f64);
-    let mean_multicast_recipients = if recipients.is_empty() {
-        None
-    } else {
-        Some(recipients.iter().sum::<usize>() as f64 / recipients.len() as f64)
-    };
-    let output = if exec.compute {
-        let mut flat = Vec::with_capacity(rows * k);
-        for block in &rank_results {
-            flat.extend_from_slice(block);
-        }
-        Some(
-            twoface_matrix::DenseMatrix::from_vec(rows, k, flat)
-                .expect("rank blocks tile C exactly"),
-        )
-    } else {
-        None
-    };
-
+    let pipeline_metrics = telemetry.attach(&mut outputs[0].events);
+    let (blocks, mut report) = harvest(outputs, &resolved)?;
+    report.metrics.merge(&pipeline_metrics);
     let report = ExecutionReport {
         algorithm: "TwoFace (streamed)".to_string(),
-        p,
         k,
-        seconds,
-        critical_rank,
-        critical_breakdown,
-        mean_breakdown,
-        rank_breakdowns,
-        rank_seconds,
-        elements_received,
-        messages,
-        mean_multicast_recipients,
-        rank_traces,
-        faults_injected,
-        rank_events,
-        metrics,
         memory_peak_bytes: required_sim,
-        output,
+        output: exec.compute.then(|| stack_blocks(rows, k, &blocks)),
+        ..report
     };
     drop(spill);
     Ok(StreamedRun { report, realized_nnz, spilled_bytes, peak_shard_bytes, estimated_host_bytes })
 }
 
-/// The streamed per-rank executor: the op sequence of
-/// [`twoface_rank`](crate::algo::twoface::twoface_rank) with the rank's
-/// sparse structures read from its store file in consumption order instead
-/// of held resident. Every simulated charge (multicast participation,
-/// coalesced rgets, per-stripe and sync compute costs) is issued in the same
-/// order with the same arguments, so the two executors' clocks agree
-/// exactly.
-///
-/// # Panics
-///
-/// Panics if the store file cannot be read back — spill files are
-/// session-local, so a read failure is an environment fault, not an input
-/// condition.
-fn twoface_rank_streamed(
-    ctx: &mut RankCtx,
-    plan: &PartitionPlan,
-    store: &RankStore,
-    b_blocks: &[Arc<Vec<f64>>],
-    options: &StreamOptions,
-    opts: &ExecOpts,
-) -> Result<Vec<f64>, NetError> {
-    let rank = ctx.rank();
-    let layout = plan.layout();
-    let config = &options.config;
-    let k = opts.k;
-    let pool = Pool::new(opts.workers);
-    let my_cols = layout.col_range(rank);
-
-    let win = ctx.create_window(Arc::clone(&b_blocks[rank]))?;
-
-    // --- Sync lane: dense stripe transfers, canonical global order. ---
-    let mut stripe_buffers = BlockRows::new(k);
-    stripe_buffers.add_block(my_cols.clone(), Arc::clone(&b_blocks[rank]));
-    for stripe in 0..layout.num_stripes() {
-        let Some(group) = plan.multicast_group(stripe) else {
-            continue;
-        };
-        if !group.contains(&rank) {
-            continue;
-        }
-        let owner = layout.stripe_owner(stripe);
-        let payload = (owner == rank).then(|| {
-            let cols = layout.stripe_cols(stripe);
-            let lo = (cols.start - my_cols.start) * k;
-            let hi = (cols.end - my_cols.start) * k;
-            Payload::from(Arc::clone(&b_blocks[rank])).subslice(lo..hi)
-        });
-        let buf = ctx.multicast(stripe as u64, owner, &group, payload)?;
-        if owner != rank {
-            stripe_buffers.add_block(layout.stripe_cols(stripe), buf);
-        }
-    }
-
-    // --- Async lane: materialize one stripe at a time from the store. ---
-    let file = File::open(&store.path).expect("rank store vanished mid-run");
-    let mut reader = BufReader::new(file);
-    let local_rows = layout.row_range(rank).len();
-    let mut c_local = vec![0.0; local_rows * k];
-    let max_distance = config.max_coalesce_distance(k);
-    let mut fetch_scratch: Vec<f64> = Vec::new();
-    let mut owner_local: Vec<usize> = Vec::new();
-    let row_major = config.async_layout == crate::config::AsyncLayout::RowMajor;
-    for meta in &store.stripes {
-        let mut entries_rm: Vec<SmallTriplet> = Vec::with_capacity(meta.nnz);
-        for _ in 0..meta.nnz {
-            entries_rm.push(read_small(&mut reader).expect("rank store truncated"));
-        }
-        let mut unique_cols: Vec<u32> = Vec::with_capacity(meta.unique);
-        for _ in 0..meta.unique {
-            let mut buf = [0u8; 4];
-            reader.read_exact(&mut buf).expect("rank store truncated");
-            unique_cols.push(u32::from_le_bytes(buf));
-        }
-        let owner = layout.stripe_owner(meta.stripe);
-        debug_assert_ne!(owner, rank, "async stripes are remote-input by construction");
-        let col_base = layout.col_range(owner).start;
-        owner_local.clear();
-        owner_local.extend(unique_cols.iter().map(|&c| c as usize - col_base));
-        let active_nnz = meta.nnz;
-        if row_major {
-            let identify = ctx.cost().identify_cost(active_nnz);
-            ctx.advance(Lane::Async, identify, PhaseClass::AsyncComp);
-        }
-        let (runs, _padding) = coalesce_rows(&owner_local, max_distance);
-        if ctx.events_enabled() {
-            for &(_, len) in &runs {
-                ctx.observe("coalesced_run_rows", len as u64);
-            }
-        }
-        ctx.win_rget_rows_into(win, owner, &runs, k, &mut fetch_scratch)?;
-        let compute_cost = if row_major {
-            let per_element = ctx.cost().gamma_sync
-                * (config.sync_comp_threads as f64 / config.async_comp_threads as f64);
-            per_element * (active_nnz * k) as f64 + ctx.cost().kappa_async
-        } else {
-            ctx.cost().async_compute_cost(active_nnz, k, 1)
-        };
-        let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
-        if opts.compute {
-            let rows_src = FetchedRows::new(&runs, col_base, std::mem::take(&mut fetch_scratch), k);
-            if row_major {
-                par_sync_panels(&pool, &entries_rm, &rows_src, &mut c_local, k);
-            } else {
-                let spans = par_async_stripe(&pool, &entries_rm, &rows_src, &mut c_local, k);
-                if ctx.wall_time_enabled() {
-                    ctx.observe("host.kernel_spans", spans as u64);
-                }
-            }
-            fetch_scratch = rows_src.into_data();
-        }
-        ctx.advance_span(
-            Lane::Async,
-            compute_cost,
-            PhaseClass::AsyncComp,
-            (active_nnz * k) as u64,
-            timer.elapsed_nanos(),
-        );
-        // entries drop here: the stripe's footprint is gone before the next
-        // one is materialized.
-    }
-
-    // --- Sync lane: row-panel compute in row-aligned chunks. ---
-    // The serial panel kernel over row-aligned spans accumulates each output
-    // row in the same order as the resident parallel driver, so chunking is
-    // invisible in the result; the cost is charged once from the stored
-    // panel statistics, exactly as the resident path charges it.
-    if store.sync_nnz > 0 {
-        let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
-        if opts.compute {
-            let mut remaining = store.sync_nnz;
-            let mut pending: Option<SmallTriplet> = None;
-            let mut chunk: Vec<SmallTriplet> = Vec::new();
-            while remaining > 0 || pending.is_some() {
-                chunk.clear();
-                if let Some(t) = pending.take() {
-                    chunk.push(t);
-                }
-                while chunk.len() < SYNC_CHUNK_ENTRIES && remaining > 0 {
-                    chunk.push(read_small(&mut reader).expect("rank store truncated"));
-                    remaining -= 1;
-                }
-                // Never split a row across chunks: extend to the boundary.
-                while remaining > 0 {
-                    let t = read_small(&mut reader).expect("rank store truncated");
-                    remaining -= 1;
-                    let same_row = chunk.last().is_some_and(|last| last.row == t.row);
-                    if same_row {
-                        chunk.push(t);
-                    } else {
-                        pending = Some(t);
-                        break;
-                    }
-                }
-                sync_panel_kernel(&chunk, &stripe_buffers, &mut c_local, k);
-            }
-        } else {
-            // Structural runs skip the reads too; the clocks only need the
-            // stored statistics below.
-        }
-        let cost = ctx.cost().sync_compute_cost(store.sync_nnz, k, store.nonempty_panels);
-        ctx.advance_span(
-            Lane::Sync,
-            cost,
-            PhaseClass::SyncComp,
-            (store.sync_nnz * k) as u64,
-            timer.elapsed_nanos(),
-        );
-    }
-    Ok(c_local)
+/// [`StripeSource`] over one rank's store file, read front to back — async
+/// stripes in ascending order, then the sync entries — into one reused
+/// entry buffer, so at most one stripe or one sync chunk of the rank's
+/// nonzeros is resident at a time.
+struct StoreSource<'a> {
+    rank: usize,
+    store: &'a RankStore,
+    reader: BufReader<&'a File>,
+    entries: Vec<SmallTriplet>,
+    unique_cols: Vec<u32>,
 }
 
-/// Prints the current and peak RSS after a pipeline phase when
-/// `TWOFACE_STREAM_DEBUG` is set — the attribution tool for out-of-core
-/// memory work (VmHWM alone can't say *which* pass set the high-water mark).
-fn debug_rss(label: &str) {
-    if std::env::var_os("TWOFACE_STREAM_DEBUG").is_none() {
-        return;
+impl<'a> StoreSource<'a> {
+    fn new(rank: usize, store: &'a RankStore, file: &'a File) -> StoreSource<'a> {
+        StoreSource {
+            rank,
+            store,
+            reader: BufReader::new(file),
+            entries: Vec::new(),
+            unique_cols: Vec::new(),
+        }
     }
-    let read = |key: &str| -> Option<usize> {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        let line = status.lines().find(|l| l.starts_with(key))?;
-        Some(line.split_whitespace().nth(1)?.parse::<usize>().ok()? * 1024)
-    };
-    let cur = read("VmRSS:").map_or(-1.0, |b| b as f64 / (1 << 20) as f64);
-    let peak = read("VmHWM:").map_or(-1.0, |b| b as f64 / (1 << 20) as f64);
-    eprintln!("[stream-rss] {label}: rss {cur:.0} MiB, peak {peak:.0} MiB");
+
+    /// A failed read as the typed error naming the rank and its store.
+    fn read_error(&self, e: std::io::Error) -> RankError {
+        RankError::Io(format!(
+            "rank {} reading store {}: {e}",
+            self.rank,
+            self.store.path.display()
+        ))
+    }
+
+    fn read_entry(&mut self) -> Result<SmallTriplet, RankError> {
+        read_small(&mut self.reader).map_err(|e| self.read_error(e))
+    }
+}
+
+impl StripeSource for StoreSource<'_> {
+    type Error = RankError;
+
+    fn for_each_async(
+        &mut self,
+        mut visit: impl FnMut(StripeView<'_>) -> Result<(), RankError>,
+    ) -> Result<(), RankError> {
+        let store = self.store;
+        for meta in &store.stripes {
+            self.entries.clear();
+            for _ in 0..meta.nnz {
+                let t = self.read_entry()?;
+                self.entries.push(t);
+            }
+            self.unique_cols.clear();
+            for _ in 0..meta.unique {
+                let mut buf = [0u8; 4];
+                self.reader.read_exact(&mut buf).map_err(|e| self.read_error(e))?;
+                self.unique_cols.push(u32::from_le_bytes(buf));
+            }
+            visit(StripeView {
+                stripe: meta.stripe,
+                entries: &self.entries,
+                unique_cols: &self.unique_cols,
+            })?;
+        }
+        Ok(())
+    }
+
+    fn sync_counts(&self) -> (usize, usize) {
+        (self.store.sync_nnz, self.store.nonempty_panels)
+    }
+
+    fn for_each_sync_chunk(
+        &mut self,
+        mut visit: impl FnMut(&[SmallTriplet]),
+    ) -> Result<(), RankError> {
+        let mut remaining = self.store.sync_nnz;
+        let mut pending: Option<SmallTriplet> = None;
+        while remaining > 0 || pending.is_some() {
+            self.entries.clear();
+            self.entries.extend(pending.take());
+            while remaining > 0 {
+                let t = self.read_entry()?;
+                remaining -= 1;
+                // A full chunk still takes the rest of its last row.
+                let full = self.entries.len() >= SYNC_CHUNK_ENTRIES;
+                if full && self.entries.last().is_some_and(|last| last.row != t.row) {
+                    pending = Some(t);
+                    break;
+                }
+                self.entries.push(t);
+            }
+            visit(&self.entries);
+        }
+        Ok(())
+    }
 }
 
 /// The process's peak resident set size (`VmHWM`) in bytes, read from
@@ -971,6 +791,59 @@ mod tests {
         let mut cursor = std::io::Cursor::new(buf);
         assert_eq!(read_wide(&mut cursor).unwrap(), wide);
         assert_eq!(read_small(&mut cursor).unwrap(), small);
+    }
+
+    #[test]
+    fn truncated_store_is_a_typed_read_error() {
+        let a = twoface_matrix::gen::erdos_renyi(64, 64, 600, 5);
+        let plan = PartitionPlan::build_uniform(
+            &a,
+            OneDimLayout::new(64, 64, 4, 4),
+            8,
+            StripeClass::Async,
+        );
+        let matrices = RankMatrices::build(&a, &plan, 1, 4);
+        let spill = SpillDir::create(None).unwrap();
+        let (store, bytes) = write_store(spill.path("store.1".to_string()), &matrices).unwrap();
+        File::options().write(true).open(&store.path).unwrap().set_len(bytes as u64 / 2).unwrap();
+        let file = File::open(&store.path).unwrap();
+        let mut source = StoreSource::new(1, &store, &file);
+        let err = source
+            .for_each_async(|_| Ok(()))
+            .and_then(|()| source.for_each_sync_chunk(|_| {}))
+            .expect_err("half the store is gone");
+        match err.into_run_error(1, Vec::new()) {
+            RunError::Io { context } => {
+                assert!(context.contains("rank 1"), "{context}");
+                assert!(context.contains(&store.path.display().to_string()), "{context}");
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sync_chunks_cover_the_entries_without_splitting_rows() {
+        // One rank holds every nonzero — seven per row, so the chunk cap
+        // falls mid-row — and enough of them for more than one chunk.
+        let rows = SYNC_CHUNK_ENTRIES / 7 + 1000;
+        let triplets: Vec<(usize, usize, f64)> =
+            (0..rows).flat_map(|r| (0..7).map(move |j| (r, (r + 3 * j) % rows, 1.0))).collect();
+        let a = twoface_matrix::CooMatrix::from_triplets(rows, rows, triplets).unwrap();
+        let layout = OneDimLayout::new(rows, rows, 1, 64);
+        let plan = PartitionPlan::build_uniform(&a, layout, 8, StripeClass::Sync);
+        let matrices = RankMatrices::build(&a, &plan, 0, 32);
+        let spill = SpillDir::create(None).unwrap();
+        let (store, _) = write_store(spill.path("store.0".to_string()), &matrices).unwrap();
+        let file = File::open(&store.path).unwrap();
+        let mut chunks: Vec<Vec<SmallTriplet>> = Vec::new();
+        StoreSource::new(0, &store, &file)
+            .for_each_sync_chunk(|chunk| chunks.push(chunk.to_vec()))
+            .unwrap();
+        assert!(chunks.len() > 1, "the fixture spans several chunks");
+        for pair in chunks.windows(2) {
+            assert_ne!(pair[0].last().unwrap().row, pair[1][0].row, "a row straddles two chunks");
+        }
+        assert_eq!(chunks.concat(), matrices.sync_local.entries());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Batch formation: how a drained queue becomes fused executions.
 //!
-//! The policy decides *which* requests share an execution, never *what* the
-//! execution computes — every policy fuses only requests with identical
+//! Formation decides *which* requests share an execution, never *what* the
+//! execution computes — it fuses only requests with identical
 //! `(matrix, algorithm, K)` keys and respects the
 //! [`ServeConfig::max_k_per_batch`] column budget, so the bit-identity
-//! contract ([`SpmmService`] docs) holds under any policy.
+//! contract ([`SpmmService`] docs) holds for any arrival order.
 //!
 //! [`ServeConfig::max_k_per_batch`]: crate::ServeConfig::max_k_per_batch
 //! [`SpmmService`]: crate::SpmmService
@@ -12,29 +12,6 @@
 use std::sync::Arc;
 use twoface_core::Algorithm;
 use twoface_matrix::DenseMatrix;
-
-/// How [`SpmmService::drain`] groups compatible queued requests into fused
-/// executions.
-///
-/// [`SpmmService::drain`]: crate::SpmmService::drain
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum BatchPolicy {
-    /// Group the whole queue by `(matrix, algorithm, K)` first (groups in
-    /// first-arrival order, FIFO within a group), then chunk each group at
-    /// the K budget. Compatible requests fuse regardless of how
-    /// incompatible ones interleave between them, so batch count and
-    /// composition depend only on the multiset of queued keys — not on
-    /// arrival order across keys.
-    #[default]
-    KeyGrouped,
-    /// The legacy greedy former: scan existing batches in creation order
-    /// and append to the first compatible one with budget left. Kept as a
-    /// comparison point; an interleaved arrival order can split compatible
-    /// requests across more executions than [`BatchPolicy::KeyGrouped`]
-    /// (outputs stay bit-identical either way).
-    FirstFit,
-}
 
 /// A queued request, after submit-time validation.
 pub(crate) struct Pending {
@@ -60,19 +37,13 @@ impl Batch {
     }
 }
 
-/// Forms batches from a drained queue under `policy`.
-pub(crate) fn form_batches(
-    queue: Vec<Pending>,
-    max_k_per_batch: usize,
-    policy: BatchPolicy,
-) -> Vec<Batch> {
-    match policy {
-        BatchPolicy::KeyGrouped => form_key_grouped(queue, max_k_per_batch),
-        BatchPolicy::FirstFit => form_first_fit(queue, max_k_per_batch),
-    }
-}
-
-fn form_key_grouped(queue: Vec<Pending>, max_k_per_batch: usize) -> Vec<Batch> {
+/// Forms batches from a drained queue: the whole queue is grouped by
+/// `(matrix, algorithm, K)` first (groups in first-arrival order, FIFO
+/// within a group), then each group is chunked at the K budget. Compatible
+/// requests fuse regardless of how incompatible ones interleave between
+/// them, so batch count and composition depend only on the multiset of
+/// queued keys — not on arrival order across keys.
+pub(crate) fn form_batches(queue: Vec<Pending>, max_k_per_batch: usize) -> Vec<Batch> {
     let mut groups: Vec<Batch> = Vec::new();
     for pending in queue {
         let k = pending.b.cols();
@@ -105,29 +76,6 @@ fn form_key_grouped(queue: Vec<Pending>, max_k_per_batch: usize) -> Vec<Batch> {
     batches
 }
 
-fn form_first_fit(queue: Vec<Pending>, max_k_per_batch: usize) -> Vec<Batch> {
-    let mut batches: Vec<Batch> = Vec::new();
-    for pending in queue {
-        let k = pending.b.cols();
-        let fits = batches.iter_mut().find(|b| {
-            b.matrix == pending.matrix
-                && b.algorithm == pending.algorithm
-                && b.k_each == k
-                && (b.requests.len() + 1) * k <= max_k_per_batch
-        });
-        match fits {
-            Some(batch) => batch.requests.push(pending),
-            None => batches.push(Batch {
-                matrix: pending.matrix,
-                algorithm: pending.algorithm,
-                k_each: k,
-                requests: vec![pending],
-            }),
-        }
-    }
-    batches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,9 +94,8 @@ mod tests {
 
     #[test]
     fn key_grouped_fuses_across_interleavings() {
-        // m0 and m1 requests interleaved: first-fit opens a second m0 batch
-        // only when the budget fills, but an m0/m1/m0/m1 pattern must not
-        // change how the four m0 requests fuse.
+        // An m0/m1/m0/m1 interleaving must not change how the four m0
+        // requests fuse.
         let interleaved = vec![
             pending(0, 0, 4),
             pending(1, 1, 4),
@@ -165,52 +112,33 @@ mod tests {
             pending(1, 1, 4),
             pending(3, 1, 4),
         ];
-        let a = form_key_grouped(interleaved, 16);
-        let b = form_key_grouped(contiguous, 16);
+        let a = form_batches(interleaved, 16);
+        let b = form_batches(contiguous, 16);
         assert_eq!(shape(&a), shape(&b));
         assert_eq!(shape(&a), vec![(0, 4, vec![0, 2, 4, 5]), (1, 4, vec![1, 3])]);
+
+        // Nor does it reorder or re-split a group that fills its budget:
+        // groups stay contiguous in first-arrival order.
+        let interleaved =
+            vec![pending(0, 0, 8), pending(1, 1, 8), pending(2, 0, 8), pending(3, 0, 8)];
+        let contiguous =
+            vec![pending(0, 0, 8), pending(2, 0, 8), pending(3, 0, 8), pending(1, 1, 8)];
+        let a = shape(&form_batches(interleaved, 16));
+        assert_eq!(a, shape(&form_batches(contiguous, 16)));
+        assert_eq!(a, vec![(0, 8, vec![0, 2]), (0, 8, vec![3]), (1, 8, vec![1])]);
     }
 
     #[test]
     fn key_grouped_chunks_at_the_budget_in_fifo_order() {
         let queue = (0..5).map(|id| pending(id, 0, 8)).collect();
-        let batches = form_key_grouped(queue, 16);
+        let batches = form_batches(queue, 16);
         assert_eq!(shape(&batches), vec![(0, 8, vec![0, 1]), (0, 8, vec![2, 3]), (0, 8, vec![4])]);
     }
 
     #[test]
-    fn over_wide_requests_run_solo_under_both_policies() {
-        for policy in [BatchPolicy::KeyGrouped, BatchPolicy::FirstFit] {
-            let queue = vec![pending(0, 0, 32), pending(1, 0, 32)];
-            let batches = form_batches(queue, 16, policy);
-            assert_eq!(shape(&batches), vec![(0, 32, vec![0]), (0, 32, vec![1])], "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn first_fit_batch_sequence_depends_on_interleaving() {
-        // The legacy policy's documented order sensitivity: batches appear
-        // in creation order, so interleaving an incompatible request
-        // reorders (and with a full batch in between, splits) the schedule.
-        // Key-grouping emits a canonical group-contiguous sequence for both
-        // arrival orders.
-        let orders: [Vec<Pending>; 2] = [
-            vec![pending(0, 0, 8), pending(1, 1, 8), pending(2, 0, 8), pending(3, 0, 8)],
-            vec![pending(0, 0, 8), pending(2, 0, 8), pending(3, 0, 8), pending(1, 1, 8)],
-        ];
-        let [first, second] = orders;
-        let ff_a = shape(&form_first_fit(first, 16));
-        let ff_b = shape(&form_first_fit(second, 16));
-        assert_ne!(ff_a, ff_b, "first-fit schedules diverge across interleavings");
-
-        let orders: [Vec<Pending>; 2] = [
-            vec![pending(0, 0, 8), pending(1, 1, 8), pending(2, 0, 8), pending(3, 0, 8)],
-            vec![pending(0, 0, 8), pending(2, 0, 8), pending(3, 0, 8), pending(1, 1, 8)],
-        ];
-        let [first, second] = orders;
-        let kg_a = shape(&form_key_grouped(first, 16));
-        let kg_b = shape(&form_key_grouped(second, 16));
-        assert_eq!(kg_a, kg_b, "key-grouped schedules are interleaving-insensitive");
-        assert_eq!(kg_a, vec![(0, 8, vec![0, 2]), (0, 8, vec![3]), (1, 8, vec![1])]);
+    fn over_wide_requests_run_solo() {
+        let queue = vec![pending(0, 0, 32), pending(1, 0, 32)];
+        let batches = form_batches(queue, 16);
+        assert_eq!(shape(&batches), vec![(0, 32, vec![0]), (0, 32, vec![1])]);
     }
 }

@@ -57,7 +57,6 @@ mod timeline;
 
 pub use cache::{CacheStats, PlanCache};
 pub use error::ServeError;
-pub use former::BatchPolicy;
 pub use service::{
     MatrixHandle, RequestId, ServeConfig, SessionDigest, SpmmRequest, SpmmResponse, SpmmService,
 };

@@ -2,7 +2,7 @@
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::error::ServeError;
-use crate::former::{form_batches, Batch, BatchPolicy, Pending};
+use crate::former::{form_batches, Batch, Pending};
 use crate::timeline::{dominant_class, SessionEvent, SessionPhase};
 use serde::Serialize;
 use std::sync::Arc;
@@ -36,10 +36,6 @@ pub struct ServeConfig {
     /// fused while their combined `K` stays within this bound; a single
     /// request wider than the bound still runs (solo).
     pub max_k_per_batch: usize,
-    /// How the drain groups compatible requests into fused executions (see
-    /// [`BatchPolicy`]). The policy never changes output bits, only which
-    /// requests share an execution.
-    pub batch_policy: BatchPolicy,
     /// Byte budget of the plan cache.
     pub cache_budget_bytes: usize,
     /// Transient-failure retries per algorithm attempt: a request may
@@ -72,7 +68,6 @@ impl ServeConfig {
             classifier: ClassifierKind::Greedy,
             coefficients: None,
             max_k_per_batch: 512,
-            batch_policy: BatchPolicy::default(),
             cache_budget_bytes: 256 << 20,
             retry_budget: 2,
             fallback: true,
@@ -315,10 +310,9 @@ impl SpmmService {
     /// Executes every queued request and returns responses in submission
     /// order.
     ///
-    /// Scheduling: requests are grouped by `(matrix, algorithm, K)` under
-    /// the configured [`BatchPolicy`] (the default groups across the whole
-    /// queue, so compatible requests fuse regardless of interleaving); each
-    /// batch fuses `B` panels up to [`ServeConfig::max_k_per_batch`]
+    /// Scheduling: requests are grouped by `(matrix, algorithm, K)` across
+    /// the whole queue, so compatible requests fuse regardless of
+    /// interleaving; each batch fuses `B` panels up to [`ServeConfig::max_k_per_batch`]
     /// columns and executes once on the warm cluster. After the queue is
     /// drained the session's retained windows are dropped
     /// ([`Cluster::reset`]), releasing the `B` buffers they pin.
@@ -327,7 +321,7 @@ impl SpmmService {
         if queue.is_empty() {
             return Vec::new();
         }
-        let batches = form_batches(queue, self.config.max_k_per_batch, self.config.batch_policy);
+        let batches = form_batches(queue, self.config.max_k_per_batch);
         let mut responses = Vec::new();
         for batch in batches {
             self.execute_batch(batch, &mut responses);

@@ -219,7 +219,8 @@ fn twoface_validates_on_arbitrary_matrices() {
 
 /// §5.4's sketch, as a property: for arbitrary matrices and keep
 /// probabilities, a masked Two-Face run must agree with a serial SpMM over
-/// the materialized masked matrix — under both async stripe layouts.
+/// the materialized masked matrix — under both async stripe layouts — and
+/// bit for bit with a plain run over that matrix under the same plan.
 #[test]
 fn masked_run_matches_serial_reference_under_both_layouts() {
     let mut rng = StdRng::seed_from_u64(0xC5_0C);
@@ -238,11 +239,25 @@ fn masked_run_matches_serial_reference_under_both_layouts() {
             };
             let coeffs = ModelCoefficients::from(&cost);
             let plan = Arc::new(twoface_core::prepare_plan(&problem, &coeffs, &cost));
-            let report = run_sampled_twoface(&problem, plan, mask, &cost, &options);
-            assert!(
-                report.is_ok(),
-                "case {case} layout {layout:?} keep {keep}: {:?}",
-                report.err()
+            let report = run_sampled_twoface(&problem, Arc::clone(&plan), mask, &cost, &options);
+            let report = report
+                .unwrap_or_else(|e| panic!("case {case} layout {layout:?} keep {keep}: {e:?}"));
+            let masked =
+                Problem::new(Arc::new(mask.apply(&problem.a)), Arc::clone(&problem.b), p, 5)
+                    .expect("valid");
+            let direct = run_algorithm(
+                Algorithm::TwoFace,
+                &masked,
+                &cost,
+                &RunOptions { plan: Some(plan), ..options.clone() },
+            )
+            .unwrap_or_else(|e| panic!("case {case} layout {layout:?}: direct run failed: {e}"));
+            let bits =
+                |c: &DenseMatrix| c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(report.output.as_ref().expect("validate computes values")),
+                bits(direct.output.as_ref().expect("validate computes values")),
+                "case {case} layout {layout:?} keep {keep}: masked fold differs from a run on A'"
             );
         }
     }

@@ -529,32 +529,4 @@ fn batch_formation_is_arrival_order_insensitive() {
         batch_counts.windows(2).all(|w| w[0] == w[1]),
         "key-grouped formation fuses identically under every arrival order: {batch_counts:?}"
     );
-
-    // The legacy first-fit policy may form different batch sequences per
-    // order, but its outputs keep the bit-identity contract.
-    for order in &orders {
-        let mut cfg = tight();
-        cfg.batch_policy = twoface_serve::BatchPolicy::FirstFit;
-        let mut service = SpmmService::new(cfg);
-        let h = [
-            service.register_matrix(Arc::clone(&a1), STRIPE).unwrap(),
-            service.register_matrix(Arc::clone(&a2), STRIPE).unwrap(),
-        ];
-        let ids: Vec<_> = order
-            .iter()
-            .map(|&at| {
-                let (m, k, seed) = specs[at];
-                (at, service.submit(SpmmRequest::new(h[m], dense(k, seed))).unwrap())
-            })
-            .collect();
-        let responses = service.drain();
-        for (at, id) in ids {
-            let response = responses.iter().find(|r| r.request == id).unwrap();
-            assert_eq!(
-                response.output.as_ref().unwrap().as_slice(),
-                reference[at].as_slice(),
-                "first-fit, order {order:?}, spec {at}: outputs stay bit-identical"
-            );
-        }
-    }
 }
