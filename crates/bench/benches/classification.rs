@@ -1,5 +1,5 @@
-//! Criterion benchmarks for the preprocessing pipeline: per-node profiling,
-//! stripe classification, and full plan construction.
+//! Criterion benchmarks for the preprocessing pipeline: per-node and
+//! all-node profiling, stripe classification, and full plan construction.
 //!
 //! Preprocessing cost is the subject of Table 6; these benchmarks expose
 //! where it goes.
@@ -8,7 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use twoface_matrix::gen::{rmat, RmatConfig};
 use twoface_partition::{
-    classify_node, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan, PlanOptions,
+    classify_node, profile_all_nodes, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan,
+    PlanOptions,
 };
 
 fn bench_preprocessing(criterion: &mut Criterion) {
@@ -23,6 +24,13 @@ fn bench_preprocessing(criterion: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("profile_node", n), &a, |bench, a| {
             bench.iter(|| NodeProfile::build(black_box(a), &layout, 0));
+        });
+
+        // Every rank's profile at the one-shot benchmark's node count: the
+        // total must stay one walk of the matrix, not one per rank.
+        let layout32 = OneDimLayout::new(n, n, 32, n / 256);
+        group.bench_with_input(BenchmarkId::new("profile_all_nodes_p32", n), &a, |bench, a| {
+            bench.iter(|| profile_all_nodes(black_box(a), &layout32));
         });
 
         let profile = NodeProfile::build(&a, &layout, 0);

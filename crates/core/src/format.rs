@@ -144,6 +144,17 @@ impl AsyncMatrix {
     }
 }
 
+/// Where [`RankMatrices::build_from_rows`] sends the nonzeros of a stripe.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// The plan has no class for the stripe on this rank.
+    Unclassified,
+    /// Synchronous or local-input: the row-panel matrix.
+    SyncLocal,
+    /// Asynchronous: the bucket at this index.
+    Async(usize),
+}
+
 /// Both preprocessed structures of one node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankMatrices {
@@ -209,16 +220,28 @@ impl RankMatrices {
             "matrix dimensions exceed the u32 small-index limit of the compact rank structures"
         );
         let rows = layout.row_range(rank);
-        let mut sync_entries: Vec<SmallTriplet> = Vec::new();
-        let mut async_buckets: std::collections::BTreeMap<usize, Vec<SmallTriplet>> =
-            std::collections::BTreeMap::new();
+        // Where each stripe's nonzeros go, looked up once per nonzero:
+        // asynchronous stripes index their bucket, which are in ascending
+        // stripe order because the classification is.
+        let mut routes = vec![Route::Unclassified; layout.num_stripes()];
+        let mut async_buckets: Vec<(usize, Vec<SmallTriplet>)> = Vec::new();
+        for &(stripe, class) in &plan.classification(rank).classes {
+            routes[stripe] = match class {
+                StripeClass::Sync | StripeClass::LocalInput => Route::SyncLocal,
+                StripeClass::Async => {
+                    async_buckets.push((stripe, Vec::new()));
+                    Route::Async(async_buckets.len() - 1)
+                }
+            };
+        }
+        let mut sync_entries: Vec<SmallTriplet> = Vec::with_capacity(rank_triplets.len());
         for t in rank_triplets {
             debug_assert!(rows.contains(&t.row), "entry outside the rank's row block");
-            let stripe = layout.stripe_of_col(t.col);
             let local = SmallTriplet::new(t.row - rows.start, t.col, t.val);
-            match plan.class_of(rank, stripe).expect("every nonzero's stripe is classified") {
-                StripeClass::Sync | StripeClass::LocalInput => sync_entries.push(local),
-                StripeClass::Async => async_buckets.entry(stripe).or_default().push(local),
+            match routes[layout.stripe_of_col(t.col)] {
+                Route::SyncLocal => sync_entries.push(local),
+                Route::Async(bucket) => async_buckets[bucket].1.push(local),
+                Route::Unclassified => panic!("every nonzero's stripe is classified"),
             }
         }
         // The input slice is row-major, so sync_entries already are; build
@@ -237,10 +260,13 @@ impl RankMatrices {
         }
         debug_assert_eq!(*panel_ptrs.last().expect("non-empty"), sync_entries.len());
 
+        // A supplied plan may classify stripes these triplets leave empty;
+        // those get no async stripe.
         let stripes = async_buckets
             .into_iter()
+            .filter(|(_, entries)| !entries.is_empty())
             .map(|(stripe, mut entries)| {
-                // The bucket preserves a.iter()'s row-major order; snapshot it
+                // The bucket preserves the input's row-major order; snapshot it
                 // before the column-major sort instead of re-sorting later.
                 let entries_row_major = entries.clone();
                 entries.sort_by_key(|t| (t.col, t.row));

@@ -19,7 +19,8 @@ use twoface_net::{
     OpEvent, PhaseClass, ProfileSummary, RankOutput, RankTrace,
 };
 use twoface_partition::{
-    ClassifierKind, ModelCoefficients, OneDimLayout, PartitionPlan, PlanOptions, StripeClass,
+    profile_all_nodes, ClassifierKind, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan,
+    PlanOptions, StripeClass,
 };
 
 /// Approximate bytes to store one COO nonzero (row, col, value).
@@ -536,27 +537,50 @@ pub(crate) fn prepare_plan_inner(
     classifier: ClassifierKind,
     workers: usize,
 ) -> PartitionPlan {
-    let k = problem.k();
-    let budget = sync_buffer_budget(
-        &base_bytes_all_ranks(problem),
-        &problem.layout,
-        k,
-        cost.memory_per_node,
-    );
-    PartitionPlan::build(
-        &problem.a,
+    let profiles = profile_all_nodes(&problem.a, &problem.layout);
+    plan_from_profiles(
+        profiles,
         problem.layout.clone(),
+        problem.k(),
+        coefficients,
+        cost.memory_per_node,
+        classifier,
+        workers,
+    )
+    .0
+}
+
+/// The Two-Face planner shared by the resident and streamed paths: each
+/// rank's [`operand_bytes`] from its profiled nonzero count, the
+/// [`sync_buffer_budget`] they leave, then classification from the
+/// profiles. Returns the plan with the operand bytes.
+pub(crate) fn plan_from_profiles(
+    profiles: Vec<NodeProfile>,
+    layout: OneDimLayout,
+    k: usize,
+    coefficients: &ModelCoefficients,
+    memory_per_node: usize,
+    classifier: ClassifierKind,
+    workers: usize,
+) -> (PartitionPlan, Vec<usize>) {
+    let nnz_by_rank: Vec<usize> = profiles.iter().map(NodeProfile::total_nnz).collect();
+    let operands = operand_bytes(&layout, k, &nnz_by_rank);
+    let budget = sync_buffer_budget(&operands, &layout, k, memory_per_node);
+    let plan = PartitionPlan::build_from_profiles(
+        profiles,
+        layout,
         coefficients,
         k,
         PlanOptions { sync_buffer_budget: Some(budget), classifier, workers },
-    )
+    );
+    (plan, operands)
 }
 
 /// §6.3's sync-stripe buffer budget: the node capacity minus the largest
 /// rank's own `operands`, less headroom for the asynchronous fetch buffers
 /// (bounded by twice the widest stripe's rows) so the capped plan is
-/// actually runnable. Shared by the resident and streamed planners.
-pub(crate) fn sync_buffer_budget(
+/// actually runnable.
+fn sync_buffer_budget(
     operands: &[usize],
     layout: &OneDimLayout,
     k: usize,
@@ -589,7 +613,7 @@ pub(crate) fn memory_gate(
 
 /// Bytes of each rank's own operands — its `A` partition, `B` block, and
 /// `C` block — from its nonzero count.
-pub(crate) fn operand_bytes(layout: &OneDimLayout, k: usize, nnz_by_rank: &[usize]) -> Vec<usize> {
+fn operand_bytes(layout: &OneDimLayout, k: usize, nnz_by_rank: &[usize]) -> Vec<usize> {
     nnz_by_rank
         .iter()
         .enumerate()

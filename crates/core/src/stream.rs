@@ -13,10 +13,10 @@
 //!    [`normalize_triplets`] (the one normalization path in the workspace,
 //!    so per-shard normalization concatenates to exactly the resident
 //!    matrix), profile its stripes, and spill the normalized shard back.
-//! 3. **Plan** — classify from the per-rank profiles
-//!    ([`PartitionPlan::build_from_profiles`]) with the same coefficients
-//!    and sync-buffer budget the resident
-//!    [`prepare_plan`](crate::prepare_plan) derives.
+//! 3. **Plan** — classify from the per-rank profiles through the planner
+//!    the resident [`prepare_plan`](crate::prepare_plan) runs: the
+//!    sync-buffer budget from each rank's operand bytes, then
+//!    [`PartitionPlan::build_from_profiles`](twoface_partition::PartitionPlan::build_from_profiles).
 //! 4. **Build + store** — per rank, build the compact
 //!    [`RankMatrices`](crate::RankMatrices) from the normalized shard
 //!    ([`RankMatrices::build_from_rows`]) and serialize them to a per-rank
@@ -41,8 +41,8 @@ use crate::error::{RankError, RunError};
 use crate::format::RankMatrices;
 use crate::pool::resolve_workers;
 use crate::runner::{
-    generated_b_block, harvest, memory_gate, operand_bytes, resolve_observability, stack_blocks,
-    sync_buffer_budget, ExecOpts, ExecutionReport, NNZ_BYTES,
+    generated_b_block, harvest, memory_gate, plan_from_profiles, resolve_observability,
+    stack_blocks, ExecOpts, ExecutionReport, NNZ_BYTES,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write as _};
@@ -56,8 +56,7 @@ use twoface_net::{
     Cluster, CostModel, Lane, MetricsRegistry, Observability, OpEvent, OpKind, PhaseClass,
 };
 use twoface_partition::{
-    ClassifierKind, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan, PlanOptions,
-    StripeClass,
+    ClassifierKind, ModelCoefficients, NodeProfile, OneDimLayout, StripeClass,
 };
 
 /// Raw spill chunk cap in entries when no budget narrows it further.
@@ -530,19 +529,16 @@ pub fn run_twoface_streamed(
 
     // --- Pass 3: classify from profiles, with the resident budget rule. ---
     pass_started = Instant::now();
-    let operands = operand_bytes(&layout, k, &nnz_by_rank);
-    let sync_budget = sync_buffer_budget(&operands, &layout, k, effective.memory_per_node);
-    let plan = Arc::new(PartitionPlan::build_from_profiles(
+    let (plan, operands) = plan_from_profiles(
         profiles,
         layout.clone(),
-        &coefficients,
         k,
-        PlanOptions {
-            sync_buffer_budget: Some(sync_budget),
-            classifier: options.classifier,
-            workers,
-        },
-    ));
+        &coefficients,
+        effective.memory_per_node,
+        options.classifier,
+        workers,
+    );
+    let plan = Arc::new(plan);
     let required_sim = memory_gate(
         &operands,
         |rank| planned_memory_extra(&plan, k, rank),
@@ -780,6 +776,7 @@ pub fn peak_rss_bytes() -> Option<usize> {
 mod tests {
     use super::*;
     use twoface_matrix::gen::ErdosChunks;
+    use twoface_partition::PartitionPlan;
 
     #[test]
     fn wide_and_small_roundtrip() {

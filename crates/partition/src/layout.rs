@@ -152,11 +152,15 @@ impl OneDimLayout {
     /// Panics if `col >= cols`.
     pub fn stripe_of_col(&self, col: usize) -> usize {
         assert!(col < self.cols, "column {col} out of range");
-        // Stripes are sorted by column start; binary search the start.
-        match self.stripes.binary_search_by(|&(_, start, _)| start.cmp(&col)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        }
+        // Column blocks come in two sizes (`balanced_range`): the first
+        // `cols % p` hold `base + 1` columns, the rest `base`. The owner's
+        // first stripe follows the stripes of every block before it.
+        let (base, rem) = (self.cols / self.p, self.cols % self.p);
+        let w = self.stripe_width;
+        let owner = balanced_owner(self.cols, self.p, col);
+        let first =
+            owner.min(rem) * (base + 1).div_ceil(w) + owner.saturating_sub(rem) * base.div_ceil(w);
+        first + (col - balanced_range(self.cols, self.p, owner).start) / w
     }
 
     /// The stripes owned by `rank`, as a contiguous index range.
@@ -246,6 +250,32 @@ mod tests {
             let s = layout.stripe_of_col(c);
             assert!(layout.stripe_cols(s).contains(&c), "col {c} in stripe {s}");
             assert_eq!(layout.stripe_owner(s), layout.owner_of_col(c));
+        }
+    }
+
+    #[test]
+    fn stripe_of_col_inverts_stripe_cols_on_every_column() {
+        let layouts = [
+            (100, 103, 4, 10), // cols % p != 0
+            (10, 10, 3, 1),    // W = 1
+            (40, 41, 4, 1000), // W wider than a column block
+            (8, 3, 5, 2),      // cols < p: empty column blocks
+            (4, 0, 2, 3),      // cols = 0
+            (7, 29, 3, 4),     // rows != cols
+            (29, 7, 6, 2),     // rows != cols, ragged blocks narrower than W
+        ];
+        for (rows, cols, p, w) in layouts {
+            let layout = OneDimLayout::new(rows, cols, p, w);
+            let mut covered = 0;
+            for s in 0..layout.num_stripes() {
+                let stripe = layout.stripe_cols(s);
+                assert_eq!(stripe.start, covered, "{rows}x{cols} p={p} W={w}: stripes tile");
+                for c in stripe.clone() {
+                    assert_eq!(layout.stripe_of_col(c), s, "{rows}x{cols} p={p} W={w} col {c}");
+                }
+                covered = stripe.end;
+            }
+            assert_eq!(covered, cols, "{rows}x{cols} p={p} W={w}: every column checked");
         }
     }
 

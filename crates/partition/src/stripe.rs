@@ -2,8 +2,9 @@
 //!
 //! The preprocessing model (§4.2) needs two numbers per sparse stripe of a
 //! node: `n_i`, the nonzeros the stripe holds, and `l_i`, the distinct dense
-//! rows of `B` it requires. This module computes them, along with the column
-//! id lists that later drive the asynchronous transfers.
+//! rows of `B` it requires. This module counts both in one walk of the
+//! node's row slice, marking distinct columns in a bitset over `A`'s
+//! columns; no column ids are kept.
 
 use crate::OneDimLayout;
 use twoface_matrix::{CooMatrix, Entry};
@@ -16,12 +17,10 @@ pub struct StripeProfile {
     /// `n_i`: nonzeros of this node falling in the stripe.
     pub nnz: usize,
     /// `l_i`: the number of distinct `B` rows an asynchronous transfer
-    /// would fetch. Only the *count* survives profiling — the column ids
-    /// themselves are a transient of construction (at paper scale the
-    /// per-stripe id lists cost ~8 bytes per nonzero held across the whole
-    /// streamed pipeline, and nothing downstream of classification reads
-    /// them: the executor fetches from the rank structures' own
-    /// `unique_cols`).
+    /// would fetch — the distinct columns of the node's nonzeros in the
+    /// stripe. Only the count is profiled: nothing downstream of
+    /// classification needs the ids, and the executor fetches from the rank
+    /// structures' own `unique_cols`.
     pub rows_needed: usize,
 }
 
@@ -46,60 +45,51 @@ pub struct NodeProfile {
 impl NodeProfile {
     /// Builds the profile of `rank`'s local partition of `a`.
     ///
-    /// `a` is the *global* matrix; only nonzeros in `rank`'s row block are
-    /// inspected.
+    /// `a` is the *global* matrix; its row-sorted triplets are binary-searched
+    /// for `rank`'s row block, and only that slice is profiled, so profiling
+    /// every rank walks each nonzero once.
     pub fn build(a: &CooMatrix, layout: &OneDimLayout, rank: usize) -> NodeProfile {
         let rows = layout.row_range(rank);
-        let mut cols_by_stripe: Vec<Vec<usize>> = vec![Vec::new(); layout.num_stripes()];
-        let mut nnz_by_stripe = vec![0usize; layout.num_stripes()];
-        for (r, c, _) in a.iter() {
-            if rows.contains(&r) {
-                let s = layout.stripe_of_col(c);
-                cols_by_stripe[s].push(c);
-                nnz_by_stripe[s] += 1;
-            }
-        }
-        Self::finish(rank, cols_by_stripe, nnz_by_stripe)
+        let all = a.triplets();
+        let lo = all.partition_point(|t| t.row < rows.start);
+        let hi = lo + all[lo..].partition_point(|t| t.row < rows.end);
+        Self::build_from_rows(&all[lo..hi], layout, rank)
     }
 
     /// Builds the profile of `rank` directly from its row shard — the
-    /// normalized entries whose rows all fall in `rank`'s row block. This is
-    /// the out-of-core entry point: the streamed runner profiles each rank
-    /// from its spilled shard and never holds the global matrix. Feeding the
-    /// resident matrix's row slice here produces exactly what
-    /// [`NodeProfile::build`] produces.
+    /// normalized entries whose rows all fall in `rank`'s row block. The
+    /// streamed runner profiles each rank from its spilled shard this way and
+    /// never holds the global matrix; [`NodeProfile::build`] feeds it the
+    /// resident matrix's row slice.
     pub fn build_from_rows<E: Entry>(
         rank_entries: &[E],
         layout: &OneDimLayout,
         rank: usize,
     ) -> NodeProfile {
         let rows = layout.row_range(rank);
-        let mut cols_by_stripe: Vec<Vec<usize>> = vec![Vec::new(); layout.num_stripes()];
-        let mut nnz_by_stripe = vec![0usize; layout.num_stripes()];
+        let mut nnz = vec![0usize; layout.num_stripes()];
+        let mut rows_needed = vec![0usize; layout.num_stripes()];
+        // One bit per column of A: a column counts towards its stripe's
+        // `rows_needed` the first time it is seen.
+        let mut seen = vec![0u64; layout.cols().div_ceil(64)];
         for t in rank_entries {
             debug_assert!(rows.contains(&t.row()), "entry outside rank's row block");
-            let s = layout.stripe_of_col(t.col());
-            cols_by_stripe[s].push(t.col());
-            nnz_by_stripe[s] += 1;
+            let col = t.col();
+            let s = layout.stripe_of_col(col);
+            nnz[s] += 1;
+            let (word, bit) = (col / 64, 1u64 << (col % 64));
+            if seen[word] & bit == 0 {
+                seen[word] |= bit;
+                rows_needed[s] += 1;
+            }
         }
         let _ = rows;
-        Self::finish(rank, cols_by_stripe, nnz_by_stripe)
-    }
-
-    fn finish(
-        rank: usize,
-        cols_by_stripe: Vec<Vec<usize>>,
-        nnz_by_stripe: Vec<usize>,
-    ) -> NodeProfile {
-        let stripes = cols_by_stripe
+        let stripes = nnz
             .into_iter()
+            .zip(rows_needed)
             .enumerate()
-            .filter(|(_, cols)| !cols.is_empty())
-            .map(|(stripe, mut cols)| {
-                cols.sort_unstable();
-                cols.dedup();
-                StripeProfile { stripe, nnz: nnz_by_stripe[stripe], rows_needed: cols.len() }
-            })
+            .filter(|&(_, (nnz, _))| nnz > 0)
+            .map(|(stripe, (nnz, rows_needed))| StripeProfile { stripe, nnz, rows_needed })
             .collect();
         NodeProfile { rank, stripes }
     }

@@ -6,7 +6,7 @@
 //! assertion message.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use twoface_core::sampling::{run_sampled_twoface, EdgeSampler};
 use twoface_core::{
@@ -16,8 +16,8 @@ use twoface_core::{
 use twoface_matrix::{CooMatrix, DenseMatrix, Triplet};
 use twoface_net::{CostModel, FaultPlan, PhaseClass, RetryPolicy};
 use twoface_partition::{
-    classify_node, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan, PlanOptions,
-    StripeClass,
+    classify_node, profile_all_nodes, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan,
+    PlanOptions, StripeClass,
 };
 
 /// Number of random cases per property.
@@ -162,6 +162,64 @@ fn partition_plan_conserves_nonzeros() {
         let (l, s, a) = plan.nnz_totals();
         assert_eq!(l + s + a, m.nnz(), "case {case}");
     }
+}
+
+/// The stripe profiles of every rank, recomputed by a full scan of `m`:
+/// filter the triplets by the rank's row range and keep a set of columns per
+/// stripe. Columns map to stripes through the stripe table, not
+/// `stripe_of_col`. Each profile is `(stripe, nnz, rows_needed)`, ascending.
+fn full_scan_profiles(m: &CooMatrix, layout: &OneDimLayout) -> Vec<Vec<(usize, usize, usize)>> {
+    let mut stripe_of = vec![usize::MAX; m.cols()];
+    for s in 0..layout.num_stripes() {
+        for c in layout.stripe_cols(s) {
+            stripe_of[c] = s;
+        }
+    }
+    (0..layout.nodes())
+        .map(|rank| {
+            let rows = layout.row_range(rank);
+            let mut by_stripe: BTreeMap<usize, (usize, BTreeSet<usize>)> = BTreeMap::new();
+            for t in m.triplets().iter().filter(|t| rows.contains(&t.row)) {
+                let (nnz, cols) = by_stripe.entry(stripe_of[t.col]).or_default();
+                *nnz += 1;
+                cols.insert(t.col);
+            }
+            by_stripe.into_iter().map(|(s, (nnz, cols))| (s, nnz, cols.len())).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn profiles_match_a_full_scan_reference() {
+    let mut rng = StdRng::seed_from_u64(0xC5_11);
+    let (mut cols_below_p, mut ranks_without_nonzeros) = (0, 0);
+    let mut check = |case: usize, m: &CooMatrix, p: usize, w: usize| {
+        let layout = OneDimLayout::new(m.rows(), m.cols(), p, w);
+        let expected = full_scan_profiles(m, &layout);
+        let profiles = profile_all_nodes(m, &layout);
+        assert_eq!(profiles.len(), p, "case {case} p={p} W={w}");
+        for (rank, (profile, expected)) in profiles.iter().zip(&expected).enumerate() {
+            assert_eq!(profile.rank, rank);
+            let got: Vec<(usize, usize, usize)> =
+                profile.stripes.iter().map(|s| (s.stripe, s.nnz, s.rows_needed)).collect();
+            assert_eq!(&got, expected, "case {case} p={p} W={w} rank {rank}");
+            ranks_without_nonzeros += usize::from(expected.is_empty());
+        }
+        cols_below_p += usize::from(m.cols() < p);
+    };
+    for case in 0..CASES {
+        let m = random_matrix(&mut rng);
+        let p = rng.gen_range(1..=m.rows());
+        let wider_than_a_block = m.cols().div_ceil(p) + 1;
+        check(case, &m, p, 1);
+        check(case, &m, p, rng.gen_range(2usize..12));
+        check(case, &m, p, wider_than_a_block);
+        check(case, &m, m.rows(), rng.gen_range(1usize..4));
+    }
+    // A matrix without rows: the single rank's row block is empty.
+    check(CASES, &CooMatrix::new(0, 9), 1, 2);
+    assert!(cols_below_p > 0, "no case laid out fewer columns than ranks");
+    assert!(ranks_without_nonzeros > 0, "no case left a rank without nonzeros");
 }
 
 #[test]
