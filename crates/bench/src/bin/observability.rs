@@ -1,12 +1,14 @@
 //! Flight-recorder overhead on the tracing-disabled hot path.
 //!
-//! The always-on flight recorder (a bounded ring of the last
-//! [`FLIGHT_CAPACITY_DEFAULT`] comm-op entries per rank, recorded even at
-//! `TraceLevel::Off` so faulted runs are post-mortem debuggable) must be
-//! effectively free on the default path users hit. This binary runs the
-//! same Two-Face execution with the ring at its default capacity and with
-//! the ring disabled (`set_flight_capacity(0)`), in strict alternation on a
-//! caller-owned cluster, and reports:
+//! The always-on flight recorder (a bounded ring of each rank's last
+//! [`FLIGHT_CAPACITY_DEFAULT`] non-kernel events — meet waits, transfers,
+//! retries, backoffs and faults — that the rank's one event recorder fills
+//! with one fixed-size store per event even at `TraceLevel::Off`, so
+//! faulted runs are post-mortem debuggable) must be effectively free on the
+//! default path users hit. This binary runs the same Two-Face execution
+//! with the ring at its default capacity and with the ring disabled
+//! (`set_flight_capacity(0)`), in strict alternation on a caller-owned
+//! cluster, and reports:
 //!
 //! * **gated** — the simulated seconds and communication counters of both
 //!   configurations, asserted bit-identical (the ring never touches

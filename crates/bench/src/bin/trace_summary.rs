@@ -7,8 +7,8 @@
 //!   Perfetto-loadable Chrome trace to `results/trace_summary.chrome.json`,
 //!   then regenerate the Figure-10 breakdown and the §7.2 multicast profile
 //!   *from the events alone* and cross-check both against the aggregate
-//!   [`ExecutionReport`] counters. Any disagreement beyond float rounding
-//!   aborts with a nonzero exit.
+//!   [`ExecutionReport`](twoface_core::ExecutionReport) counters. Any
+//!   disagreement beyond float rounding aborts with a nonzero exit.
 //! * **One path argument** — parse and validate an existing `.jsonl` event
 //!   stream (the schema check CI runs), re-derive the same summaries from
 //!   it, and exit nonzero if the stream is malformed or internally

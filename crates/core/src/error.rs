@@ -72,14 +72,16 @@ pub enum RunError {
         flight: Vec<FlightEntry>,
     },
     /// A one-sided transfer described an invalid range (e.g. a row run
-    /// whose element offset overflows `usize`) — a corrupt run list surfaced
-    /// as a typed error with row/element units instead of a panic or a
-    /// clamped read. The wrapped [`NetError`] is available via
-    /// [`std::error::Error::source`].
+    /// whose element offset overflows `usize`, or one past the target's
+    /// exposed buffer) or addressed a window this run does not have — a
+    /// corrupt request surfaced as a typed error with row/element units
+    /// instead of a panic or a clamped read. The wrapped [`NetError`] is
+    /// available via [`std::error::Error::source`].
     InvalidTransfer {
         /// The rank that issued the malformed transfer.
         rank: usize,
-        /// The underlying network error ([`NetError::RangeOverflow`]).
+        /// The underlying network error ([`NetError::RangeOverflow`] or
+        /// [`NetError::OutOfWindow`]).
         source: NetError,
     },
     /// An all-rank collective observed a straggler beyond the installed
@@ -107,7 +109,9 @@ impl RunError {
     ) -> RunError {
         match source {
             NetError::TransferTimeout { .. } => RunError::TransferTimeout { rank, source, flight },
-            NetError::RangeOverflow { .. } => RunError::InvalidTransfer { rank, source },
+            NetError::RangeOverflow { .. } | NetError::OutOfWindow { .. } => {
+                RunError::InvalidTransfer { rank, source }
+            }
             NetError::RankStalled { .. } => RunError::RankStalled { rank, source, flight },
         }
     }
@@ -222,6 +226,7 @@ impl std::error::Error for RunError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twoface_net::{Cluster, CostModel, Lane, PhaseClass};
 
     #[test]
     fn display_messages() {
@@ -229,6 +234,40 @@ mod tests {
         assert_eq!(e.to_string(), "rank 3 needs 512.0 MiB but nodes have 320.0 MiB");
         let e = RunError::ReplicationExceedsNodes { replication: 8, nodes: 4 };
         assert!(e.to_string().contains("exceeds node count"));
+    }
+
+    #[test]
+    fn window_errors_are_invalid_transfers() {
+        let source = Cluster::new(1, CostModel::delta())
+            .run(|ctx| {
+                let window = ctx.create_window(vec![0.0])?;
+                ctx.win_get(window, 0, 2..3, Lane::Sync, PhaseClass::SyncComm).map(drop)
+            })
+            .remove(0)
+            .result
+            .expect_err("the range ends past the one exposed element");
+        assert!(matches!(source, NetError::OutOfWindow { .. }), "{source:?}");
+        let err = RunError::from_net_with_flight(0, source.clone(), Vec::new());
+        assert_eq!(err, RunError::InvalidTransfer { rank: 0, source });
+    }
+
+    #[test]
+    fn flight_tail_shows_the_last_six_entries_in_order() {
+        let flight = Cluster::new(1, CostModel::delta())
+            .run(|ctx| (0..10).try_for_each(|_| ctx.barrier()))
+            .remove(0)
+            .flight;
+        assert_eq!(flight.len(), 10);
+        let source = NetError::RankStalled {
+            rank: 0,
+            straggler: 1,
+            stalled_seconds: 2.0,
+            timeout_seconds: 1.0,
+        };
+        let text = RunError::RankStalled { rank: 0, source, flight: flight.clone() }.to_string();
+        let tail: Vec<String> = flight[4..].iter().map(FlightEntry::render).collect();
+        let want = format!(" [flight recorder (+4 earlier): {}]", tail.join(" | "));
+        assert!(text.ends_with(&want), "{text}");
     }
 
     #[test]

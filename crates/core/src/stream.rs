@@ -17,11 +17,11 @@
 //!    the resident [`prepare_plan`](crate::prepare_plan) runs: the
 //!    sync-buffer budget from each rank's operand bytes, then
 //!    [`PartitionPlan::build_from_profiles`](twoface_partition::PartitionPlan::build_from_profiles).
-//! 4. **Build + store** — per rank, build the compact
-//!    [`RankMatrices`](crate::RankMatrices) from the normalized shard
-//!    ([`RankMatrices::build_from_rows`]) and serialize them to a per-rank
-//!    store file: async stripes first (ascending), sync entries last — the
-//!    order execution consumes them, so reads are purely sequential.
+//! 4. **Build + store** — per rank, build the compact [`RankMatrices`]
+//!    from the normalized shard ([`RankMatrices::build_from_rows`]) and
+//!    serialize them to a per-rank store file: async stripes first
+//!    (ascending), sync entries last — the order execution consumes them,
+//!    so reads are purely sequential.
 //! 5. **Execute** — run the resident Two-Face rank body over a store
 //!    source: each rank reads its store front to back into one reused
 //!    buffer, one async stripe or one row-aligned sync chunk at a time, so

@@ -227,7 +227,7 @@ impl Drop for SchedulerGuard {
 /// The threaded multi-tenant front-end: producers submit from any thread
 /// through cloneable [`TenantHandle`]s and block on [`Ticket`]s; a
 /// dedicated scheduler thread owns the [`SpmmService`] exclusively and
-/// drives the same [`FrontendCore`] the inline mode uses. Admission and
+/// drives the same policy core as the inline [`Frontend`]. Admission and
 /// accounting happen under a short state lock; executions run outside it,
 /// so producers keep submitting while a batch computes.
 ///

@@ -2,7 +2,7 @@
 //! windows.
 
 use crate::event::{
-    EventSink, FlightEntry, FlightRecorder, Observability, OpEvent, OpKind, FLIGHT_CAPACITY_DEFAULT,
+    EventSink, FlightEntry, Observability, Op, OpEvent, OpKind, FLIGHT_CAPACITY_DEFAULT,
 };
 use crate::meet::{MeetOutcome, MeetPoison, MeetRegistry, Payload};
 use crate::metrics::MetricsRegistry;
@@ -76,11 +76,6 @@ struct Shared {
     flight_capacity: AtomicUsize,
 }
 
-/// Meet arrival spread in integer nanoseconds, for histogram bucketing.
-fn spread_ns(spread_seconds: f64) -> u64 {
-    (spread_seconds * 1e9).round() as u64
-}
-
 /// A simulated cluster of `p` single-process ranks.
 ///
 /// [`Cluster::run`] executes one closure per rank on real threads; data moves
@@ -129,11 +124,13 @@ pub struct RankOutput<R> {
     /// Counters and histograms recorded during the run (empty unless
     /// observability is enabled).
     pub metrics: MetricsRegistry,
-    /// The always-on flight recorder: the last N communication operations
-    /// of this rank in chronological order, recorded at every
-    /// [`TraceLevel`](crate::TraceLevel) including `Off` (see
-    /// [`Cluster::set_flight_capacity`]). Faulted runs are post-mortem
-    /// debuggable from this tail without re-running under tracing.
+    /// The always-on flight recorder: this rank's last N non-kernel events
+    /// in chronological order and compact form, recorded at every
+    /// [`TraceLevel`](crate::TraceLevel) including `Off` and never sampled
+    /// (see [`Cluster::set_flight_capacity`]). Below capacity it is the
+    /// rank's unsampled [`TraceLevel::Comm`](crate::TraceLevel::Comm) event
+    /// stream, one entry per event. Faulted runs are post-mortem debuggable
+    /// from this tail without re-running under tracing.
     pub flight: Vec<FlightEntry>,
 }
 
@@ -308,19 +305,19 @@ impl Cluster {
                             next_auto_tag: 0,
                             next_window: window_base,
                             faults: plan.clone(),
-                            events: EventSink::new(observability),
+                            events: EventSink::new(observability, flight_capacity),
                             metrics: MetricsRegistry::new(),
-                            flight: FlightRecorder::new(flight_capacity),
                         };
                         let result = f(&mut ctx);
+                        let (events, flight) = ctx.events.finish();
                         RankOutput {
                             rank,
                             result,
                             trace: ctx.trace,
                             lane_times: ctx.clocks,
-                            events: ctx.events.into_events(),
+                            events,
                             metrics: ctx.metrics,
-                            flight: ctx.flight.into_entries(),
+                            flight,
                         }
                     })
                 })
@@ -352,7 +349,6 @@ pub struct RankCtx {
     faults: Option<Arc<FaultPlan>>,
     events: EventSink,
     metrics: MetricsRegistry,
-    flight: FlightRecorder,
 }
 
 impl RankCtx {
@@ -416,23 +412,19 @@ impl RankCtx {
     ) {
         let start = self.clocks[lane.index()];
         self.advance_quiet(lane, seconds, class);
-        if self.events.full() {
-            let end = self.clocks[lane.index()];
-            let wall = if self.events.wall() { wall_nanos } else { None };
-            self.events.push(|seq| OpEvent {
-                seq,
-                kind: OpKind::Kernel,
-                lane,
-                class,
-                start_seconds: start.seconds(),
-                end_seconds: end.seconds(),
-                elements,
-                peers: Vec::new(),
-                initiator: true,
-                fault: None,
-                wall_nanos: wall,
-            });
-        }
+        let end = self.clocks[lane.index()];
+        self.events.record(Op {
+            kind: OpKind::Kernel,
+            lane,
+            class,
+            start,
+            end,
+            elements,
+            peers: [],
+            initiator: true,
+            fault: None,
+            wall_nanos,
+        });
     }
 
     /// Clock and aggregate-trace bookkeeping without event recording
@@ -442,57 +434,54 @@ impl RankCtx {
         self.trace.add_time(class, seconds);
     }
 
-    /// Appends one communication event. Callers gate on
-    /// [`EventSink::comm`] so the disabled path allocates nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn record_comm_event(
-        &mut self,
-        kind: OpKind,
-        lane: Lane,
-        class: PhaseClass,
-        start: SimTime,
-        end: SimTime,
-        elements: u64,
-        peers: Vec<usize>,
-        initiator: bool,
-    ) {
-        self.events.push(|seq| OpEvent {
-            seq,
-            kind,
+    /// Records an injected fault: into the aggregate trace, and as a
+    /// zero-duration [`OpKind::Fault`] event at `at`.
+    fn record_fault(&mut self, fault: FaultEvent, lane: Lane, class: PhaseClass, at: SimTime) {
+        let kind = fault.kind;
+        self.trace.record_fault(fault);
+        self.events.record(Op {
+            kind: OpKind::Fault,
             lane,
             class,
-            start_seconds: start.seconds(),
-            end_seconds: end.seconds(),
-            elements,
-            peers,
-            initiator,
-            fault: None,
+            start: at,
+            end: at,
+            elements: 0,
+            peers: [],
+            initiator: true,
+            fault: Some(kind),
             wall_nanos: None,
         });
     }
 
-    /// Appends one zero-duration fault marker (gated internally).
-    fn record_fault_instant(
+    /// Records the sync-lane wait from `arrive` until the meet at `outcome`
+    /// completed, naming its straggler — the whole op for a barrier, the
+    /// [`OpKind::MeetWait`] before any other collective's transfer — and
+    /// counts the op under `counter` with its arrival spread.
+    fn record_meet(
         &mut self,
-        fault: FaultKind,
-        lane: Lane,
+        kind: OpKind,
         class: PhaseClass,
-        at: SimTime,
+        arrive: SimTime,
+        outcome: &MeetOutcome,
+        counter: &str,
     ) {
+        self.events.record(Op {
+            kind,
+            lane: Lane::Sync,
+            class,
+            start: arrive,
+            end: outcome.time,
+            elements: 0,
+            peers: [outcome.straggler],
+            initiator: false,
+            fault: None,
+            wall_nanos: None,
+        });
         if self.events.comm() {
-            self.events.push(|seq| OpEvent {
-                seq,
-                kind: OpKind::Fault,
-                lane,
-                class,
-                start_seconds: at.seconds(),
-                end_seconds: at.seconds(),
-                elements: 0,
-                peers: Vec::new(),
-                initiator: true,
-                fault: Some(fault),
-                wall_nanos: None,
-            });
+            self.metrics.inc(counter, 1);
+            // Integer nanoseconds, for histogram bucketing.
+            let spread_ns = (outcome.spread_seconds * 1e9).round() as u64;
+            self.metrics.observe("meet_arrival_spread_ns", spread_ns);
         }
     }
 
@@ -565,57 +554,17 @@ impl RankCtx {
             return (meet_idx, 0.0);
         };
         let mut delay = 0.0;
-        let jitter = plan.meet_jitter(self.rank, meet_idx);
-        if jitter > 0.0 {
-            self.trace.record_fault(FaultEvent {
-                kind: FaultKind::MeetJitter,
-                op: meet_idx,
-                attempt: 0,
-                seconds: jitter,
-            });
-            self.flight_fault(FaultKind::MeetJitter, Lane::Sync, PhaseClass::Other, self.now());
-            self.record_fault_instant(
-                FaultKind::MeetJitter,
-                Lane::Sync,
-                PhaseClass::Other,
-                self.now(),
-            );
-            delay += jitter;
-        }
-        let slow = plan.slow_extra(self.rank);
-        if slow > 0.0 {
-            self.trace.record_fault(FaultEvent {
-                kind: FaultKind::RankStall,
-                op: meet_idx,
-                attempt: 0,
-                seconds: slow,
-            });
-            self.flight_fault(FaultKind::RankStall, Lane::Sync, PhaseClass::Other, self.now());
-            self.record_fault_instant(
-                FaultKind::RankStall,
-                Lane::Sync,
-                PhaseClass::Other,
-                self.now(),
-            );
-            delay += slow;
+        for (kind, seconds) in [
+            (FaultKind::MeetJitter, plan.meet_jitter(self.rank, meet_idx)),
+            (FaultKind::RankStall, plan.slow_extra(self.rank)),
+        ] {
+            if seconds > 0.0 {
+                let fault = FaultEvent { kind, op: meet_idx, attempt: 0, seconds };
+                self.record_fault(fault, Lane::Sync, PhaseClass::Other, self.now());
+                delay += seconds;
+            }
         }
         (meet_idx, delay)
-    }
-
-    /// Flight-recorder entry for an injected fault instant. Unlike
-    /// [`RankCtx::record_fault_instant`] this is unconditional: the ring's
-    /// contents never depend on the trace level.
-    fn flight_fault(&mut self, fault: FaultKind, lane: Lane, class: PhaseClass, at: SimTime) {
-        self.flight.record(
-            OpKind::Fault,
-            lane,
-            class,
-            at.seconds(),
-            at.seconds(),
-            0,
-            None,
-            Some(fault),
-        );
     }
 
     /// Surfaces a poisoned (aborted) meet as the stall error every surviving
@@ -686,152 +635,69 @@ impl RankCtx {
             self.metrics.inc(counter, 1);
             self.metrics.observe("one_sided_get_elements", elements);
         }
-        let Some(plan) = self.faults.clone() else {
-            let start = self.clocks[lane.index()];
-            self.advance_quiet(lane, base_cost, class);
-            let end = self.clocks[lane.index()];
-            self.flight.record(
-                kind,
-                lane,
-                class,
-                start.seconds(),
-                end.seconds(),
-                elements,
-                Some(target),
-                None,
-            );
-            if self.events.comm() {
-                self.record_comm_event(kind, lane, class, start, end, elements, vec![target], true);
-                self.metrics.observe("retries_per_op", 0);
-            }
-            return Ok(());
+        // Every event of the transfer is the issuer's, against `target`.
+        let span = |kind, class, start, end, elements| Op {
+            kind,
+            lane,
+            class,
+            start,
+            end,
+            elements,
+            peers: [target],
+            initiator: true,
+            fault: None,
+            wall_nanos: None,
         };
-        let policy = plan.retry;
+        let plan = self.faults.clone();
         let mut waited = 0.0;
         let mut attempt = 0u32;
-        loop {
-            if plan.get_attempt_fails(self.rank, op, attempt) {
-                // The failed attempt still costs its full transfer time (the
-                // data moved, the completion was lost), then the issuer backs
-                // off before re-issuing.
-                let backoff = policy.backoff_seconds(attempt);
-                let lost = self.shared.cost.failed_get_cost(base_cost, backoff);
-                let start = self.clocks[lane.index()];
-                self.advance_quiet(lane, base_cost, class);
-                let transfer_end = self.clocks[lane.index()];
-                self.advance_quiet(lane, backoff, PhaseClass::Recovery);
-                let backoff_end = self.clocks[lane.index()];
-                self.trace.record_fault(FaultEvent {
-                    kind: FaultKind::GetFailure,
-                    op,
-                    attempt,
-                    seconds: lost,
+        while let Some(plan) =
+            plan.as_deref().filter(|plan| plan.get_attempt_fails(self.rank, op, attempt))
+        {
+            // The failed attempt still costs its full transfer time (the
+            // data moved, the completion was lost), then the issuer backs
+            // off before re-issuing.
+            let policy = plan.retry;
+            let backoff = policy.backoff_seconds(attempt);
+            let lost = self.shared.cost.failed_get_cost(base_cost, backoff);
+            let start = self.clocks[lane.index()];
+            self.advance_quiet(lane, base_cost, class);
+            let transfer_end = self.clocks[lane.index()];
+            let recovery = PhaseClass::Recovery;
+            self.advance_quiet(lane, backoff, recovery);
+            let backoff_end = self.clocks[lane.index()];
+            self.events.record(span(OpKind::Retry, class, start, transfer_end, elements));
+            self.events.record(span(OpKind::Backoff, recovery, transfer_end, backoff_end, 0));
+            let fault = FaultEvent { kind: FaultKind::GetFailure, op, attempt, seconds: lost };
+            self.record_fault(fault, lane, recovery, transfer_end);
+            waited += lost;
+            attempt += 1;
+            if attempt >= policy.max_attempts
+                || policy.op_timeout_seconds.is_some_and(|t| waited > t)
+            {
+                return Err(NetError::TransferTimeout {
+                    rank: self.rank,
+                    target,
+                    attempts: attempt,
+                    waited_seconds: waited,
                 });
-                // The failed attempt and its backoff enter the flight ring
-                // with the fault carried on the retry entry, so the last
-                // operations before a TransferTimeout are always visible.
-                self.flight.record(
-                    OpKind::Retry,
-                    lane,
-                    class,
-                    start.seconds(),
-                    transfer_end.seconds(),
-                    elements,
-                    Some(target),
-                    Some(FaultKind::GetFailure),
-                );
-                self.flight.record(
-                    OpKind::Backoff,
-                    lane,
-                    PhaseClass::Recovery,
-                    transfer_end.seconds(),
-                    backoff_end.seconds(),
-                    0,
-                    Some(target),
-                    None,
-                );
-                if self.events.comm() {
-                    self.record_comm_event(
-                        OpKind::Retry,
-                        lane,
-                        class,
-                        start,
-                        transfer_end,
-                        elements,
-                        vec![target],
-                        true,
-                    );
-                    self.record_comm_event(
-                        OpKind::Backoff,
-                        lane,
-                        PhaseClass::Recovery,
-                        transfer_end,
-                        backoff_end,
-                        0,
-                        vec![target],
-                        true,
-                    );
-                    self.record_fault_instant(
-                        FaultKind::GetFailure,
-                        lane,
-                        PhaseClass::Recovery,
-                        transfer_end,
-                    );
-                }
-                waited += lost;
-                attempt += 1;
-                if attempt >= policy.max_attempts
-                    || policy.op_timeout_seconds.is_some_and(|t| waited > t)
-                {
-                    return Err(NetError::TransferTimeout {
-                        rank: self.rank,
-                        target,
-                        attempts: attempt,
-                        waited_seconds: waited,
-                    });
-                }
-                self.trace.retries += 1;
-            } else {
-                let extra = plan.latency_spike(self.rank, op).unwrap_or(0.0);
-                let start = self.clocks[lane.index()];
-                if extra > 0.0 {
-                    self.trace.record_fault(FaultEvent {
-                        kind: FaultKind::LatencySpike,
-                        op,
-                        attempt,
-                        seconds: extra,
-                    });
-                    self.flight_fault(FaultKind::LatencySpike, lane, class, start);
-                    self.record_fault_instant(FaultKind::LatencySpike, lane, class, start);
-                }
-                self.advance_quiet(lane, base_cost + extra, class);
-                let end = self.clocks[lane.index()];
-                self.flight.record(
-                    kind,
-                    lane,
-                    class,
-                    start.seconds(),
-                    end.seconds(),
-                    elements,
-                    Some(target),
-                    None,
-                );
-                if self.events.comm() {
-                    self.record_comm_event(
-                        kind,
-                        lane,
-                        class,
-                        start,
-                        end,
-                        elements,
-                        vec![target],
-                        true,
-                    );
-                    self.metrics.observe("retries_per_op", u64::from(attempt));
-                }
-                return Ok(());
             }
+            self.trace.retries += 1;
         }
+        let extra =
+            plan.as_deref().and_then(|plan| plan.latency_spike(self.rank, op)).unwrap_or(0.0);
+        let start = self.clocks[lane.index()];
+        if extra > 0.0 {
+            let fault = FaultEvent { kind: FaultKind::LatencySpike, op, attempt, seconds: extra };
+            self.record_fault(fault, lane, class, start);
+        }
+        self.advance_quiet(lane, base_cost + extra, class);
+        let end = self.clocks[lane.index()];
+        self.events.record(span(kind, class, start, end, elements));
+        if self.events.comm() {
+            self.metrics.observe("retries_per_op", u64::from(attempt));
+        }
+        Ok(())
     }
 
     /// Synchronizes all ranks (an `MPI_Barrier`): every rank's lanes advance
@@ -853,30 +719,7 @@ impl RankCtx {
         let wait = outcome.time.since(arrive);
         self.trace.add_time(PhaseClass::Other, wait);
         self.clocks = [outcome.time; 2];
-        self.flight.record(
-            OpKind::Barrier,
-            Lane::Sync,
-            PhaseClass::Other,
-            arrive.seconds(),
-            outcome.time.seconds(),
-            0,
-            Some(outcome.straggler),
-            None,
-        );
-        if self.events.comm() {
-            self.record_comm_event(
-                OpKind::Barrier,
-                Lane::Sync,
-                PhaseClass::Other,
-                arrive,
-                outcome.time,
-                0,
-                vec![outcome.straggler],
-                false,
-            );
-            self.metrics.inc("ops.barrier", 1);
-            self.metrics.observe("meet_arrival_spread_ns", spread_ns(outcome.spread_seconds));
-        }
+        self.record_meet(OpKind::Barrier, PhaseClass::Other, arrive, &outcome, "ops.barrier");
         self.stall_check(&outcome)?;
         Ok(())
     }
@@ -910,41 +753,19 @@ impl RankCtx {
         self.trace.messages += 1;
         self.trace.elements_sent += (my_len * (p - 1)) as u64;
         self.trace.elements_received += (total - my_len) as u64;
-        let moved = (my_len * (p - 1) + (total - my_len)) as u64;
-        self.flight.record(
-            OpKind::Allgather,
-            Lane::Sync,
-            PhaseClass::SyncComm,
-            arrive.seconds(),
-            (outcome.time + cost).seconds(),
-            moved,
-            Some(outcome.straggler),
-            None,
-        );
-        if self.events.comm() {
-            self.record_comm_event(
-                OpKind::MeetWait,
-                Lane::Sync,
-                PhaseClass::SyncComm,
-                arrive,
-                outcome.time,
-                0,
-                vec![outcome.straggler],
-                false,
-            );
-            self.record_comm_event(
-                OpKind::Allgather,
-                Lane::Sync,
-                PhaseClass::SyncComm,
-                outcome.time,
-                outcome.time + cost,
-                moved,
-                Vec::new(),
-                true,
-            );
-            self.metrics.inc("ops.allgather", 1);
-            self.metrics.observe("meet_arrival_spread_ns", spread_ns(outcome.spread_seconds));
-        }
+        self.record_meet(OpKind::MeetWait, PhaseClass::SyncComm, arrive, &outcome, "ops.allgather");
+        self.events.record(Op {
+            kind: OpKind::Allgather,
+            lane: Lane::Sync,
+            class: PhaseClass::SyncComm,
+            start: outcome.time,
+            end: outcome.time + cost,
+            elements: (my_len * (p - 1) + (total - my_len)) as u64,
+            peers: [],
+            initiator: true,
+            fault: None,
+            wall_nanos: None,
+        });
         self.stall_check(&outcome)?;
         Ok(out)
     }
@@ -1001,48 +822,24 @@ impl RankCtx {
         } else {
             self.trace.elements_received += buf.len() as u64;
         }
-        self.flight.record(
-            OpKind::Multicast,
-            Lane::Sync,
-            PhaseClass::SyncComm,
-            arrive.seconds(),
-            (outcome.time + cost).seconds(),
-            if is_root { (buf.len() * destinations) as u64 } else { buf.len() as u64 },
-            if is_root { None } else { Some(root) },
-            None,
-        );
-        if self.events.comm() {
-            let (elements, peers) = if is_root {
-                let others = group.iter().copied().filter(|&r| r != self.rank).collect();
-                ((buf.len() * destinations) as u64, others)
-            } else {
-                (buf.len() as u64, vec![root])
-            };
-            self.record_comm_event(
-                OpKind::MeetWait,
-                Lane::Sync,
-                PhaseClass::SyncComm,
-                arrive,
-                outcome.time,
-                0,
-                vec![outcome.straggler],
-                false,
-            );
-            self.record_comm_event(
-                OpKind::Multicast,
-                Lane::Sync,
-                PhaseClass::SyncComm,
-                outcome.time,
-                outcome.time + cost,
-                elements,
-                peers,
-                is_root,
-            );
-            self.metrics.inc("ops.multicast", 1);
-            self.metrics.observe("meet_arrival_spread_ns", spread_ns(outcome.spread_seconds));
-            if is_root {
-                self.metrics.observe("multicast_fanout", destinations as u64);
-            }
+        self.record_meet(OpKind::MeetWait, PhaseClass::SyncComm, arrive, &outcome, "ops.multicast");
+        // The root's peers are its destinations, a receiver's the root.
+        let me = self.rank;
+        let ends = if is_root { group } else { std::slice::from_ref(&root) };
+        self.events.record(Op {
+            kind: OpKind::Multicast,
+            lane: Lane::Sync,
+            class: PhaseClass::SyncComm,
+            start: outcome.time,
+            end: outcome.time + cost,
+            elements: if is_root { (buf.len() * destinations) as u64 } else { buf.len() as u64 },
+            peers: ends.iter().copied().filter(move |&r| r != me),
+            initiator: is_root,
+            fault: None,
+            wall_nanos: None,
+        });
+        if is_root && self.events.comm() {
+            self.metrics.observe("multicast_fanout", destinations as u64);
         }
         self.stall_check(&outcome)?;
         Ok(buf)
@@ -1081,41 +878,25 @@ impl RankCtx {
         self.trace.messages += 1;
         self.trace.elements_sent += my_len as u64;
         self.trace.elements_received += buf.len() as u64;
-        self.flight.record(
-            OpKind::ShiftRing,
-            Lane::Sync,
+        self.record_meet(
+            OpKind::MeetWait,
             PhaseClass::SyncComm,
-            arrive.seconds(),
-            (outcome.time + cost).seconds(),
-            (my_len + buf.len()) as u64,
-            Some(from),
-            None,
+            arrive,
+            &outcome,
+            "ops.shift_ring",
         );
-        if self.events.comm() {
-            let to = (self.rank + distance % p) % p;
-            self.record_comm_event(
-                OpKind::MeetWait,
-                Lane::Sync,
-                PhaseClass::SyncComm,
-                arrive,
-                outcome.time,
-                0,
-                vec![outcome.straggler],
-                false,
-            );
-            self.record_comm_event(
-                OpKind::ShiftRing,
-                Lane::Sync,
-                PhaseClass::SyncComm,
-                outcome.time,
-                outcome.time + cost,
-                (my_len + buf.len()) as u64,
-                vec![to, from],
-                true,
-            );
-            self.metrics.inc("ops.shift_ring", 1);
-            self.metrics.observe("meet_arrival_spread_ns", spread_ns(outcome.spread_seconds));
-        }
+        self.events.record(Op {
+            kind: OpKind::ShiftRing,
+            lane: Lane::Sync,
+            class: PhaseClass::SyncComm,
+            start: outcome.time,
+            end: outcome.time + cost,
+            elements: (my_len + buf.len()) as u64,
+            peers: [(self.rank + distance % p) % p, from],
+            initiator: true,
+            fault: None,
+            wall_nanos: None,
+        });
         self.stall_check(&outcome)?;
         Ok(buf)
     }
@@ -1150,57 +931,33 @@ impl RankCtx {
         let cost = self.shared.cost.alpha_sync;
         self.clocks = [outcome.time + cost; 2];
         self.trace.add_time(PhaseClass::Other, outcome.time.since(arrive) + cost);
-        self.flight.record(
-            OpKind::WindowCreate,
-            Lane::Sync,
+        self.record_meet(
+            OpKind::MeetWait,
             PhaseClass::Other,
-            arrive.seconds(),
-            (outcome.time + cost).seconds(),
-            0,
-            None,
-            None,
+            arrive,
+            &outcome,
+            "ops.window_create",
         );
-        if self.events.comm() {
-            self.record_comm_event(
-                OpKind::MeetWait,
-                Lane::Sync,
-                PhaseClass::Other,
-                arrive,
-                outcome.time,
-                0,
-                vec![outcome.straggler],
-                false,
-            );
-            self.record_comm_event(
-                OpKind::WindowCreate,
-                Lane::Sync,
-                PhaseClass::Other,
-                outcome.time,
-                outcome.time + cost,
-                0,
-                Vec::new(),
-                true,
-            );
-            self.metrics.inc("ops.window_create", 1);
-            self.metrics.observe("meet_arrival_spread_ns", spread_ns(outcome.spread_seconds));
-        }
+        self.events.record(Op {
+            kind: OpKind::WindowCreate,
+            lane: Lane::Sync,
+            class: PhaseClass::Other,
+            start: outcome.time,
+            end: outcome.time + cost,
+            elements: 0,
+            peers: [],
+            initiator: true,
+            fault: None,
+            wall_nanos: None,
+        });
         self.stall_check(&outcome)?;
         Ok(WindowId(id))
     }
 
-    fn window_buffer(&self, window: WindowId, target: usize) -> Payload {
+    /// `target`'s exposed buffer in `window`, if this run's table has one.
+    fn window_buffer(&self, window: WindowId, target: usize) -> Option<Payload> {
         let table = self.shared.windows.lock().expect("window table poisoned");
-        let buf = table
-            .buffers
-            .get(window.0)
-            .unwrap_or_else(|| panic!("window {:?} does not exist", window))
-            .get(target)
-            .unwrap_or_else(|| panic!("target rank {target} out of range"));
-        buf.as_ref()
-            .unwrap_or_else(|| {
-                panic!("target rank {target} has not exposed a buffer in window {window:?}")
-            })
-            .clone()
+        table.buffers.get(window.0)?.get(target)?.clone()
     }
 
     /// Bulk one-sided get (the `MPI_Get` analog): reads `target`'s window
@@ -1211,14 +968,12 @@ impl RankCtx {
     /// charges its bulk prefetch to the sync lane; Two-Face never uses bulk
     /// gets).
     ///
-    /// # Panics
-    ///
-    /// Panics if the window/target is invalid or `range` exceeds the
-    /// target's buffer.
     /// # Errors
     ///
     /// [`NetError::TransferTimeout`] if the installed fault plan's transient
-    /// failures exhaust the retry budget.
+    /// failures exhaust the retry budget; [`NetError::OutOfWindow`] if this
+    /// run has no such window, `target` exposed no buffer in it, or `range`
+    /// does not fit that buffer.
     pub fn win_get(
         &mut self,
         window: WindowId,
@@ -1227,13 +982,19 @@ impl RankCtx {
         lane: Lane,
         class: PhaseClass,
     ) -> Result<Payload, NetError> {
-        let buf = self.window_buffer(window, target);
-        assert!(
-            range.end <= buf.len(),
-            "get range {range:?} exceeds window buffer of {} elements",
-            buf.len()
-        );
-        let out = buf.subslice(range);
+        let out = match self.window_buffer(window, target) {
+            Some(buf) if range.start <= range.end && range.end <= buf.len() => buf.subslice(range),
+            buf => {
+                let exposed = buf.map(|buf| buf.len());
+                return Err(NetError::OutOfWindow {
+                    rank: self.rank,
+                    window,
+                    target,
+                    range,
+                    exposed,
+                });
+            }
+        };
         let cost = self.shared.cost.bulk_get_cost(out.len());
         self.one_sided_transfer(target, cost, lane, class, OpKind::Get, out.len() as u64)?;
         self.trace.messages += 1;
@@ -1254,12 +1015,13 @@ impl RankCtx {
     /// failures exhaust the retry budget; [`NetError::RangeOverflow`] if a
     /// run's element offset (`(first_row + num_rows) * row_width`) does not
     /// fit in `usize` — the run list is corrupt, and clamping it would have
-    /// silently fetched the wrong rows.
+    /// silently fetched the wrong rows; [`NetError::OutOfWindow`] if this run
+    /// has no such window, `target` exposed no buffer in it, or a run ends
+    /// past that buffer.
     ///
     /// # Panics
     ///
-    /// Panics if a run with an in-range offset still exceeds the target's
-    /// buffer, or if `row_width == 0`.
+    /// Panics if `row_width == 0`.
     pub fn win_rget_rows(
         &mut self,
         window: WindowId,
@@ -1297,11 +1059,22 @@ impl RankCtx {
         out: &mut Vec<f64>,
     ) -> Result<(), NetError> {
         assert!(row_width > 0, "row_width must be positive");
-        let buf = self.window_buffer(window, target);
+        let Some(buf) = self.window_buffer(window, target) else {
+            // Name the first run's elements, saturating: no buffer bounds them.
+            let range = runs.first().map_or(0..0, |&(first, n)| {
+                first.saturating_mul(row_width)..first.saturating_add(n).saturating_mul(row_width)
+            });
+            return Err(NetError::OutOfWindow {
+                rank: self.rank,
+                window,
+                target,
+                range,
+                exposed: None,
+            });
+        };
         let total_rows: usize = runs.iter().map(|&(_, n)| n).sum();
         out.clear();
         out.reserve(total_rows.saturating_mul(row_width).min(buf.len()));
-        let window_rows = buf.len() / row_width;
         for &(first, n) in runs {
             let overflow = NetError::RangeOverflow {
                 rank: self.rank,
@@ -1317,12 +1090,16 @@ impl RankCtx {
             let Some(hi) = end_row.checked_mul(row_width) else {
                 return Err(overflow);
             };
-            assert!(
-                hi <= buf.len(),
-                "run ({first}, {n}) ends at row {end_row} but target window holds \
-                 {window_rows} rows of {row_width} elements ({} elements total)",
-                buf.len()
-            );
+            if hi > buf.len() {
+                let (range, exposed) = (first * row_width..hi, Some(buf.len()));
+                return Err(NetError::OutOfWindow {
+                    rank: self.rank,
+                    window,
+                    target,
+                    range,
+                    exposed,
+                });
+            }
             out.extend_from_slice(&buf[first * row_width..hi]);
         }
         let cost = self.shared.cost.rget_cost(out.len(), runs.len());
@@ -1358,6 +1135,7 @@ mod tests {
     use super::*;
     use crate::event::{seconds_by_class, TraceLevel};
     use crate::RetryPolicy;
+    use std::ops::Range;
 
     fn cluster(p: usize) -> Cluster {
         Cluster::new(p, CostModel::delta())
@@ -1559,9 +1337,10 @@ mod tests {
 
     #[test]
     fn flight_recorder_contents_are_trace_level_independent() {
-        let run_at = |obs: Observability| {
+        let run_at = |obs: Observability, plan: Option<FaultPlan>| {
             let c = cluster(2);
             c.set_observability(obs);
+            c.set_fault_plan(plan);
             c.run(|ctx| {
                 let win = ctx.create_window(vec![1.0; 8]).unwrap();
                 let peer = 1 - ctx.rank();
@@ -1570,12 +1349,49 @@ mod tests {
                 ctx.barrier().unwrap();
             })
         };
-        let off = run_at(Observability::off());
-        let full = run_at(Observability::full());
-        for (a, b) in off.iter().zip(full.iter()) {
-            assert_eq!(a.flight, b.flight, "rank {} ring differs by level", a.rank);
-            assert!(!a.flight.is_empty());
+        let sampled = Observability { sample_every: 3, ..Observability::comm() };
+        for (obs, plan) in [(Observability::full(), None), (sampled, Some(recoverable_faults()))] {
+            let off = run_at(Observability::off(), plan.clone());
+            let traced = run_at(obs, plan);
+            for (a, b) in off.iter().zip(&traced) {
+                assert_eq!(a.flight, b.flight, "rank {} ring differs by level", a.rank);
+                assert!(!a.flight.is_empty());
+            }
         }
+    }
+
+    #[test]
+    fn flight_ring_is_the_comm_event_stream() {
+        use FaultKind::{GetFailure, LatencySpike, MeetJitter, RankStall};
+        let c = cluster(3);
+        c.set_observability(Observability::comm());
+        c.set_flight_capacity(1 << 10);
+        c.set_fault_plan(Some(recoverable_faults()));
+        let out = c.run(traced_workload);
+        let mut faults = Vec::new();
+        for o in &out {
+            o.result.as_ref().unwrap();
+            assert!(o.events.len() < 1 << 10, "the ring holds the whole stream");
+            let compact: Vec<FlightEntry> = o
+                .events
+                .iter()
+                .map(|e| FlightEntry {
+                    seq: e.seq,
+                    kind: e.kind,
+                    lane: e.lane,
+                    class: e.class,
+                    start_seconds: e.start_seconds,
+                    end_seconds: e.end_seconds,
+                    elements: e.elements,
+                    peer: e.peers.first().copied(),
+                    fault: e.fault,
+                })
+                .collect();
+            assert_eq!(o.flight, compact, "rank {}", o.rank);
+            faults.extend(o.events.iter().filter_map(|e| e.fault));
+        }
+        let kinds = [GetFailure, LatencySpike, MeetJitter, RankStall];
+        assert!(kinds.iter().all(|k| faults.contains(k)), "every kind is injected: {faults:?}");
     }
 
     #[test]
@@ -1645,14 +1461,30 @@ mod tests {
         }
     }
 
+    /// The error of a get by `rank` from `target` in window 0.
+    fn out_of_window(
+        rank: usize,
+        target: usize,
+        range: Range<usize>,
+        exposed: Option<usize>,
+    ) -> NetError {
+        NetError::OutOfWindow { rank, window: WindowId(0), target, range, exposed }
+    }
+
+    /// Asserts that window 0, created by a run before, is gone from the next.
+    fn assert_stale(c: &Cluster) {
+        let out =
+            c.run(|ctx| ctx.win_get(WindowId(0), 0, 0..4, Lane::Sync, PhaseClass::SyncComm).err());
+        for o in out {
+            assert_eq!(o.result, Some(out_of_window(o.rank, 0, 0..4, None)));
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "rank thread panicked")]
     fn stale_window_handles_do_not_survive_a_new_run() {
         let c = cluster(2);
-        let win = c.run(|ctx| ctx.create_window(vec![0.0; 4]).unwrap())[0].result;
-        let _ = c.run(move |ctx| {
-            let _ = ctx.win_get(win, 0, 0..4, Lane::Sync, PhaseClass::SyncComm);
-        });
+        assert_eq!(c.run(|ctx| ctx.create_window(vec![0.0; 4]).unwrap())[0].result, WindowId(0));
+        assert_stale(&c);
     }
 
     #[test]
@@ -1705,15 +1537,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank thread panicked")]
     fn reset_invalidates_retained_windows() {
         let c = cluster(2);
         c.set_window_retention(true);
-        let win = c.run(|ctx| ctx.create_window(vec![0.0; 4]).unwrap())[0].result;
+        assert_eq!(c.run(|ctx| ctx.create_window(vec![0.0; 4]).unwrap())[0].result, WindowId(0));
         c.reset();
-        let _ = c.run(move |ctx| {
-            let _ = ctx.win_get(win, 0, 0..4, Lane::Sync, PhaseClass::SyncComm);
-        });
+        assert_stale(&c);
     }
 
     #[test]
@@ -1738,14 +1567,57 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "rank thread panicked")]
-    fn rget_run_past_window_end_panics() {
-        let _ = cluster(1).run(|ctx| {
-            // 4 rows of width 2; the run (3, 2) reaches row 5.
-            let win = ctx.create_window(vec![0.0; 8]).unwrap();
-            ctx.win_rget_rows(win, 0, &[(3, 2)], 2)
+    /// Rank 0's error from `get` once both ranks of a 2-rank cluster have
+    /// exposed 8 elements in window 0.
+    fn window_error<T>(get: impl Fn(&mut RankCtx) -> Result<T, NetError> + Sync) -> NetError {
+        let mut out = cluster(2).run(|ctx| {
+            ctx.create_window(vec![0.0; 8]).unwrap();
+            (ctx.rank() == 0).then(|| get(ctx).err()).flatten()
         });
+        out.remove(0).result.expect("rank 0's get fails")
+    }
+
+    #[test]
+    fn window_target_out_of_range_is_a_typed_error() {
+        let err =
+            window_error(|ctx| ctx.win_get(WindowId(0), 2, 0..4, Lane::Sync, PhaseClass::SyncComm));
+        assert_eq!(err, out_of_window(0, 2, 0..4, None));
+        assert!(err.to_string().contains("exposes no buffer"), "{err}");
+    }
+
+    #[test]
+    fn unexposed_window_buffer_is_a_typed_error() {
+        // Rank 1's barrier meets rank 0's creation of window 0, so only rank
+        // 0 has exposed a buffer there (rank 1's id could come from another
+        // cluster).
+        let out = cluster(2).run(|ctx| {
+            if ctx.rank() == 0 {
+                ctx.create_window(vec![0.0; 4]).unwrap();
+                None
+            } else {
+                ctx.barrier().unwrap();
+                ctx.win_rget_rows(WindowId(0), 1, &[(1, 1)], 2).err()
+            }
+        });
+        assert_eq!(out[1].result, Some(out_of_window(1, 1, 2..4, None)));
+    }
+
+    #[test]
+    fn get_range_past_window_end_is_a_typed_error() {
+        for range in [6..9, Range { start: 5, end: 3 }] {
+            let err = window_error(|ctx| {
+                ctx.win_get(WindowId(0), 1, range.clone(), Lane::Sync, PhaseClass::SyncComm)
+            });
+            assert_eq!(err, out_of_window(0, 1, range, Some(8)));
+        }
+    }
+
+    #[test]
+    fn rget_run_past_window_end_is_a_typed_error() {
+        // 4 rows of width 2; the run (3, 2) reaches row 5.
+        let err = window_error(|ctx| ctx.win_rget_rows(WindowId(0), 1, &[(0, 1), (3, 2)], 2));
+        assert_eq!(err, out_of_window(0, 1, 6..10, Some(8)));
+        assert!(err.to_string().contains("exceed the 8"), "{err}");
     }
 
     #[test]
@@ -1874,6 +1746,17 @@ mod tests {
             assert_eq!(c.lane_times, q.lane_times, "rank {}", c.rank);
             assert_eq!(c.trace, q.trace, "rank {}", c.rank);
         }
+    }
+
+    /// Faults of every kind that `traced_workload` recovers from: failed and
+    /// spiked gets, meet jitter and a slow rank, with no stall timeout.
+    fn recoverable_faults() -> FaultPlan {
+        FaultPlan::seeded(11)
+            .with_get_failure_rate(0.5)
+            .with_latency_spikes(0.5, 1e-6)
+            .with_meet_jitter(1e-6)
+            .with_slow_rank(1, 2e-6)
+            .with_retry(RetryPolicy { max_attempts: 32, ..RetryPolicy::default() })
     }
 
     /// A workload exercising every op kind, tolerant of injected timeouts.

@@ -399,7 +399,7 @@ impl CostModel {
     /// share of its team's nonzeros (slicing by column residue smooths row
     /// skew, hence `nnz/p` rather than the max), and exchanges partial `C`
     /// blocks pairwise within its `c`-deep team — a destination-major
-    /// serialized chain (see [`CostModel::reduce_chain_meets`]).
+    /// serialized chain (see `CostModel::reduce_chain_meets`).
     pub fn predict_one_five_d(&self, s: &SpmmStats, c: usize) -> f64 {
         let c = c.max(1);
         let layer = s.p.div_ceil(c);
@@ -417,7 +417,7 @@ impl CostModel {
     /// `p` block multicasts serialize, not just the own band's. Compute is
     /// a band-sliced share of the row team's nonzeros, and the row-team
     /// reduce is the same destination-major serialized chain as 1.5D's
-    /// (see [`CostModel::reduce_chain_meets`]).
+    /// (see `CostModel::reduce_chain_meets`).
     pub fn predict_summa(&self, s: &SpmmStats, p_r: usize, p_c: usize) -> f64 {
         let p_c = p_c.max(1);
         let stage = s.p as f64 * self.multicast_cost(s.block_elements(), p_r.max(1));

@@ -18,14 +18,23 @@
 //! can drop (`include_wall = false`), keeping chaos-replay comparisons
 //! bitwise.
 //!
+//! # One recorder per rank
+//!
+//! Every operation of a rank reaches its event sink through one call, once
+//! per event. The sink keeps each non-kernel event as a fixed-size
+//! [`FlightEntry`] in a bounded ring at every level (the always-on flight
+//! recorder, [`RankOutput::flight`](crate::RankOutput::flight)), and the full
+//! [`OpEvent`] only when the trace level and sampler admit it.
+//!
 //! # Overhead
 //!
-//! At [`TraceLevel::Off`] (the default) every recording site reduces to one
-//! inline enum compare and no allocation; the fast path of the simulator is
-//! unchanged.
+//! At [`TraceLevel::Off`] (the default) each event costs one fixed-size ring
+//! store plus one level compare, with no allocation: an [`OpEvent`] and its
+//! peer list are built only for events the sink keeps.
 
 use crate::cluster::Lane;
 use crate::trace::{FaultKind, PhaseClass};
+use crate::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// How much the cluster records about each operation.
@@ -243,17 +252,19 @@ pub fn seconds_by_class(events: &[OpEvent]) -> [f64; 6] {
 /// Default per-rank capacity of the always-on flight recorder.
 pub const FLIGHT_CAPACITY_DEFAULT: usize = 64;
 
-/// One compact flight-recorder entry: the fixed-size shadow of an
-/// [`OpEvent`] kept by the always-on ring (see
+/// One compact flight-recorder entry: the fixed-size form of a non-kernel
+/// [`OpEvent`], kept by the always-on ring (see
 /// [`RankOutput::flight`](crate::RankOutput::flight)).
 ///
-/// Unlike [`OpEvent`], entries are recorded at every [`TraceLevel`]
-/// including `Off`, so they must stay allocation-free: the peer list is
-/// collapsed to the single most informative peer.
+/// Unlike [`OpEvent`]s, entries are recorded at every [`TraceLevel`]
+/// including `Off` and are never sampled, so they must stay allocation-free:
+/// the peer list is collapsed to its first peer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlightEntry {
     /// Per-rank flight sequence number (total entries ever recorded; gaps
-    /// never occur — the ring drops only from the front).
+    /// never occur — the ring drops only from the front). Kernel spans take
+    /// no flight numbers, so this equals [`OpEvent::seq`] of the same event
+    /// in an unsampled [`TraceLevel::Comm`] stream.
     pub seq: u64,
     /// What the operation was.
     pub kind: OpKind,
@@ -267,8 +278,10 @@ pub struct FlightEntry {
     pub end_seconds: f64,
     /// Dense elements moved; zero when not applicable.
     pub elements: u64,
-    /// The primary peer: the transfer target, multicast root, or collective
-    /// straggler. `None` for symmetric all-rank ops.
+    /// The first of the event's [`OpEvent::peers`]: the get target, the
+    /// multicast root (receivers) or first destination (root), the shift
+    /// destination, or the straggler of a meet wait or barrier. `None` for
+    /// symmetric all-rank ops and fault instants.
     pub peer: Option<usize>,
     /// The injected fault, for fault instants.
     pub fault: Option<FaultKind>,
@@ -297,15 +310,11 @@ impl FlightEntry {
     }
 }
 
-/// The always-on bounded ring of the last N operations of one rank.
-///
-/// Recording is unconditional (even at [`TraceLevel::Off`]) and cheap: one
-/// fixed-size store per *communication* operation, no allocation after
-/// construction, no branching beyond the ring wrap. Kernel spans are not
-/// recorded — they are orders of magnitude more frequent and carry no
+/// The bounded ring of the last N non-kernel events of one rank. Kernel
+/// spans stay out: they are orders of magnitude more frequent and carry no
 /// post-mortem signal for transfer/stall failures.
 #[derive(Debug, Clone)]
-pub(crate) struct FlightRecorder {
+struct FlightRecorder {
     entries: Vec<FlightEntry>,
     next: usize,
     total: u64,
@@ -313,40 +322,19 @@ pub(crate) struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    pub(crate) fn new(capacity: usize) -> FlightRecorder {
+    fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder { entries: Vec::with_capacity(capacity), next: 0, total: 0, capacity }
     }
 
-    /// Records one entry, overwriting the oldest once the ring is full.
-    /// `seq` is assigned by the recorder. A zero-capacity recorder drops
-    /// everything (used to measure the recorder's own overhead).
+    /// Stores `entry` under the next flight `seq`, overwriting the oldest
+    /// once the ring is full. A zero-capacity recorder drops everything
+    /// (used to measure the recorder's own overhead).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record(
-        &mut self,
-        kind: OpKind,
-        lane: Lane,
-        class: PhaseClass,
-        start_seconds: f64,
-        end_seconds: f64,
-        elements: u64,
-        peer: Option<usize>,
-        fault: Option<FaultKind>,
-    ) {
+    fn record(&mut self, entry: FlightEntry) {
         if self.capacity == 0 {
             return;
         }
-        let entry = FlightEntry {
-            seq: self.total,
-            kind,
-            lane,
-            class,
-            start_seconds,
-            end_seconds,
-            elements,
-            peer,
-            fault,
-        };
+        let entry = FlightEntry { seq: self.total, ..entry };
         self.total += 1;
         if self.entries.len() < self.capacity {
             self.entries.push(entry);
@@ -356,42 +344,52 @@ impl FlightRecorder {
         self.next = (self.next + 1) % self.capacity;
     }
 
-    /// Total entries ever recorded (≥ the retained count).
-    #[cfg(test)]
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Drains the ring into chronological order.
-    pub(crate) fn into_entries(self) -> Vec<FlightEntry> {
-        if self.entries.len() < self.capacity || self.next == 0 {
-            self.entries
-        } else {
-            let mut out = Vec::with_capacity(self.entries.len());
-            out.extend_from_slice(&self.entries[self.next..]);
-            out.extend_from_slice(&self.entries[..self.next]);
-            out
+    /// Drains the ring into chronological order: once full, the oldest
+    /// entry sits at `next`.
+    fn into_entries(mut self) -> Vec<FlightEntry> {
+        if self.entries.len() == self.capacity {
+            self.entries.rotate_left(self.next);
         }
+        self.entries
     }
 }
 
-/// The per-rank event recorder: gates, samples, and buffers [`OpEvent`]s.
+/// One operation as a rank reports it to its [`EventSink`]: an [`OpEvent`]
+/// before the sink numbers it, with its peers not yet collected.
+pub(crate) struct Op<P> {
+    pub(crate) kind: OpKind,
+    pub(crate) lane: Lane,
+    pub(crate) class: PhaseClass,
+    pub(crate) start: SimTime,
+    pub(crate) end: SimTime,
+    pub(crate) elements: u64,
+    /// [`OpEvent::peers`] in order, collected only when the event is kept.
+    pub(crate) peers: P,
+    pub(crate) initiator: bool,
+    pub(crate) fault: Option<FaultKind>,
+    pub(crate) wall_nanos: Option<u64>,
+}
+
+/// The per-rank recorder: the flight ring plus the gated, sampled
+/// [`OpEvent`] stream.
 pub(crate) struct EventSink {
     level: TraceLevel,
     sample_every: u64,
     wall_time: bool,
     seq: u64,
     events: Vec<OpEvent>,
+    flight: FlightRecorder,
 }
 
 impl EventSink {
-    pub(crate) fn new(obs: &Observability) -> EventSink {
+    pub(crate) fn new(obs: &Observability, flight_capacity: usize) -> EventSink {
         EventSink {
             level: obs.level,
             sample_every: obs.sample_every.max(1),
             wall_time: obs.wall_time,
             seq: 0,
             events: Vec::new(),
+            flight: FlightRecorder::new(flight_capacity),
         }
     }
 
@@ -401,33 +399,67 @@ impl EventSink {
         self.level != TraceLevel::Off
     }
 
-    /// Kernel-span recording enabled?
-    #[inline]
-    pub(crate) fn full(&self) -> bool {
-        self.level == TraceLevel::Full
-    }
-
     /// Host wall-time stamping requested (implies recording enabled)?
     #[inline]
     pub(crate) fn wall(&self) -> bool {
         self.wall_time && self.comm()
     }
 
-    /// Records one candidate event. The closure only runs when the sampler
-    /// keeps the candidate; it receives the candidate's sequence number.
-    ///
-    /// Callers must check [`EventSink::comm`] / [`EventSink::full`] first —
-    /// this method assumes the level gate already passed.
-    pub(crate) fn push(&mut self, build: impl FnOnce(u64) -> OpEvent) {
+    /// Records one event. A non-kernel event always enters the flight ring.
+    /// It is a candidate for the stream at [`TraceLevel::Comm`] and above,
+    /// a kernel span only at [`TraceLevel::Full`]; candidates are numbered,
+    /// and every `sample_every`-th is kept as an [`OpEvent`].
+    #[inline]
+    pub(crate) fn record<P>(&mut self, op: Op<P>)
+    where
+        P: IntoIterator<Item = usize>,
+        P::IntoIter: Clone,
+    {
+        let kernel = op.kind == OpKind::Kernel;
+        let peers = op.peers.into_iter();
+        if !kernel {
+            self.flight.record(FlightEntry {
+                seq: 0,
+                kind: op.kind,
+                lane: op.lane,
+                class: op.class,
+                start_seconds: op.start.seconds(),
+                end_seconds: op.end.seconds(),
+                elements: op.elements,
+                peer: peers.clone().next(),
+                fault: op.fault,
+            });
+        }
+        let candidate = match self.level {
+            TraceLevel::Off => false,
+            TraceLevel::Comm => !kernel,
+            TraceLevel::Full => true,
+        };
+        if !candidate {
+            return;
+        }
         let seq = self.seq;
         self.seq += 1;
         if seq.is_multiple_of(self.sample_every) {
-            self.events.push(build(seq));
+            self.events.push(OpEvent {
+                seq,
+                kind: op.kind,
+                lane: op.lane,
+                class: op.class,
+                start_seconds: op.start.seconds(),
+                end_seconds: op.end.seconds(),
+                elements: op.elements,
+                peers: peers.collect(),
+                initiator: op.initiator,
+                fault: op.fault,
+                wall_nanos: op.wall_nanos.filter(|_| self.wall_time),
+            });
         }
     }
 
-    pub(crate) fn into_events(self) -> Vec<OpEvent> {
-        self.events
+    /// The kept events and the flight ring, each in chronological order.
+    pub(crate) fn finish(self) -> (Vec<OpEvent>, Vec<FlightEntry>) {
+        (self.events, self.flight.into_entries())
     }
 }
 
@@ -460,21 +492,38 @@ mod tests {
         assert!(Observability::full().enabled());
     }
 
+    fn op(kind: OpKind, at: f64) -> Op<[usize; 1]> {
+        Op {
+            kind,
+            lane: Lane::Async,
+            class: PhaseClass::AsyncComm,
+            start: SimTime::from_seconds(at),
+            end: SimTime::from_seconds(at + 0.5),
+            elements: at as u64,
+            peers: [at as usize],
+            initiator: true,
+            fault: None,
+            wall_nanos: None,
+        }
+    }
+
     #[test]
     fn sink_samples_every_nth_candidate_keeping_seq() {
-        let mut sink = EventSink::new(&Observability { sample_every: 3, ..Observability::full() });
+        let mut sink =
+            EventSink::new(&Observability { sample_every: 3, ..Observability::full() }, 0);
         for i in 0..7u64 {
-            sink.push(|seq| event(seq, PhaseClass::Other, i as f64, i as f64));
+            sink.record(op(OpKind::Kernel, i as f64));
         }
-        let seqs: Vec<u64> = sink.into_events().iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = sink.finish().0.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 3, 6]);
     }
 
     #[test]
     fn zero_sample_every_is_treated_as_one() {
-        let mut sink = EventSink::new(&Observability { sample_every: 0, ..Observability::comm() });
-        sink.push(|seq| event(seq, PhaseClass::Other, 0.0, 0.0));
-        assert_eq!(sink.into_events().len(), 1);
+        let mut sink =
+            EventSink::new(&Observability { sample_every: 0, ..Observability::comm() }, 0);
+        sink.record(op(OpKind::Get, 0.0));
+        assert_eq!(sink.finish().0.len(), 1);
     }
 
     #[test]
@@ -502,21 +551,14 @@ mod tests {
 
     #[test]
     fn flight_ring_keeps_last_n_in_order() {
-        let mut ring = FlightRecorder::new(4);
+        let mut sink = EventSink::new(&Observability::off(), 4);
         for i in 0..7u64 {
-            ring.record(
-                OpKind::Get,
-                Lane::Async,
-                PhaseClass::AsyncComm,
-                i as f64,
-                i as f64 + 0.5,
-                i,
-                Some(i as usize),
-                None,
-            );
+            sink.record(op(OpKind::Get, i as f64));
+            // Kernel spans never enter the ring, so they take no flight seq.
+            sink.record(op(OpKind::Kernel, i as f64));
         }
-        assert_eq!(ring.total(), 7);
-        let entries = ring.into_entries();
+        let (events, entries) = sink.finish();
+        assert!(events.is_empty());
         assert_eq!(entries.iter().map(|e| e.seq).collect::<Vec<u64>>(), vec![3, 4, 5, 6]);
         assert_eq!(entries[0].start_seconds, 3.0);
         assert_eq!(entries[3].peer, Some(6));
@@ -524,10 +566,11 @@ mod tests {
 
     #[test]
     fn flight_ring_zero_capacity_drops_everything() {
-        let mut ring = FlightRecorder::new(0);
-        ring.record(OpKind::Get, Lane::Sync, PhaseClass::SyncComm, 0.0, 1.0, 1, None, None);
-        assert_eq!(ring.total(), 0);
-        assert!(ring.into_entries().is_empty());
+        let mut sink = EventSink::new(&Observability::comm(), 0);
+        sink.record(op(OpKind::Get, 0.0));
+        let (events, entries) = sink.finish();
+        assert_eq!(events.len(), 1);
+        assert!(entries.is_empty());
     }
 
     #[test]

@@ -46,8 +46,10 @@
 //! [`PhaseClass::Recovery`](crate::PhaseClass::Recovery) — and the whole
 //! annotated timeline replays bitwise for a given seed.
 
+use crate::WindowId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// Decision-stream discriminators, so the failure, spike, and jitter draws
 /// of one operation are independent.
@@ -118,10 +120,10 @@ impl RetryPolicy {
 
 /// A seeded, deterministic description of the faults one run experiences.
 ///
-/// Install on a cluster with [`Cluster::set_fault_plan`]
-/// (crate::Cluster::set_fault_plan) or per run via the runner's options.
-/// All rates are per-operation probabilities in `[0, 1]`; all magnitudes
-/// are simulated seconds.
+/// Install on a cluster with
+/// [`Cluster::set_fault_plan`](crate::Cluster::set_fault_plan) or per run
+/// via the runner's options. All rates are per-operation probabilities in
+/// `[0, 1]`; all magnitudes are simulated seconds.
 ///
 /// # Example
 ///
@@ -398,6 +400,24 @@ pub enum NetError {
         /// Total elements the target window actually holds.
         window_elements: usize,
     },
+    /// A one-sided get reached outside what its target exposes: this run
+    /// has no such window (a handle kept from an earlier run whose windows
+    /// were torn down), the target is not a rank or exposed no buffer in
+    /// it, or the element range does not fit that buffer.
+    OutOfWindow {
+        /// The issuing rank.
+        rank: usize,
+        /// The window addressed.
+        window: WindowId,
+        /// The target rank.
+        target: usize,
+        /// The elements asked for: the bulk get's range, or the indexed
+        /// get's offending run (its first run when no buffer is exposed).
+        range: Range<usize>,
+        /// Elements the target exposes in the window; `None` when it
+        /// exposes no buffer there.
+        exposed: Option<usize>,
+    },
     /// An all-rank collective observed a straggler beyond the stall timeout.
     RankStalled {
         /// The observing rank.
@@ -433,6 +453,13 @@ impl fmt::Display for NetError {
                  {first_row} at {row_width} elements/row overflows the usize element offset \
                  (target window holds {window_elements} elements)"
             ),
+            NetError::OutOfWindow { rank, window, target, range, exposed } => {
+                write!(f, "one-sided get by rank {rank} from rank {target} in {window:?}: ")?;
+                match exposed {
+                    Some(len) => write!(f, "elements {range:?} exceed the {len} it exposes"),
+                    None => write!(f, "it exposes no buffer there (elements {range:?} asked)"),
+                }
+            }
             NetError::RankStalled { rank, straggler, stalled_seconds, timeout_seconds } => write!(
                 f,
                 "rank {rank} observed straggler rank {straggler} lagging a collective by \
