@@ -8,11 +8,12 @@
 //!
 //! 1. **Spill** — drain a chunked [`TripletSource`] and route each raw draw
 //!    to a per-rank shard file (row blocks partition the stream), holding
-//!    only one chunk plus write buffers.
+//!    only one chunk plus one write buffer per rank.
 //! 2. **Normalize + profile** — per rank, load the raw shard, apply
 //!    [`normalize_triplets`] (the one normalization path in the workspace,
 //!    so per-shard normalization concatenates to exactly the resident
-//!    matrix), profile its stripes, and spill the normalized shard back.
+//!    matrix; a counting sort over the shard's contiguous rows), profile its
+//!    stripes, and spill the normalized shard back.
 //! 3. **Plan** — classify from the per-rank profiles through the planner
 //!    the resident [`prepare_plan`](crate::prepare_plan) runs: the
 //!    sync-buffer budget from each rank's operand bytes, then
@@ -27,6 +28,14 @@
 //!    buffer, one async stripe or one row-aligned sync chunk at a time, so
 //!    peak memory is the dense operands plus a few panels of sparse
 //!    entries per rank.
+//!
+//! Every file is back-to-back fixed-width little-endian records — 24-byte
+//! wide triplets in the shards, 16-byte compact entries and 4-byte column
+//! ids in the stores — and every pass moves them in bulk: one encoder
+//! buffer per file written a chunk at a time, and a decoder that turns a
+//! reader's whole buffer into records at once. A shard whose length is not
+//! a whole number of records is a typed [`RunError::Io`] naming the rank
+//! and the file.
 //!
 //! The correctness contract is *bit-identity*: at any scale where the
 //! resident path also fits, the streamed run's output `C`, simulated
@@ -45,7 +54,7 @@ use crate::runner::{
     stack_blocks, ExecOpts, ExecutionReport, NNZ_BYTES,
 };
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write as _};
+use std::io::{self, BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,6 +78,10 @@ const SYNC_CHUNK_ENTRIES: usize = 1 << 18;
 
 /// Bytes of one serialized compact entry (`u32` row, `u32` col, `f64` val).
 const SMALL_ENTRY_BYTES: usize = 16;
+
+/// Bytes moved per read or write call on the shard files, and the capacity
+/// of each record writer's buffer.
+const IO_CHUNK_BYTES: usize = 1 << 16;
 
 /// Options controlling one [`run_twoface_streamed`] call. Mirrors the
 /// subset of [`RunOptions`](crate::RunOptions) the streamed pipeline
@@ -305,34 +318,166 @@ fn disk_bytes(path: &Path, accounted: usize) -> u64 {
     std::fs::metadata(path).map_or(accounted as u64, |m| m.len())
 }
 
-fn write_wide(out: &mut impl std::io::Write, t: &Triplet) -> std::io::Result<()> {
-    out.write_all(&(t.row as u64).to_le_bytes())?;
-    out.write_all(&(t.col as u64).to_le_bytes())?;
-    out.write_all(&t.val.to_le_bytes())
+/// A fixed-width little-endian spill record. Shard and store files are
+/// nothing but back-to-back records, and every pass moves them in bulk:
+/// [`RecordWriter`] encodes into one buffer and writes it a chunk at a
+/// time, and [`read_records`] decodes straight out of a reader's buffer.
+trait Record: Sized {
+    /// Encoded width in bytes.
+    const BYTES: usize;
+    /// Appends the encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+    /// Decodes one record from exactly [`Record::BYTES`] bytes.
+    fn decode(bytes: &[u8]) -> Self;
 }
 
-fn read_wide(input: &mut impl Read) -> std::io::Result<Triplet> {
-    let mut buf = [0u8; 24];
-    input.read_exact(&mut buf)?;
-    let row = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes")) as usize;
-    let col = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")) as usize;
-    let val = f64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
-    Ok(Triplet::new(row, col, val))
+/// The `N` bytes at `at` in a record being decoded.
+fn field<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    bytes[at..at + N].try_into().expect("the record holds the field")
 }
 
-fn write_small(out: &mut impl std::io::Write, t: &SmallTriplet) -> std::io::Result<()> {
-    out.write_all(&t.row.to_le_bytes())?;
-    out.write_all(&t.col.to_le_bytes())?;
-    out.write_all(&t.val.to_le_bytes())
+/// Raw and normalized shards: `u64` row, `u64` col, `f64` value.
+impl Record for Triplet {
+    const BYTES: usize = NNZ_BYTES;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.row as u64).to_le_bytes());
+        out.extend_from_slice(&(self.col as u64).to_le_bytes());
+        out.extend_from_slice(&self.val.to_le_bytes());
+    }
+
+    fn decode(bytes: &[u8]) -> Triplet {
+        let row = u64::from_le_bytes(field(bytes, 0)) as usize;
+        let col = u64::from_le_bytes(field(bytes, 8)) as usize;
+        Triplet::new(row, col, f64::from_le_bytes(field(bytes, 16)))
+    }
 }
 
-fn read_small(input: &mut impl Read) -> std::io::Result<SmallTriplet> {
-    let mut buf = [0u8; SMALL_ENTRY_BYTES];
-    input.read_exact(&mut buf)?;
-    let row = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-    let col = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let val = f64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-    Ok(SmallTriplet { row, col, val })
+/// Store entries: `u32` row, `u32` col, `f64` value.
+impl Record for SmallTriplet {
+    const BYTES: usize = SMALL_ENTRY_BYTES;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.row.to_le_bytes());
+        out.extend_from_slice(&self.col.to_le_bytes());
+        out.extend_from_slice(&self.val.to_le_bytes());
+    }
+
+    fn decode(bytes: &[u8]) -> SmallTriplet {
+        let (row, col) = (u32::from_le_bytes(field(bytes, 0)), u32::from_le_bytes(field(bytes, 4)));
+        SmallTriplet { row, col, val: f64::from_le_bytes(field(bytes, 8)) }
+    }
+}
+
+/// Store unique-column ids.
+impl Record for u32 {
+    const BYTES: usize = 4;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+
+    fn decode(bytes: &[u8]) -> u32 {
+        u32::from_le_bytes(field(bytes, 0))
+    }
+}
+
+/// Writes records to a file through one [`IO_CHUNK_BYTES`] buffer, so the
+/// file sees one `write` per chunk rather than one per record.
+struct RecordWriter {
+    file: File,
+    buf: Vec<u8>,
+}
+
+impl RecordWriter {
+    fn create(path: &Path) -> io::Result<RecordWriter> {
+        Ok(RecordWriter { file: File::create(path)?, buf: Vec::with_capacity(IO_CHUNK_BYTES) })
+    }
+
+    fn push<R: Record>(&mut self, record: &R) -> io::Result<()> {
+        if self.buf.len() + R::BYTES > IO_CHUNK_BYTES {
+            self.file.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        record.encode(&mut self.buf);
+        Ok(())
+    }
+
+    fn extend<R: Record>(&mut self, records: &[R]) -> io::Result<()> {
+        records.iter().try_for_each(|record| self.push(record))
+    }
+
+    /// Writes what is still buffered.
+    fn finish(mut self) -> io::Result<()> {
+        self.file.write_all(&self.buf)
+    }
+}
+
+/// Appends `count` records from `input` to `out`, decoding every whole
+/// record in the reader's buffer at once; only a record split across two
+/// refills is copied out on its own.
+fn read_records<R: Record>(
+    input: &mut impl BufRead,
+    count: usize,
+    out: &mut Vec<R>,
+) -> io::Result<()> {
+    out.reserve(count);
+    let mut left = count;
+    while left > 0 {
+        let buf = input.fill_buf()?;
+        let whole = (buf.len() / R::BYTES).min(left);
+        if whole > 0 {
+            out.extend(buf[..whole * R::BYTES].chunks_exact(R::BYTES).map(R::decode));
+            input.consume(whole * R::BYTES);
+            left -= whole;
+        } else {
+            // A split record, or the input's end: `read_exact` refills
+            // across the split, or reports the end as an error. No record
+            // is wider than a triplet.
+            let mut record = [0u8; NNZ_BYTES];
+            let record = &mut record[..R::BYTES];
+            input.read_exact(record)?;
+            out.push(R::decode(record));
+            left -= 1;
+        }
+    }
+    Ok(())
+}
+
+/// Reads rank `rank`'s whole shard file at `path`. A file whose length is
+/// not a whole number of records is a typed error naming the rank and the
+/// file, never a silently dropped partial record.
+fn read_shard(rank: usize, path: &Path) -> Result<Vec<Triplet>, RunError> {
+    let context = format!("rank {rank} reading shard {}", path.display());
+    let file = File::open(path).map_err(|e| io_err(&context, e))?;
+    let len = file.metadata().map_err(|e| io_err(&context, e))?.len();
+    decode_shard(BufReader::with_capacity(IO_CHUNK_BYTES, file), len, &context)
+}
+
+/// Decodes the `len` bytes of `input` as whole shard records.
+fn decode_shard(
+    mut input: impl BufRead,
+    len: u64,
+    context: &str,
+) -> Result<Vec<Triplet>, RunError> {
+    let width = Triplet::BYTES as u64;
+    if !len.is_multiple_of(width) {
+        return Err(RunError::Io {
+            context: format!(
+                "{context}: {len} bytes is not a whole number of {width}-byte records"
+            ),
+        });
+    }
+    let mut shard = Vec::new();
+    read_records(&mut input, (len / width) as usize, &mut shard).map_err(|e| io_err(context, e))?;
+    Ok(shard)
+}
+
+/// Writes `records` to a new file at `path`.
+fn write_records<R: Record>(path: &Path, records: &[R]) -> io::Result<()> {
+    let mut out = RecordWriter::create(path)?;
+    out.extend(records)?;
+    out.finish()
 }
 
 /// Per-stripe store metadata kept in memory while entries live on disk.
@@ -348,6 +493,9 @@ struct RankStore {
     path: PathBuf,
     stripes: Vec<StripeMeta>,
     sync_nnz: usize,
+    /// The sync entries' read chunks, in entries: [`SYNC_CHUNK_ENTRIES`]
+    /// each, plus the rest of the chunk's last row.
+    sync_chunks: Vec<usize>,
     nonempty_panels: usize,
 }
 
@@ -356,35 +504,40 @@ struct RankStore {
 /// the sync/local entries (row-major). Returns the store handle and the
 /// bytes written.
 fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<(RankStore, usize), RunError> {
-    let file = File::create(&path)
-        .map_err(|e| io_err(&format!("creating store {}", path.display()), e))?;
-    let mut out = BufWriter::new(file);
-    let mut stripes = Vec::with_capacity(matrices.asynchronous.num_stripes());
-    let mut bytes = 0usize;
-    let ctx = "writing rank store";
-    for stripe in matrices.asynchronous.stripes() {
-        for t in stripe.entries_row_major() {
-            write_small(&mut out, t).map_err(|e| io_err(ctx, e))?;
+    let write = || -> io::Result<()> {
+        let mut out = RecordWriter::create(&path)?;
+        for stripe in matrices.asynchronous.stripes() {
+            out.extend(stripe.entries_row_major())?;
+            out.extend(&stripe.unique_cols)?;
         }
-        for c in &stripe.unique_cols {
-            out.write_all(&c.to_le_bytes()).map_err(|e| io_err(ctx, e))?;
+        out.extend(matrices.sync_local.entries())?;
+        out.finish()
+    };
+    write().map_err(|e| io_err(&format!("writing store {}", path.display()), e))?;
+    let stripes: Vec<StripeMeta> = matrices
+        .asynchronous
+        .stripes()
+        .iter()
+        .map(|s| StripeMeta { stripe: s.stripe, nnz: s.nnz(), unique: s.unique_cols.len() })
+        .collect();
+    let sync = matrices.sync_local.entries();
+    let bytes = stripes.iter().map(|m| m.nnz * SMALL_ENTRY_BYTES + m.unique * 4).sum::<usize>()
+        + sync.len() * SMALL_ENTRY_BYTES;
+    let mut sync_chunks = Vec::new();
+    let mut start = 0;
+    while start < sync.len() {
+        let mut end = (start + SYNC_CHUNK_ENTRIES).min(sync.len());
+        while end < sync.len() && sync[end].row == sync[end - 1].row {
+            end += 1;
         }
-        bytes += stripe.nnz() * SMALL_ENTRY_BYTES + stripe.unique_cols.len() * 4;
-        stripes.push(StripeMeta {
-            stripe: stripe.stripe,
-            nnz: stripe.nnz(),
-            unique: stripe.unique_cols.len(),
-        });
+        sync_chunks.push(end - start);
+        start = end;
     }
-    for t in matrices.sync_local.entries() {
-        write_small(&mut out, t).map_err(|e| io_err(ctx, e))?;
-    }
-    bytes += matrices.sync_local.nnz() * SMALL_ENTRY_BYTES;
-    out.flush().map_err(|e| io_err(ctx, e))?;
     let store = RankStore {
         path,
         stripes,
-        sync_nnz: matrices.sync_local.nnz(),
+        sync_nnz: sync.len(),
+        sync_chunks,
         nonempty_panels: matrices.sync_local.num_nonempty_panels(),
     };
     Ok((store, bytes))
@@ -444,11 +597,10 @@ pub fn run_twoface_streamed(
     };
     let raw_paths: Vec<PathBuf> = (0..p).map(|r| spill.path(format!("raw.{r}"))).collect();
     {
-        let mut writers: Vec<BufWriter<File>> = raw_paths
+        let mut writers: Vec<RecordWriter> = raw_paths
             .iter()
             .map(|path| {
-                File::create(path)
-                    .map(BufWriter::new)
+                RecordWriter::create(path)
                     .map_err(|e| io_err(&format!("creating shard {}", path.display()), e))
             })
             .collect::<Result<_, _>>()?;
@@ -467,13 +619,14 @@ pub fn run_twoface_streamed(
                         ),
                     });
                 }
-                write_wide(&mut writers[layout.owner_of_row(t.row)], t)
+                writers[layout.owner_of_row(t.row)]
+                    .push(t)
                     .map_err(|e| io_err("spilling raw shard", e))?;
-                spilled_bytes += NNZ_BYTES;
             }
+            spilled_bytes += chunk.len() * NNZ_BYTES;
         }
-        for w in &mut writers {
-            w.flush().map_err(|e| io_err("flushing raw shard", e))?;
+        for w in writers {
+            w.finish().map_err(|e| io_err("flushing raw shard", e))?;
         }
     }
     if telemetry.enabled {
@@ -484,39 +637,25 @@ pub fn run_twoface_streamed(
     telemetry.pass(1, (spilled_bytes / NNZ_BYTES) as u64, pass_started);
 
     // --- Pass 2: normalize + profile per rank, one shard at a time. ---
-    // Shards partition the draw stream by row and `normalize_triplets` sorts
-    // by (row, col) with in-order duplicate summing, so the concatenation of
-    // normalized shards is exactly the resident matrix.
+    // Shards partition the draw stream by row and `normalize_triplets` puts
+    // entries in stable (row, col) order with in-order duplicate summing, so
+    // the concatenation of normalized shards is exactly the resident matrix.
+    // Its transient (at most 32 B per entry beyond the 24 B shard) keeps
+    // this pass inside the build term of the host estimate below.
     let mut profiles: Vec<NodeProfile> = Vec::with_capacity(p);
     let mut nnz_by_rank: Vec<usize> = Vec::with_capacity(p);
     let mut peak_shard_bytes = 0usize;
     let norm_paths: Vec<PathBuf> = (0..p).map(|r| spill.path(format!("norm.{r}"))).collect();
     pass_started = Instant::now();
     for rank in 0..p {
-        let mut shard: Vec<Triplet> = Vec::new();
-        {
-            let file = File::open(&raw_paths[rank]).map_err(|e| io_err("opening raw shard", e))?;
-            let raw_len =
-                file.metadata().map_err(|e| io_err("sizing raw shard", e))?.len() as usize;
-            telemetry.spill_read(rank, raw_len as u64);
-            let count = raw_len / NNZ_BYTES;
-            shard.reserve_exact(count);
-            let mut reader = BufReader::new(file);
-            for _ in 0..count {
-                shard.push(read_wide(&mut reader).map_err(|e| io_err("reading raw shard", e))?);
-            }
-        }
+        let mut shard = read_shard(rank, &raw_paths[rank])?;
+        telemetry.spill_read(rank, (shard.len() * NNZ_BYTES) as u64);
         peak_shard_bytes = peak_shard_bytes.max(shard.len() * NNZ_BYTES);
         normalize_triplets(&mut shard);
         profiles.push(NodeProfile::build_from_rows(&shard, &layout, rank));
         nnz_by_rank.push(shard.len());
-        let mut out = BufWriter::new(
-            File::create(&norm_paths[rank]).map_err(|e| io_err("creating normalized shard", e))?,
-        );
-        for t in &shard {
-            write_wide(&mut out, t).map_err(|e| io_err("spilling normalized shard", e))?;
-        }
-        out.flush().map_err(|e| io_err("flushing normalized shard", e))?;
+        write_records(&norm_paths[rank], &shard)
+            .map_err(|e| io_err("spilling normalized shard", e))?;
         spilled_bytes += shard.len() * NNZ_BYTES;
         if telemetry.enabled {
             let written = disk_bytes(&norm_paths[rank], shard.len() * NNZ_BYTES);
@@ -546,8 +685,8 @@ pub fn run_twoface_streamed(
     )?;
 
     // Host working-set estimate: the worst of the build pass (one shard plus
-    // its structures) and the execute pass (dense operands plus every rank's
-    // bounded transients).
+    // its structures, 60 B per entry, which also covers pass 2's 56) and the
+    // execute pass (dense operands plus every rank's bounded transients).
     let build_peak = (0..p)
         .map(|rank| nnz_by_rank[rank] * (NNZ_BYTES + 2 * SMALL_ENTRY_BYTES + 4))
         .max()
@@ -583,17 +722,17 @@ pub fn run_twoface_streamed(
     let mut stores: Vec<RankStore> = Vec::with_capacity(p);
     let mut store_bytes = 0u64;
     for rank in 0..p {
-        let mut shard: Vec<Triplet> = Vec::with_capacity(nnz_by_rank[rank]);
-        {
-            telemetry.spill_read(rank, (nnz_by_rank[rank] * NNZ_BYTES) as u64);
-            let mut reader = BufReader::new(
-                File::open(&norm_paths[rank]).map_err(|e| io_err("opening normalized shard", e))?,
-            );
-            for _ in 0..nnz_by_rank[rank] {
-                shard.push(
-                    read_wide(&mut reader).map_err(|e| io_err("reading normalized shard", e))?,
-                );
-            }
+        telemetry.spill_read(rank, (nnz_by_rank[rank] * NNZ_BYTES) as u64);
+        let shard = read_shard(rank, &norm_paths[rank])?;
+        if shard.len() != nnz_by_rank[rank] {
+            return Err(RunError::Io {
+                context: format!(
+                    "rank {rank} reading shard {}: {} records, but pass 2 wrote {}",
+                    norm_paths[rank].display(),
+                    shard.len(),
+                    nnz_by_rank[rank]
+                ),
+            });
         }
         let matrices =
             RankMatrices::build_from_rows(&shard, &plan, rank, options.config.row_panel_height);
@@ -668,7 +807,9 @@ pub fn run_twoface_streamed(
 /// [`StripeSource`] over one rank's store file, read front to back — async
 /// stripes in ascending order, then the sync entries — into one reused
 /// entry buffer, so at most one stripe or one sync chunk of the rank's
-/// nonzeros is resident at a time.
+/// nonzeros is resident at a time. Records decode straight out of the
+/// reader's default-sized buffer, so a rank adds no staging buffer sized to
+/// what it reads.
 struct StoreSource<'a> {
     rank: usize,
     store: &'a RankStore,
@@ -687,18 +828,12 @@ impl<'a> StoreSource<'a> {
             unique_cols: Vec::new(),
         }
     }
+}
 
-    /// A failed read as the typed error naming the rank and its store.
-    fn read_error(&self, e: std::io::Error) -> RankError {
-        RankError::Io(format!(
-            "rank {} reading store {}: {e}",
-            self.rank,
-            self.store.path.display()
-        ))
-    }
-
-    fn read_entry(&mut self) -> Result<SmallTriplet, RankError> {
-        read_small(&mut self.reader).map_err(|e| self.read_error(e))
+impl RankStore {
+    /// A failed read of rank `rank`'s store as the typed error naming both.
+    fn read_error(&self, rank: usize, e: io::Error) -> RankError {
+        RankError::Io(format!("rank {rank} reading store {}: {e}", self.path.display()))
     }
 }
 
@@ -709,19 +844,14 @@ impl StripeSource for StoreSource<'_> {
         &mut self,
         mut visit: impl FnMut(StripeView<'_>) -> Result<(), RankError>,
     ) -> Result<(), RankError> {
-        let store = self.store;
+        let (rank, store) = (self.rank, self.store);
         for meta in &store.stripes {
             self.entries.clear();
-            for _ in 0..meta.nnz {
-                let t = self.read_entry()?;
-                self.entries.push(t);
-            }
+            read_records(&mut self.reader, meta.nnz, &mut self.entries)
+                .map_err(|e| store.read_error(rank, e))?;
             self.unique_cols.clear();
-            for _ in 0..meta.unique {
-                let mut buf = [0u8; 4];
-                self.reader.read_exact(&mut buf).map_err(|e| self.read_error(e))?;
-                self.unique_cols.push(u32::from_le_bytes(buf));
-            }
+            read_records(&mut self.reader, meta.unique, &mut self.unique_cols)
+                .map_err(|e| store.read_error(rank, e))?;
             visit(StripeView {
                 stripe: meta.stripe,
                 entries: &self.entries,
@@ -739,22 +869,11 @@ impl StripeSource for StoreSource<'_> {
         &mut self,
         mut visit: impl FnMut(&[SmallTriplet]),
     ) -> Result<(), RankError> {
-        let mut remaining = self.store.sync_nnz;
-        let mut pending: Option<SmallTriplet> = None;
-        while remaining > 0 || pending.is_some() {
+        let (rank, store) = (self.rank, self.store);
+        for &len in &store.sync_chunks {
             self.entries.clear();
-            self.entries.extend(pending.take());
-            while remaining > 0 {
-                let t = self.read_entry()?;
-                remaining -= 1;
-                // A full chunk still takes the rest of its last row.
-                let full = self.entries.len() >= SYNC_CHUNK_ENTRIES;
-                if full && self.entries.last().is_some_and(|last| last.row != t.row) {
-                    pending = Some(t);
-                    break;
-                }
-                self.entries.push(t);
-            }
+            read_records(&mut self.reader, len, &mut self.entries)
+                .map_err(|e| store.read_error(rank, e))?;
             visit(&self.entries);
         }
         Ok(())
@@ -780,14 +899,53 @@ mod tests {
 
     #[test]
     fn wide_and_small_roundtrip() {
-        let mut buf = Vec::new();
-        let wide = Triplet::new(123_456_789_012, 7, -1.5);
-        write_wide(&mut buf, &wide).unwrap();
-        let small = SmallTriplet::new(42, 99, 0.25);
-        write_small(&mut buf, &small).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_wide(&mut cursor).unwrap(), wide);
-        assert_eq!(read_small(&mut cursor).unwrap(), small);
+        // More bytes than one writer chunk, read back through a buffer that
+        // no record width divides, so records straddle its refills.
+        let wide: Vec<Triplet> =
+            (0..4000).map(|i| Triplet::new(123_456_789_012 + i, 7 * i, -1.5 * i as f64)).collect();
+        let small: Vec<SmallTriplet> =
+            (0..300).map(|i| SmallTriplet::new(42 + i, 99 * i, 0.25 + i as f64)).collect();
+        let cols: Vec<u32> = (0..50).map(|i| u32::MAX - i).collect();
+        assert!(wide.len() * Triplet::BYTES > IO_CHUNK_BYTES);
+        let spill = SpillDir::create(None).unwrap();
+        let path = spill.path("records".to_string());
+        let mut out = RecordWriter::create(&path).unwrap();
+        out.extend(&wide).unwrap();
+        out.extend(&small).unwrap();
+        out.extend(&cols).unwrap();
+        out.finish().unwrap();
+        let file = File::open(&path).unwrap();
+        assert_eq!(file.metadata().unwrap().len(), 4000 * 24 + 300 * 16 + 50 * 4);
+        let mut reader = BufReader::with_capacity(1000, file);
+        let (mut w, mut s, mut c) = (Vec::new(), Vec::new(), Vec::new());
+        read_records(&mut reader, wide.len(), &mut w).unwrap();
+        read_records(&mut reader, small.len(), &mut s).unwrap();
+        read_records(&mut reader, cols.len(), &mut c).unwrap();
+        assert_eq!((w, s, c), (wide, small, cols));
+        let err = read_records(&mut reader, 1, &mut Vec::<u32>::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn partial_shard_record_is_a_typed_error_naming_the_rank_and_file() {
+        let records = [Triplet::new(1, 2, 3.0), Triplet::new(4, 5, -6.0)];
+        let mut bytes = Vec::new();
+        records.iter().for_each(|t| t.encode(&mut bytes));
+        let context = "rank 3 reading shard raw.3";
+        let whole = decode_shard(bytes.as_slice(), bytes.len() as u64, context).unwrap();
+        assert_eq!(whole, records);
+        for len in [bytes.len() + 1, bytes.len() - 1] {
+            let mut input = bytes.clone();
+            input.resize(len, 0);
+            match decode_shard(input.as_slice(), len as u64, context) {
+                Err(RunError::Io { context }) => {
+                    assert!(context.contains("rank 3"), "{context}");
+                    assert!(context.contains("raw.3"), "{context}");
+                    assert!(context.contains(&format!("{len} bytes")), "{context}");
+                }
+                other => panic!("{len} bytes: expected an I/O error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -78,11 +78,12 @@ impl CooMatrix {
     }
 
     /// [`CooMatrix::from_triplets`] without the intermediate copy: validates,
-    /// sorts, and sums duplicates *in place* in the supplied vector.
+    /// then sorts and sums duplicates in the supplied vector.
     ///
     /// This is the assembly path the chunked generators and the streaming
-    /// executor share: one allocation (the caller's), no transient second
-    /// vector, and the exact summation order of [`normalize_triplets`].
+    /// executor share: the caller's allocation, plus the transient of
+    /// [`normalize_triplets`] (at most 32 bytes per entry), and its exact
+    /// summation order.
     ///
     /// # Errors
     ///
@@ -274,17 +275,28 @@ impl CooMatrix {
     }
 }
 
-/// Canonicalizes a raw triplet list in place: stable row-major sort (by row,
-/// then column) followed by duplicate summing in encounter order.
+/// Canonicalizes a raw triplet list in place: the entries end in the order
+/// of a stable sort by (row, col), and duplicates are summed in that order.
 ///
 /// This is *the* assembly semantics of [`CooMatrix::from_triplets`], exposed
-/// so out-of-core shard assembly can reproduce it exactly: because the sort
+/// so out-of-core shard assembly can reproduce it exactly: because the order
 /// is stable and rows partition disjointly, normalizing each row-range shard
 /// of a raw stream independently yields bit-identical entries (values summed
 /// in the same left-to-right draw order) to normalizing the whole stream and
 /// slicing afterwards.
+///
+/// The order comes from a counting sort by row followed by a sort of each
+/// row by column, in time linear in the entries plus the row span. Its
+/// transient is an 8-byte key per entry and a 4-byte count per row while
+/// sorting, then the key plus a 24-byte output entry while gathering: at
+/// most 32 bytes per entry beyond the input. Where counting cannot run — the
+/// rows span more entries than there are, or a column or an input position
+/// does not fit in 32 bits — a comparison sort produces the same order.
 pub fn normalize_triplets(entries: &mut Vec<Triplet>) {
-    entries.sort_by_key(|t| (t.row, t.col));
+    match row_major_order(entries) {
+        Some(order) => *entries = order.iter().map(|&key| entries[key as u32 as usize]).collect(),
+        None => entries.sort_by_key(|t| (t.row, t.col)),
+    }
     // Sum duplicates in place (two-pointer compaction, no second buffer).
     let mut len = 0usize;
     for i in 0..entries.len() {
@@ -299,6 +311,57 @@ pub fn normalize_triplets(entries: &mut Vec<Triplet>) {
         }
     }
     entries.truncate(len);
+}
+
+/// The stable (row, col) order of `entries` by counting sort, as one key
+/// `col << 32 | position` per entry: keys are scattered into their row's
+/// bucket in input order, then each bucket is sorted. The position makes
+/// every key unique, so the unstable bucket sort yields the stable order.
+///
+/// Returns `None` when counting cannot run: for no entries, when the rows
+/// span more than `entries.len()`, or when a column or a position does not
+/// fit in the key's 32 bits.
+fn row_major_order(entries: &[Triplet]) -> Option<Vec<u64>> {
+    let n = entries.len();
+    if n == 0 || n > u32::MAX as usize {
+        return None;
+    }
+    let (mut lo, mut hi) = (usize::MAX, 0);
+    for t in entries {
+        if t.col > u32::MAX as usize {
+            return None;
+        }
+        lo = lo.min(t.row);
+        hi = hi.max(t.row);
+    }
+    if hi - lo >= n {
+        return None;
+    }
+    let span = hi - lo + 1;
+    // `next[r]` is where row `lo + r`'s next key goes: its bucket's start,
+    // from the prefix sum of the row counts, then its end once scattered.
+    let mut next = vec![0u32; span + 1];
+    for t in entries {
+        next[t.row - lo + 1] += 1;
+    }
+    for r in 1..=span {
+        next[r] += next[r - 1];
+    }
+    let mut keys = vec![0u64; n];
+    for (position, t) in entries.iter().enumerate() {
+        let slot = &mut next[t.row - lo];
+        keys[*slot as usize] = (t.col as u64) << 32 | position as u64;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for &end in &next[..span] {
+        let end = end as usize;
+        if end - start > 1 {
+            keys[start..end].sort_unstable();
+        }
+        start = end;
+    }
+    Some(keys)
 }
 
 impl FromIterator<Triplet> for CooMatrix {
@@ -391,6 +454,91 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.density(), 0.0);
         assert_eq!(m.nnz(), 0);
+    }
+
+    /// The comparison-sort normalization the counting sort replaced: a
+    /// stable sort by (row, col), then duplicates summed in order.
+    fn sorted_and_summed(mut entries: Vec<Triplet>) -> Vec<Triplet> {
+        entries.sort_by_key(|t| (t.row, t.col));
+        let mut out: Vec<Triplet> = Vec::with_capacity(entries.len());
+        for t in entries {
+            match out.last_mut() {
+                Some(last) if (last.row, last.col) == (t.row, t.col) => last.val += t.val,
+                _ => out.push(t),
+            }
+        }
+        out
+    }
+
+    /// Normalizes `entries` and compares every coordinate and value bit
+    /// with the comparison sort, checking which path ran.
+    fn assert_normalizes_like_the_sort(case: &str, entries: Vec<Triplet>, counted: bool) {
+        assert_eq!(row_major_order(&entries).is_some(), counted, "{case}: path taken");
+        let expected = sorted_and_summed(entries.clone());
+        let mut got = entries;
+        normalize_triplets(&mut got);
+        let bits = |ts: &[Triplet]| -> Vec<(usize, usize, u64)> {
+            ts.iter().map(|t| (t.row, t.col, t.val.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&expected), "{case}");
+    }
+
+    fn triplets(ts: &[(usize, usize, f64)]) -> Vec<Triplet> {
+        ts.iter().map(|&t| t.into()).collect()
+    }
+
+    #[test]
+    fn normalization_matches_the_stable_sort_bitwise() {
+        assert_normalizes_like_the_sort("empty", Vec::new(), false);
+        assert_normalizes_like_the_sort("single entry", triplets(&[(7, 3, 2.5)]), true);
+        // In draw order (1e16 + 1) - 1e16 is 0; any other order gives 1.
+        let order_dependent = [(2, 5, 1e16), (1, 0, 3.0), (2, 5, 1.0), (2, 1, 1.0), (2, 5, -1e16)];
+        assert_normalizes_like_the_sort("order-dependent sum", triplets(&order_dependent), true);
+        let reversed: Vec<_> = order_dependent.iter().rev().copied().collect();
+        assert_normalizes_like_the_sort("order-dependent sum, reversed", triplets(&reversed), true);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m) as usize
+        };
+        let far: Vec<_> = (0..500)
+            .map(|i| Triplet::new(1_000_000 + draw(100), draw(64), f64::from(i) * 0.1))
+            .collect();
+        assert_normalizes_like_the_sort("rows far from 0", far, true);
+        let long_row: Vec<_> =
+            (0..2000).map(|i| Triplet::new(42, draw(300), f64::from(i) - 0.3)).collect();
+        assert_normalizes_like_the_sort("one long row", long_row, true);
+        let sparse_rows = triplets(&[(10_000, 1, 1.0), (0, 2, 2.0), (10_000, 1, 3.0)]);
+        assert_normalizes_like_the_sort("row span above the length", sparse_rows, false);
+        let wide = crate::SMALL_INDEX_LIMIT;
+        let wide_cols = triplets(&[(1, wide + 3, 1.0), (0, wide, 2.0), (1, wide + 3, 0.5)]);
+        assert_normalizes_like_the_sort("columns at and above 2^32", wide_cols, false);
+        let wide_rows = triplets(&[(wide + 1, 4, 1.0), (wide, 9, 2.0), (wide + 1, 4, 0.5)]);
+        assert_normalizes_like_the_sort("rows above 2^32 in a narrow span", wide_rows, true);
+    }
+
+    #[test]
+    fn normalization_matches_the_stable_sort_on_seeded_draws() {
+        use crate::gen::{ErdosChunks, RmatChunks, RmatConfig, TripletSource};
+        let drain = |source: &mut dyn TripletSource| {
+            let mut draws = Vec::new();
+            while source.next_chunk(1000, &mut draws) > 0 {}
+            draws
+        };
+        for seed in [1, 7, 23] {
+            let config = RmatConfig { scale: 10, edge_factor: 12, ..Default::default() };
+            let rmat = drain(&mut RmatChunks::new(&config, seed));
+            // Whole draws and a shard of one row block, as the streamed
+            // path normalizes them.
+            let shard: Vec<_> =
+                rmat.iter().copied().filter(|t| (256..512).contains(&t.row)).collect();
+            assert_normalizes_like_the_sort(&format!("R-MAT seed {seed}"), rmat, true);
+            assert_normalizes_like_the_sort(&format!("R-MAT shard seed {seed}"), shard, true);
+            let erdos = drain(&mut ErdosChunks::new(300, 200, 5000, seed));
+            assert_normalizes_like_the_sort(&format!("Erdos seed {seed}"), erdos, true);
+        }
     }
 
     #[test]

@@ -1,7 +1,17 @@
 //! 1D partitioning geometry: row blocks, megatiles, and stripe ranges.
+//!
+//! The per-nonzero lookups — [`OneDimLayout::owner_of_row`],
+//! [`OneDimLayout::owner_of_col`] and [`OneDimLayout::stripe_of_col`] — run
+//! once per nonzero in every profile and rank build, so they divide by
+//! nothing. [`OneDimLayout::new`] precomputes each block's size and each
+//! divisor's reciprocal, and a lookup is a compare, a multiply-high or two
+//! and a few multiply-adds. The reciprocals are exact for every index below
+//! `2^32`, which covers every layout the compact (`u32`) rank structures
+//! accept; a layout with more than `2^32` rows or columns divides in
+//! hardware instead, with the same results.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use twoface_matrix::fits_small_index;
 
 /// The 1D partitioning of an `N × M` sparse matrix over `p` nodes, divided
 /// into sparse stripes of width `W` (§2.2, §4.1).
@@ -25,14 +35,30 @@ use std::ops::Range;
 /// assert_eq!(layout.num_stripes(), 12); // ceil(25/10) = 3 stripes per block
 /// assert_eq!(layout.stripe_owner(3), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OneDimLayout {
     rows: usize,
     cols: usize,
     p: usize,
-    stripe_width: usize,
     /// Per-stripe `(owner, col_start, col_end)`.
     stripes: Vec<(usize, usize, usize)>,
+    /// What the per-nonzero lookups precompute, boxed so the layout keeps
+    /// its seven-word inline size: the serving layer's plan cache charges
+    /// `size_of::<PartitionPlan>()` per plan, and that count is gated.
+    lookup: Box<Lookup>,
+}
+
+/// The stripe width and everything the per-nonzero lookups would otherwise
+/// recompute per call.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Lookup {
+    stripe_width: usize,
+    row_blocks: Blocks,
+    col_blocks: Blocks,
+    /// Stripes in one larger and in one smaller column block.
+    block_stripes: (usize, usize),
+    /// Division by the stripe width.
+    per_stripe: Divisor,
 }
 
 impl OneDimLayout {
@@ -46,9 +72,12 @@ impl OneDimLayout {
         assert!(p > 0, "node count must be positive");
         assert!(stripe_width > 0, "stripe width must be positive");
         assert!(p <= rows.max(1), "cannot distribute {rows} rows over {p} nodes");
+        let narrow = fits_small_index(rows, cols);
+        let row_blocks = Blocks::new(rows, p, narrow);
+        let col_blocks = Blocks::new(cols, p, narrow);
         let mut stripes = Vec::new();
         for owner in 0..p {
-            let block = balanced_range(cols, p, owner);
+            let block = col_blocks.range(owner);
             let mut start = block.start;
             while start < block.end {
                 let end = (start + stripe_width).min(block.end);
@@ -56,7 +85,15 @@ impl OneDimLayout {
                 start = end;
             }
         }
-        OneDimLayout { rows, cols, p, stripe_width, stripes }
+        let base = col_blocks.base;
+        let lookup = Lookup {
+            stripe_width,
+            row_blocks,
+            col_blocks,
+            block_stripes: ((base + 1).div_ceil(stripe_width), base.div_ceil(stripe_width)),
+            per_stripe: Divisor::new(stripe_width, narrow),
+        };
+        OneDimLayout { rows, cols, p, stripes, lookup: Box::new(lookup) }
     }
 
     /// Number of matrix rows (`N`).
@@ -77,7 +114,7 @@ impl OneDimLayout {
     /// The configured stripe width (`W`). The last stripe of each column
     /// block may be narrower.
     pub fn stripe_width(&self) -> usize {
-        self.stripe_width
+        self.lookup.stripe_width
     }
 
     /// The rows of `A` (and `C`) owned by `rank`.
@@ -87,7 +124,7 @@ impl OneDimLayout {
     /// Panics if `rank >= p`.
     pub fn row_range(&self, rank: usize) -> Range<usize> {
         assert!(rank < self.p, "rank {rank} out of range");
-        balanced_range(self.rows, self.p, rank)
+        self.lookup.row_blocks.range(rank)
     }
 
     /// The columns of `A` (equivalently, rows of `B`) owned by `rank`.
@@ -97,7 +134,7 @@ impl OneDimLayout {
     /// Panics if `rank >= p`.
     pub fn col_range(&self, rank: usize) -> Range<usize> {
         assert!(rank < self.p, "rank {rank} out of range");
-        balanced_range(self.cols, self.p, rank)
+        self.lookup.col_blocks.range(rank)
     }
 
     /// The rank owning column `col` of `A` (i.e. hosting row `col` of `B`).
@@ -107,7 +144,7 @@ impl OneDimLayout {
     /// Panics if `col >= cols`.
     pub fn owner_of_col(&self, col: usize) -> usize {
         assert!(col < self.cols, "column {col} out of range");
-        balanced_owner(self.cols, self.p, col)
+        self.lookup.col_blocks.locate(col).0
     }
 
     /// The rank owning row `row` of `A` (and of `C`).
@@ -117,7 +154,7 @@ impl OneDimLayout {
     /// Panics if `row >= rows`.
     pub fn owner_of_row(&self, row: usize) -> usize {
         assert!(row < self.rows, "row {row} out of range");
-        balanced_owner(self.rows, self.p, row)
+        self.lookup.row_blocks.locate(row).0
     }
 
     /// Total number of stripes across the matrix.
@@ -145,22 +182,16 @@ impl OneDimLayout {
         self.stripes[s].0
     }
 
-    /// The stripe containing column `col`.
+    /// The stripe containing column `col`: the owner's first stripe plus the
+    /// column's offset in its block over the stripe width.
     ///
     /// # Panics
     ///
     /// Panics if `col >= cols`.
     pub fn stripe_of_col(&self, col: usize) -> usize {
         assert!(col < self.cols, "column {col} out of range");
-        // Column blocks come in two sizes (`balanced_range`): the first
-        // `cols % p` hold `base + 1` columns, the rest `base`. The owner's
-        // first stripe follows the stripes of every block before it.
-        let (base, rem) = (self.cols / self.p, self.cols % self.p);
-        let w = self.stripe_width;
-        let owner = balanced_owner(self.cols, self.p, col);
-        let first =
-            owner.min(rem) * (base + 1).div_ceil(w) + owner.saturating_sub(rem) * base.div_ceil(w);
-        first + (col - balanced_range(self.cols, self.p, owner).start) / w
+        let (owner, offset) = self.lookup.col_blocks.locate(col);
+        self.first_stripe(owner) + self.lookup.per_stripe.div(offset)
     }
 
     /// The stripes owned by `rank`, as a contiguous index range.
@@ -170,36 +201,99 @@ impl OneDimLayout {
     /// Panics if `rank >= p`.
     pub fn stripes_of_owner(&self, rank: usize) -> Range<usize> {
         assert!(rank < self.p, "rank {rank} out of range");
-        let start = self.stripes.iter().position(|&(o, _, _)| o == rank);
-        match start {
-            Some(start) => {
-                let end = self.stripes[start..].iter().take_while(|&&(o, _, _)| o == rank).count();
-                start..start + end
-            }
-            None => 0..0,
+        let (big, small) = self.lookup.block_stripes;
+        let first = self.first_stripe(rank);
+        first..first + if rank < self.lookup.col_blocks.rem { big } else { small }
+    }
+
+    /// The index of `owner`'s first stripe: every stripe of the column
+    /// blocks before it comes first, `block_stripes.0` per larger block and
+    /// `block_stripes.1` per smaller one.
+    fn first_stripe(&self, owner: usize) -> usize {
+        let (big, small) = self.lookup.block_stripes;
+        let rem = self.lookup.col_blocks.rem;
+        owner.min(rem) * big + owner.saturating_sub(rem) * small
+    }
+}
+
+/// `n` items in `p` balanced blocks: the first `n % p` blocks hold
+/// `n / p + 1` items and the rest `n / p`. The sizes and the divisors the
+/// owner lookup needs are computed once, here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Blocks {
+    /// `n / p`, the size of a smaller block.
+    base: usize,
+    /// `n % p`, the number of larger blocks.
+    rem: usize,
+    /// Items in the larger blocks, which come first.
+    big: usize,
+    /// Division by `base + 1`, and by `base` (or 1 when it is 0).
+    per_big: Divisor,
+    per_small: Divisor,
+}
+
+impl Blocks {
+    fn new(n: usize, p: usize, narrow: bool) -> Blocks {
+        let (base, rem) = (n / p, n % p);
+        Blocks {
+            base,
+            rem,
+            big: (base + 1) * rem,
+            per_big: Divisor::new(base + 1, narrow),
+            per_small: Divisor::new(base.max(1), narrow),
+        }
+    }
+
+    /// The half-open range of block `i`.
+    fn range(&self, i: usize) -> Range<usize> {
+        let start = i * self.base + i.min(self.rem);
+        start..start + self.base + usize::from(i < self.rem)
+    }
+
+    /// The block holding item `x`, and `x`'s offset inside it.
+    #[inline]
+    fn locate(&self, x: usize) -> (usize, usize) {
+        if x < self.big {
+            let block = self.per_big.div(x);
+            (block, x - block * (self.base + 1))
+        } else {
+            let y = x - self.big;
+            let past = self.per_small.div(y);
+            (self.rem + past, y - past * self.base)
         }
     }
 }
 
-/// The half-open range of the `i`-th of `p` balanced chunks of `n` items:
-/// the first `n % p` chunks get one extra item.
-fn balanced_range(n: usize, p: usize, i: usize) -> Range<usize> {
-    let base = n / p;
-    let rem = n % p;
-    let start = i * base + i.min(rem);
-    let len = base + usize::from(i < rem);
-    start..start + len
+/// Division by a fixed divisor `d >= 1`.
+///
+/// For a dividend `x < 2^32` this is one widening multiply and a shift:
+/// with `c = ceil(2^64 / d)`, `x / d == (x * c) >> 64` exactly for every
+/// `d` (Lemire, Kaser and Kurz, "Faster remainder by direct computation",
+/// 2019, with 32-bit dividends and a 64-bit fraction). Writing
+/// `c * d = 2^64 + e` with `0 <= e < d`, the error term `x * e / 2^64`
+/// stays below 1 when `d <= 2^32`, and past that both sides are 0. Layouts
+/// whose indices can reach `2^32` keep the hardware division.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Divisor {
+    Reciprocal(u128),
+    Hardware(usize),
 }
 
-/// The chunk index owning item `x` under [`balanced_range`] chunking.
-fn balanced_owner(n: usize, p: usize, x: usize) -> usize {
-    let base = n / p;
-    let rem = n % p;
-    let big = (base + 1) * rem; // items covered by the larger chunks
-    if x < big {
-        x / (base + 1)
-    } else {
-        rem + (x - big) / base.max(1)
+impl Divisor {
+    fn new(d: usize, narrow: bool) -> Divisor {
+        if narrow {
+            Divisor::Reciprocal((1u128 << 64).div_ceil(d as u128))
+        } else {
+            Divisor::Hardware(d)
+        }
+    }
+
+    #[inline]
+    fn div(self, x: usize) -> usize {
+        match self {
+            Divisor::Reciprocal(c) => ((x as u128 * c) >> 64) as usize,
+            Divisor::Hardware(d) => x / d,
+        }
     }
 }
 
@@ -207,12 +301,50 @@ fn balanced_owner(n: usize, p: usize, x: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// The first index past the compact (`u32`) structures' range.
+    const LIMIT: usize = 1 << 32;
+
+    /// The block owning item `x`, by division: the lookup before the
+    /// reciprocals, kept as the reference.
+    fn owner_by_division(n: usize, p: usize, x: usize) -> usize {
+        let base = n / p;
+        let rem = n % p;
+        let big = (base + 1) * rem; // items covered by the larger blocks
+        if x < big {
+            x / (base + 1)
+        } else {
+            rem + (x - big) / base.max(1)
+        }
+    }
+
+    /// The stripe holding column `col`, by division, as the reference.
+    fn stripe_by_division(layout: &OneDimLayout, col: usize) -> usize {
+        let (cols, p, w) = (layout.cols(), layout.nodes(), layout.stripe_width());
+        let (base, rem) = (cols / p, cols % p);
+        let owner = owner_by_division(cols, p, col);
+        let first =
+            owner.min(rem) * (base + 1).div_ceil(w) + owner.saturating_sub(rem) * base.div_ceil(w);
+        let block_start = owner * base + owner.min(rem);
+        first + (col - block_start) / w
+    }
+
+    /// The indices below `n` within one of each of `edges`.
+    fn around(edges: impl IntoIterator<Item = usize>, n: usize) -> Vec<usize> {
+        edges
+            .into_iter()
+            .flat_map(|e| [e.checked_sub(1), Some(e), e.checked_add(1)])
+            .flatten()
+            .filter(|&x| x < n)
+            .collect()
+    }
+
     #[test]
     fn balanced_ranges_tile_exactly() {
         for &(n, p) in &[(10, 3), (7, 7), (100, 4), (5, 2), (64, 8)] {
+            let blocks = Blocks::new(n, p, true);
             let mut covered = 0;
             for i in 0..p {
-                let r = balanced_range(n, p, i);
+                let r = blocks.range(i);
                 assert_eq!(r.start, covered, "n={n} p={p} i={i}");
                 covered = r.end;
             }
@@ -222,10 +354,24 @@ mod tests {
 
     #[test]
     fn balanced_owner_matches_ranges() {
-        for &(n, p) in &[(10, 3), (7, 7), (100, 4), (13, 5)] {
-            for x in 0..n {
-                let owner = balanced_owner(n, p, x);
-                assert!(balanced_range(n, p, owner).contains(&x), "n={n} p={p} x={x}");
+        let mut cases: Vec<(usize, usize, Vec<usize>)> =
+            [(10, 3), (7, 7), (100, 4), (13, 5)].map(|(n, p)| (n, p, (0..n).collect())).to_vec();
+        // At the index limit, with ragged blocks: the items at every block
+        // boundary, plus one shape past the limit that divides in hardware.
+        for (n, p) in [(LIMIT - 1, 7), (LIMIT, 7), (LIMIT, 1000), (LIMIT + 5, 7)] {
+            assert_ne!(n % p, 0, "ragged blocks");
+            let starts = (0..=p).map(|i| i * (n / p) + i.min(n % p));
+            cases.push((n, p, around(starts, n)));
+        }
+        for (n, p, items) in cases {
+            let blocks = Blocks::new(n, p, fits_small_index(n, n));
+            assert_eq!(matches!(blocks.per_big, Divisor::Hardware(_)), n > LIMIT, "n={n}");
+            for x in items {
+                let (owner, offset) = blocks.locate(x);
+                assert_eq!(owner, owner_by_division(n, p, x), "n={n} p={p} x={x}");
+                let range = blocks.range(owner);
+                assert!(range.contains(&x), "n={n} p={p} x={x}");
+                assert_eq!(offset, x - range.start, "n={n} p={p} x={x}");
             }
         }
     }
@@ -277,6 +423,37 @@ mod tests {
             }
             assert_eq!(covered, cols, "{rows}x{cols} p={p} W={w}: every column checked");
         }
+        // At the index limit, with ragged blocks and stripes: the columns at
+        // every stripe (and so every block) boundary, against the division
+        // formula. The last layout is wider than 2^32 and divides in
+        // hardware.
+        let limit_layouts = [
+            (LIMIT - 1, LIMIT - 1, 7, 1_000_003),
+            (LIMIT, LIMIT, 7, 999_983),
+            (LIMIT, LIMIT - 1, 1000, 65_539),
+            (LIMIT + 5, LIMIT + 5, 7, 1_000_003),
+        ];
+        for (rows, cols, p, w) in limit_layouts {
+            let layout = OneDimLayout::new(rows, cols, p, w);
+            assert_eq!(matches!(layout.lookup.per_stripe, Divisor::Hardware(_)), cols > LIMIT);
+            let starts = (0..layout.num_stripes()).map(|s| layout.stripe_cols(s).start);
+            for c in around(starts.chain([cols]), cols) {
+                let s = layout.stripe_of_col(c);
+                assert_eq!(s, stripe_by_division(&layout, c), "{rows}x{cols} p={p} W={w} col {c}");
+                assert!(layout.stripe_cols(s).contains(&c), "{rows}x{cols} p={p} W={w} col {c}");
+                assert_eq!(layout.owner_of_col(c), owner_by_division(cols, p, c));
+                assert_eq!(layout.stripe_owner(s), layout.owner_of_col(c));
+            }
+            for r in around((0..p).map(|i| layout.row_range(i).start).chain([rows]), rows) {
+                assert_eq!(layout.owner_of_row(r), owner_by_division(rows, p, r), "row {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn layout_keeps_its_inline_size() {
+        // The plan cache's gated byte count includes the layout inline.
+        assert_eq!(std::mem::size_of::<OneDimLayout>(), 7 * std::mem::size_of::<usize>());
     }
 
     #[test]
