@@ -1,6 +1,9 @@
 //! The deterministic front-end core: admission, fairness, and batch
 //! formation as a pure state machine.
 //!
+//! The core forms every batch; the service runs each one as formed
+//! ([`SpmmService::execute`]), so no batch is formed twice.
+//!
 //! Every decision here derives from explicit inputs — the submission
 //! sequence, the serving session's *simulated* clock, and the calibrated
 //! cost model's predictions — never from host wall time or thread timing.
@@ -19,7 +22,8 @@ use twoface_core::Algorithm;
 use twoface_matrix::DenseMatrix;
 use twoface_net::{Histogram, MetricsRegistry, PhaseClass};
 use twoface_serve::{
-    MatrixHandle, ServeError, SessionPhase, SpmmRequest, SpmmResponse, SpmmService,
+    check_operand, requests_per_batch, MatrixHandle, ServeError, SessionPhase, SpmmRequest,
+    SpmmResponse, SpmmService,
 };
 
 /// Static configuration of the front-end scheduler.
@@ -182,10 +186,8 @@ impl FrontendResponse {
 pub(crate) struct Queued {
     job: u64,
     tenant: usize,
-    matrix: MatrixHandle,
-    b: Arc<DenseMatrix>,
-    algorithm: Algorithm,
-    k: usize,
+    request: SpmmRequest,
+    key: GroupKey,
     arrival_sim: f64,
     deadline_sim: Option<f64>,
 }
@@ -198,38 +200,11 @@ pub(crate) struct ReadyBatch {
 
 type GroupKey = (MatrixHandle, Algorithm, usize);
 
-/// Submits a closed batch's members to the service and drains it, pairing
-/// each member with its serve response. Runs *without* the core (so the
-/// threaded shell executes outside its state lock).
-pub(crate) fn run_batch(
-    service: &mut SpmmService,
-    batch: &ReadyBatch,
-) -> Vec<(usize, Result<SpmmResponse, ServeError>)> {
-    let mut submitted = Vec::new();
-    let mut outcomes = Vec::new();
-    for (index, member) in batch.members.iter().enumerate() {
-        let request = SpmmRequest {
-            matrix: member.matrix,
-            b: Arc::clone(&member.b),
-            algorithm: member.algorithm,
-        };
-        match service.submit(request) {
-            Ok(id) => submitted.push((index, id)),
-            // Unreachable after admission-time validation, but a member
-            // must never be dropped silently.
-            Err(e) => outcomes.push((index, Err(e))),
-        }
+impl ReadyBatch {
+    /// The members as service requests, in batch order.
+    pub(crate) fn requests(&self) -> Vec<SpmmRequest> {
+        self.members.iter().map(|q| q.request.clone()).collect()
     }
-    let mut responses = service.drain();
-    for (index, id) in submitted {
-        let at = responses
-            .iter()
-            .position(|r| r.request == id)
-            .expect("drain answers every submitted request");
-        outcomes.push((index, Ok(responses.swap_remove(at))));
-    }
-    outcomes.sort_by_key(|(index, _)| *index);
-    outcomes
 }
 
 /// The front-end state machine. See the module docs.
@@ -336,24 +311,10 @@ impl FrontendCore {
         if self.tenants.get(tenant.0).is_none() {
             return Err(FrontendError::UnknownTenant { name: format!("#{}", tenant.0) });
         }
-        let k = request.b.cols();
-        let Some(&cols) = self.matrix_cols.get(&request.matrix) else {
-            return Err(FrontendError::Invalid {
-                source: ServeError::UnknownMatrix { handle: request.matrix.id() },
-            });
-        };
-        if request.b.rows() != cols || k == 0 {
-            return Err(FrontendError::Invalid {
-                source: ServeError::Shape {
-                    context: format!(
-                        "matrix {} has {cols} columns but B is {}x{}",
-                        request.matrix.id(),
-                        request.b.rows(),
-                        request.b.cols()
-                    ),
-                },
-            });
-        }
+        let FrontendRequest { matrix, b, algorithm, slo_sim_seconds } = request;
+        let cols = self.matrix_cols.get(&matrix).copied();
+        check_operand(matrix, cols, &b).map_err(|source| FrontendError::Invalid { source })?;
+        let k = b.cols();
         if self.draining {
             return self.reject(tenant, RejectReason::Draining);
         }
@@ -378,9 +339,8 @@ impl FrontendCore {
             };
             return self.reject(tenant, reason);
         }
-        let key: GroupKey = (request.matrix, request.algorithm, k);
-        let plan_like =
-            matches!(request.algorithm, Algorithm::Auto) || request.algorithm.uses_plan();
+        let key: GroupKey = (matrix, algorithm, k);
+        let plan_like = matches!(algorithm, Algorithm::Auto) || algorithm.uses_plan();
         let pressured =
             self.cache_bytes as f64 >= self.config.cache_pressure * self.cache_budget_bytes as f64;
         if plan_like && pressured && !self.served_plans.contains_key(&key) {
@@ -393,15 +353,13 @@ impl FrontendCore {
 
         let job = JobId(self.next_job);
         self.next_job += 1;
-        let deadline_sim = request.slo_sim_seconds.map(|slo| self.sim_now + slo);
+        let deadline_sim = slo_sim_seconds.map(|slo| self.sim_now + slo);
         self.group_birth.entry(key).or_insert(self.polls);
         self.queue.push(Queued {
             job: job.0,
             tenant: tenant.0,
-            matrix: request.matrix,
-            b: request.b,
-            algorithm: request.algorithm,
-            k,
+            request: SpmmRequest { matrix, b, algorithm },
+            key,
             arrival_sim: self.sim_now,
             deadline_sim,
         });
@@ -417,8 +375,8 @@ impl FrontendCore {
         self.metrics.observe("frontend.queue_depth", self.queue.len() as u64);
         self.metrics.observe_labeled("frontend.queue_depth", ("tenant", &name), tenant_depth);
         let detail = match deadline_sim {
-            Some(d) => format!("{} k={k} deadline={d:.6}s", request.algorithm.name()),
-            None => format!("{} k={k} best-effort", request.algorithm.name()),
+            Some(d) => format!("{} k={k} deadline={d:.6}s", algorithm.name()),
+            None => format!("{} k={k} best-effort", algorithm.name()),
         };
         self.record(FrontendPhase::Submit, PhaseClass::Other, name, vec![job.0], detail);
         Ok(job)
@@ -458,17 +416,15 @@ impl FrontendCore {
         }
         let mut keys: Vec<GroupKey> = Vec::new();
         for q in &self.queue {
-            let key = (q.matrix, q.algorithm, q.k);
-            if !keys.contains(&key) {
-                keys.push(key);
+            if !keys.contains(&q.key) {
+                keys.push(q.key);
             }
         }
         let mut batches = Vec::new();
         for key in keys {
             let predicted = self.predicted_for(service, key);
-            let per_batch = (self.max_k_per_batch / key.2.max(1)).max(1);
-            let members: Vec<&Queued> =
-                self.queue.iter().filter(|q| (q.matrix, q.algorithm, q.k) == key).collect();
+            let per_batch = requests_per_batch(self.max_k_per_batch, key.2);
+            let members: Vec<&Queued> = self.queue.iter().filter(|q| q.key == key).collect();
             let earliest_deadline =
                 members.iter().filter_map(|q| q.deadline_sim).fold(f64::INFINITY, f64::min);
             let birth = *self.group_birth.get(&key).expect("live group has a birth poll");
@@ -510,7 +466,7 @@ impl FrontendCore {
         let mut members = Vec::new();
         let mut remaining = Vec::new();
         for q in std::mem::take(&mut self.queue) {
-            if (q.matrix, q.algorithm, q.k) == key {
+            if q.key == key {
                 members.push(q);
             } else {
                 remaining.push(q);
@@ -602,8 +558,8 @@ impl FrontendCore {
                 let tenant = tenant_ids[at];
                 self.tenants[tenant].deficit += quantum;
                 while let Some(front) = per_tenant[at].front() {
-                    if self.tenants[tenant].deficit >= front.k {
-                        self.tenants[tenant].deficit -= front.k;
+                    if self.tenants[tenant].deficit >= front.key.2 {
+                        self.tenants[tenant].deficit -= front.key.2;
                         ordered.push(per_tenant[at].pop_front().expect("front exists"));
                     } else {
                         break;
@@ -614,69 +570,66 @@ impl FrontendCore {
         ordered
     }
 
-    /// Books a batch's outcomes: accounting, metrics, timeline, responses.
+    /// Books a batch's outcomes — `served` holds the service's responses in
+    /// member order: accounting, metrics, timeline, responses.
     pub(crate) fn complete(
         &mut self,
         batch: ReadyBatch,
-        outcomes: Vec<(usize, Result<SpmmResponse, ServeError>)>,
+        served: Vec<SpmmResponse>,
         service: &SpmmService,
     ) -> Vec<FrontendResponse> {
         self.refresh(service);
         let completion = self.sim_now;
         let jobs: Vec<u64> = batch.members.iter().map(|q| q.job).collect();
-        // Tag the Execute event with the dominant class of the execution
-        // the service just performed.
+        // Tag the Execute event with the dominant class of this batch's
+        // execution: the service's latest Execute event, if it served these
+        // requests. A batch that failed recorded none.
+        let ids: Vec<u64> = served.iter().map(|r| r.request.id()).collect();
         let class = service
             .timeline()
             .iter()
-            .rev()
-            .find(|e| e.phase == SessionPhase::Execute)
-            .map_or(PhaseClass::Other, |e| e.class);
+            .rfind(|e| e.phase == SessionPhase::Execute)
+            .filter(|e| e.requests == ids)
+            .map_or(PhaseClass::Recovery, |e| e.class);
         let batch_size = batch.members.len();
         self.metrics.inc("frontend.executions", 1);
 
+        let exec_detail = served.first().map_or_else(
+            || "empty batch".to_string(),
+            |r| {
+                format!(
+                    "{}: {} x{batch_size} in {:.6}s (attempts {}{})",
+                    batch.reason.label(),
+                    r.algorithm.name(),
+                    r.sim_seconds,
+                    r.attempts,
+                    if r.fell_back { ", fell back" } else { "" },
+                )
+            },
+        );
         let mut responses = Vec::with_capacity(batch_size);
-        let mut by_index: HashMap<usize, Result<SpmmResponse, ServeError>> =
-            outcomes.into_iter().collect();
-        let mut exec_detail: Option<String> = None;
-        for (index, member) in batch.members.into_iter().enumerate() {
-            let outcome = by_index.remove(&index).expect("every member has an outcome");
-            let key: GroupKey = (member.matrix, member.algorithm, member.k);
+        for (member, reply) in batch.members.into_iter().zip(served) {
             let state = &mut self.tenants[member.tenant];
-            state.in_flight_k -= member.k;
+            state.in_flight_k -= member.key.2;
             state.completed += 1;
             let name = state.name.clone();
-            let (output, algorithm, exec_sim, cache_hit, attempts, fell_back) = match outcome {
-                Ok(r) => {
-                    (r.output, r.algorithm, r.sim_seconds, r.cache_hit, r.attempts, r.fell_back)
-                }
-                Err(e) => (Err(e), member.algorithm, 0.0, None, 0, false),
-            };
-            if output.is_ok() {
-                self.served_plans.insert(key, ());
-            }
-            if exec_detail.is_none() {
-                exec_detail = Some(format!(
-                    "{}: {} x{batch_size} in {exec_sim:.6}s (attempts {attempts}{})",
-                    batch.reason.label(),
-                    algorithm.name(),
-                    if fell_back { ", fell back" } else { "" },
-                ));
+            if reply.output.is_ok() {
+                self.served_plans.insert(member.key, ());
             }
             let response = FrontendResponse {
                 job: JobId(member.job),
                 tenant: name.clone(),
-                output,
-                algorithm,
+                output: reply.output,
+                algorithm: reply.algorithm,
                 close_reason: batch.reason,
                 batch_size,
-                exec_sim_seconds: exec_sim,
+                exec_sim_seconds: reply.sim_seconds,
                 arrival_sim_seconds: member.arrival_sim,
                 completion_sim_seconds: completion,
                 deadline_sim_seconds: member.deadline_sim,
-                cache_hit,
-                attempts,
-                fell_back,
+                cache_hit: reply.cache_hit,
+                attempts: reply.attempts,
+                fell_back: reply.fell_back,
             };
             let latency_ns = (response.latency_sim_seconds() * 1e9).round().max(0.0) as u64;
             self.metrics.inc("frontend.completed", 1);
@@ -710,13 +663,7 @@ impl FrontendCore {
             );
             responses.push(response);
         }
-        self.record(
-            FrontendPhase::Execute,
-            class,
-            String::new(),
-            jobs,
-            exec_detail.unwrap_or_else(|| "empty batch".into()),
-        );
+        self.record(FrontendPhase::Execute, class, String::new(), jobs, exec_detail);
         self.reset_idle_deficits();
         responses
     }

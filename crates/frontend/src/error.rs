@@ -117,7 +117,8 @@ pub enum FrontendError {
         name: String,
     },
     /// The request was malformed: unknown matrix handle or operand shape
-    /// mismatch, diagnosed at admission with the serving layer's own error.
+    /// mismatch, diagnosed at admission by the serving layer's own check,
+    /// [`check_operand`](twoface_serve::check_operand).
     Invalid {
         /// The underlying validation failure.
         source: ServeError,

@@ -6,9 +6,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::core::{
-    run_batch, FrontendConfig, FrontendCore, FrontendRequest, FrontendResponse, JobId,
-};
+use crate::core::{FrontendConfig, FrontendCore, FrontendRequest, FrontendResponse, JobId};
 use crate::error::FrontendError;
 use crate::tenant::{TenantDigest, TenantId, TenantQuota};
 use crate::timeline::{frontend_timeline_jsonl, tenant_events, FrontendEvent};
@@ -76,8 +74,8 @@ impl Frontend {
         let mut responses = Vec::new();
         let batches = self.core.poll(&self.service, flush);
         for batch in batches {
-            let outcomes = run_batch(&mut self.service, &batch);
-            responses.extend(self.core.complete(batch, outcomes, &self.service));
+            let served = self.service.execute(batch.requests());
+            responses.extend(self.core.complete(batch, served, &self.service));
         }
         responses
     }
@@ -309,38 +307,13 @@ impl AsyncFrontend {
             Ok(service) => service,
             Err(panic) => std::panic::resume_unwind(panic),
         };
-        let shared = std::mem::replace(
-            &mut self.shared,
-            Arc::new(Shared {
-                state: Mutex::new(SharedState {
-                    core: FrontendCore::new(&service, FrontendConfig::default()),
-                    tickets: HashMap::new(),
-                    stop: true,
-                    dead: true,
-                }),
-                work: Condvar::new(),
-            }),
+        // The scheduler marked the shared state dead on exit, so live
+        // TenantHandles get Disconnected; move the core out from under them.
+        let mut core = std::mem::replace(
+            &mut self.shared.lock().core,
+            FrontendCore::new(&service, FrontendConfig::default()),
         );
-        let mut core = match Arc::try_unwrap(shared) {
-            Ok(shared) => shared.state.into_inner().unwrap_or_else(|e| e.into_inner()).core,
-            // Live TenantHandles still point at the old state: mark it dead
-            // (their submits return Disconnected) and move the core out.
-            Err(shared) => {
-                let mut state = shared.lock();
-                state.dead = true;
-                std::mem::replace(
-                    &mut state.core,
-                    FrontendCore::new(&service, FrontendConfig::default()),
-                )
-            }
-        };
         core.set_draining(true);
-        Frontend::from_parts(core, service)
-    }
-}
-
-impl Frontend {
-    pub(crate) fn from_parts(core: FrontendCore, service: SpmmService) -> Frontend {
         Frontend { core, service }
     }
 }
@@ -423,10 +396,10 @@ fn scheduler(shared: Arc<Shared>, mut service: SpmmService) -> SpmmService {
             }
         };
         for batch in batches {
-            let outcomes = run_batch(&mut service, &batch);
+            let served = service.execute(batch.requests());
             let responses = {
                 let mut state = shared.lock();
-                state.core.complete(batch, outcomes, &service)
+                state.core.complete(batch, served, &service)
             };
             let mut state = shared.lock();
             for response in responses {

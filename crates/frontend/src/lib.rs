@@ -9,7 +9,9 @@
 //! * **Submission queue.** Producers submit from caller threads through
 //!   per-tenant handles; a scheduler (a dedicated thread in
 //!   [`AsyncFrontend`], the caller itself in the deterministic
-//!   [`Frontend`]) drains the queue into the service.
+//!   [`Frontend`]) closes batches and hands each one to
+//!   [`SpmmService::execute`](twoface_serve::SpmmService::execute), which
+//!   runs it as formed.
 //! * **Tenant quotas and fairness.** Every tenant carries a queued-request
 //!   cap and an in-flight column (`K`) budget; batch slots are handed out
 //!   by deficit round robin, so a chatty tenant cannot starve a quiet one.

@@ -2,11 +2,18 @@ use crate::{CooMatrix, MatrixError};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+/// Entries reserved up front, whatever the size line declares; the rest
+/// grows with the entries actually read.
+const MAX_PREALLOCATED_ENTRIES: usize = 1 << 16;
+
 /// Reads a sparse matrix in Matrix Market coordinate format.
 ///
 /// Supports the `matrix coordinate` object with `real`, `integer`, or
 /// `pattern` fields and `general` or `symmetric` symmetry. Pattern entries
-/// get value 1.0; symmetric entries are mirrored. Note that a mutable
+/// get value 1.0; symmetric entries are mirrored. The size line's entry
+/// count is a claim, not a size: memory grows with the entries actually
+/// read, so a short file claiming 10^18 entries fails with a parse error
+/// instead of an allocation failure. Note that a mutable
 /// reference also satisfies `R: Read`, so `read_market(&mut reader)` works
 /// when the reader must be reused.
 ///
@@ -108,7 +115,8 @@ pub fn read_market<R: Read>(reader: R) -> Result<CooMatrix, MatrixError> {
     let cols = parse_usize(dims[1], size_line_no)?;
     let declared_nnz = parse_usize(dims[2], size_line_no)?;
 
-    let mut triplets = Vec::with_capacity(declared_nnz * if symmetric { 2 } else { 1 });
+    let mirrored = declared_nnz.saturating_mul(if symmetric { 2 } else { 1 });
+    let mut triplets = Vec::with_capacity(mirrored.min(MAX_PREALLOCATED_ENTRIES));
     let mut seen = 0usize;
     for (i, line) in lines {
         let line = line?;
@@ -117,6 +125,12 @@ pub fn read_market<R: Read>(reader: R) -> Result<CooMatrix, MatrixError> {
             continue;
         }
         let line_no = i + 1;
+        if seen == declared_nnz {
+            return Err(MatrixError::Parse {
+                line: line_no,
+                message: format!("size line declared {declared_nnz} entries but file has more"),
+            });
+        }
         let fields: Vec<&str> = trimmed.split_whitespace().collect();
         let expected = if pattern { 2 } else { 3 };
         if fields.len() < expected {
@@ -252,6 +266,35 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         let err = read_market(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("declared"));
+    }
+
+    #[test]
+    fn entries_past_the_declared_count_are_rejected_where_they_start() {
+        let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 2.0\n";
+        match read_market(text.as_bytes()) {
+            Err(MatrixError::Parse { line: 4, message }) => assert!(message.contains("declared")),
+            other => panic!("expected a parse error on line 4, got {other:?}"),
+        }
+    }
+
+    /// A three-line file whose size line claims a huge entry count fails
+    /// with a parse error, for every claim up to `usize::MAX`, without
+    /// reserving memory for the claim.
+    #[test]
+    fn oversized_entry_claims_do_not_preallocate() {
+        for symmetry in ["general", "symmetric"] {
+            for claim in [10usize.pow(15), 10usize.pow(18), usize::MAX] {
+                let text = format!(
+                    "%%MatrixMarket matrix coordinate real {symmetry}\n1 1 {claim}\n1 1 1.0\n"
+                );
+                match read_market(text.as_bytes()) {
+                    Err(MatrixError::Parse { message, .. }) => {
+                        assert!(message.contains("declared"), "{symmetry} {claim}: {message}")
+                    }
+                    other => panic!("{symmetry} {claim}: expected a parse error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

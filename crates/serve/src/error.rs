@@ -4,9 +4,10 @@ use twoface_core::RunError;
 
 /// Why the service rejected or failed a request.
 ///
-/// Scheduling errors (`UnknownMatrix`, `Shape`) surface at
-/// [`submit`](crate::SpmmService::submit) time, before the request is
-/// queued; execution errors (`Run`) arrive in the request's
+/// Scheduling errors (`UnknownMatrix`, `Shape`, `MixedBatch`) surface
+/// before anything runs: from [`submit`](crate::SpmmService::submit), or
+/// in every response of a rejected [`execute`](crate::SpmmService::execute).
+/// Execution errors (`Run`) arrive in the request's
 /// [`SpmmResponse`](crate::SpmmResponse) after the retry budget — and, when
 /// enabled, the dense-allgather fallback — has been exhausted.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,6 +23,13 @@ pub enum ServeError {
     Shape {
         /// Human-readable description of the mismatch.
         context: String,
+    },
+    /// The requests handed to one `execute` call do not share one
+    /// `(matrix, algorithm, K)`, so they cannot fuse.
+    MixedBatch {
+        /// Position of the first request whose key differs from the
+        /// first request's.
+        index: usize,
     },
     /// Execution failed after `attempts` runs (retries and any fallback
     /// included).
@@ -42,6 +50,10 @@ impl std::fmt::Display for ServeError {
                 write!(f, "matrix handle {handle} is not registered with this service")
             }
             ServeError::Shape { context } => write!(f, "shape mismatch: {context}"),
+            ServeError::MixedBatch { index } => write!(
+                f,
+                "batch cannot fuse: request {index} differs from request 0 in matrix, algorithm or K"
+            ),
             ServeError::Run { request, attempts, source } => {
                 write!(f, "request {request} failed after {attempts} attempt(s): {source}")
             }
@@ -77,6 +89,9 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("shape mismatch") && s.contains("3 rows"), "{s}");
         assert!(e.source().is_none());
+
+        let e = ServeError::MixedBatch { index: 2 };
+        assert!(e.to_string().contains("request 2") && e.source().is_none());
 
         let e = ServeError::Run {
             request: 7,

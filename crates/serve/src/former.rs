@@ -1,19 +1,23 @@
-//! Batch formation: how a drained queue becomes fused executions.
+//! Batch formation for [`SpmmService::drain`]: the drained queue is
+//! grouped by `(matrix, algorithm, K)`, and each group is chunked at the
+//! [`ServeConfig::max_k_per_batch`] budget by [`requests_per_batch`], the
+//! chunk rule the front-end uses too. Callers that form their own batches
+//! hand them to [`SpmmService::execute`], which runs them as given.
 //!
-//! Formation decides *which* requests share an execution, never *what* the
-//! execution computes — it fuses only requests with identical
-//! `(matrix, algorithm, K)` keys and respects the
-//! [`ServeConfig::max_k_per_batch`] column budget, so the bit-identity
-//! contract ([`SpmmService`] docs) holds for any arrival order.
+//! Formation decides *which* requests share an execution, never *what* it
+//! computes, so the bit-identity contract ([`SpmmService`] docs) holds for
+//! any arrival order.
 //!
 //! [`ServeConfig::max_k_per_batch`]: crate::ServeConfig::max_k_per_batch
 //! [`SpmmService`]: crate::SpmmService
+//! [`SpmmService::drain`]: crate::SpmmService::drain
+//! [`SpmmService::execute`]: crate::SpmmService::execute
 
 use std::sync::Arc;
 use twoface_core::Algorithm;
 use twoface_matrix::DenseMatrix;
 
-/// A queued request, after submit-time validation.
+/// A request with its id, queued or handed to `execute`.
 pub(crate) struct Pending {
     pub(crate) id: u64,
     pub(crate) matrix: usize,
@@ -35,6 +39,13 @@ impl Batch {
     fn key(&self) -> (usize, Algorithm, usize) {
         (self.matrix, self.algorithm, self.k_each)
     }
+}
+
+/// Requests of width `k` that one execution fuses under a
+/// `max_k_per_batch` column budget. A single request wider than the budget
+/// still runs (solo).
+pub fn requests_per_batch(max_k_per_batch: usize, k: usize) -> usize {
+    (max_k_per_batch / k.max(1)).max(1)
 }
 
 /// Forms batches from a drained queue: the whole queue is grouped by
@@ -60,9 +71,7 @@ pub(crate) fn form_batches(queue: Vec<Pending>, max_k_per_batch: usize) -> Vec<B
     }
     let mut batches = Vec::new();
     for group in groups {
-        // Requests per execution under the K budget; a single request wider
-        // than the budget still runs (solo).
-        let per_batch = (max_k_per_batch / group.k_each.max(1)).max(1);
+        let per_batch = requests_per_batch(max_k_per_batch, group.k_each);
         let Batch { matrix, algorithm, k_each, requests } = group;
         let mut requests = requests.into_iter();
         loop {

@@ -8,17 +8,19 @@
 //! a service instead. This crate provides it:
 //!
 //! * [`SpmmService`] owns a persistent [`Cluster`](twoface_net::Cluster) in
-//!   window-retention mode: RMA windows stay warm between calls and the
-//!   session epoch advances monotonically, so repeated executions skip
-//!   per-run window setup.
+//!   window-retention mode. Every run still creates its RMA windows
+//!   collectively; retention only keeps them, and the `B` payloads they pin,
+//!   until the drain or execute that ran them ends.
 //! * [`PlanCache`] holds preprocessing artifacts
 //!   ([`PreparedMatrix`](twoface_core::PreparedMatrix)) keyed by a stable
 //!   content fingerprint of `(A, execution options, cluster shape)` under a
 //!   configurable byte budget with LRU eviction.
-//! * The scheduler in [`SpmmService::drain`] fuses compatible requests into
-//!   batched executions (splitting results back bit-identically), retries
-//!   transient faults under reseeded fault plans, and falls back to the
-//!   dense allgather baseline when one-sided transfers keep timing out.
+//! * [`SpmmService::execute`] runs one batch exactly as its caller formed
+//!   it; [`SpmmService::drain`] first groups the queue into batches of
+//!   compatible requests. Either way the batch runs fused (results split
+//!   back bit-identically), transient faults retry under reseeded fault
+//!   plans, and the dense allgather baseline takes over when one-sided
+//!   transfers keep timing out.
 //! * A [`SessionEvent`] timeline tags everything the service does with the
 //!   existing [`PhaseClass`](twoface_net::PhaseClass) vocabulary.
 //!
@@ -57,7 +59,9 @@ mod timeline;
 
 pub use cache::{CacheStats, PlanCache};
 pub use error::ServeError;
+pub use former::requests_per_batch;
 pub use service::{
-    MatrixHandle, RequestId, ServeConfig, SessionDigest, SpmmRequest, SpmmResponse, SpmmService,
+    check_operand, MatrixHandle, RequestId, ServeConfig, SessionDigest, SpmmRequest, SpmmResponse,
+    SpmmService,
 };
 pub use timeline::{timeline_jsonl, SessionEvent, SessionPhase};

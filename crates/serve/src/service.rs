@@ -155,11 +155,18 @@ struct Registered {
     fingerprint: u64,
 }
 
+impl Registered {
+    fn layout(&self, p: usize) -> OneDimLayout {
+        OneDimLayout::new(self.a.rows(), self.a.cols(), p, self.stripe_width)
+    }
+}
+
 /// A long-lived SpMM serving session.
 ///
 /// Owns a persistent [`Cluster`] in window-retention ("warm") mode, a
 /// fingerprint-keyed [`PlanCache`] of preprocessing artifacts, and a request
-/// queue. [`SpmmService::drain`] schedules the queue: compatible requests
+/// queue. [`SpmmService::execute`] runs a batch its caller formed as given;
+/// [`SpmmService::drain`] forms batches from the queue: compatible requests
 /// (same matrix, algorithm, and `K`) are fused into one execution up to
 /// [`ServeConfig::max_k_per_batch`] columns, preprocessing is served from
 /// the cache when the fingerprint matches, and failures are retried under
@@ -262,49 +269,64 @@ impl SpmmService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownMatrix`] for a foreign handle and
-    /// [`ServeError::Shape`] when `B`'s row count differs from `A`'s column
-    /// count (or `B` has no columns).
+    /// [`check_operand`]'s errors: [`ServeError::UnknownMatrix`] for a
+    /// foreign handle and [`ServeError::Shape`] when `B`'s row count differs
+    /// from `A`'s column count (or `B` has no columns).
     pub fn submit(&mut self, request: SpmmRequest) -> Result<RequestId, ServeError> {
-        let matrix = request.matrix.0 as usize;
-        let Some(registered) = self.matrices.get(matrix) else {
-            return Err(ServeError::UnknownMatrix { handle: request.matrix.0 });
-        };
-        if request.b.rows() != registered.a.cols() || request.b.cols() == 0 {
-            return Err(ServeError::Shape {
-                context: format!(
-                    "matrix {} is {}x{} but B is {}x{}",
-                    request.matrix.0,
-                    registered.a.rows(),
-                    registered.a.cols(),
-                    request.b.rows(),
-                    request.b.cols()
-                ),
-            });
-        }
-        let id = RequestId(self.next_request);
-        self.next_request += 1;
-        self.queue.push(Pending { id: id.0, matrix, b: request.b, algorithm: request.algorithm });
-        self.metrics.inc("serve.requests_submitted", 1);
+        self.check(&request)?;
+        let pending = self.accept(request);
+        let id = RequestId(pending.id);
+        self.queue.push(pending);
         self.metrics.observe("serve.queue_depth", self.queue.len() as u64);
         Ok(id)
     }
 
-    /// Submits one request and drains immediately — the convenience path
-    /// for callers without concurrent traffic.
+    /// Runs one request alone, leaving the queue untouched — the
+    /// convenience path for callers without concurrent traffic.
     ///
     /// # Errors
     ///
     /// Everything [`SpmmService::submit`] rejects; execution failures are
     /// reported inside the returned response.
     pub fn run_one(&mut self, request: SpmmRequest) -> Result<SpmmResponse, ServeError> {
-        let id = self.submit(request)?;
-        let mut responses = self.drain();
-        let index = responses
-            .iter()
-            .position(|r| r.request == id)
-            .expect("drain answers every queued request");
-        Ok(responses.swap_remove(index))
+        self.check(&request)?;
+        Ok(self.execute(vec![request]).pop().expect("execute answers every request"))
+    }
+
+    /// Runs `requests` as one fused batch, exactly as the caller formed it,
+    /// and answers them in the order given; like [`SpmmService::drain`], it
+    /// ends by releasing the retained windows. The batch is not re-formed,
+    /// so [`ServeConfig::max_k_per_batch`] is the caller's to respect.
+    ///
+    /// # Errors
+    ///
+    /// If a request fails [`SpmmService::submit`]'s checks, or the requests
+    /// do not share one `(matrix, algorithm, K)` ([`ServeError::MixedBatch`]),
+    /// nothing runs: every response carries the first such error, and the
+    /// requests count as failed.
+    pub fn execute(&mut self, requests: Vec<SpmmRequest>) -> Vec<SpmmResponse> {
+        let Some(first) = requests.first() else {
+            return Vec::new();
+        };
+        let key = (first.matrix, first.algorithm, first.b.cols());
+        let verdict = requests.iter().enumerate().try_for_each(|(index, r)| {
+            self.check(r)?;
+            if (r.matrix, r.algorithm, r.b.cols()) != key {
+                return Err(ServeError::MixedBatch { index });
+            }
+            Ok(())
+        });
+        let requests: Vec<Pending> = requests.into_iter().map(|r| self.accept(r)).collect();
+        let batch = Batch { matrix: requests[0].matrix, algorithm: key.1, k_each: key.2, requests };
+        let mut responses = Vec::with_capacity(batch.requests.len());
+        match verdict {
+            Ok(()) => {
+                self.execute_batch(batch, &mut responses);
+                self.release();
+            }
+            Err(e) => self.fail_batch(&batch, e, 0, false, None, &mut responses),
+        }
+        responses
     }
 
     /// Executes every queued request and returns responses in submission
@@ -327,9 +349,33 @@ impl SpmmService {
             self.execute_batch(batch, &mut responses);
         }
         responses.sort_by_key(|r| r.request);
-        // Teardown symmetry: session windows survived each run so handles
-        // stayed warm across the drain; dropping them here releases the B
-        // payloads they pin. The plan cache is unaffected.
+        self.release();
+        responses
+    }
+
+    /// [`check_operand`] against this service's registered matrices.
+    fn check(&self, request: &SpmmRequest) -> Result<(), ServeError> {
+        let cols = self.matrices.get(request.matrix.0 as usize).map(|r| r.a.cols());
+        check_operand(request.matrix, cols, &request.b)
+    }
+
+    /// Gives a request the next id and counts it as submitted.
+    fn accept(&mut self, request: SpmmRequest) -> Pending {
+        let id = self.next_request;
+        self.next_request += 1;
+        self.metrics.inc("serve.requests_submitted", 1);
+        Pending {
+            id,
+            matrix: request.matrix.0 as usize,
+            b: request.b,
+            algorithm: request.algorithm,
+        }
+    }
+
+    /// Ends a drain or an execute. Session windows survived each run of it;
+    /// dropping them releases the `B` payloads they pin. The plan cache is
+    /// unaffected.
+    fn release(&mut self) {
         self.cluster.reset();
         let sim = self.sim_now;
         self.record(
@@ -340,7 +386,6 @@ impl SpmmService {
             0,
             "drained; retained windows released".into(),
         );
-        responses
     }
 
     /// The plan-cache key a request for `(matrix, algorithm, k)` would use
@@ -359,10 +404,7 @@ impl SpmmService {
         algorithm: Algorithm,
         k: usize,
     ) -> Result<u64, ServeError> {
-        let registered = self
-            .matrices
-            .get(matrix.0 as usize)
-            .ok_or(ServeError::UnknownMatrix { handle: matrix.0 })?;
+        let registered = self.registered(matrix)?;
         Ok(self.cache_key(registered, algorithm, k))
     }
 
@@ -381,16 +423,8 @@ impl SpmmService {
         algorithm: Algorithm,
         k: usize,
     ) -> Result<f64, ServeError> {
-        let registered = self
-            .matrices
-            .get(matrix.0 as usize)
-            .ok_or(ServeError::UnknownMatrix { handle: matrix.0 })?;
-        let layout = OneDimLayout::new(
-            registered.a.rows(),
-            registered.a.cols(),
-            self.config.p,
-            registered.stripe_width,
-        );
+        let registered = self.registered(matrix)?;
+        let layout = registered.layout(self.config.p);
         let effective = self.config.exec.effective_cost(&self.config.cost);
         Ok(predict_latency(&registered.a, &layout, k, &self.config.exec, &effective, algorithm))
     }
@@ -408,10 +442,7 @@ impl SpmmService {
         algorithm: Algorithm,
         k: usize,
     ) -> Result<bool, ServeError> {
-        let registered = self
-            .matrices
-            .get(matrix.0 as usize)
-            .ok_or(ServeError::UnknownMatrix { handle: matrix.0 })?;
+        let registered = self.registered(matrix)?;
         if !self.resolve_algorithm(registered, algorithm, k).uses_plan() {
             return Ok(false);
         }
@@ -432,6 +463,10 @@ impl SpmmService {
         (0..self.matrices.len() as u64).map(MatrixHandle).collect()
     }
 
+    fn registered(&self, matrix: MatrixHandle) -> Result<&Registered, ServeError> {
+        self.matrices.get(matrix.0 as usize).ok_or(ServeError::UnknownMatrix { handle: matrix.0 })
+    }
+
     /// Resolves [`Algorithm::Auto`] against this matrix and the service's
     /// effective machine model — exactly the resolution the runner would
     /// perform, so the cache key and the plan flavor always describe the
@@ -444,12 +479,7 @@ impl SpmmService {
     ) -> Algorithm {
         match algorithm {
             Algorithm::Auto => {
-                let layout = OneDimLayout::new(
-                    registered.a.rows(),
-                    registered.a.cols(),
-                    self.config.p,
-                    registered.stripe_width,
-                );
+                let layout = registered.layout(self.config.p);
                 let effective = self.config.exec.effective_cost(&self.config.cost);
                 resolve_auto(&registered.a, &layout, k, &self.config.exec, &effective).algorithm
             }
@@ -545,25 +575,21 @@ impl SpmmService {
             self.config.p,
             registered.stripe_width,
         )
-        .map_err(|e| self.run_error(ids[0], 0, e))?;
+        .map_err(|source| ServeError::Run { request: ids[0], attempts: 0, source })?;
         let mut options = self.base_options();
         if algorithm == Algorithm::AsyncFine {
             // Async Fine's "plan" is the uniform all-async classification.
             options.plan = Some(Arc::new(PartitionPlan::build_uniform(
                 &registered.a,
-                OneDimLayout::new(
-                    registered.a.rows(),
-                    registered.a.cols(),
-                    self.config.p,
-                    registered.stripe_width,
-                ),
+                registered.layout(self.config.p),
                 batch.k_each,
                 twoface_partition::StripeClass::Async,
             )));
         }
-        let prepared = PreparedMatrix::build(&problem, &self.config.cost, &options)
-            .map(Arc::new)
-            .map_err(|e| self.run_error(ids[0], 0, e))?;
+        let prepared =
+            PreparedMatrix::build(&problem, &self.config.cost, &options)
+                .map(Arc::new)
+                .map_err(|source| ServeError::Run { request: ids[0], attempts: 0, source })?;
         let wall = start.elapsed().as_nanos() as u64;
         let evictions_before = self.cache.stats().evictions;
         self.cache.insert(key, Arc::clone(&prepared));
@@ -604,10 +630,6 @@ impl SpmmService {
         }
     }
 
-    fn run_error(&self, request: u64, attempts: u32, source: RunError) -> ServeError {
-        ServeError::Run { request, attempts, source }
-    }
-
     /// Executes one batch end to end: cache, fuse, run (with retries and
     /// fallback), split, respond.
     fn execute_batch(&mut self, batch: Batch, out: &mut Vec<SpmmResponse>) {
@@ -624,7 +646,7 @@ impl SpmmService {
             match self.prepared_for(&batch, resolved, &ids) {
                 Ok((prepared, hit, wall)) => (Some(prepared), Some(hit), wall),
                 Err(e) => {
-                    self.fail_batch(&batch, e, out);
+                    self.fail_batch(&batch, e, 0, false, None, out);
                     return;
                 }
             }
@@ -642,8 +664,8 @@ impl SpmmService {
         ) {
             Ok(problem) => problem,
             Err(e) => {
-                let e = self.run_error(ids[0], 0, e);
-                self.fail_batch(&batch, e, out);
+                let e = ServeError::Run { request: ids[0], attempts: 0, source: e };
+                self.fail_batch(&batch, e, 0, false, None, out);
                 return;
             }
         };
@@ -760,18 +782,14 @@ impl SpmmService {
             }
             Err(e) => {
                 let e = ServeError::Run { request: ids[0], attempts, source: e };
-                self.metrics.inc("serve.requests_failed", batch.requests.len() as u64);
-                self.fail_batch_with(&batch, e, attempts, fell_back, cache_hit, out);
+                self.fail_batch(&batch, e, attempts, fell_back, cache_hit, out);
             }
         }
     }
 
-    fn fail_batch(&mut self, batch: &Batch, error: ServeError, out: &mut Vec<SpmmResponse>) {
-        self.metrics.inc("serve.requests_failed", batch.requests.len() as u64);
-        self.fail_batch_with(batch, error, 0, false, None, out);
-    }
-
-    fn fail_batch_with(
+    /// Answers every request of a failed batch with `error` (a `Run` error
+    /// names each request), counting them as failed.
+    fn fail_batch(
         &mut self,
         batch: &Batch,
         error: ServeError,
@@ -780,6 +798,7 @@ impl SpmmService {
         cache_hit: Option<bool>,
         out: &mut Vec<SpmmResponse>,
     ) {
+        self.metrics.inc("serve.requests_failed", batch.requests.len() as u64);
         for pending in &batch.requests {
             let error = match &error {
                 ServeError::Run { attempts, source, .. } => ServeError::Run {
@@ -792,7 +811,7 @@ impl SpmmService {
             out.push(SpmmResponse {
                 request: RequestId(pending.id),
                 output: Err(error),
-                algorithm: batch.algorithm,
+                algorithm: pending.algorithm,
                 sim_seconds: 0.0,
                 prep_wall_nanos: 0,
                 cache_hit,
@@ -923,6 +942,32 @@ pub struct SessionDigest {
     pub queue_depth_p50: f64,
     /// Deepest pending queue observed at submit time.
     pub queue_depth_max: u64,
+}
+
+/// The one request check, shared by [`SpmmService::submit`],
+/// [`SpmmService::execute`] and admission layers that hold only the
+/// registered matrices' column counts: `cols` is the column count of the
+/// matrix behind `handle`, `None` when no such matrix is registered.
+///
+/// # Errors
+///
+/// [`ServeError::UnknownMatrix`] when `cols` is `None`, and
+/// [`ServeError::Shape`] when `B` does not have `cols` rows or has no
+/// columns.
+pub fn check_operand(
+    handle: MatrixHandle,
+    cols: Option<usize>,
+    b: &DenseMatrix,
+) -> Result<(), ServeError> {
+    let Some(cols) = cols else {
+        return Err(ServeError::UnknownMatrix { handle: handle.0 });
+    };
+    let (rows, k) = (b.rows(), b.cols());
+    if rows != cols || k == 0 {
+        let context = format!("matrix {} has {cols} columns but B is {rows}x{k}", handle.0);
+        return Err(ServeError::Shape { context });
+    }
+    Ok(())
 }
 
 /// Fuses the batch's `B` panels into one row-major operand with

@@ -15,7 +15,9 @@ use twoface_frontend::{
 use twoface_matrix::gen::erdos_renyi;
 use twoface_matrix::DenseMatrix;
 use twoface_net::{CostModel, FaultPlan, PhaseClass};
-use twoface_serve::{MatrixHandle, ServeConfig, ServeError, SpmmRequest, SpmmService};
+use twoface_serve::{
+    MatrixHandle, ServeConfig, ServeError, SessionPhase, SpmmRequest, SpmmService,
+};
 
 const N: usize = 256;
 const P: usize = 4;
@@ -433,6 +435,41 @@ fn drr_gives_a_lone_tenant_a_slot_in_the_first_batch() {
     assert_eq!(quiet_response.batch_size, 4);
 }
 
+/// A batch that fails records no service Execute event, so its front-end
+/// Execute event is tagged Recovery — not with the class of whichever
+/// batch executed before it.
+#[test]
+fn a_failed_batch_is_tagged_recovery_on_the_timeline() {
+    let mut cfg = config();
+    // Allgather issues no one-sided gets, so it completes; Async Fine is
+    // all gets and, with no retry and no fallback, fails.
+    cfg.fault_plan = Some(FaultPlan::seeded(3).with_get_failure_rate(1.0));
+    cfg.retry_budget = 0;
+    cfg.fallback = false;
+    let mut service = SpmmService::new(cfg);
+    let a = service.register_matrix(matrix(1), STRIPE).unwrap();
+    let mut fe = Frontend::new(service, FrontendConfig::default());
+    let t = fe.register_tenant("alpha", TenantQuota::default()).unwrap();
+    let execute_class = |fe: &Frontend| {
+        let execute = fe.timeline().iter().rfind(|e| e.phase == FrontendPhase::Execute);
+        execute.expect("the batch executed").class
+    };
+
+    let request = FrontendRequest::new(a, dense(8, 0)).with_algorithm(Algorithm::Allgather);
+    fe.submit(t, request).unwrap();
+    assert!(fe.drain()[0].output.is_ok());
+    let served = fe.service().timeline().iter().rfind(|e| e.phase == SessionPhase::Execute);
+    let served_class = served.expect("the service executed the batch").class;
+    assert_ne!(served_class, PhaseClass::Recovery);
+    assert_eq!(execute_class(&fe), served_class);
+
+    let request = FrontendRequest::new(a, dense(8, 1)).with_algorithm(Algorithm::AsyncFine);
+    fe.submit(t, request).unwrap();
+    let failed = fe.drain();
+    assert!(matches!(failed[0].output, Err(ServeError::Run { .. })), "{:?}", failed[0].output);
+    assert_eq!(execute_class(&fe), PhaseClass::Recovery);
+}
+
 // ---------------------------------------------------------------------------
 // Threaded mode: producers on caller threads, graceful shutdown.
 // ---------------------------------------------------------------------------
@@ -526,6 +563,8 @@ struct ScenarioOutcome {
     rejections: Vec<String>,
     timeline: String,
     counters: Vec<(String, u64)>,
+    /// Executions the service ran (`serve.batches`).
+    serve_batches: u64,
     /// Batches the timeline shows closing early under deadline pressure.
     deadline_closes: usize,
 }
@@ -638,6 +677,7 @@ fn chaos_scenario(workers: usize) -> ScenarioOutcome {
         rejections,
         timeline: fe.timeline_jsonl(),
         counters,
+        serve_batches: fe.service().metrics().counter("serve.batches"),
         deadline_closes,
     }
 }
@@ -686,6 +726,11 @@ fn chaos_multi_tenant_scenario_meets_the_acceptance_contract() {
             "job {job} (tenant {tenant}, seed {seed}) must match its solo run bitwise"
         );
     }
+
+    // One service execution per closed batch: the service runs each batch
+    // as the front-end formed it.
+    let executions = outcome.counters.iter().find(|(k, _)| k == "frontend.executions");
+    assert_eq!(executions.map(|(_, v)| *v), Some(outcome.serve_batches));
 
     // At least one batch demonstrably closed early under deadline pressure,
     // asserted from the timeline (and the whole timeline stays valid JSONL).

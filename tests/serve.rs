@@ -8,7 +8,7 @@ use twoface_matrix::gen::erdos_renyi;
 use twoface_matrix::DenseMatrix;
 use twoface_net::{CostModel, FaultPlan};
 use twoface_serve::{
-    timeline_jsonl, ServeConfig, ServeError, SessionPhase, SpmmRequest, SpmmService,
+    timeline_jsonl, ServeConfig, ServeError, SessionPhase, SpmmRequest, SpmmResponse, SpmmService,
 };
 
 const N: usize = 256;
@@ -529,4 +529,144 @@ fn batch_formation_is_arrival_order_insensitive() {
         batch_counts.windows(2).all(|w| w[0] == w[1]),
         "key-grouped formation fuses identically under every arrival order: {batch_counts:?}"
     );
+}
+
+/// `run_one` runs its request alone: a request queued earlier neither fuses
+/// into that run nor loses its answer, and the next drain serves it with
+/// the same bits as a solo run.
+#[test]
+fn run_one_leaves_queued_requests_for_the_next_drain() {
+    let a = matrix(91);
+    let (x, y) = (dense(8, 1), dense(8, 2));
+    let mut solo = SpmmService::new(config());
+    let sh = solo.register_matrix(Arc::clone(&a), STRIPE).unwrap();
+    let x_solo = solo.run_one(SpmmRequest::new(sh, Arc::clone(&x))).unwrap().output.unwrap();
+
+    let mut service = SpmmService::new(config());
+    let h = service.register_matrix(a, STRIPE).unwrap();
+    let x_id = service.submit(SpmmRequest::new(h, x)).unwrap();
+    let y_response = service.run_one(SpmmRequest::new(h, y)).unwrap();
+    assert_eq!(y_response.batch_size, 1, "run_one must not fuse the queued request");
+    assert_ne!(y_response.request, x_id);
+
+    let drained = service.drain();
+    assert_eq!(drained.len(), 1, "the queued request is still there");
+    assert_eq!(drained[0].request, x_id);
+    assert_eq!(drained[0].batch_size, 1);
+    assert_eq!(drained[0].output.as_ref().unwrap().as_slice(), x_solo.as_slice());
+    assert!(service.drain().is_empty());
+}
+
+/// `execute` and `submit` + `drain` are two ways into one execution: the
+/// same batch answers with the same bits, the same simulated seconds and
+/// the same session timeline either way.
+fn execute_matches_submit_and_drain_under(
+    fault_plan: Option<FaultPlan>,
+    algorithm: Algorithm,
+) -> Vec<SpmmResponse> {
+    let a = matrix(93);
+    let panels: Vec<_> = (0..3).map(|i| dense(8, 110 + i)).collect();
+    let mut cfg = config();
+    cfg.fault_plan = fault_plan;
+
+    let mut direct = SpmmService::new(cfg.clone());
+    let dh = direct.register_matrix(Arc::clone(&a), STRIPE).unwrap();
+    let request =
+        |matrix, b: &Arc<DenseMatrix>| SpmmRequest { matrix, b: Arc::clone(b), algorithm };
+    let executed = direct.execute(panels.iter().map(|b| request(dh, b)).collect());
+
+    let mut queued = SpmmService::new(cfg);
+    let qh = queued.register_matrix(a, STRIPE).unwrap();
+    for b in &panels {
+        queued.submit(request(qh, b)).unwrap();
+    }
+    let drained = queued.drain();
+
+    assert_eq!(executed.len(), panels.len());
+    assert_eq!(drained.len(), panels.len());
+    for (e, d) in executed.iter().zip(&drained) {
+        assert_eq!(e.request, d.request, "both ways assign ids from one counter");
+        assert_eq!(e.output.as_ref().unwrap().as_slice(), d.output.as_ref().unwrap().as_slice());
+        assert_eq!(e.sim_seconds.to_bits(), d.sim_seconds.to_bits());
+        assert_eq!(e.cache_hit, d.cache_hit);
+        assert_eq!((e.attempts, e.fell_back), (d.attempts, d.fell_back));
+        assert_eq!(e.batch_size, panels.len());
+        assert_eq!(e.batch_size, d.batch_size);
+    }
+    let narrate = |s: &SpmmService| -> Vec<String> {
+        let e = s.timeline().iter();
+        e.map(|e| format!("{:?} {:?} {:?} {}", e.phase, e.class, e.requests, e.detail)).collect()
+    };
+    assert_eq!(narrate(&direct), narrate(&queued));
+    assert_eq!(direct.sim_seconds().to_bits(), queued.sim_seconds().to_bits());
+    for counter in ["serve.requests_submitted", "serve.batches", "serve.retries", "serve.fallbacks"]
+    {
+        assert_eq!(direct.metrics().counter(counter), queued.metrics().counter(counter));
+    }
+    executed
+}
+
+#[test]
+fn execute_matches_submit_and_drain() {
+    let responses = execute_matches_submit_and_drain_under(None, Algorithm::TwoFace);
+    assert!(responses.iter().all(|r| r.attempts == 1 && r.cache_hit == Some(false)));
+}
+
+#[test]
+fn execute_matches_submit_and_drain_under_chaos() {
+    execute_matches_submit_and_drain_under(Some(FaultPlan::light(99)), Algorithm::TwoFace);
+    // Every one-sided get fails: both ways retry, then fall back.
+    let degraded = FaultPlan::seeded(3).with_get_failure_rate(1.0);
+    let responses = execute_matches_submit_and_drain_under(Some(degraded), Algorithm::AsyncFine);
+    assert!(responses.iter().all(|r| r.fell_back && r.output.is_ok()));
+}
+
+#[test]
+fn execute_rejects_invalid_batches_with_typed_errors() {
+    let mut service = SpmmService::new(config());
+    let a = service.register_matrix(matrix(95), STRIPE).unwrap();
+    let b = service.register_matrix(matrix(96), STRIPE).unwrap();
+    let request = |matrix, k, algorithm| SpmmRequest { matrix, b: dense(k, 5), algorithm };
+    let two_face = Algorithm::TwoFace;
+    // Nothing runs: every request is answered with the batch's one error.
+    let mut rejected = |requests: Vec<SpmmRequest>| -> ServeError {
+        let n = requests.len();
+        let responses = service.execute(requests);
+        assert_eq!(responses.len(), n, "every request is answered");
+        let first = responses[0].output.clone().expect_err("nothing may run");
+        for r in &responses {
+            assert_eq!(r.output.as_ref().expect_err("nothing may run"), &first);
+            assert_eq!(r.attempts, 0);
+        }
+        first
+    };
+
+    let mut other = SpmmService::new(config());
+    for _ in 0..3 {
+        other.register_matrix(matrix(97), STRIPE).unwrap();
+    }
+    let foreign = other.matrix_handles()[2];
+    let error = rejected(vec![request(a, 8, two_face), request(foreign, 8, two_face)]);
+    assert!(matches!(error, ServeError::UnknownMatrix { handle: 2 }), "{error:?}");
+
+    let short = Arc::new(DenseMatrix::from_fn(N / 2, 8, |_, _| 1.0));
+    let wrong_rows = SpmmRequest { matrix: a, b: short, algorithm: two_face };
+    match rejected(vec![request(a, 8, two_face), wrong_rows]) {
+        ServeError::Shape { context } => assert!(context.contains("but B is"), "{context}"),
+        other => panic!("expected a shape error, got {other:?}"),
+    }
+
+    // Mixed matrix, algorithm or K: the first request that differs.
+    for (mixed, index) in [
+        (vec![request(a, 8, two_face), request(b, 8, two_face)], 1),
+        (vec![request(a, 8, two_face), request(a, 8, Algorithm::Allgather)], 1),
+        (vec![request(a, 8, two_face), request(a, 8, two_face), request(a, 4, two_face)], 2),
+    ] {
+        assert_eq!(rejected(mixed), ServeError::MixedBatch { index });
+    }
+
+    assert!(service.execute(Vec::new()).is_empty(), "an empty batch answers nothing");
+    assert_eq!(service.metrics().counter("serve.batches"), 0);
+    assert!(service.timeline().iter().all(|e| e.phase == SessionPhase::Register));
+    assert_eq!(service.sim_seconds(), 0.0);
 }
