@@ -34,7 +34,7 @@ use crate::pool::{Pool, WallTimer};
 use crate::runner::{ExecOpts, Problem};
 use std::sync::Arc;
 use twoface_matrix::{SmallTriplet, SCALAR_BYTES};
-use twoface_net::{Lane, NetError, Payload, PhaseClass, RankCtx};
+use twoface_net::{Lane, MulticastStep, NetError, Payload, PhaseClass, RankCtx};
 use twoface_partition::PartitionPlan;
 
 /// Shared preprocessed inputs for Two-Face and Async Fine, indexed by rank.
@@ -209,12 +209,13 @@ impl StripeSource for &RankMatrices {
 }
 
 /// The sync lane's transfer phase (Algorithm 1, lines 5–8), shared with
-/// SDDMM, whose `Y` rows travel exactly as SpMM's `B` rows do: walk the
-/// stripes in the canonical global order — which keeps every rank's
-/// collective sequence consistent, as MPI requires — and join each
-/// multicast whose group lists this rank, as root when it owns the stripe.
-/// Returns this rank's own block plus every received stripe as one row
-/// source.
+/// SDDMM, whose `Y` rows travel exactly as SpMM's `B` rows do. Every rank
+/// holds the replicated multicast metadata, so the whole phase is one
+/// multicast chain: a step per communicated stripe in the canonical global
+/// order — which keeps every rank's collective sequence consistent, as MPI
+/// requires — rooted at the stripe's owner, with destinations borrowed from
+/// the plan. Returns this rank's own block plus every received stripe as
+/// one row source.
 pub(crate) fn sync_multicasts(
     ctx: &mut RankCtx,
     plan: &PartitionPlan,
@@ -224,27 +225,29 @@ pub(crate) fn sync_multicasts(
     let rank = ctx.rank();
     let layout = plan.layout();
     let my_cols = layout.col_range(rank);
+    let steps: Vec<MulticastStep<'_>> = (0..layout.num_stripes())
+        .filter_map(|stripe| {
+            let dests = plan.multicast_destinations(stripe);
+            // Nobody needs an empty-destination stripe synchronously: it is
+            // never communicated.
+            let root = layout.stripe_owner(stripe);
+            (!dests.is_empty()).then_some(MulticastStep { tag: stripe as u64, root, dests })
+        })
+        .collect();
+    let received = ctx.multicast_chain(&steps, |i| {
+        // Zero-copy: the multicast payload is a view into the resident B
+        // block, not a materialised stripe copy.
+        let cols = layout.stripe_cols(steps[i].tag as usize);
+        let lo = (cols.start - my_cols.start) * k;
+        let hi = (cols.end - my_cols.start) * k;
+        Payload::from(Arc::clone(b_block)).subslice(lo..hi)
+    })?;
     let mut stripe_buffers = BlockRows::new(k);
     stripe_buffers.add_block(my_cols.clone(), Arc::clone(b_block));
-    for stripe in 0..layout.num_stripes() {
-        let Some(group) = plan.multicast_group(stripe) else {
-            continue; // nobody needs it synchronously: never communicated
-        };
-        if !group.contains(&rank) {
-            continue;
-        }
-        let owner = layout.stripe_owner(stripe);
-        let payload = (owner == rank).then(|| {
-            // Zero-copy: the multicast payload is a view into the resident
-            // B block, not a materialised stripe copy.
-            let cols = layout.stripe_cols(stripe);
-            let lo = (cols.start - my_cols.start) * k;
-            let hi = (cols.end - my_cols.start) * k;
-            Payload::from(Arc::clone(b_block)).subslice(lo..hi)
-        });
-        let buf = ctx.multicast(stripe as u64, owner, &group, payload)?;
-        if owner != rank {
-            stripe_buffers.add_block(layout.stripe_cols(stripe), buf);
+    for (i, buf) in received {
+        let step = &steps[i];
+        if step.root != rank {
+            stripe_buffers.add_block(layout.stripe_cols(step.tag as usize), buf);
         }
     }
     Ok(stripe_buffers)

@@ -4,7 +4,7 @@
 use crate::event::{
     EventSink, FlightEntry, Observability, Op, OpEvent, OpKind, FLIGHT_CAPACITY_DEFAULT,
 };
-use crate::meet::{MeetOutcome, MeetPoison, MeetRegistry, Payload};
+use crate::meet::{Arrival, MeetPoison, MeetRegistry, Meeting, Payload};
 use crate::metrics::MetricsRegistry;
 use crate::{
     CostModel, FaultEvent, FaultKind, FaultPlan, NetError, PhaseClass, RankTrace, SimTime,
@@ -43,6 +43,36 @@ impl Lane {
 /// via [`RankCtx::win_get`] and [`RankCtx::win_rget_rows`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowId(usize);
+
+/// One multicast of a [`RankCtx::multicast_chain`]: `root` sends its
+/// payload to every rank in `dests`.
+///
+/// A step's members are `root` plus `dests`: distinct ranks below `p`. A
+/// step with no destinations has the root as its only member and moves
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MulticastStep<'a> {
+    /// Names the multicast within the run (below 2<sup>40</sup>); the first
+    /// tag of a chain's steps with two or more members is the chain's meet
+    /// tag.
+    pub tag: u64,
+    /// The rank that supplies the payload.
+    pub root: usize,
+    /// The receiving ranks, excluding `root`.
+    pub dests: &'a [usize],
+}
+
+impl MulticastStep<'_> {
+    /// The step's members: the root, then the destinations.
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.root).chain(self.dests.iter().copied())
+    }
+
+    /// Whether `rank` sends or receives in this step.
+    fn involves(&self, rank: usize) -> bool {
+        self.root == rank || self.dests.contains(&rank)
+    }
+}
 
 /// Tag namespaces keep auto-sequenced all-rank collectives, user-tagged
 /// multicasts, and window barriers from colliding.
@@ -453,8 +483,8 @@ impl RankCtx {
         });
     }
 
-    /// Records the sync-lane wait from `arrive` until the meet at `outcome`
-    /// completed, naming its straggler — the whole op for a barrier, the
+    /// Records the sync-lane wait from `arrive` until `meeting` completed,
+    /// naming its straggler — the whole op for a barrier, the
     /// [`OpKind::MeetWait`] before any other collective's transfer — and
     /// counts the op under `counter` with its arrival spread.
     fn record_meet(
@@ -462,7 +492,7 @@ impl RankCtx {
         kind: OpKind,
         class: PhaseClass,
         arrive: SimTime,
-        outcome: &MeetOutcome,
+        meeting: &Meeting,
         counter: &str,
     ) {
         self.events.record(Op {
@@ -470,9 +500,9 @@ impl RankCtx {
             lane: Lane::Sync,
             class,
             start: arrive,
-            end: outcome.time,
+            end: meeting.time,
             elements: 0,
-            peers: [outcome.straggler],
+            peers: [meeting.straggler],
             initiator: false,
             fault: None,
             wall_nanos: None,
@@ -480,7 +510,7 @@ impl RankCtx {
         if self.events.comm() {
             self.metrics.inc(counter, 1);
             // Integer nanoseconds, for histogram bucketing.
-            let spread_ns = (outcome.spread_seconds * 1e9).round() as u64;
+            let spread_ns = (meeting.spread_seconds * 1e9).round() as u64;
             self.metrics.observe("meet_arrival_spread_ns", spread_ns);
         }
     }
@@ -547,68 +577,46 @@ impl RankCtx {
     ///
     /// Returns exactly `0.0` with no plan installed, so adding it to an
     /// arrival time reproduces the fault-free timeline bit-for-bit.
-    fn meet_arrival_delay(&mut self) -> (u64, f64) {
+    fn meet_arrival_delay(&mut self) -> f64 {
         let meet_idx = self.trace.meets;
         self.trace.meets += 1;
         let Some(plan) = self.faults.clone() else {
-            return (meet_idx, 0.0);
+            return 0.0;
         };
-        let mut delay = 0.0;
-        for (kind, seconds) in [
-            (FaultKind::MeetJitter, plan.meet_jitter(self.rank, meet_idx)),
-            (FaultKind::RankStall, plan.slow_extra(self.rank)),
-        ] {
-            if seconds > 0.0 {
-                let fault = FaultEvent { kind, op: meet_idx, attempt: 0, seconds };
-                self.record_fault(fault, Lane::Sync, PhaseClass::Other, self.now());
-                delay += seconds;
-            }
-        }
-        (meet_idx, delay)
+        arrival_delay(&plan, self.rank, meet_idx, |kind, seconds| {
+            let fault = FaultEvent { kind, op: meet_idx, attempt: 0, seconds };
+            self.record_fault(fault, Lane::Sync, PhaseClass::Other, self.now());
+        })
     }
 
-    /// Surfaces a poisoned (aborted) meet as the stall error every surviving
-    /// rank reports. Must run before a collective touches the outcome's
-    /// payloads: an aborted meet carries none.
-    fn abort_check(&self, outcome: &MeetOutcome) -> Result<(), NetError> {
-        let Some(poison) = outcome.poisoned else {
-            return Ok(());
-        };
-        Err(NetError::RankStalled {
+    /// The stall error this rank reports for `poison`: the abort of a meet
+    /// that a stall elsewhere poisoned, or of a chain step that a stall
+    /// earlier in the chain cancelled.
+    fn stalled(&self, poison: MeetPoison) -> NetError {
+        NetError::RankStalled {
             rank: self.rank,
             straggler: poison.straggler,
             stalled_seconds: poison.stalled_seconds,
             timeout_seconds: poison.timeout_seconds,
-        })
+        }
     }
 
     /// Straggler-tolerance check after a meet: if the spread between the
     /// earliest and latest arrival exceeds the plan's stall timeout, fail
     /// with [`NetError::RankStalled`]. The spread is identical for every
     /// participant, so all members of the meet decide identically and abort
-    /// together. For subgroup meets (2D grid multicasts, pairwise reduces)
-    /// the non-members cannot observe the spread, so the tripping members
-    /// additionally poison the meet registry: every rank blocked at (or
-    /// later arriving at) any other collective aborts with the same typed
-    /// error instead of deadlocking against the dead subgroup.
-    fn stall_check(&self, outcome: &MeetOutcome) -> Result<(), NetError> {
-        let Some(timeout) = self.faults.as_ref().and_then(|p| p.stall_timeout_seconds) else {
+    /// together. For subgroup meets (2D grid multicasts, pairwise reduces,
+    /// chain steps) the non-members cannot observe the spread, so the
+    /// tripping members additionally poison the meet registry: every rank
+    /// blocked at (or later arriving at) any other collective aborts with
+    /// the same typed error instead of deadlocking against the dead
+    /// subgroup.
+    fn stall_check(&self, meeting: &Meeting) -> Result<(), NetError> {
+        let Some(poison) = stall_poison(self.faults.as_deref(), meeting) else {
             return Ok(());
         };
-        if outcome.spread_seconds > timeout {
-            self.shared.meets.poison(MeetPoison {
-                straggler: outcome.straggler,
-                stalled_seconds: outcome.spread_seconds,
-                timeout_seconds: timeout,
-            });
-            return Err(NetError::RankStalled {
-                rank: self.rank,
-                straggler: outcome.straggler,
-                stalled_seconds: outcome.spread_seconds,
-                timeout_seconds: timeout,
-            });
-        }
-        Ok(())
+        self.shared.meets.poison(poison);
+        Err(self.stalled(poison))
     }
 
     /// Charges one one-sided transfer of modeled cost `base_cost` against
@@ -710,17 +718,17 @@ impl RankCtx {
     pub fn barrier(&mut self) -> Result<(), NetError> {
         let tag = self.auto_tag();
         let arrive = self.now();
-        let (_, delay) = self.meet_arrival_delay();
+        let delay = self.meet_arrival_delay();
         let outcome = self.shared.meets.meet(tag, self.shared.p, self.rank, arrive + delay, None);
-        self.abort_check(&outcome)?;
+        let meeting = outcome.map_err(|poison| self.stalled(poison))?.meeting;
         // Wait is charged from the pre-delay arrival, so injected delays are
         // part of the charged wait and faulted traces dominate fault-free
         // ones term by term.
-        let wait = outcome.time.since(arrive);
+        let wait = meeting.time.since(arrive);
         self.trace.add_time(PhaseClass::Other, wait);
-        self.clocks = [outcome.time; 2];
-        self.record_meet(OpKind::Barrier, PhaseClass::Other, arrive, &outcome, "ops.barrier");
-        self.stall_check(&outcome)?;
+        self.clocks = [meeting.time; 2];
+        self.record_meet(OpKind::Barrier, PhaseClass::Other, arrive, &meeting, "ops.barrier");
+        self.stall_check(&meeting)?;
         Ok(())
     }
 
@@ -740,33 +748,34 @@ impl RankCtx {
         let p = self.shared.p;
         let my_len = data.len();
         let arrive = self.clocks[Lane::Sync.index()];
-        let (_, delay) = self.meet_arrival_delay();
+        let delay = self.meet_arrival_delay();
         let outcome = self.shared.meets.meet(tag, p, self.rank, arrive + delay, Some(data));
-        self.abort_check(&outcome)?;
+        let outcome = outcome.map_err(|poison| self.stalled(poison))?;
         let out: Vec<Payload> = (0..p)
             .map(|r| outcome.payloads.get(&r).expect("every rank contributes to allgather").clone())
             .collect();
+        let meeting = outcome.meeting;
         let cost = self.shared.cost.allgather_cost(my_len, p);
         let total: usize = out.iter().map(|b| b.len()).sum();
-        self.clocks[Lane::Sync.index()] = outcome.time + cost;
-        self.trace.add_time(PhaseClass::SyncComm, outcome.time.since(arrive) + cost);
+        self.clocks[Lane::Sync.index()] = meeting.time + cost;
+        self.trace.add_time(PhaseClass::SyncComm, meeting.time.since(arrive) + cost);
         self.trace.messages += 1;
         self.trace.elements_sent += (my_len * (p - 1)) as u64;
         self.trace.elements_received += (total - my_len) as u64;
-        self.record_meet(OpKind::MeetWait, PhaseClass::SyncComm, arrive, &outcome, "ops.allgather");
+        self.record_meet(OpKind::MeetWait, PhaseClass::SyncComm, arrive, &meeting, "ops.allgather");
         self.events.record(Op {
             kind: OpKind::Allgather,
             lane: Lane::Sync,
             class: PhaseClass::SyncComm,
-            start: outcome.time,
-            end: outcome.time + cost,
+            start: meeting.time,
+            end: meeting.time + cost,
             elements: (my_len * (p - 1) + (total - my_len)) as u64,
             peers: [],
             initiator: true,
             fault: None,
             wall_nanos: None,
         });
-        self.stall_check(&outcome)?;
+        self.stall_check(&meeting)?;
         Ok(out)
     }
 
@@ -775,46 +784,158 @@ impl RankCtx {
     ///
     /// All ranks in `group` (which must contain `root` and the caller) must
     /// call with the same `tag` and `group`. Groups with a single member
-    /// return immediately at zero cost — no transfer happens.
+    /// return immediately at zero cost — no transfer happens. This is the
+    /// one-step [`RankCtx::multicast_chain`], so its members meet once.
     ///
     /// Operates on the [`Lane::Sync`] clock ([`PhaseClass::SyncComm`]).
     ///
+    /// # Errors
+    ///
+    /// [`NetError::RankStalled`] under an installed fault plan whose stall
+    /// timeout the arrival spread exceeds, or once a stall elsewhere has
+    /// poisoned the cluster's meets.
+    ///
     /// # Panics
     ///
-    /// Panics if the caller or root is not in `group`, if the caller is the
-    /// root but supplies no data, or on tag misuse (reuse before completion,
+    /// Panics if the caller or root is not in `group`, if a member is listed
+    /// twice or is not a rank of the cluster, if the caller is the root but
+    /// supplies no data, or on tag misuse (reuse before completion,
     /// mismatched group sizes).
     pub fn multicast(
         &mut self,
         tag: u64,
         root: usize,
         group: &[usize],
-        data: Option<Payload>,
+        mut data: Option<Payload>,
     ) -> Result<Payload, NetError> {
         assert!(group.contains(&self.rank), "rank {} not in multicast group", self.rank);
-        assert!(group.contains(&root), "root {root} not in multicast group");
-        let is_root = self.rank == root;
-        if is_root {
-            assert!(data.is_some(), "multicast root must supply data");
+        let Some(at) = group.iter().position(|&m| m == root) else {
+            panic!("root {root} not in multicast group");
+        };
+        let dests = [&group[..at], &group[at + 1..]].concat();
+        let step = MulticastStep { tag, root, dests: &dests };
+        let received = self
+            .multicast_chain(&[step], |_| data.take().expect("multicast root must supply data"))?;
+        Ok(received.into_iter().next().expect("the caller is a member").1)
+    }
+
+    /// A chain of multicasts whose every step all ranks know in advance —
+    /// Two-Face's replicated multicast metadata (Algorithm 1, lines 5–8) —
+    /// run with one rendezvous instead of one per step.
+    ///
+    /// Every rank that is a member of any step passes the same `steps`;
+    /// `root_payload(i)` supplies this rank's payload for each step `i` it
+    /// roots, in step order. Returns `(i, payload)` for every step `i` this
+    /// rank is a member of, in step order; a root gets its own payload back.
+    ///
+    /// The chain's participants — the members of its steps with two or more
+    /// members — meet once. The last to arrive resolves every step in list
+    /// order exactly as the step's own meet would: each member arrives at
+    /// its sync clock after its previous step plus the fault plan's arrival
+    /// delay at its next meet index, and the step completes at the latest
+    /// arrival. Each rank then replays its own steps, recording for each
+    /// what a multicast records around its meet (clocks, trace counters,
+    /// events, metrics, fault events), so a chain is bit-identical to its
+    /// steps issued one at a time. A one-member step returns the root's
+    /// payload with no meet, and a rank in no step with two or more members
+    /// returns without blocking.
+    ///
+    /// Operates on the [`Lane::Sync`] clock ([`PhaseClass::SyncComm`]).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::RankStalled`] if a step's arrival spread exceeds the
+    /// installed plan's stall timeout. The resolution stops at the first
+    /// such step: its members replay every step up to and including it,
+    /// then fail and poison the cluster's meets; every other participant
+    /// fails at its first later step, after that step's arrival draw; a
+    /// participant with no later step returns normally and meets the poison
+    /// at its next collective. The same error comes back, at the first step
+    /// with two or more members, if a stall elsewhere poisoned the meets
+    /// before the chain met.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any rank blocks, if a step's members are not distinct
+    /// ranks of the cluster; at the rendezvous if participants pass
+    /// different step lists; and on the meet watchdog.
+    pub fn multicast_chain(
+        &mut self,
+        steps: &[MulticastStep<'_>],
+        mut root_payload: impl FnMut(usize) -> Payload,
+    ) -> Result<Vec<(usize, Payload)>, NetError> {
+        let me = self.rank;
+        let shape = ChainShape::of(steps, self.shared.p, me);
+        // The payloads of this rank's one-member steps, which it keeps, and
+        // of the steps it roots that meet, which it deposits.
+        let (mut solo, mut rooted) = (Vec::new(), Vec::new());
+        for (i, step) in steps.iter().enumerate().filter(|(_, step)| step.root == me) {
+            let payload = root_payload(i);
+            if step.dests.is_empty() {
+                solo.push((i, payload));
+            } else {
+                rooted.push(payload);
+            }
         }
-        if group.len() == 1 {
-            return Ok(data.expect("single-member multicast is root-only"));
+        if !shape.participating {
+            return Ok(solo);
         }
-        let arrive = self.clocks[Lane::Sync.index()];
-        let (_, delay) = self.meet_arrival_delay();
-        let outcome = self.shared.meets.meet(
+        let tag = shape.tag.expect("a participant is a member of a step that meets");
+        let arrival = Arrival {
+            rank: me,
+            time: self.clocks[Lane::Sync.index()],
+            meets: self.trace.meets,
+            payloads: rooted,
+        };
+        let plan = self.faults.as_deref();
+        let resolved = self.shared.meets.rendezvous(
             self.epoch_tag(TAG_MULTICAST, tag),
-            group.len(),
-            self.rank,
-            arrive + delay,
-            if is_root { data } else { None },
+            shape.participants,
+            (steps.len(), shape.hash),
+            arrival,
+            |arrivals| resolve_chain(steps, arrivals, self.shared.p, &self.shared.cost, plan),
         );
-        self.abort_check(&outcome)?;
-        let buf = outcome.payloads.get(&root).expect("root deposited multicast data").clone();
-        let destinations = group.len() - 1;
+        // Steps the resolution covers; past them, the stall that stopped it.
+        let (met, stop): (&[Option<(Meeting, Payload)>], _) = match &resolved {
+            Ok(chain) => (&chain.steps, chain.tripped),
+            Err(poison) => (&[], Some(*poison)),
+        };
+        let mut solo = solo.into_iter();
+        let mut received = Vec::new();
+        for (i, step) in steps.iter().enumerate().filter(|(_, step)| step.involves(me)) {
+            if step.dests.is_empty() {
+                received.push(solo.next().expect("a one-member step is its root's"));
+                continue;
+            }
+            let arrive = self.clocks[Lane::Sync.index()];
+            self.meet_arrival_delay();
+            let Some(Some((meeting, buf))) = met.get(i) else {
+                let poison = stop.expect("a chain stops early only at a stall");
+                return Err(self.stalled(poison));
+            };
+            self.finish_multicast(step, arrive, meeting, buf)?;
+            received.push((i, buf.clone()));
+        }
+        Ok(received)
+    }
+
+    /// Everything a multicast step does after its meet, in order: the
+    /// transfer's cost on the sync lane, the trace counters, the
+    /// [`OpKind::MeetWait`] and [`OpKind::Multicast`] events, the metrics,
+    /// then the stall check.
+    fn finish_multicast(
+        &mut self,
+        step: &MulticastStep<'_>,
+        arrive: SimTime,
+        meeting: &Meeting,
+        buf: &Payload,
+    ) -> Result<(), NetError> {
+        let me = self.rank;
+        let is_root = step.root == me;
+        let destinations = step.dests.len();
         let cost = self.shared.cost.multicast_cost(buf.len(), destinations);
-        self.clocks[Lane::Sync.index()] = outcome.time + cost;
-        self.trace.add_time(PhaseClass::SyncComm, outcome.time.since(arrive) + cost);
+        self.clocks[Lane::Sync.index()] = meeting.time + cost;
+        self.trace.add_time(PhaseClass::SyncComm, meeting.time.since(arrive) + cost);
         self.trace.messages += 1;
         if is_root {
             self.trace.elements_sent += (buf.len() * destinations) as u64;
@@ -822,16 +943,15 @@ impl RankCtx {
         } else {
             self.trace.elements_received += buf.len() as u64;
         }
-        self.record_meet(OpKind::MeetWait, PhaseClass::SyncComm, arrive, &outcome, "ops.multicast");
+        self.record_meet(OpKind::MeetWait, PhaseClass::SyncComm, arrive, meeting, "ops.multicast");
         // The root's peers are its destinations, a receiver's the root.
-        let me = self.rank;
-        let ends = if is_root { group } else { std::slice::from_ref(&root) };
+        let ends = if is_root { step.dests } else { std::slice::from_ref(&step.root) };
         self.events.record(Op {
             kind: OpKind::Multicast,
             lane: Lane::Sync,
             class: PhaseClass::SyncComm,
-            start: outcome.time,
-            end: outcome.time + cost,
+            start: meeting.time,
+            end: meeting.time + cost,
             elements: if is_root { (buf.len() * destinations) as u64 } else { buf.len() as u64 },
             peers: ends.iter().copied().filter(move |&r| r != me),
             initiator: is_root,
@@ -841,8 +961,7 @@ impl RankCtx {
         if is_root && self.events.comm() {
             self.metrics.observe("multicast_fanout", destinations as u64);
         }
-        self.stall_check(&outcome)?;
-        Ok(buf)
+        self.stall_check(meeting)
     }
 
     /// One step of an all-rank cyclic shift (the `MPI_Sendrecv` ring of the
@@ -867,14 +986,15 @@ impl RankCtx {
         let p = self.shared.p;
         let my_len = data.len();
         let arrive = self.clocks[Lane::Sync.index()];
-        let (_, delay) = self.meet_arrival_delay();
+        let delay = self.meet_arrival_delay();
         let outcome = self.shared.meets.meet(tag, p, self.rank, arrive + delay, Some(data));
-        self.abort_check(&outcome)?;
+        let outcome = outcome.map_err(|poison| self.stalled(poison))?;
         let from = (self.rank + p - distance % p) % p;
         let buf = outcome.payloads.get(&from).expect("every rank contributes to shift").clone();
+        let meeting = outcome.meeting;
         let cost = self.shared.cost.shift_cost(my_len.max(buf.len()));
-        self.clocks[Lane::Sync.index()] = outcome.time + cost;
-        self.trace.add_time(PhaseClass::SyncComm, outcome.time.since(arrive) + cost);
+        self.clocks[Lane::Sync.index()] = meeting.time + cost;
+        self.trace.add_time(PhaseClass::SyncComm, meeting.time.since(arrive) + cost);
         self.trace.messages += 1;
         self.trace.elements_sent += my_len as u64;
         self.trace.elements_received += buf.len() as u64;
@@ -882,22 +1002,22 @@ impl RankCtx {
             OpKind::MeetWait,
             PhaseClass::SyncComm,
             arrive,
-            &outcome,
+            &meeting,
             "ops.shift_ring",
         );
         self.events.record(Op {
             kind: OpKind::ShiftRing,
             lane: Lane::Sync,
             class: PhaseClass::SyncComm,
-            start: outcome.time,
-            end: outcome.time + cost,
+            start: meeting.time,
+            end: meeting.time + cost,
             elements: (my_len + buf.len()) as u64,
             peers: [(self.rank + distance % p) % p, from],
             initiator: true,
             fault: None,
             wall_nanos: None,
         });
-        self.stall_check(&outcome)?;
+        self.stall_check(&meeting)?;
         Ok(buf)
     }
 
@@ -925,32 +1045,32 @@ impl RankCtx {
         // before every rank has exposed its buffer.
         let tag = self.auto_tag();
         let arrive = self.now();
-        let (_, delay) = self.meet_arrival_delay();
+        let delay = self.meet_arrival_delay();
         let outcome = self.shared.meets.meet(tag, self.shared.p, self.rank, arrive + delay, None);
-        self.abort_check(&outcome)?;
+        let meeting = outcome.map_err(|poison| self.stalled(poison))?.meeting;
         let cost = self.shared.cost.alpha_sync;
-        self.clocks = [outcome.time + cost; 2];
-        self.trace.add_time(PhaseClass::Other, outcome.time.since(arrive) + cost);
+        self.clocks = [meeting.time + cost; 2];
+        self.trace.add_time(PhaseClass::Other, meeting.time.since(arrive) + cost);
         self.record_meet(
             OpKind::MeetWait,
             PhaseClass::Other,
             arrive,
-            &outcome,
+            &meeting,
             "ops.window_create",
         );
         self.events.record(Op {
             kind: OpKind::WindowCreate,
             lane: Lane::Sync,
             class: PhaseClass::Other,
-            start: outcome.time,
-            end: outcome.time + cost,
+            start: meeting.time,
+            end: meeting.time + cost,
             elements: 0,
             peers: [],
             initiator: true,
             fault: None,
             wall_nanos: None,
         });
-        self.stall_check(&outcome)?;
+        self.stall_check(&meeting)?;
         Ok(WindowId(id))
     }
 
@@ -1118,6 +1238,147 @@ impl RankCtx {
         self.trace.elements_received += out.len() as u64;
         Ok(())
     }
+}
+
+/// The injected arrival delay of `rank` at its meet number `meet` under
+/// `plan`: jitter, then straggle, each non-zero one reported to `fault` and
+/// added in that order. The one draw both a rank's own meets and a chain's
+/// resolver take, so the two cannot drift.
+fn arrival_delay(
+    plan: &FaultPlan,
+    rank: usize,
+    meet: u64,
+    mut fault: impl FnMut(FaultKind, f64),
+) -> f64 {
+    let mut delay = 0.0;
+    for (kind, seconds) in [
+        (FaultKind::MeetJitter, plan.meet_jitter(rank, meet)),
+        (FaultKind::RankStall, plan.slow_extra(rank)),
+    ] {
+        if seconds > 0.0 {
+            fault(kind, seconds);
+            delay += seconds;
+        }
+    }
+    delay
+}
+
+/// The poison a meeting trips under `plan`: its spread exceeds the plan's
+/// stall timeout.
+fn stall_poison(plan: Option<&FaultPlan>, meeting: &Meeting) -> Option<MeetPoison> {
+    let timeout = plan?.stall_timeout_seconds?;
+    (meeting.spread_seconds > timeout).then_some(MeetPoison {
+        straggler: meeting.straggler,
+        stalled_seconds: meeting.spread_seconds,
+        timeout_seconds: timeout,
+    })
+}
+
+/// What every rank derives from a chain's step list before its rendezvous.
+struct ChainShape {
+    /// The tag of the first step with two or more members — the chain's
+    /// meet tag — or `None` when no step needs a meet.
+    tag: Option<u64>,
+    /// How many ranks are members of a step with two or more members.
+    participants: usize,
+    /// Whether the deriving rank is one of them.
+    participating: bool,
+    /// A hash of the whole list, which participants compare at the
+    /// rendezvous.
+    hash: u64,
+}
+
+impl ChainShape {
+    /// Checks every step and derives the chain's shape, as seen by `me` on
+    /// a cluster of `p` ranks.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the step's tag, if a member is listed twice or is not
+    /// a rank below `p`.
+    fn of(steps: &[MulticastStep<'_>], p: usize, me: usize) -> ChainShape {
+        // Per rank: the last step that listed it, and whether it meets.
+        let mut listed = vec![usize::MAX; p];
+        let mut meets = vec![false; p];
+        let mut shape = ChainShape { tag: None, participants: 0, participating: false, hash: 0 };
+        let mut mix =
+            |word: u64| shape.hash = (shape.hash.rotate_left(5) ^ word).wrapping_mul(HASH_MUL);
+        for (i, step) in steps.iter().enumerate() {
+            let tag = step.tag;
+            mix(tag);
+            mix(step.dests.len() as u64);
+            for m in step.members() {
+                assert!(m < p, "multicast {tag}: member {m} is not a rank below {p}");
+                assert!(listed[m] != i, "multicast {tag}: member {m} is listed twice");
+                listed[m] = i;
+                mix(m as u64);
+                if !step.dests.is_empty() && !meets[m] {
+                    meets[m] = true;
+                    shape.participants += 1;
+                }
+            }
+            if !step.dests.is_empty() {
+                shape.tag.get_or_insert(tag);
+            }
+        }
+        shape.participating = meets[me];
+        shape
+    }
+}
+
+/// The multiplier of [`ChainShape`]'s step-list hash (FxHash's).
+const HASH_MUL: u64 = 0x517c_c1b7_2722_0a95;
+
+/// What every participant of a chain observes.
+struct ChainOutcome {
+    /// Per step in list order, up to and including the one that tripped a
+    /// stall: the meeting and the root's payload (`None` for one-member
+    /// steps, which do not meet).
+    steps: Vec<Option<(Meeting, Payload)>>,
+    /// The poison of the step that tripped the stall check, if one did.
+    tripped: Option<MeetPoison>,
+}
+
+/// Resolves a chain from its participants' arrivals: sweeps the steps in
+/// list order and meets each exactly as the members' own meets would, each
+/// member arriving at its sync clock after its previous step plus its
+/// arrival delay, until a step trips the plan's stall timeout.
+fn resolve_chain(
+    steps: &[MulticastStep<'_>],
+    arrivals: &[Arrival],
+    p: usize,
+    cost: &CostModel,
+    plan: Option<&FaultPlan>,
+) -> ChainOutcome {
+    let mut clock = vec![SimTime::ZERO; p];
+    let mut meets = vec![0u64; p];
+    let mut rooted = vec![[].iter(); p];
+    for a in arrivals {
+        (clock[a.rank], meets[a.rank], rooted[a.rank]) = (a.time, a.meets, a.payloads.iter());
+    }
+    let mut chain = ChainOutcome { steps: Vec::with_capacity(steps.len()), tripped: None };
+    for step in steps {
+        if step.dests.is_empty() {
+            chain.steps.push(None);
+            continue;
+        }
+        let meeting = Meeting::of(step.members().map(|m| {
+            let delay = plan.map_or(0.0, |plan| arrival_delay(plan, m, meets[m], |_, _| {}));
+            meets[m] += 1;
+            (m, clock[m] + delay)
+        }));
+        let buf = rooted[step.root].next().expect("the root deposited its payload").clone();
+        let done = meeting.time + cost.multicast_cost(buf.len(), step.dests.len());
+        for m in step.members() {
+            clock[m] = done;
+        }
+        chain.steps.push(Some((meeting, buf)));
+        chain.tripped = stall_poison(plan, &meeting);
+        if chain.tripped.is_some() {
+            break;
+        }
+    }
+    chain
 }
 
 impl std::fmt::Debug for RankCtx {

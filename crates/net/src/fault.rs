@@ -22,9 +22,10 @@
 //!   bounded random delay, modeling delivery jitter;
 //! * **slow / stalled ranks** — designated ranks arrive late at every
 //!   collective; if the spread between the first and last (delayed) arrival
-//!   at an *all-rank* meet exceeds [`FaultPlan::stall_timeout_seconds`],
-//!   every participant observes [`NetError::RankStalled`] naming the
-//!   straggler instead of waiting forever.
+//!   at a meet exceeds [`FaultPlan::stall_timeout_seconds`], every
+//!   participant observes [`NetError::RankStalled`] naming the straggler
+//!   instead of waiting forever, and so does every other rank at its next
+//!   collective.
 //!
 //! **Determinism guarantee:** every fault decision is a pure function of
 //! `(seed, rank, per-rank operation index)` via a splitmix64 finalizer — no
@@ -158,10 +159,10 @@ pub struct FaultPlan {
     pub meet_jitter_seconds: f64,
     /// Ranks that straggle at every collective.
     pub slow_ranks: Vec<SlowRank>,
-    /// Straggler tolerance of all-rank collectives: when the spread between
-    /// the earliest and latest (delayed) arrival exceeds this, every
-    /// participant gets [`NetError::RankStalled`] instead of absorbing the
-    /// wait. `None` (the default) waits indefinitely, like plain MPI.
+    /// Straggler tolerance of collectives: when the spread between the
+    /// earliest and latest (delayed) arrival at a meet exceeds this, every
+    /// rank gets [`NetError::RankStalled`] instead of absorbing the wait.
+    /// `None` (the default) waits indefinitely, like plain MPI.
     pub stall_timeout_seconds: Option<f64>,
     /// Retry budget for one-sided operations.
     pub retry: RetryPolicy,

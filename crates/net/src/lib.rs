@@ -11,7 +11,9 @@
 //!   deterministic and host-independent;
 //! * **MPI semantics** — collectives ([`RankCtx::allgather`],
 //!   [`RankCtx::multicast`], [`RankCtx::shift_ring`]) synchronize the
-//!   participants' clocks, while one-sided operations
+//!   participants' clocks ([`RankCtx::multicast_chain`] resolves a whole
+//!   list of multicasts known in advance with one rendezvous), while
+//!   one-sided operations
 //!   ([`RankCtx::win_get`], [`RankCtx::win_rget_rows`]) are passive-target
 //!   and advance only the issuer's clock;
 //! * **Two lanes per rank** — the [`Lane::Sync`] and [`Lane::Async`] clocks
@@ -61,7 +63,7 @@ mod profile;
 mod time;
 mod trace;
 
-pub use cluster::{Cluster, Lane, RankCtx, RankOutput, WindowId};
+pub use cluster::{Cluster, Lane, MulticastStep, RankCtx, RankOutput, WindowId};
 pub use cost::{CostModel, SpmmStats};
 pub use event::{
     seconds_by_class, FlightEntry, Observability, OpEvent, OpKind, TraceLevel,

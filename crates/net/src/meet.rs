@@ -1,18 +1,34 @@
-//! The rendezvous primitive underlying all collective operations.
+//! The rendezvous primitive underlying every collective operation.
 //!
 //! A *meet* is a named barrier with data exchange: every participant arrives
-//! carrying its virtual clock and (optionally) a payload; once the last
-//! participant arrives, everyone observes the maximum arrival time and the
-//! full payload map. This models MPI collective semantics — a collective
-//! cannot complete before its slowest participant arrives — while letting
-//! per-rank virtual clocks advance independently between collectives.
+//! with an [`Arrival`] (its clock, its meet index and any payloads) and
+//! blocks until the last participant arrives. The last arrival *resolves*
+//! the meet from all the arrivals, once, and every participant departs with
+//! that one shared resolution. This models MPI collective semantics — a
+//! collective cannot complete before its slowest participant arrives — while
+//! letting per-rank virtual clocks advance independently between
+//! collectives.
 //!
-//! Tags identify meet instances. Participants of the same collective must
-//! pass identical tags and group sizes; like MPI, each rank must issue its
-//! collectives in a globally consistent order or the run deadlocks (a
-//! 60-second watchdog turns such deadlocks into panics naming the tag).
+//! One loop, [`MeetRegistry::rendezvous`], handles arrival, poison, the
+//! watchdog and departure for both kinds of meet:
 //!
-//! The gap between a rank's arrival and the meet's resolution is what the
+//! * an all-rank collective ([`MeetRegistry::meet`]) resolves to its
+//!   [`Meeting`] — completion time, straggler and arrival spread — plus the
+//!   payloads by rank;
+//! * a multicast chain ([`RankCtx::multicast_chain`](crate::RankCtx::multicast_chain))
+//!   is one meet of every member of a list of multicasts that all ranks
+//!   know in advance. Its last arrival sweeps the list and resolves each
+//!   multicast exactly as that multicast's own meet would, so the members
+//!   meet once per chain rather than once per multicast.
+//!
+//! Tags identify meet instances. Participants of the same meet must pass
+//! identical tags, participant counts and signatures (a chain's step count
+//! and step-list hash); a disagreement fails the run at once, naming the
+//! tag. Like MPI, each rank must issue its collectives in a globally
+//! consistent order or the run deadlocks (a 60-second watchdog turns such
+//! deadlocks into panics naming the tag).
+//!
+//! The gap between a rank's arrival and the meet's completion is what the
 //! observability layer records as an
 //! [`OpKind::MeetWait`](crate::OpKind::MeetWait) event, and the spread
 //! between the earliest and latest arrival feeds the
@@ -20,9 +36,10 @@
 //! straggler imbalance that Figure 10's aggregate bars can only hint at.
 
 use crate::SimTime;
+use std::any::Any;
 use std::collections::HashMap;
 use std::ops::{Deref, Range};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Payload deposited at a meet: a shared immutable view into a dense buffer.
@@ -110,29 +127,66 @@ impl PartialEq<[f64]> for Payload {
     }
 }
 
+/// What one participant brings to a meet.
 #[derive(Debug)]
-struct MeetState {
-    expected: usize,
-    arrived: usize,
-    departed: usize,
-    max_time: SimTime,
-    min_time: SimTime,
-    latest_rank: usize,
-    payloads: HashMap<usize, Payload>,
+pub(crate) struct Arrival {
+    /// The arriving rank.
+    pub rank: usize,
+    /// Its clock: the arrival time at a collective, the sync-lane clock at
+    /// entry to a chain.
+    pub time: SimTime,
+    /// Its meet index at entry, from which a chain's resolver draws the
+    /// arrival delays of its steps (unused by collectives).
+    pub meets: u64,
+    /// Its payloads: at most one at a collective; at a chain, one per step
+    /// with two or more members that it roots, in step order.
+    pub payloads: Vec<Payload>,
 }
 
-impl Default for MeetState {
-    fn default() -> MeetState {
-        MeetState {
-            expected: 0,
-            arrived: 0,
-            departed: 0,
-            max_time: SimTime::ZERO,
-            min_time: SimTime::ZERO,
-            latest_rank: usize::MAX,
-            payloads: HashMap::new(),
+/// When one meet completed and who held it up: what every participant
+/// observes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Meeting {
+    /// The latest arrival time — when the collective completes.
+    pub time: SimTime,
+    /// The rank that arrived with the latest clock (smallest such rank on
+    /// ties), i.e. the collective's straggler.
+    pub straggler: usize,
+    /// Seconds between the earliest and latest arrival. Identical for every
+    /// participant, so straggler-tolerance decisions based on it are
+    /// symmetric and cannot desynchronise the group.
+    pub spread_seconds: f64,
+}
+
+impl Meeting {
+    /// The meeting of `(rank, arrival time)` pairs, given in any order: the
+    /// result depends on the set only, never on which thread arrived first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` is empty.
+    pub(crate) fn of(arrivals: impl IntoIterator<Item = (usize, SimTime)>) -> Meeting {
+        let mut arrivals = arrivals.into_iter();
+        let (first_rank, first_time) = arrivals.next().expect("a meet has a participant");
+        let (mut latest, mut straggler, mut earliest) = (first_time, first_rank, first_time);
+        for (rank, time) in arrivals {
+            if time > latest || (time == latest && rank < straggler) {
+                latest = time;
+                straggler = rank;
+            }
+            earliest = earliest.min(time);
         }
+        Meeting { time: latest, straggler, spread_seconds: latest.since(earliest) }
     }
+}
+
+/// What every participant of an all-rank collective observes.
+#[derive(Debug)]
+pub(crate) struct MeetOutcome {
+    /// When the collective completed and who held it up.
+    pub meeting: Meeting,
+    /// Every deposited payload, keyed by rank.
+    pub payloads: HashMap<usize, Payload>,
 }
 
 /// Why a registry was poisoned: the stall that tripped the first abort.
@@ -154,24 +208,18 @@ pub(crate) struct MeetPoison {
     pub timeout_seconds: f64,
 }
 
-/// What every participant observes once a meet completes.
-#[derive(Debug, Clone)]
-pub(crate) struct MeetOutcome {
-    /// The maximum arrival time — when the collective completes.
-    pub time: SimTime,
-    /// The rank that arrived with the latest clock (smallest such rank on
-    /// ties), i.e. the collective's straggler.
-    pub straggler: usize,
-    /// Seconds between the earliest and latest arrival. Identical for every
-    /// participant, so straggler-tolerance decisions based on it are
-    /// symmetric and cannot desynchronise the group.
-    pub spread_seconds: f64,
-    /// Snapshot of every deposited payload, keyed by rank.
-    pub payloads: HashMap<usize, Payload>,
-    /// Present when the registry was poisoned before this meet completed:
-    /// the collective was aborted, `payloads` is empty, and the caller must
-    /// surface the stall instead of using the outcome.
-    pub poisoned: Option<MeetPoison>,
+/// A meet's step count and step-list hash: zero for collectives, the
+/// chain's for a chain. Participants that disagree on it fail at once.
+pub(crate) type Signature = (usize, u64);
+
+#[derive(Debug, Default)]
+struct MeetState {
+    expected: usize,
+    signature: Signature,
+    departed: usize,
+    arrivals: Vec<Arrival>,
+    /// Set by the last arrival; every participant departs with a clone.
+    resolved: Option<Arc<dyn Any + Send + Sync>>,
 }
 
 #[derive(Debug, Default)]
@@ -195,11 +243,15 @@ impl MeetRegistry {
         MeetRegistry::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().expect("meet registry lock poisoned")
+    }
+
     /// Drops every registered meet state and any poison. Only sound between
-    /// runs: a rank blocked inside [`MeetRegistry::meet`] would lose its
-    /// rendezvous.
+    /// runs: a rank blocked inside [`MeetRegistry::rendezvous`] would lose
+    /// its rendezvous.
     pub(crate) fn clear(&self) {
-        let mut inner = self.inner.lock().expect("meet registry lock poisoned");
+        let mut inner = self.lock();
         inner.states.clear();
         inner.poison = None;
     }
@@ -208,7 +260,7 @@ impl MeetRegistry {
     /// aborts with `poison` instead of waiting. The first poison wins; later
     /// calls are no-ops so all ranks report the stall that tripped first.
     pub(crate) fn poison(&self, poison: MeetPoison) {
-        let mut inner = self.inner.lock().expect("meet registry lock poisoned");
+        let mut inner = self.lock();
         if inner.poison.is_none() {
             inner.poison = Some(poison);
         }
@@ -218,27 +270,23 @@ impl MeetRegistry {
     /// Clears any poison left by a previous run. Called at run start so an
     /// aborted run cannot leak its stall into the next one.
     pub(crate) fn clear_poison(&self) {
-        self.inner.lock().expect("meet registry lock poisoned").poison = None;
+        self.lock().poison = None;
     }
 
-    /// Arrives at meet `tag` with `expected` total participants.
+    /// Arrives at all-rank collective `tag` with `expected` participants,
+    /// at `time`, depositing `payload`. Blocks until every participant has
+    /// arrived, then returns the shared outcome: the [`Meeting`] and every
+    /// deposited payload keyed by rank.
     ///
-    /// Blocks until all participants have arrived, then returns the maximum
-    /// arrival [`SimTime`] and a snapshot of every deposited payload keyed by
-    /// rank.
+    /// # Errors
     ///
-    /// If the registry is poisoned (a stall tripped somewhere in the
-    /// cluster), the meet aborts instead of waiting: the returned outcome
-    /// carries the poison and an empty payload map. A rank arriving at an
-    /// already-poisoned registry aborts without registering, so it cannot
-    /// corrupt the state of a meet its peers have abandoned.
+    /// The registry's poison if a stall tripped somewhere in the cluster
+    /// before this meet completed.
     ///
     /// # Panics
     ///
-    /// Panics if participants disagree on `expected`, if two participants
-    /// claim the same `rank` with a payload, or if the meet does not complete
-    /// within the watchdog timeout (a deadlock, i.e. mismatched collective
-    /// order across ranks).
+    /// As [`MeetRegistry::rendezvous`], and if two participants claim the
+    /// same `rank` with a payload.
     pub(crate) fn meet(
         &self,
         tag: u64,
@@ -246,101 +294,111 @@ impl MeetRegistry {
         rank: usize,
         time: SimTime,
         payload: Option<Payload>,
-    ) -> MeetOutcome {
+    ) -> Result<Arc<MeetOutcome>, MeetPoison> {
+        let arrival = Arrival { rank, time, meets: 0, payloads: payload.into_iter().collect() };
+        self.rendezvous(tag, expected, (0, 0), arrival, |arrivals| {
+            let mut payloads = HashMap::with_capacity(arrivals.len());
+            for a in arrivals {
+                for p in &a.payloads {
+                    let prev = payloads.insert(a.rank, p.clone());
+                    assert!(prev.is_none(), "meet {tag:#x}: rank {} deposited twice", a.rank);
+                }
+            }
+            MeetOutcome {
+                meeting: Meeting::of(arrivals.iter().map(|a| (a.rank, a.time))),
+                payloads,
+            }
+        })
+    }
+
+    /// The one rendezvous loop: arrives at meet `tag` of `expected`
+    /// participants with `arrival`, and blocks until all have arrived. The
+    /// last arrival calls `resolve` on every arrival (in arrival order) and
+    /// every participant returns the one shared result.
+    ///
+    /// # Errors
+    ///
+    /// The registry's poison if it was poisoned (a stall tripped somewhere
+    /// in the cluster) before this meet resolved: the meet is abandoned. A
+    /// rank arriving at an already-poisoned registry aborts without
+    /// registering, so it cannot corrupt the state of a meet its peers have
+    /// abandoned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if participants disagree on `expected` or `signature` (after
+    /// waking the waiters, so the run fails at once), on more arrivals than
+    /// `expected`, or if the meet does not resolve within the watchdog
+    /// timeout (a deadlock, i.e. mismatched collective order across ranks).
+    pub(crate) fn rendezvous<R: Any + Send + Sync>(
+        &self,
+        tag: u64,
+        expected: usize,
+        signature: Signature,
+        arrival: Arrival,
+        resolve: impl FnOnce(&[Arrival]) -> R,
+    ) -> Result<Arc<R>, MeetPoison> {
         assert!(expected > 0, "meet must have at least one participant");
-        let mut inner = self.inner.lock().expect("meet registry lock poisoned");
+        let rank = arrival.rank;
+        let mut inner = self.lock();
         if let Some(poison) = inner.poison {
-            return MeetOutcome {
-                time,
-                straggler: poison.straggler,
-                spread_seconds: poison.stalled_seconds,
-                payloads: HashMap::new(),
-                poisoned: Some(poison),
-            };
+            return Err(poison);
         }
-        {
-            let state = inner.states.entry(tag).or_default();
-            if state.expected == 0 {
-                state.expected = expected;
-            }
-            assert_eq!(
-                state.expected, expected,
-                "meet {tag:#x}: participants disagree on group size"
-            );
-            assert!(
-                state.arrived < state.expected,
-                "meet {tag:#x}: more arrivals than expected (tag reuse before completion?)"
-            );
-            if time > state.max_time || state.latest_rank == usize::MAX {
-                state.latest_rank = rank;
-            } else if time == state.max_time && rank < state.latest_rank {
-                // Deterministic tie-break: the smallest rank among the latest
-                // arrivals, independent of thread scheduling.
-                state.latest_rank = rank;
-            }
-            state.min_time = if state.arrived == 0 { time } else { state.min_time.min(time) };
-            state.max_time = state.max_time.max(time);
-            if let Some(p) = payload {
-                let prev = state.payloads.insert(rank, p);
-                assert!(prev.is_none(), "meet {tag:#x}: rank {rank} deposited twice");
-            }
-            state.arrived += 1;
+        let state = inner.states.entry(tag).or_default();
+        if state.expected == 0 {
+            (state.expected, state.signature) = (expected, signature);
         }
-        if inner.states.get(&tag).expect("just inserted").arrived == expected {
+        if (state.expected, state.signature) != (expected, signature) {
+            // Waiters wake to the lock this panic poisons, so every rank of
+            // the meet fails now rather than at the watchdog.
             self.cond.notify_all();
-        } else {
-            loop {
-                let done = inner.states.get(&tag).is_some_and(|s| s.arrived == s.expected);
-                if done {
-                    break;
-                }
-                if let Some(poison) = inner.poison {
-                    // Abandon the incomplete meet: its remaining participants
-                    // will observe the same poison (waiters are woken by
-                    // `poison`, later arrivals abort on entry), so nobody is
-                    // left waiting for this rank. The leaked state is
-                    // harmless — tags are epoch-namespaced per run.
-                    return MeetOutcome {
-                        time,
-                        straggler: poison.straggler,
-                        spread_seconds: poison.stalled_seconds,
-                        payloads: HashMap::new(),
-                        poisoned: Some(poison),
-                    };
-                }
-                let (guard, wait) = self
-                    .cond
-                    .wait_timeout(inner, MEET_TIMEOUT)
-                    .expect("meet registry lock poisoned");
-                inner = guard;
-                let done = inner.states.get(&tag).is_some_and(|s| s.arrived == s.expected);
-                if wait.timed_out() && !done && inner.poison.is_none() {
-                    let s = inner.states.get(&tag);
-                    panic!(
-                        "meet {tag:#x} deadlocked: rank {rank} waited {MEET_TIMEOUT:?} \
-                         ({} of {} arrived) — collective order mismatch across ranks?",
-                        s.map_or(0, |s| s.arrived),
-                        expected
-                    );
-                }
-            }
+            let what = if state.expected != expected { "group size" } else { "the chain's steps" };
+            panic!(
+                "meet {tag:#x}: participants disagree on {what} (rank {rank}: {expected} \
+                 participants, steps and hash {signature:?}; earlier arrivals: {}, {:?})",
+                state.expected, state.signature
+            );
         }
-        let (result, remove) = {
+        assert!(
+            state.arrivals.len() < expected,
+            "meet {tag:#x}: more arrivals than expected (tag reuse before completion?)"
+        );
+        state.arrivals.push(arrival);
+        if state.arrivals.len() == expected {
+            state.resolved = Some(Arc::new(resolve(&state.arrivals)));
+            self.cond.notify_all();
+        }
+        let mut timed_out = false;
+        loop {
             let state = inner.states.get_mut(&tag).expect("meet state present until all depart");
-            let result = MeetOutcome {
-                time: state.max_time,
-                straggler: state.latest_rank,
-                spread_seconds: state.max_time.since(state.min_time),
-                payloads: state.payloads.clone(),
-                poisoned: None,
-            };
-            state.departed += 1;
-            (result, state.departed == state.expected)
-        };
-        if remove {
-            inner.states.remove(&tag);
+            if let Some(resolved) = &state.resolved {
+                let resolved = Arc::clone(resolved);
+                state.departed += 1;
+                if state.departed == state.expected {
+                    inner.states.remove(&tag);
+                }
+                return Ok(resolved.downcast().expect("every participant resolves one kind"));
+            }
+            if let Some(poison) = inner.poison {
+                // Abandon the unresolved meet: its remaining participants
+                // will observe the same poison (waiters are woken by
+                // `poison`, later arrivals abort on entry), so nobody is
+                // left waiting for this rank. The leaked state is harmless —
+                // tags are epoch-namespaced per run.
+                return Err(poison);
+            }
+            if timed_out {
+                let arrived = inner.states.get(&tag).map_or(0, |s| s.arrivals.len());
+                panic!(
+                    "meet {tag:#x} deadlocked: rank {rank} waited {MEET_TIMEOUT:?} \
+                     ({arrived} of {expected} arrived) — collective order mismatch across ranks?"
+                );
+            }
+            let (guard, wait) =
+                self.cond.wait_timeout(inner, MEET_TIMEOUT).expect("meet registry lock poisoned");
+            inner = guard;
+            timed_out = wait.timed_out();
         }
-        result
     }
 }
 
@@ -348,7 +406,7 @@ impl MeetRegistry {
 mod tests {
     use super::*;
 
-    fn spawn_meet(parties: usize, times: Vec<f64>) -> Vec<MeetOutcome> {
+    fn spawn_meet(parties: usize, times: Vec<f64>) -> Vec<Arc<MeetOutcome>> {
         let reg = Arc::new(MeetRegistry::new());
         std::thread::scope(|s| {
             let handles: Vec<_> = times
@@ -358,7 +416,7 @@ mod tests {
                     let reg = Arc::clone(&reg);
                     s.spawn(move || {
                         let payload = Payload::from(vec![rank as f64]);
-                        reg.meet(7, parties, rank, SimTime::from_seconds(t), Some(payload))
+                        reg.meet(7, parties, rank, SimTime::from_seconds(t), Some(payload)).unwrap()
                     })
                 })
                 .collect();
@@ -370,10 +428,10 @@ mod tests {
     fn all_observe_max_time_and_all_payloads() {
         let out = spawn_meet(3, vec![1.0, 5.0, 2.0]);
         for o in out {
-            assert_eq!(o.time, SimTime::from_seconds(5.0));
+            assert_eq!(o.meeting.time, SimTime::from_seconds(5.0));
             assert_eq!(o.payloads.len(), 3);
-            assert_eq!(o.straggler, 1, "rank 1 arrived last");
-            assert!((o.spread_seconds - 4.0).abs() < 1e-15);
+            assert_eq!(o.meeting.straggler, 1, "rank 1 arrived last");
+            assert!((o.meeting.spread_seconds - 4.0).abs() < 1e-15);
         }
     }
 
@@ -381,27 +439,27 @@ mod tests {
     fn straggler_ties_break_to_the_smallest_rank() {
         let out = spawn_meet(3, vec![2.0, 2.0, 1.0]);
         for o in out {
-            assert_eq!(o.straggler, 0);
-            assert!((o.spread_seconds - 1.0).abs() < 1e-15);
+            assert_eq!(o.meeting.straggler, 0);
+            assert!((o.meeting.spread_seconds - 1.0).abs() < 1e-15);
         }
     }
 
     #[test]
     fn single_participant_completes_immediately() {
         let reg = MeetRegistry::new();
-        let o = reg.meet(1, 1, 0, SimTime::from_seconds(2.0), None);
-        assert_eq!(o.time, SimTime::from_seconds(2.0));
+        let o = reg.meet(1, 1, 0, SimTime::from_seconds(2.0), None).unwrap();
+        assert_eq!(o.meeting.time, SimTime::from_seconds(2.0));
         assert!(o.payloads.is_empty());
-        assert_eq!(o.straggler, 0);
-        assert_eq!(o.spread_seconds, 0.0);
+        assert_eq!(o.meeting.straggler, 0);
+        assert_eq!(o.meeting.spread_seconds, 0.0);
     }
 
     #[test]
     fn tag_is_reusable_after_completion() {
         let reg = MeetRegistry::new();
         for round in 0..3 {
-            let o = reg.meet(9, 1, 0, SimTime::from_seconds(round as f64), None);
-            assert_eq!(o.time, SimTime::from_seconds(round as f64));
+            let o = reg.meet(9, 1, 0, SimTime::from_seconds(round as f64), None).unwrap();
+            assert_eq!(o.meeting.time, SimTime::from_seconds(round as f64));
         }
     }
 
@@ -410,9 +468,10 @@ mod tests {
         let reg = Arc::new(MeetRegistry::new());
         let out = std::thread::scope(|s| {
             let r1 = Arc::clone(&reg);
-            let a = s.spawn(move || r1.meet(100, 1, 0, SimTime::from_seconds(1.0), None).time);
+            let time = |o: Result<Arc<MeetOutcome>, MeetPoison>| o.unwrap().meeting.time;
+            let a = s.spawn(move || time(r1.meet(100, 1, 0, SimTime::from_seconds(1.0), None)));
             let r2 = Arc::clone(&reg);
-            let b = s.spawn(move || r2.meet(200, 1, 0, SimTime::from_seconds(2.0), None).time);
+            let b = s.spawn(move || time(r2.meet(200, 1, 0, SimTime::from_seconds(2.0), None)));
             (a.join().unwrap(), b.join().unwrap())
         });
         assert_eq!(out.0, SimTime::from_seconds(1.0));
@@ -423,7 +482,7 @@ mod tests {
     fn payloads_are_shared_not_copied() {
         let reg = MeetRegistry::new();
         let payload = Payload::from(vec![1.0, 2.0]);
-        let o = reg.meet(11, 1, 0, SimTime::ZERO, Some(payload.clone()));
+        let o = reg.meet(11, 1, 0, SimTime::ZERO, Some(payload.clone())).unwrap();
         assert!(o.payloads[&0].shares_buffer(&payload));
     }
 
@@ -465,13 +524,11 @@ mod tests {
             waiters.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
         });
         for o in outcomes {
-            assert_eq!(o.poisoned, Some(POISON));
-            assert!(o.payloads.is_empty());
-            assert_eq!(o.straggler, POISON.straggler);
+            assert_eq!(o.unwrap_err(), POISON);
         }
         // The third participant arrives after the fact and aborts on entry.
         let late = reg.meet(5, 3, 2, SimTime::from_seconds(2.0), None);
-        assert_eq!(late.poisoned, Some(POISON));
+        assert_eq!(late.unwrap_err(), POISON);
     }
 
     #[test]
@@ -480,23 +537,21 @@ mod tests {
         reg.poison(POISON);
         reg.poison(MeetPoison { straggler: 9, stalled_seconds: 1.0, timeout_seconds: 0.5 });
         let o = reg.meet(1, 2, 0, SimTime::ZERO, None);
-        assert_eq!(o.poisoned, Some(POISON), "the first poison is the one reported");
+        assert_eq!(o.unwrap_err(), POISON, "the first poison is the one reported");
         reg.clear_poison();
-        let o = reg.meet(2, 1, 0, SimTime::ZERO, None);
-        assert_eq!(o.poisoned, None);
+        assert!(reg.meet(2, 1, 0, SimTime::ZERO, None).is_ok());
         reg.poison(POISON);
         reg.clear();
         let o = reg.meet(3, 1, 0, SimTime::ZERO, None);
-        assert_eq!(o.poisoned, None, "clear() drops poison along with states");
+        assert!(o.is_ok(), "clear() drops poison along with states");
     }
 
     #[test]
     fn completed_meets_resolve_normally_even_if_poison_lands_later() {
         let reg = MeetRegistry::new();
-        let o = reg.meet(4, 1, 0, SimTime::from_seconds(1.0), None);
-        assert_eq!(o.poisoned, None);
+        assert!(reg.meet(4, 1, 0, SimTime::from_seconds(1.0), None).is_ok());
         reg.poison(POISON);
         // A fresh meet on the poisoned registry aborts.
-        assert!(reg.meet(6, 1, 0, SimTime::ZERO, None).poisoned.is_some());
+        assert!(reg.meet(6, 1, 0, SimTime::ZERO, None).is_err());
     }
 }

@@ -133,8 +133,11 @@ pub struct RankTrace {
     /// One-sided operations issued (counted whether or not a fault plan is
     /// installed, so fault-free and faulted traces stay comparable).
     pub one_sided_ops: u64,
-    /// Collective meets this rank participated in (counted unconditionally,
-    /// like [`RankTrace::one_sided_ops`]).
+    /// Collective steps this rank took part in: every collective, and every
+    /// step with two or more members of a
+    /// [`multicast_chain`](crate::RankCtx::multicast_chain), however few
+    /// rendezvous carried them. It is the index of the fault plan's arrival
+    /// draws, counted unconditionally like [`RankTrace::one_sided_ops`].
     pub meets: u64,
 }
 

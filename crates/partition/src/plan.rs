@@ -261,23 +261,6 @@ impl PartitionPlan {
         &self.destinations[stripe]
     }
 
-    /// The full multicast group of stripe `s`: owner plus destinations,
-    /// sorted — or `None` when no multicast happens.
-    pub fn multicast_group(&self, stripe: usize) -> Option<Vec<usize>> {
-        let dests = &self.destinations[stripe];
-        if dests.is_empty() {
-            return None;
-        }
-        let owner = self.layout.stripe_owner(stripe);
-        let mut group = Vec::with_capacity(dests.len() + 1);
-        group.extend_from_slice(dests);
-        match group.binary_search(&owner) {
-            Ok(_) => unreachable!("owner is never a destination"),
-            Err(i) => group.insert(i, owner),
-        }
-        Some(group)
-    }
-
     /// Number of stripes flipped to async by the memory cap across all
     /// nodes.
     pub fn memory_flips(&self) -> usize {
@@ -427,19 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_group_includes_owner_sorted() {
-        let (_, plan) = small_plan(&ModelCoefficients::table3());
-        let layout = plan.layout().clone();
-        for s in 0..layout.num_stripes() {
-            if let Some(group) = plan.multicast_group(s) {
-                assert!(group.contains(&layout.stripe_owner(s)));
-                assert!(group.windows(2).all(|w| w[0] < w[1]));
-                assert_eq!(group.len(), plan.multicast_destinations(s).len() + 1);
-            }
-        }
-    }
-
-    #[test]
     fn uniform_async_plan_has_no_sync_stripes() {
         let a =
             webcrawl(&WebcrawlConfig { n: 256, hosts: 16, per_row: 6, ..Default::default() }, 42);
@@ -449,7 +419,7 @@ mod tests {
         assert_eq!(sync, 0);
         assert!(local > 0 && async_ > 0);
         for s in 0..plan.layout().num_stripes() {
-            assert!(plan.multicast_group(s).is_none());
+            assert!(plan.multicast_destinations(s).is_empty());
         }
     }
 
