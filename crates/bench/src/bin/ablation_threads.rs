@@ -103,9 +103,9 @@ fn sweep_modeled_split() -> Vec<SplitRow> {
     rows
 }
 
-/// The real worker sweep on the BENCH_hotpaths end-to-end workload
-/// (webcrawl n = 8192, K = 32, 8 ranks): host wall-clock moves, the modeled
-/// seconds and output bits must not.
+/// The real worker sweep on a webcrawl end-to-end workload (n = 8192,
+/// K = 32, 8 ranks): host wall-clock moves, the modeled seconds and output
+/// bits must not.
 fn sweep_real_workers() -> Vec<WorkerRow> {
     let a = Arc::new(webcrawl(
         &WebcrawlConfig { n: 8192, hosts: 128, per_row: 10, ..Default::default() },

@@ -1,5 +1,4 @@
-//! Memory-layout + streaming bench (`results/layout.json`, summarized in
-//! the committed `BENCH_layout.json`).
+//! Memory-layout + streaming bench (`results/layout.json`).
 //!
 //! Two sections:
 //!
@@ -10,21 +9,19 @@
 //!    mark, so the streamed reading is only meaningful before the resident
 //!    runs inflate it.
 //! 2. **Resident**: end-to-end Two-Face (prepare + execute, 1 worker) on
-//!    the 10^7 suite at K ∈ {8, 32, 128} — the workload whose pre-change
-//!    numbers are recorded in `BENCH_layout.json`; re-running this binary
-//!    reproduces the "after" side.
+//!    the 10^7 suite at K ∈ {8, 32, 128}.
 //!
 //! Field policy for the fleet gate: simulated seconds, communication
 //! counters, nonzero counts, spill sizes, and the simulated-time throughput
 //! are deterministic and gated exactly; anything wall-clock- or
-//! host-dependent carries `wall` in its field name (informational, the
-//! 1-CPU host note applies).
+//! host-dependent carries `wall` in its field name (informational, see the
+//! report's `host_note`).
 //!
 //! `TWOFACE_LAYOUT_LARGE=1` additionally runs the 10^8-nonzero acceptance
 //! section (streamed under a declared budget, then the resident path at the
-//! same scale for the peak-RSS comparison). Its numbers are printed and
-//! recorded in `BENCH_layout.json`, not in the gated report, so the gated
-//! file has the same shape in both modes.
+//! same scale for the peak-RSS comparison). It asserts its own bounds and
+//! only prints its numbers, so the gated report has the same shape in both
+//! modes.
 
 use serde::Serialize;
 use std::sync::Arc;
@@ -241,8 +238,7 @@ fn main() {
         run_large(&cost);
     }
 
-    // Section 2: the resident 10^7 suite at 1 worker — the BENCH_layout
-    // before/after workload.
+    // Section 2: the resident 10^7 suite at 1 worker.
     let mut resident = Vec::new();
     for (name, a, stripe_width) in resident_suite() {
         let nnz = a.nnz();

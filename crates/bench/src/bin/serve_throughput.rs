@@ -9,7 +9,7 @@
 //! 2. **Batched vs solo scheduling** — the same request stream drained
 //!    once (compatible requests fused) and one-at-a-time. Batching runs
 //!    fewer, wider executions, which amortizes per-run fixed costs in
-//!    *simulated* time — a delta the single-CPU host cannot fake.
+//!    *simulated* time — a delta host scheduling cannot fake.
 //! 3. **Chaos resilience** — the stream replayed under a light fault plan:
 //!    every request is still served, with retries/fallbacks counted.
 //!
@@ -254,9 +254,9 @@ fn main() {
         description: "Persistent SpMM serving: plan-cache amortization (cold vs warm), \
                       batched vs solo scheduling, and fault resilience on a warm session"
             .into(),
-        host_note: "Wall-clock numbers come from a single-CPU container; the load-bearing \
-                    deltas are the simulated-time ratio (host-independent) and the warm-path \
-                    preprocessing wall time dropping to zero."
+        host_note: "Wall-clock numbers are informational; the load-bearing deltas are the \
+                    simulated-time ratio (host-independent) and the warm-path preprocessing \
+                    wall time dropping to zero."
             .into(),
         p: P,
         k: K,

@@ -44,14 +44,18 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// The canonical host disclosure attached to every report: wall-clock fields
-/// are measured on a single-CPU, visibly time-shared container and carry no
-/// signal; simulated seconds and communication counters are deterministic.
-/// The fleet differ (`crates/fleet`) keys off this split — fields whose path
-/// mentions `wall` are informational, the rest are baseline-gated.
-pub const HOST_NOTE: &str = "single-CPU container (nproc = 1), visibly time-shared: wall-clock \
-                             fields are noisy and informational only; simulated seconds and \
-                             communication counters are deterministic and baseline-gated";
+/// The canonical host disclosure attached to every report, built when the
+/// report is written: the CPU count the process could use, then the split
+/// the fleet differ (`crates/fleet`) keys off — fields whose path mentions
+/// `wall` are informational, the rest are baseline-gated.
+pub fn host_note() -> String {
+    let nproc = std::thread::available_parallelism()
+        .map_or_else(|_| "unknown".to_string(), |n| n.to_string());
+    format!(
+        "measured with nproc = {nproc}: wall-clock fields are noisy and informational only; \
+         simulated seconds and communication counters are deterministic and baseline-gated"
+    )
+}
 
 /// The version of the normalized report envelope every `results/*.json`
 /// carries. Bump when the envelope itself (not a payload) changes shape.
@@ -80,7 +84,7 @@ fn report_envelope(name: &str, data: serde::Value) -> serde::Value {
             "harness".to_string(),
             Value::String(format!("cargo run --release -p twoface-bench --bin {name}")),
         ),
-        ("host_note".to_string(), Value::String(HOST_NOTE.to_string())),
+        ("host_note".to_string(), Value::String(host_note())),
         ("data".to_string(), data),
     ])
 }

@@ -38,22 +38,14 @@ pub struct Explanation {
     pub lines: Vec<String>,
 }
 
-/// Maps a gated report path to its profile artifact, if it has one.
-///
-/// `results/foo.json` → `results/foo.profile.json`; a profile artifact maps
-/// to itself. Root-level `BENCH_*.json` summary files are written outside
-/// the fleet's per-job env and have no sidecar, so they return `None`.
+/// Maps a gated report path to its profile artifact: `results/foo.json` →
+/// `results/foo.profile.json`, and a profile artifact maps to itself. A
+/// path that is not JSON has no sidecar.
 pub fn profile_rel_path(report_file: &str) -> Option<String> {
     if report_file.ends_with(".profile.json") {
         return Some(report_file.to_string());
     }
-    let stem = report_file.strip_suffix(".json")?;
-    let candidate = format!("{stem}.profile.json");
-    if report_file.starts_with("results/") {
-        Some(candidate)
-    } else {
-        None
-    }
+    report_file.strip_suffix(".json").map(|stem| format!("{stem}.profile.json"))
 }
 
 /// Explains one gated report by diffing its run profile against the blessed
@@ -355,7 +347,7 @@ mod tests {
             profile_rel_path("results/fig10_breakdown.profile.json").as_deref(),
             Some("results/fig10_breakdown.profile.json")
         );
-        assert_eq!(profile_rel_path("BENCH_kernels.json"), None);
+        assert_eq!(profile_rel_path("results/notes.txt"), None);
     }
 
     #[test]

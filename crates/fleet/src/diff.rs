@@ -9,9 +9,9 @@
 //!    accumulate through an independent code path (e.g. the event-derived
 //!    Figure-10 breakdown) or a least-squares fit;
 //! 2. **informational** if the path mentions a wall-clock or metadata
-//!    keyword ([`INFO_KEYWORDS`]) — wall seconds/nanos, criterion medians,
+//!    keyword ([`INFO_KEYWORDS`]) — wall seconds/nanos, medians,
 //!    `date` / `harness` / `host_note` / notes — reported but never failing,
-//!    per the honest single-CPU host notes;
+//!    because host wall time varies from run to run;
 //! 3. otherwise **gated bit-exact**: simulated seconds, per-nonzero
 //!    throughput, speedups over simulated times, communication counters,
 //!    matrix statistics, and every schema-identity aspect (field names,
@@ -25,28 +25,24 @@ use std::path::Path;
 /// Path fragments that mark a leaf as informational (never gated). A
 /// fragment matches anywhere in the flattened path, case-insensitively.
 pub const INFO_KEYWORDS: &[&str] = &[
-    // Wall-clock measurement vocabulary (the 1-CPU host makes these noise).
+    // Wall-clock measurement vocabulary (host time varies run to run).
     "wall",
     "nanos",
     "_ns",
     "median",
     "samples",
-    "noise",
-    "over_baseline",
     "speedup_vs_1",
     "amortization",
     // Queue-depth sketches: deterministic inline, but scheduling vocabulary
     // rather than simulated physics — reported, never gated.
     "queue_depth",
-    // Report metadata from the normalized envelope and the BENCH records.
+    // Report metadata from the normalized envelope.
     "date",
     "harness",
     "host",
     "description",
     "note",
     "workload",
-    "methodology",
-    "determinism",
     "acceptance",
 ];
 
@@ -304,38 +300,25 @@ impl CheckReport {
     }
 }
 
-/// Results/BENCH files excluded from gating: the fleet's own report (wall
-/// times), raw event streams, and ad-hoc CI capture artifacts.
-pub const EXCLUDED_FILES: &[&str] = &[
-    "fleet_report.json",
-    "trace_summary.chrome.json",
-    "quickstart.chrome.json",
-    "kernels_mini.json",
-    "end_to_end_mini.json",
-];
+/// Results files excluded from gating: the fleet's own report (wall times)
+/// and raw event streams.
+pub const EXCLUDED_FILES: &[&str] =
+    &["fleet_report.json", "trace_summary.chrome.json", "quickstart.chrome.json"];
 
-/// The repo-relative gated file set: `BENCH_*.json` at the root plus
-/// `results/*.json`, minus [`EXCLUDED_FILES`], unioned with everything the
-/// baseline tree already guards (so a deleted report still fails).
+/// The repo-relative gated file set: `results/*.json` minus
+/// [`EXCLUDED_FILES`], unioned with everything `baselines/results/` already
+/// guards (so a deleted report still fails).
 pub fn gated_files(root: &Path) -> Vec<String> {
     let mut set = std::collections::BTreeSet::new();
-    let mut scan = |dir: &Path, prefix: &str, bench_only: bool| {
-        let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for dir in [root.join("results"), root.join("baselines/results")] {
+        let Ok(entries) = std::fs::read_dir(dir) else { continue };
         for e in entries.flatten() {
             let name = e.file_name().to_string_lossy().into_owned();
-            if !name.ends_with(".json") || EXCLUDED_FILES.contains(&name.as_str()) {
-                continue;
+            if name.ends_with(".json") && !EXCLUDED_FILES.contains(&name.as_str()) {
+                set.insert(format!("results/{name}"));
             }
-            if bench_only && !name.starts_with("BENCH_") {
-                continue;
-            }
-            set.insert(format!("{prefix}{name}"));
         }
-    };
-    scan(root, "", true);
-    scan(&root.join("results"), "results/", false);
-    scan(&root.join("baselines"), "", true);
-    scan(&root.join("baselines/results"), "results/", false);
+    }
     set.into_iter().collect()
 }
 
@@ -421,7 +404,7 @@ mod tests {
             Policy::Info
         );
         assert_eq!(
-            classify("BENCH_parallel.json", "$.kernel_results[0].baseline_median_ns"),
+            classify("results/observability.json", "$.data.flight_on_over_off_median"),
             Policy::Info
         );
         assert_eq!(classify("results/x.json", "$.date"), Policy::Info);
@@ -513,10 +496,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("twoface-fleet-test-{}", std::process::id()));
         let results = dir.join("results");
         std::fs::create_dir_all(&results).unwrap();
-        std::fs::write(dir.join("BENCH_x.json"), r#"{"sim_seconds": 2.0, "date": "d1"}"#).unwrap();
         std::fs::write(results.join("r.json"), r#"{"data": [{"seconds": 1.5}]}"#).unwrap();
+        std::fs::write(results.join("s.json"), r#"{"sim_seconds": 2.0, "date": "d1"}"#).unwrap();
         // Excluded artifacts never enter the gated set.
         std::fs::write(results.join("fleet_report.json"), r#"{"wall": 1}"#).unwrap();
+        // Only `results/` is gated: a stray report at the root is neither
+        // checked nor blessed.
+        std::fs::write(dir.join("BENCH_x.json"), r#"{"sim_seconds": 2.0}"#).unwrap();
 
         // Unblessed tree: every gated file fails as unbaselined.
         let before = check_tree(&dir);
@@ -524,7 +510,8 @@ mod tests {
         assert_eq!(before.failures().count(), 2);
 
         let blessed = bless_tree(&dir).unwrap();
-        assert_eq!(blessed, vec!["BENCH_x.json".to_string(), "results/r.json".to_string()]);
+        assert_eq!(blessed, vec!["results/r.json".to_string(), "results/s.json".to_string()]);
+        assert!(!dir.join("baselines/BENCH_x.json").exists());
         let clean = check_tree(&dir);
         assert!(clean.passed(), "{:?}", clean.diffs);
         assert_eq!(clean.files_compared, 2);
@@ -537,9 +524,11 @@ mod tests {
         assert_eq!(failures[0].file, "results/r.json");
         assert_eq!(failures[0].path, "$.data[0].seconds");
 
-        // Informational metadata may drift freely.
+        // Informational metadata may drift freely, and the stray root file
+        // may change at will.
         std::fs::write(results.join("r.json"), r#"{"data": [{"seconds": 1.5}]}"#).unwrap();
-        std::fs::write(dir.join("BENCH_x.json"), r#"{"sim_seconds": 2.0, "date": "d2"}"#).unwrap();
+        std::fs::write(results.join("s.json"), r#"{"sim_seconds": 2.0, "date": "d2"}"#).unwrap();
+        std::fs::write(dir.join("BENCH_x.json"), r#"{"sim_seconds": 3.0}"#).unwrap();
         assert!(check_tree(&dir).passed());
 
         // Deleting a baselined report is a gated failure.

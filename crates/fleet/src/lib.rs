@@ -6,15 +6,16 @@
 //! timeout and one retry, writes a machine-readable
 //! `results/fleet_report.json`, and — the part that turns `results/` from
 //! snapshots into a guarded trajectory — diffs every produced
-//! `results/*.json` and `BENCH_*.json` against committed baselines under
-//! `baselines/` with explicit per-field tolerance policy:
+//! `results/*.json` against committed baselines under `baselines/results/`
+//! with explicit per-field tolerance policy:
 //!
 //! * **gated** — simulated seconds, per-nonzero throughput, communication
 //!   counters, and schema identity: bit-exact by default, or a declared
 //!   relative band per field ([`diff::DECLARED_BANDS`]);
 //! * **informational** — wall-clock measurements and report metadata
 //!   (`date`, `harness`, `host_note`, anything whose path says `wall`,
-//!   `_ns`, …): reported, never failing, per the honest 1-CPU host notes.
+//!   `_ns`, …): reported, never failing, because host time varies between
+//!   runs.
 //!
 //! The modes mirror the CLI: `--check` re-diffs the tree and exits non-zero
 //! naming every out-of-band field, `--bless` rewrites the baselines,

@@ -237,6 +237,20 @@ mod tests {
     }
 
     #[test]
+    fn every_baselined_report_has_a_producing_job() {
+        // A report counts only if a committed, rerunnable harness writes it:
+        // every file the baselines guard must be some job's output.
+        let root = crate::workspace_root();
+        let jobs = experiment_matrix();
+        let orphans: Vec<String> = crate::diff::gated_files(&root)
+            .into_iter()
+            .filter(|rel| root.join("baselines").join(rel).exists())
+            .filter(|rel| !jobs.iter().any(|j| j.outputs.contains(rel)))
+            .collect();
+        assert!(orphans.is_empty(), "baselined reports no job produces: {orphans:?}");
+    }
+
+    #[test]
     fn every_gated_output_is_unique() {
         let jobs = experiment_matrix();
         let mut outputs: Vec<_> = jobs.iter().flat_map(|j| j.outputs.clone()).collect();

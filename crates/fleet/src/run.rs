@@ -61,8 +61,8 @@ pub struct JobOutcome {
     pub status: JobStatus,
     /// Attempts actually made.
     pub attempts: u32,
-    /// Total wall-clock seconds across attempts (informational: 1-CPU,
-    /// time-shared host).
+    /// Total wall-clock seconds across attempts (informational: host time
+    /// varies between runs).
     pub wall_seconds: f64,
     /// Per-attempt timeout the job ran under, in seconds.
     pub timeout_seconds: u64,

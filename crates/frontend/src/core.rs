@@ -87,7 +87,9 @@ pub struct FrontendRequest {
     pub algorithm: Algorithm,
     /// Latency objective in *simulated* seconds from admission: the
     /// request's deadline is the session clock at admission plus this.
-    /// `None` = best effort (never forces an early batch close).
+    /// `None` = best effort (never forces an early batch close). A value
+    /// must be finite and `>= 0.0`; admission rejects any other with
+    /// [`FrontendError::InvalidSlo`].
     pub slo_sim_seconds: Option<f64>,
 }
 
@@ -103,7 +105,10 @@ impl FrontendRequest {
         self
     }
 
-    /// Attaches a latency SLO in simulated seconds.
+    /// Attaches a latency SLO in simulated seconds. It must be finite and
+    /// `>= 0.0` (`0.0` asks for the earliest possible close); admission
+    /// rejects NaN, negative, and infinite values with
+    /// [`FrontendError::InvalidSlo`].
     pub fn with_slo(mut self, slo_sim_seconds: f64) -> FrontendRequest {
         self.slo_sim_seconds = Some(slo_sim_seconds);
         self
@@ -314,6 +319,9 @@ impl FrontendCore {
         let FrontendRequest { matrix, b, algorithm, slo_sim_seconds } = request;
         let cols = self.matrix_cols.get(&matrix).copied();
         check_operand(matrix, cols, &b).map_err(|source| FrontendError::Invalid { source })?;
+        if let Some(slo) = slo_sim_seconds.filter(|slo| !(slo.is_finite() && *slo >= 0.0)) {
+            return Err(FrontendError::InvalidSlo { slo_sim_seconds: slo });
+        }
         let k = b.cols();
         if self.draining {
             return self.reject(tenant, RejectReason::Draining);

@@ -9,7 +9,8 @@ use twoface_serve::ServeError;
 ///
 /// Every reason is a *load* signal: the request itself was well-formed, and
 /// resubmitting after the queue drains (or the quota frees) can succeed.
-/// Malformed requests surface as [`FrontendError::Invalid`] instead.
+/// Malformed requests surface as [`FrontendError::Invalid`] or
+/// [`FrontendError::InvalidSlo`] instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum RejectReason {
@@ -123,6 +124,12 @@ pub enum FrontendError {
         /// The underlying validation failure.
         source: ServeError,
     },
+    /// The request's SLO is not a finite, non-negative number of simulated
+    /// seconds (NaN, negative, or infinite), so it names no deadline.
+    InvalidSlo {
+        /// The SLO the request carried.
+        slo_sim_seconds: f64,
+    },
     /// The scheduler is gone (its thread terminated abnormally), so the
     /// submission or ticket can never complete.
     Disconnected,
@@ -139,6 +146,11 @@ impl fmt::Display for FrontendError {
                 write!(f, "tenant '{name}' is already registered")
             }
             FrontendError::Invalid { source } => write!(f, "invalid request: {source}"),
+            FrontendError::InvalidSlo { slo_sim_seconds } => write!(
+                f,
+                "invalid request: SLO {slo_sim_seconds} is not a finite, non-negative number of \
+                 simulated seconds"
+            ),
             FrontendError::Disconnected => {
                 write!(f, "the front-end scheduler terminated abnormally")
             }

@@ -49,7 +49,9 @@ impl Frontend {
     /// # Errors
     ///
     /// [`FrontendError::Invalid`] for malformed requests,
-    /// [`FrontendError::Rejected`] when a backpressure rung fires.
+    /// [`FrontendError::InvalidSlo`] for an SLO that is not a finite,
+    /// non-negative number, [`FrontendError::Rejected`] when a backpressure
+    /// rung fires.
     pub fn submit(
         &mut self,
         tenant: TenantId,

@@ -2,8 +2,8 @@
 # Thin wrapper kept for muscle memory: the experiment matrix is owned by
 # the twoface-fleet driver (crates/fleet), which runs every bench bin and
 # chaos sweep as a subprocess with a timeout and one retry, writes
-# results/fleet_report.json, and diffs every results/*.json and
-# BENCH_*.json report against the committed baselines under baselines/.
+# results/fleet_report.json, and diffs every results/*.json report against
+# the committed baselines under baselines/results/.
 #
 #   ./run_all_experiments.sh                 # full matrix + baseline check
 #   ./run_all_experiments.sh --filter fast   # the CI subset

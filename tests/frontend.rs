@@ -241,6 +241,44 @@ fn invalid_requests_are_errors_not_backpressure() {
     assert_eq!(fe.pending(), 0);
 }
 
+/// SLOs that name no deadline: NaN, negative, and both infinities.
+const BAD_SLOS: [f64; 4] = [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY];
+
+fn assert_invalid_slo(err: Option<FrontendError>, slo: f64) {
+    match err {
+        Some(FrontendError::InvalidSlo { slo_sim_seconds }) => {
+            assert_eq!(slo_sim_seconds.to_bits(), slo.to_bits());
+        }
+        other => panic!("SLO {slo}: expected InvalidSlo, got {other:?}"),
+    }
+}
+
+#[test]
+fn non_finite_or_negative_slos_are_typed_errors() {
+    let (service, a) = service_with(512, 1);
+    let mut fe = Frontend::new(service, FrontendConfig::default());
+    let t = fe.register_tenant("alpha", TenantQuota::default()).unwrap();
+    for slo in BAD_SLOS {
+        let request = FrontendRequest::new(a, dense(8, 0)).with_slo(slo);
+        assert_invalid_slo(fe.submit(t, request).err(), slo);
+        // Nothing was queued, counted, or charged to the tenant.
+        assert_eq!(fe.pending(), 0);
+        assert_eq!(fe.metrics().counter("frontend.submitted"), 0);
+        assert_eq!(fe.metrics().counter("frontend.rejected"), 0);
+    }
+
+    let (service, a) = service_with(512, 1);
+    let fe = AsyncFrontend::spawn(service, FrontendConfig::default());
+    let handle = fe.register_tenant("alpha", TenantQuota::default()).unwrap();
+    for slo in BAD_SLOS {
+        let request = FrontendRequest::new(a, dense(8, 0)).with_slo(slo);
+        assert_invalid_slo(handle.submit(request).err(), slo);
+    }
+    let drained = fe.shutdown();
+    assert_eq!(drained.pending(), 0);
+    assert_eq!(drained.metrics().counter("frontend.submitted"), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Error type coverage (Display + source), RunError-precedent style.
 // ---------------------------------------------------------------------------
@@ -281,6 +319,11 @@ fn frontend_error_display_and_source_cover_every_variant() {
     assert!(err.to_string().contains("invalid request"));
     let source = err.source().expect("Invalid exposes its ServeError");
     assert!(source.to_string().contains("handle 7"));
+
+    let err = FrontendError::InvalidSlo { slo_sim_seconds: -1.0 };
+    let text = err.to_string();
+    assert!(text.contains("invalid request") && text.contains("SLO -1"), "{text}");
+    assert!(err.source().is_none());
 
     let err = FrontendError::Disconnected;
     assert!(err.to_string().contains("scheduler"));
