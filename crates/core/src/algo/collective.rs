@@ -85,7 +85,7 @@ pub(crate) fn allgather_rank(
     let rank = ctx.rank();
     let layout = &problem.layout;
     let all = ctx.allgather(Arc::clone(&data.b_blocks[rank]))?;
-    let mut rows_src = BlockRows::new(opts.k);
+    let mut rows_src = BlockRows::new(layout, opts.k);
     for (owner, buf) in all.into_iter().enumerate() {
         rows_src.add_block(layout.col_range(owner), buf);
     }
@@ -110,7 +110,7 @@ pub(crate) fn async_coarse_rank(
     let rank = ctx.rank();
     let layout = &problem.layout;
     let win = ctx.create_window(Arc::clone(&data.b_blocks[rank]))?;
-    let mut rows_src = BlockRows::new(opts.k);
+    let mut rows_src = BlockRows::new(layout, opts.k);
     rows_src.add_block(layout.col_range(rank), Arc::clone(&data.b_blocks[rank]));
     for &owner in &data.needed_blocks[rank] {
         let cols = layout.col_range(owner);
@@ -173,7 +173,7 @@ pub(crate) fn dense_shifting_rank(
     let steps = p.div_ceil(c);
     for step in 0..steps {
         let ids = ids_at(step);
-        let mut rows_src = BlockRows::new(opts.k);
+        let mut rows_src = BlockRows::new(layout, opts.k);
         for (id, buf) in ids.iter().zip(&resident) {
             rows_src.add_block(layout.col_range(*id), buf.clone());
         }

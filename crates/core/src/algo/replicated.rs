@@ -103,7 +103,7 @@ pub(crate) fn one_five_d_rank(
     // --- Stage: canonical ascending block order keeps every layer set's
     // collective sequence consistent. Block b's owner is rank b, which
     // always covers residue b mod c itself, so the root is in the group.
-    let mut rows_src = BlockRows::new(k);
+    let mut rows_src = BlockRows::new(layout, k);
     for b in 0..p {
         if !covers_residue(rank, p, c, b % c) {
             continue;

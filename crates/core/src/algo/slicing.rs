@@ -89,7 +89,7 @@ fn slicing_rank(
         if owner == rank {
             // Own block: no transfer, straight to the kernel.
             if opts.compute {
-                let mut rows_src = BlockRows::new(k);
+                let mut rows_src = BlockRows::new(layout, k);
                 rows_src.add_block(layout.col_range(rank), Arc::clone(&data.b_blocks[rank]));
                 par_sync_panels(&pool, entries, &rows_src, &mut c_local, k);
             }

@@ -97,7 +97,7 @@ fn summa_rank(
 
     // --- Stage: canonical ascending block order; block b goes to the grid
     // column of its band, rooted at its owner (who may sit elsewhere).
-    let mut rows_src = BlockRows::new(k);
+    let mut rows_src = BlockRows::new(layout, k);
     for (b, &jb) in band_of.iter().enumerate().take(p) {
         let in_team = jb == j;
         if !in_team && b != rank {

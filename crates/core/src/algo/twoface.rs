@@ -216,12 +216,12 @@ impl StripeSource for &RankMatrices {
 /// requires — rooted at the stripe's owner, with destinations borrowed from
 /// the plan. Returns this rank's own block plus every received stripe as
 /// one row source.
-pub(crate) fn sync_multicasts(
+pub(crate) fn sync_multicasts<'p>(
     ctx: &mut RankCtx,
-    plan: &PartitionPlan,
+    plan: &'p PartitionPlan,
     b_block: &Arc<Vec<f64>>,
     k: usize,
-) -> Result<BlockRows, NetError> {
+) -> Result<BlockRows<'p>, NetError> {
     let rank = ctx.rank();
     let layout = plan.layout();
     let my_cols = layout.col_range(rank);
@@ -242,7 +242,7 @@ pub(crate) fn sync_multicasts(
         let hi = (cols.end - my_cols.start) * k;
         Payload::from(Arc::clone(b_block)).subslice(lo..hi)
     })?;
-    let mut stripe_buffers = BlockRows::new(k);
+    let mut stripe_buffers = BlockRows::new(layout, k);
     stripe_buffers.add_block(my_cols.clone(), Arc::clone(b_block));
     for (i, buf) in received {
         let step = &steps[i];

@@ -18,130 +18,179 @@
 //! `K ∈ {8, 32, 128}` (fixed-size array arithmetic the compiler unrolls and
 //! vectorizes; other widths take a generic fallback).
 //!
-//! Row sources are `Sync`: lookup state (the block/run that satisfied the
-//! previous probe) lives in a per-caller [`RowCursor`], not in the source,
-//! so concurrent workers never thrash a shared cursor.
+//! Row sources are `Sync`: lookup state lives in a per-caller
+//! [`RowCursor`], not in the source, so concurrent workers never thrash a
+//! shared cursor. The cursor caches the block that satisfied the previous
+//! lookup as a column range and a row slice, so a hit is a range check and
+//! a slice. A source resolves only the misses: [`BlockRows`] through a
+//! per-stripe slot table, in O(1) however many blocks it holds, and
+//! [`FetchedRows`] by a binary search over one stripe's few fetched runs.
 
 use crate::coalesce::RowRun;
 use crate::pool::Pool;
+use std::ops::Range;
 use twoface_matrix::{Entry, Scalar};
 use twoface_net::Payload;
+use twoface_partition::OneDimLayout;
 
-/// Per-caller lookup cursor: remembers which block (or run) satisfied the
-/// last lookup. Kernels walk columns in runs, so consecutive lookups almost
-/// always hit the same block; probing it first skips the binary search on
-/// the hot path. Each worker holds its own cursor, so parallel kernels
-/// keep the fast path without sharing mutable state.
+/// Per-caller lookup cursor: the block (or run) that satisfied the last
+/// lookup, cached as its first global column, its column count and its
+/// rows. Kernels walk columns in runs, so consecutive lookups mostly hit the
+/// cached block, and a hit reads only the cursor: a range check and a
+/// slice, no indirection through the source. Each worker holds its own
+/// cursor, so parallel kernels keep the fast path without sharing mutable
+/// state.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RowCursor {
-    hint: usize,
+pub struct RowCursor<'s> {
+    start: usize,
+    len: usize,
+    rows: &'s [Scalar],
+}
+
+impl<'s> RowCursor<'s> {
+    /// A cursor over the block holding global columns `cols`, whose rows are
+    /// `rows` (`K` scalars per column, in column order).
+    pub fn new(cols: Range<usize>, rows: &'s [Scalar]) -> RowCursor<'s> {
+        RowCursor { start: cols.start, len: cols.len(), rows }
+    }
 }
 
 /// A source of dense `B` rows addressed by global column id.
 ///
 /// Implementations are immutable after construction and `Sync`, so one
 /// source can serve many workers concurrently; per-caller lookup state goes
-/// through the [`RowCursor`] each caller owns.
+/// through the [`RowCursor`] each caller owns. A source implements only the
+/// miss, [`RowSource::resolve`]; the cursor serves the hits.
 pub trait RowSource: Sync {
     /// The dense column count `K`.
     fn k(&self) -> usize;
 
-    /// Row `col` of `B` as a `K`-element slice, using `cursor` to remember
-    /// the spot that satisfied this lookup for the next one.
+    /// A cursor over the block (or run) holding row `col`.
     ///
     /// # Panics
     ///
     /// Panics if this source does not hold row `col` — asking for a row that
     /// was never transferred is an algorithm bug, not a recoverable error.
-    fn row_with<'s>(&'s self, cursor: &mut RowCursor, col: usize) -> &'s [Scalar];
+    fn resolve(&self, col: usize) -> RowCursor<'_>;
+
+    /// Row `col` of `B` as a `K`-element slice, served from `cursor` when it
+    /// holds the row and resolved (and cached in `cursor`) otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Same condition as [`RowSource::resolve`].
+    #[inline]
+    fn row_with<'s>(&'s self, cursor: &mut RowCursor<'s>, col: usize) -> &'s [Scalar] {
+        let mut offset = col.wrapping_sub(cursor.start);
+        if offset >= cursor.len {
+            *cursor = self.resolve(col);
+            offset = col - cursor.start;
+        }
+        let k = self.k();
+        &cursor.rows[offset * k..(offset + 1) * k]
+    }
 
     /// Cursor-less convenience lookup (a fresh [`RowCursor`] per call);
     /// hot loops should hold a cursor and call [`RowSource::row_with`].
     ///
     /// # Panics
     ///
-    /// Same condition as [`RowSource::row_with`].
+    /// Same condition as [`RowSource::resolve`].
     fn row(&self, col: usize) -> &[Scalar] {
         self.row_with(&mut RowCursor::default(), col)
     }
 }
 
-/// A [`RowSource`] over a set of contiguous block buffers, each covering a
-/// global column range — the view of `B` a baseline holds after replication
-/// (its own block plus received/replicated blocks).
-#[derive(Debug, Clone, Default)]
-pub struct BlockRows {
+/// A [`RowSource`] over a set of contiguous block buffers, each covering
+/// whole stripes of a [`OneDimLayout`] — the view of `B` an algorithm holds
+/// after its transfers: its own column block plus received column blocks or
+/// dense stripes.
+///
+/// Every rank knows where its blocks land before the kernel runs, so a miss
+/// is O(1): the column's stripe ([`OneDimLayout::stripe_of_col`]) indexes a
+/// per-stripe slot table naming the block that holds it.
+#[derive(Debug, Clone)]
+pub struct BlockRows<'l> {
     k: usize,
-    /// `(col_start, col_end, buffer)`, sorted by `col_start`.
+    layout: &'l OneDimLayout,
+    /// `(col_start, col_end, buffer)`, in the order they were added.
     blocks: Vec<(usize, usize, Payload)>,
+    /// Per stripe of `layout`, the index in `blocks` of the block holding
+    /// it, or [`NO_BLOCK`].
+    slot_of_stripe: Vec<usize>,
 }
 
-impl BlockRows {
-    /// Creates an empty source for `K` columns.
-    pub fn new(k: usize) -> BlockRows {
+/// The slot-table entry of a stripe no block holds; never a valid index.
+const NO_BLOCK: usize = usize::MAX;
+
+impl<'l> BlockRows<'l> {
+    /// Creates an empty source for `K` columns over `layout`'s stripes.
+    pub fn new(layout: &'l OneDimLayout, k: usize) -> BlockRows<'l> {
         assert!(k > 0, "K must be positive");
-        BlockRows { k, blocks: Vec::new() }
+        BlockRows {
+            k,
+            layout,
+            blocks: Vec::new(),
+            slot_of_stripe: vec![NO_BLOCK; layout.num_stripes()],
+        }
     }
 
-    /// Adds a block buffer covering global columns `cols`. Accepts anything
-    /// convertible into a [`Payload`] — an owned `Vec`, a shared
-    /// `Arc<Vec<f64>>`, or a zero-copy view returned by a collective.
+    /// Adds a block buffer covering global columns `cols`, which must start
+    /// and end on stripe boundaries of the layout: a column block
+    /// ([`OneDimLayout::col_range`]) or one stripe
+    /// ([`OneDimLayout::stripe_cols`]). Accepts anything convertible into a
+    /// [`Payload`] — an owned `Vec`, a shared `Arc<Vec<f64>>`, or a zero-copy
+    /// view returned by a collective.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer length is not `cols.len() * K`.
-    pub fn add_block(&mut self, cols: std::ops::Range<usize>, buffer: impl Into<Payload>) {
+    /// Panics if the buffer length is not `cols.len() * K`, if `cols` does
+    /// not sit on stripe boundaries, or if another block already holds one
+    /// of its stripes.
+    pub fn add_block(&mut self, cols: Range<usize>, buffer: impl Into<Payload>) {
         let buffer = buffer.into();
         assert_eq!(buffer.len(), cols.len() * self.k, "block buffer for {cols:?} has wrong length");
-        let pos = self.blocks.partition_point(|&(start, _, _)| start < cols.start);
-        self.blocks.insert(pos, (cols.start, cols.end, buffer));
-    }
-
-    /// Removes the block starting at `col_start`, if present (used by the
-    /// shifting baseline as block groups rotate out).
-    pub fn remove_block(&mut self, col_start: usize) -> bool {
-        match self.blocks.binary_search_by_key(&col_start, |&(s, _, _)| s) {
-            Ok(i) => {
-                self.blocks.remove(i);
-                true
-            }
-            Err(_) => false,
+        if cols.is_empty() {
+            return; // an empty column block holds no stripe
         }
+        let layout = self.layout;
+        let first = layout.stripe_of_col(cols.start);
+        let last = layout.stripe_of_col(cols.end - 1);
+        assert!(
+            layout.stripe_cols(first).start == cols.start
+                && layout.stripe_cols(last).end == cols.end,
+            "block {cols:?} does not sit on stripe boundaries"
+        );
+        for stripe in first..=last {
+            let slot = &mut self.slot_of_stripe[stripe];
+            assert_eq!(*slot, NO_BLOCK, "stripe {stripe} already has a block");
+            *slot = self.blocks.len();
+        }
+        self.blocks.push((cols.start, cols.end, buffer));
     }
 
     /// Whether some block holds column `col`.
     pub fn contains(&self, col: usize) -> bool {
-        self.find(&mut RowCursor::default(), col).is_some()
+        self.block_of(col).is_some()
     }
 
-    fn find(&self, cursor: &mut RowCursor, col: usize) -> Option<(usize, &Payload)> {
-        if let Some(&(start, end, ref buf)) = self.blocks.get(cursor.hint) {
-            if (start..end).contains(&col) {
-                return Some((col - start, buf));
-            }
-        }
-        let i = self.blocks.partition_point(|&(start, _, _)| start <= col);
-        if i == 0 {
+    fn block_of(&self, col: usize) -> Option<&(usize, usize, Payload)> {
+        if col >= self.layout.cols() {
             return None;
         }
-        let (start, end, ref buf) = self.blocks[i - 1];
-        if col >= end {
-            return None;
-        }
-        cursor.hint = i - 1;
-        Some((col - start, buf))
+        self.blocks.get(self.slot_of_stripe[self.layout.stripe_of_col(col)])
     }
 }
 
-impl RowSource for BlockRows {
+impl RowSource for BlockRows<'_> {
     fn k(&self) -> usize {
         self.k
     }
 
-    fn row_with<'s>(&'s self, cursor: &mut RowCursor, col: usize) -> &'s [Scalar] {
-        let (offset, buf) =
-            self.find(cursor, col).unwrap_or_else(|| panic!("no block holds B row {col}"));
-        &buf[offset * self.k..(offset + 1) * self.k]
+    fn resolve(&self, col: usize) -> RowCursor<'_> {
+        let (start, end, buf) =
+            self.block_of(col).unwrap_or_else(|| panic!("no block holds B row {col}"));
+        RowCursor::new(*start..*end, buf)
     }
 }
 
@@ -151,9 +200,10 @@ impl RowSource for BlockRows {
 /// received buffer (which may include padding rows from gap coalescing).
 /// Each run is `(col_start, col_end, slot_base)`: global columns
 /// `col_start..col_end` occupy consecutive slots starting at `slot_base`.
-/// Lookups binary-search the table, but first probe the caller's
-/// [`RowCursor`] — the async kernel walks columns in ascending order, so
-/// nearly every lookup after the first in a run is a cursor hit.
+/// A miss binary-searches the table — one stripe's few runs — and the
+/// caller's [`RowCursor`] caches the run it finds; the async kernel walks
+/// columns in ascending order, so nearly every lookup after the first in a
+/// run is a cursor hit.
 #[derive(Debug, Clone)]
 pub struct FetchedRows {
     k: usize,
@@ -195,24 +245,6 @@ impl FetchedRows {
     pub fn into_data(self) -> Vec<Scalar> {
         self.data
     }
-
-    fn slot_of_col(&self, cursor: &mut RowCursor, col: usize) -> Option<usize> {
-        if let Some(&(start, end, base)) = self.runs.get(cursor.hint) {
-            if (start..end).contains(&col) {
-                return Some(base + (col - start));
-            }
-        }
-        let i = self.runs.partition_point(|&(start, _, _)| start <= col);
-        if i == 0 {
-            return None;
-        }
-        let (start, end, base) = self.runs[i - 1];
-        if col >= end {
-            return None;
-        }
-        cursor.hint = i - 1;
-        Some(base + (col - start))
-    }
 }
 
 impl RowSource for FetchedRows {
@@ -220,20 +252,28 @@ impl RowSource for FetchedRows {
         self.k
     }
 
-    fn row_with<'s>(&'s self, cursor: &mut RowCursor, col: usize) -> &'s [Scalar] {
-        let slot =
-            self.slot_of_col(cursor, col).unwrap_or_else(|| panic!("B row {col} was not fetched"));
-        &self.data[slot * self.k..(slot + 1) * self.k]
+    fn resolve(&self, col: usize) -> RowCursor<'_> {
+        let i = self.runs.partition_point(|&(start, _, _)| start <= col);
+        match i.checked_sub(1).map(|i| self.runs[i]) {
+            Some((start, end, base)) if col < end => {
+                RowCursor::new(start..end, &self.data[base * self.k..(base + end - start) * self.k])
+            }
+            _ => panic!("B row {col} was not fetched"),
+        }
     }
 }
 
 /// Dispatches `$body` with `$fixed` bound to a compile-time dense width for
 /// the paper's `K ∈ {8, 32, 128}`, falling back to the generic path (with
-/// `$fixed = 0`, meaning "use the runtime `k`") for anything else. The
-/// fixed-width instantiations run the inner FMA loops over `[Scalar; K]`
-/// arrays, which the compiler fully unrolls and vectorizes.
+/// `$fixed = 0`, meaning "use the runtime `k`") for anything else — through
+/// `$generic` when given, else through `$body` too. The fixed-width
+/// instantiations run the inner FMA loops over `[Scalar; K]` arrays, which
+/// the compiler fully unrolls and vectorizes.
 macro_rules! dispatch_k {
     ($k:expr, $fixed:ident, $body:expr) => {
+        dispatch_k!($k, $fixed, $body, $body)
+    };
+    ($k:expr, $fixed:ident, $body:expr, $generic:expr) => {
         match $k {
             8 => {
                 const $fixed: usize = 8;
@@ -249,7 +289,7 @@ macro_rules! dispatch_k {
             }
             _ => {
                 const $fixed: usize = 0;
-                $body
+                $generic
             }
         }
     };
@@ -306,32 +346,63 @@ pub fn sync_panel_kernel_at<E: Entry>(
     k: usize,
     row_base: usize,
 ) {
-    let Some(first) = panel.first() else {
+    if panel.is_empty() {
         return;
-    };
-    dispatch_k!(k, FIXED, {
-        let mut cursor = RowCursor::default();
-        let mut acc = vec![0.0; k];
-        let mut prev_row = first.row();
-        for t in panel {
-            if t.row() != prev_row {
-                flush(c_chunk, prev_row - row_base, &mut acc, k);
-                prev_row = t.row();
-            }
-            axpy::<FIXED>(&mut acc, rows.row_with(&mut cursor, t.col()), t.val());
+    }
+    dispatch_k!(
+        k,
+        FIXED,
+        sync_rows::<FIXED, E>(panel, rows, c_chunk, k, row_base, [0.0; FIXED]),
+        sync_rows::<FIXED, E>(panel, rows, c_chunk, k, row_base, vec![0.0; k])
+    );
+}
+
+/// Algorithm 2's loop over a non-empty panel, accumulating each row in
+/// `acc` and flushing it once per row, at the compile-time width `F` when
+/// `F > 0`. A fixed width passes a local `[Scalar; F]`, which the compiler
+/// keeps out of memory once the loops are unrolled; the generic width
+/// passes one buffer of `k`.
+#[inline(always)]
+fn sync_rows<const F: usize, E: Entry>(
+    panel: &[E],
+    rows: &impl RowSource,
+    c_chunk: &mut [Scalar],
+    k: usize,
+    row_base: usize,
+    mut acc: impl AsMut<[Scalar]>,
+) {
+    let acc = acc.as_mut();
+    let mut cursor = RowCursor::default();
+    let mut prev_row = panel[0].row();
+    for t in panel {
+        if t.row() != prev_row {
+            flush::<F>(c_chunk, prev_row - row_base, acc, k);
+            prev_row = t.row();
         }
-        flush(c_chunk, prev_row - row_base, &mut acc, k);
-    });
+        axpy::<F>(acc, rows.row_with(&mut cursor, t.col()), t.val());
+    }
+    flush::<F>(c_chunk, prev_row - row_base, acc, k);
 }
 
 /// The single "atomic" accumulation of a finished row buffer into `C`
 /// (AtomicAdd in Algorithm 2 — each output row is owned by exactly one
-/// worker, so plain addition is exact).
-fn flush(c_local: &mut [Scalar], row: usize, acc: &mut [Scalar], k: usize) {
+/// worker, so plain addition is exact), at the fixed width `F` when
+/// `F > 0`.
+#[inline(always)]
+fn flush<const F: usize>(c_local: &mut [Scalar], row: usize, acc: &mut [Scalar], k: usize) {
     let out = &mut c_local[row * k..(row + 1) * k];
-    for j in 0..k {
-        out[j] += acc[j];
-        acc[j] = 0.0;
+    if F > 0 {
+        let out: &mut [Scalar; F] = out.try_into().expect("width checked by caller");
+        let acc: &mut [Scalar; F] = (&mut acc[..F]).try_into().expect("width checked by caller");
+        for j in 0..F {
+            out[j] += acc[j];
+            acc[j] = 0.0;
+        }
+    } else {
+        for (o, a) in out.iter_mut().zip(acc.iter_mut()) {
+            *o += *a;
+            *a = 0.0;
+        }
     }
 }
 
@@ -523,31 +594,75 @@ mod tests {
         Arc::new(rows.iter().flatten().copied().collect())
     }
 
+    /// One node, one stripe: `0..cols` is the only block a source can add.
+    fn whole(cols: usize) -> OneDimLayout {
+        OneDimLayout::new(1, cols, 1, cols.max(1))
+    }
+
+    /// Three column blocks of two columns each, one stripe per block.
+    fn three_pairs() -> OneDimLayout {
+        OneDimLayout::new(6, 6, 3, 2)
+    }
+
     #[test]
     fn block_rows_resolves_across_blocks() {
-        let mut b = BlockRows::new(2);
+        let layout = three_pairs();
+        let mut b = BlockRows::new(&layout, 2);
         b.add_block(4..6, arc_rows(&[[4.0, 40.0], [5.0, 50.0]]));
         b.add_block(0..2, arc_rows(&[[0.0, 0.0], [1.0, 10.0]]));
         assert_eq!(b.row(1), &[1.0, 10.0]);
         assert_eq!(b.row(5), &[5.0, 50.0]);
         assert!(b.contains(4));
         assert!(!b.contains(2));
+        assert!(!b.contains(6), "past the last column");
     }
 
     #[test]
-    fn block_rows_remove() {
-        let mut b = BlockRows::new(2);
-        b.add_block(0..1, arc_rows(&[[1.0, 1.0]]));
-        assert!(b.remove_block(0));
-        assert!(!b.remove_block(0));
-        assert!(!b.contains(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "no block holds")]
+    #[should_panic(expected = "no block holds B row 0")]
     fn missing_row_panics() {
-        let b = BlockRows::new(2);
+        let layout = three_pairs();
+        let b = BlockRows::new(&layout, 2);
         let _ = b.row(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no block holds B row 3")]
+    fn never_added_stripe_panics() {
+        // The stripes on both sides hold blocks; the one between does not.
+        let layout = three_pairs();
+        let mut b = BlockRows::new(&layout, 2);
+        b.add_block(0..2, arc_rows(&[[0.0, 0.0], [1.0, 10.0]]));
+        b.add_block(4..6, arc_rows(&[[4.0, 40.0], [5.0, 50.0]]));
+        let mut cur = RowCursor::default();
+        assert_eq!(b.row_with(&mut cur, 1), &[1.0, 10.0]);
+        let _ = b.row_with(&mut cur, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not sit on stripe boundaries")]
+    fn block_starting_inside_a_stripe_panics() {
+        // Column blocks 0..5 and 5..10; stripes 0..3, 3..5, 5..8, 8..10.
+        let layout = OneDimLayout::new(10, 10, 2, 3);
+        let mut b = BlockRows::new(&layout, 1);
+        b.add_block(1..5, vec![0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not sit on stripe boundaries")]
+    fn block_ending_inside_a_stripe_panics() {
+        let layout = OneDimLayout::new(10, 10, 2, 3);
+        let mut b = BlockRows::new(&layout, 1);
+        b.add_block(5..7, vec![0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stripe 1 already has a block")]
+    fn overlapping_blocks_panic() {
+        // A column block, then one of its own stripes again.
+        let layout = OneDimLayout::new(10, 10, 2, 3);
+        let mut b = BlockRows::new(&layout, 1);
+        b.add_block(0..5, vec![0.0; 5]);
+        b.add_block(3..5, vec![0.0; 2]);
     }
 
     #[test]
@@ -600,7 +715,9 @@ mod tests {
 
     #[test]
     fn block_rows_random_access_after_cached_block() {
-        let mut b = BlockRows::new(1);
+        // Five column blocks of two columns: 0..2, ..., 8..10.
+        let layout = OneDimLayout::new(10, 10, 5, 2);
+        let mut b = BlockRows::new(&layout, 1);
         b.add_block(0..2, Arc::new(vec![0.0, 1.0]));
         b.add_block(8..10, Arc::new(vec![8.0, 9.0]));
         let mut cur = RowCursor::default();
@@ -609,17 +726,12 @@ mod tests {
         assert_eq!(b.row_with(&mut cur, 8), &[8.0]);
         assert!(!b.contains(5));
         assert_eq!(b.row_with(&mut cur, 1), &[1.0]);
-        // Removing a block invalidates the cursor's hint; lookups must
-        // still resolve correctly afterwards.
-        assert!(b.remove_block(0));
-        assert_eq!(b.row_with(&mut cur, 8), &[8.0]);
-        assert!(!b.contains(1));
     }
 
     #[test]
     fn row_sources_are_sync() {
         fn assert_sync<T: Sync>() {}
-        assert_sync::<BlockRows>();
+        assert_sync::<BlockRows<'static>>();
         assert_sync::<FetchedRows>();
     }
 
@@ -628,7 +740,8 @@ mod tests {
         // Panel: row 0 has cols 0 and 1; row 2 has col 1. K=2.
         let panel =
             vec![Triplet::new(0, 0, 2.0), Triplet::new(0, 1, 3.0), Triplet::new(2, 1, 10.0)];
-        let mut b = BlockRows::new(2);
+        let layout = whole(2);
+        let mut b = BlockRows::new(&layout, 2);
         b.add_block(0..2, arc_rows(&[[1.0, 10.0], [2.0, 20.0]]));
         let mut c = vec![0.0; 3 * 2];
         sync_panel_kernel(&panel, &b, &mut c, 2);
@@ -640,7 +753,8 @@ mod tests {
     #[test]
     fn sync_kernel_adds_onto_existing_output() {
         let panel = vec![Triplet::new(0, 0, 1.0)];
-        let mut b = BlockRows::new(1);
+        let layout = whole(1);
+        let mut b = BlockRows::new(&layout, 1);
         b.add_block(0..1, Arc::new(vec![5.0]));
         let mut c = vec![100.0];
         sync_panel_kernel(&panel, &b, &mut c, 1);
@@ -651,7 +765,8 @@ mod tests {
     fn offset_kernels_rebase_rows_into_the_chunk() {
         // Entries for local rows 4 and 5 land at chunk rows 0 and 1.
         let entries = vec![Triplet::new(4, 0, 2.0), Triplet::new(5, 0, 3.0)];
-        let mut b = BlockRows::new(1);
+        let layout = whole(1);
+        let mut b = BlockRows::new(&layout, 1);
         b.add_block(0..1, Arc::new(vec![10.0]));
         let mut chunk = vec![0.0; 2];
         sync_panel_kernel_at(&entries, &b, &mut chunk, 1, 4);
@@ -663,7 +778,8 @@ mod tests {
 
     #[test]
     fn empty_panel_is_noop() {
-        let b = BlockRows::new(2);
+        let layout = whole(0);
+        let b = BlockRows::new(&layout, 2);
         let mut c = vec![1.0; 4];
         sync_panel_kernel(&[] as &[Triplet], &b, &mut c, 2);
         assert_eq!(c, vec![1.0; 4]);
@@ -678,7 +794,8 @@ mod tests {
             vec![Triplet::new(0, 0, 1.0), Triplet::new(0, 1, 2.0), Triplet::new(1, 0, 3.0)];
         let mut col_major = row_major.clone();
         col_major.sort_by_key(|t| (t.col, t.row));
-        let mut b = BlockRows::new(2);
+        let layout = whole(2);
+        let mut b = BlockRows::new(&layout, 2);
         b.add_block(0..2, arc_rows(&[[1.0, 2.0], [3.0, 4.0]]));
         let mut c_sync = vec![0.0; 4];
         let mut c_async = vec![0.0; 4];
@@ -716,7 +833,8 @@ mod tests {
             let entries = random_entries(rows, cols, 900, k as u64 + 7);
             let mut col_major = entries.clone();
             col_major.sort_by_key(|t| (t.col, t.row));
-            let mut b = BlockRows::new(k);
+            let layout = whole(cols);
+            let mut b = BlockRows::new(&layout, k);
             b.add_block(
                 0..cols,
                 Arc::new((0..cols * k).map(|i| (i % 13) as f64 * 0.5).collect::<Vec<_>>()),

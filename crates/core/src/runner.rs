@@ -625,16 +625,22 @@ fn operand_bytes(layout: &OneDimLayout, k: usize, nnz_by_rank: &[usize]) -> Vec<
         .collect()
 }
 
-/// [`operand_bytes`] for every rank of a resident problem, in one pass over
-/// the matrix (nonzeros are bucketed by row owner) instead of one full scan
-/// per rank.
+/// [`operand_bytes`] for every rank of a resident problem.
 fn base_bytes_all_ranks(problem: &Problem) -> Vec<usize> {
-    let layout = &problem.layout;
-    let mut nnz_local = vec![0usize; layout.nodes()];
-    for (r, _, _) in problem.a.iter() {
-        nnz_local[layout.owner_of_row(r)] += 1;
-    }
-    operand_bytes(layout, problem.k(), &nnz_local)
+    operand_bytes(&problem.layout, problem.k(), &nnz_by_rank(&problem.a, &problem.layout))
+}
+
+/// Each rank's nonzero count, without a pass over the nonzeros: a
+/// [`CooMatrix`] keeps its triplets row-sorted, so a rank's nonzeros are one
+/// slice, bounded by two binary searches on its row block.
+fn nnz_by_rank(a: &CooMatrix, layout: &OneDimLayout) -> Vec<usize> {
+    let rows_before = |row: usize| a.triplets().partition_point(|t| t.row < row);
+    (0..layout.nodes())
+        .map(|rank| {
+            let rows = layout.row_range(rank);
+            rows_before(rows.end) - rows_before(rows.start)
+        })
+        .collect()
 }
 
 /// Runs one algorithm on one problem under one cost model.
@@ -949,4 +955,28 @@ pub(crate) fn harvest<T, E: Into<RankError>>(
 /// output.
 pub(crate) fn stack_blocks(rows: usize, k: usize, blocks: &[Vec<f64>]) -> DenseMatrix {
     DenseMatrix::from_vec(rows, k, blocks.concat()).expect("rank blocks tile C exactly")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nnz_by_rank_matches_per_nonzero_counting() {
+        // Only rows 0, 1, 9 and 39 of 40 hold nonzeros: at p = 16 (row
+        // blocks of 3 and 2) and p = 40 most row blocks are empty, and p
+        // exceeds the number of non-empty rows.
+        let entries = [(0, 0, 1.0), (0, 5, 2.0), (1, 3, 3.0), (9, 1, 4.0), (39, 0, 5.0)];
+        let a = CooMatrix::from_triplets(40, 8, entries).expect("valid triplets");
+        for p in [1, 3, 16, 40] {
+            let layout = OneDimLayout::new(40, 8, p, 4);
+            let mut per_nonzero = vec![0usize; p];
+            for (r, _, _) in a.iter() {
+                per_nonzero[layout.owner_of_row(r)] += 1;
+            }
+            assert_eq!(nnz_by_rank(&a, &layout), per_nonzero, "p={p}");
+        }
+        let empty = CooMatrix::new(40, 8);
+        assert_eq!(nnz_by_rank(&empty, &OneDimLayout::new(40, 8, 16, 4)), vec![0; 16]);
+    }
 }

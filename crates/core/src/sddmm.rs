@@ -13,7 +13,7 @@
 use crate::algo::twoface::{sync_multicasts, TwoFaceData};
 use crate::coalesce::coalesce_rows;
 use crate::config::TwoFaceConfig;
-use crate::kernels::{FetchedRows, RowSource};
+use crate::kernels::{FetchedRows, RowCursor, RowSource};
 use crate::runner::{harvest, resolve_observability, Problem};
 use crate::{prepare_plan, RunError, RunOptions};
 use std::sync::Arc;
@@ -203,8 +203,10 @@ fn sddmm_rank(
         ctx.advance_span(Lane::Async, cost, PhaseClass::AsyncComp, (stripe.nnz() * k) as u64, None);
         if compute {
             let rows_src = FetchedRows::new(&runs, col_base, fetched, k);
+            let mut cursor = RowCursor::default();
             for t in &stripe.entries {
-                let value = t.val * dot(x.row(row_base + t.row()), rows_src.row(t.col()));
+                let y = rows_src.row_with(&mut cursor, t.col());
+                let value = t.val * dot(x.row(row_base + t.row()), y);
                 out.push(Triplet::new(row_base + t.row(), t.col(), value));
             }
         }
@@ -223,8 +225,10 @@ fn sddmm_rank(
             None,
         );
         if compute {
+            let mut cursor = RowCursor::default();
             for t in sync_local.entries() {
-                let value = t.val * dot(x.row(row_base + t.row()), stripe_buffers.row(t.col()));
+                let y = stripe_buffers.row_with(&mut cursor, t.col());
+                let value = t.val * dot(x.row(row_base + t.row()), y);
                 out.push(Triplet::new(row_base + t.row(), t.col(), value));
             }
         }

@@ -47,8 +47,8 @@ impl JobSpec {
 pub const SCRUBBED_ENV: &[&str] = &["TWOFACE_THREADS", "TWOFACE_TRACE", "TWOFACE_PROFILE"];
 
 /// The bench binaries: `(bin, tags, timeout seconds)`. Tags reflect
-/// measured single-CPU runtimes: `fast` jobs form the CI `--filter fast`
-/// subset (seconds each); the rest only run in full local sweeps.
+/// measured runtimes: `fast` jobs form the CI `--filter fast` subset
+/// (seconds each); the rest only run in full local sweeps.
 const BENCH_BINS: &[(&str, &[&str], u64)] = &[
     ("table1_matrices", &["fast", "table"], 300),
     ("table2_params", &["fast", "table"], 120),

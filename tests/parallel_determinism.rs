@@ -43,40 +43,86 @@ fn random_entries(rows: usize, cols: usize, nnz: usize, seed: u64) -> Vec<Triple
     entries
 }
 
-fn block_source(cols: usize, k: usize, seed: u64) -> BlockRows {
-    let mut rows = BlockRows::new(k);
-    let b: Vec<f64> =
-        (0..cols * k).map(|i| ((i as u64).wrapping_mul(seed | 1) % 97) as f64 * 0.125).collect();
-    rows.add_block(0..cols, Arc::new(b));
+/// `B` as a flat `cols x K` buffer of small exact values.
+fn b_values(cols: usize, k: usize, seed: u64) -> Vec<f64> {
+    (0..cols * k).map(|i| ((i as u64).wrapping_mul(seed | 1) % 97) as f64 * 0.125).collect()
+}
+
+/// All of `B` in one block.
+fn block_source(layout: &OneDimLayout, k: usize, seed: u64) -> BlockRows<'_> {
+    let mut rows = BlockRows::new(layout, k);
+    rows.add_block(0..layout.cols(), Arc::new(b_values(layout.cols(), k, seed)));
+    rows
+}
+
+/// The same `B` as [`block_source`], one block per stripe, added in a
+/// seeded shuffled order.
+fn stripe_source(layout: &OneDimLayout, k: usize, seed: u64) -> BlockRows<'_> {
+    let b = b_values(layout.cols(), k, seed);
+    let mut order: Vec<usize> = (0..layout.num_stripes()).collect();
+    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+    for i in (1..order.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        order.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    let mut rows = BlockRows::new(layout, k);
+    for stripe in order {
+        let cols = layout.stripe_cols(stripe);
+        rows.add_block(cols.clone(), b[cols.start * k..cols.end * k].to_vec());
+    }
     rows
 }
 
 /// Kernel-level contract: both parallel kernels match their serial forms
-/// bitwise across K ∈ {8, 32, 128}, multiple seeds, and worker counts.
+/// bitwise across generic and dispatched widths, multiple seeds, and worker
+/// counts — over `B` held in one block and over `B` split into per-stripe
+/// blocks added out of order.
 #[test]
 fn parallel_kernels_bitwise_match_serial_across_k_and_seeds() {
-    for k in [8usize, 32, 128] {
+    // Rows: not a multiple of any chunk size. Columns: three column blocks
+    // of 45, 44 and 44 in stripes of 8, so every owner has several stripes,
+    // each block ending in a narrower tail stripe.
+    let rows = 1201;
+    let layout = OneDimLayout::new(rows, 133, 3, 8);
+    let cols = layout.cols();
+    for k in [1usize, 3, 8, 32, 128] {
         for seed in [1u64, 17, 400] {
-            let rows = 301; // not a multiple of any chunk size
-            let cols = 128;
-            let entries = random_entries(rows, cols, 4000, seed ^ (k as u64) << 3);
+            // Enough products at every width for the drivers to fan out.
+            let nnz = 4000.max((1 << 16) / k);
+            let entries = random_entries(rows, cols, nnz, seed ^ (k as u64) << 3);
             let mut col_major = entries.clone();
             col_major.sort_by_key(|t| (t.col, t.row));
-            let src = block_source(cols, k, seed);
+            let src = block_source(&layout, k, seed);
+            let striped = stripe_source(&layout, k, seed);
 
             let mut serial_sync = vec![0.0; rows * k];
             sync_panel_kernel(&entries, &src, &mut serial_sync, k);
             let mut serial_async = vec![0.0; rows * k];
             async_stripe_kernel(&col_major, &src, &mut serial_async, k);
 
+            let mut striped_sync = vec![0.0; rows * k];
+            sync_panel_kernel(&entries, &striped, &mut striped_sync, k);
+            assert_eq!(striped_sync, serial_sync, "striped sync K={k} seed={seed}");
+            let mut striped_async = vec![0.0; rows * k];
+            async_stripe_kernel(&col_major, &striped, &mut striped_async, k);
+            assert_eq!(striped_async, serial_async, "striped async K={k} seed={seed}");
+
             for workers in WORKER_SWEEP {
                 let pool = Pool::new(workers);
-                let mut par = vec![0.0; rows * k];
-                par_sync_panels(&pool, &entries, &src, &mut par, k);
-                assert_eq!(par, serial_sync, "sync K={k} seed={seed} workers={workers}");
-                let mut par = vec![0.0; rows * k];
-                par_async_stripe(&pool, &entries, &src, &mut par, k);
-                assert_eq!(par, serial_async, "async K={k} seed={seed} workers={workers}");
+                for (name, rows_src) in [("one block", &src), ("striped", &striped)] {
+                    let mut par = vec![0.0; rows * k];
+                    let spans = par_sync_panels(&pool, &entries, rows_src, &mut par, k);
+                    assert!(spans > 1, "K={k}: the parallel driver fanned out");
+                    assert_eq!(par, serial_sync, "{name} sync K={k} seed={seed} workers={workers}");
+                    let mut par = vec![0.0; rows * k];
+                    par_async_stripe(&pool, &entries, rows_src, &mut par, k);
+                    assert_eq!(
+                        par, serial_async,
+                        "{name} async K={k} seed={seed} workers={workers}"
+                    );
+                }
             }
         }
     }
@@ -88,7 +134,8 @@ fn parallel_kernels_bitwise_match_serial_across_k_and_seeds() {
 fn panel_edge_cases_are_exact() {
     let k = 8;
     let pool = Pool::new(4);
-    let src = block_source(16, k, 3);
+    let layout = OneDimLayout::new(64, 16, 1, 16);
+    let src = block_source(&layout, k, 3);
 
     // Empty panel: a no-op for every worker count.
     let mut c = vec![1.5; 4 * k];
