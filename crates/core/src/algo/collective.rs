@@ -2,6 +2,7 @@
 //! Dense Shifting — plus their staged [`SpmmAlgorithm`] wrappers.
 
 use crate::algo::SpmmAlgorithm;
+use crate::error::RankError;
 use crate::kernels::{par_sync_panels, BlockRows};
 use crate::pool::Pool;
 use crate::runner::{ExecOpts, Problem};
@@ -223,8 +224,8 @@ impl SpmmAlgorithm for AllgatherAlgo<'_> {
         (layout.cols() - layout.col_range(rank).len()) * self.exec.k * SCALAR_BYTES
     }
 
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError> {
-        allgather_rank(ctx, &self.data, self.problem, &self.exec)
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError> {
+        Ok(allgather_rank(ctx, &self.data, self.problem, &self.exec)?)
     }
 }
 
@@ -245,8 +246,8 @@ impl SpmmAlgorithm for AsyncCoarseAlgo<'_> {
             .sum()
     }
 
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError> {
-        async_coarse_rank(ctx, &self.data, self.problem, &self.exec)
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError> {
+        Ok(async_coarse_rank(ctx, &self.data, self.problem, &self.exec)?)
     }
 }
 
@@ -269,7 +270,7 @@ impl SpmmAlgorithm for DenseShiftingAlgo<'_> {
         2 * self.replication * max_block * self.exec.k * SCALAR_BYTES
     }
 
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError> {
-        dense_shifting_rank(ctx, &self.data, self.problem, self.replication, &self.exec)
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError> {
+        Ok(dense_shifting_rank(ctx, &self.data, self.problem, self.replication, &self.exec)?)
     }
 }

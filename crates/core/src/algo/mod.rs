@@ -17,8 +17,9 @@ pub(crate) mod summa;
 pub(crate) mod twoface;
 
 use crate::config::TwoFaceConfig;
+use crate::error::RankError;
 use crate::runner::{ExecOpts, Problem};
-use twoface_net::{NetError, RankCtx};
+use twoface_net::RankCtx;
 
 /// One of the distributed SpMM algorithms the repository evaluates: the
 /// paper's Table-4 lineup plus the algorithm-family extensions.
@@ -167,24 +168,24 @@ pub(crate) trait SpmmAlgorithm: Sync {
     fn memory_extra(&self, rank: usize) -> usize;
 
     /// The per-rank body. Returns the rank's flat `row_block × K` slab of
-    /// `C`, or the first unrecoverable communication fault.
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError>;
+    /// `C`, or the first unrecoverable fault.
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError>;
 }
 
 /// Builds the staged object for a *concrete* algorithm (the runner resolves
-/// [`Algorithm::Auto`] first). Plan-using algorithms receive their staged
-/// Two-Face data from the runner, which owns plan resolution and reuse.
+/// [`Algorithm::Auto`] first). Plan-using algorithms arrive staged from the
+/// runner, which owns plan resolution and reuse.
 ///
 /// # Panics
 ///
 /// Panics if `algorithm` is [`Algorithm::Auto`] (unresolved) or a plan-using
-/// algorithm arrives without its data — both runner bugs, not user errors.
+/// algorithm arrives unstaged — both runner bugs, not user errors.
 pub(crate) fn stage<'a>(
     algorithm: Algorithm,
     problem: &'a Problem,
     config: &'a TwoFaceConfig,
     exec: ExecOpts,
-    twoface: Option<twoface::TwoFaceData>,
+    planned: Option<twoface::PlannedAlgo<'a>>,
 ) -> Box<dyn SpmmAlgorithm + 'a> {
     use collective::{AllgatherAlgo, AsyncCoarseAlgo, BaselineData, DenseShiftingAlgo};
     match algorithm {
@@ -215,11 +216,9 @@ pub(crate) fn stage<'a>(
             exec,
             config,
         }),
-        Algorithm::TwoFace | Algorithm::AsyncFine => Box::new(twoface::PlannedAlgo {
-            data: twoface.expect("runner stages plan data for plan-using algorithms"),
-            config,
-            exec,
-        }),
+        Algorithm::TwoFace | Algorithm::AsyncFine => {
+            Box::new(planned.expect("runner stages plan-using algorithms"))
+        }
         Algorithm::Auto => unreachable!("Auto is resolved before staging"),
     }
 }

@@ -24,6 +24,7 @@
 
 use crate::algo::collective::{charge_local_compute, BaselineData};
 use crate::algo::SpmmAlgorithm;
+use crate::error::RankError;
 use crate::kernels::{par_sync_panels, BlockRows};
 use crate::pool::Pool;
 use crate::runner::{ExecOpts, Problem};
@@ -79,8 +80,8 @@ impl SpmmAlgorithm for OneFiveDAlgo<'_> {
         (blocks + partials + in_flight) * row_bytes
     }
 
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError> {
-        one_five_d_rank(ctx, &self.data, self.problem, self.replication, &self.exec)
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError> {
+        Ok(one_five_d_rank(ctx, &self.data, self.problem, self.replication, &self.exec)?)
     }
 }
 

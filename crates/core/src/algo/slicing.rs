@@ -19,6 +19,7 @@ use crate::algo::collective::BaselineData;
 use crate::algo::SpmmAlgorithm;
 use crate::coalesce::coalesce_rows;
 use crate::config::TwoFaceConfig;
+use crate::error::RankError;
 use crate::kernels::{par_sync_panels, BlockRows, FetchedRows};
 use crate::pool::Pool;
 use crate::runner::{ExecOpts, Problem};
@@ -54,8 +55,8 @@ impl SpmmAlgorithm for SlicingAlgo<'_> {
         2 * max_rows * self.exec.k * SCALAR_BYTES
     }
 
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError> {
-        slicing_rank(ctx, &self.data, self.problem, self.config, &self.exec)
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError> {
+        Ok(slicing_rank(ctx, &self.data, self.problem, self.config, &self.exec)?)
     }
 }
 

@@ -18,6 +18,7 @@
 
 use crate::algo::collective::{charge_local_compute, BaselineData};
 use crate::algo::SpmmAlgorithm;
+use crate::error::RankError;
 use crate::kernels::{par_sync_panels, BlockRows};
 use crate::pool::Pool;
 use crate::runner::{ExecOpts, Problem};
@@ -74,8 +75,8 @@ impl SpmmAlgorithm for SummaAlgo<'_> {
         (blocks + partials + in_flight) * row_bytes
     }
 
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError> {
-        summa_rank(ctx, &self.data, self.problem, self.grid, &self.band_of, &self.exec)
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError> {
+        Ok(summa_rank(ctx, &self.data, self.problem, self.grid, &self.band_of, &self.exec)?)
     }
 }
 

@@ -22,28 +22,31 @@
 //! compute at the sync pool's throughput regardless.
 //!
 //! One body serves every Two-Face run: it is generic over a
-//! [`StripeSource`], so resident, masked (sampled) and streamed runs issue
-//! one op sequence by construction.
+//! [`StripeSource`], so one-shot, prepared, masked (sampled) and streamed
+//! runs issue one op sequence by construction.
 
 use crate::algo::SpmmAlgorithm;
 use crate::coalesce::coalesce_rows;
 use crate::config::{AsyncLayout, TwoFaceConfig};
-use crate::format::RankMatrices;
-use crate::kernels::{par_async_stripe, par_sync_panels, BlockRows, FetchedRows};
+use crate::error::RankError;
+use crate::format::{row_slice, RankMatrices, Route, Routes};
+use crate::kernels::{
+    par_async_stripe, par_sync_panels, par_sync_panels_skipping, BlockRows, FetchedRows,
+};
 use crate::pool::{Pool, WallTimer};
 use crate::runner::{ExecOpts, Problem};
 use std::sync::Arc;
-use twoface_matrix::{SmallTriplet, SCALAR_BYTES};
+use twoface_matrix::{CooMatrix, Scalar, SmallTriplet, Triplet, SCALAR_BYTES};
 use twoface_net::{Lane, MulticastStep, NetError, Payload, PhaseClass, RankCtx};
 use twoface_partition::PartitionPlan;
 
-/// Shared preprocessed inputs for Two-Face and Async Fine, indexed by rank.
+/// The materialized inputs of a masked (sampled) or SDDMM run, indexed by
+/// rank: both walk every rank's Figure-6 structures.
 pub(crate) struct TwoFaceData {
     /// The (replicated) plan: classifications plus multicast metadata.
     pub plan: Arc<PartitionPlan>,
-    /// Each rank's Figure-6 structures (shared with the
-    /// [`PreparedMatrix`](crate::PreparedMatrix) they may have come from).
-    pub rank_matrices: Arc<Vec<RankMatrices>>,
+    /// Each rank's Figure-6 structures.
+    pub rank_matrices: Vec<RankMatrices>,
     /// Each rank's block of `B`.
     pub b_blocks: Vec<Arc<Vec<f64>>>,
 }
@@ -59,37 +62,38 @@ impl TwoFaceData {
         config: &TwoFaceConfig,
         pool: &Pool,
     ) -> TwoFaceData {
-        let p = problem.layout.nodes();
-        let rank_matrices =
-            Arc::new(pool.map(p, |rank| {
-                RankMatrices::build(&problem.a, &plan, rank, config.row_panel_height)
-            }));
-        let b_blocks = pool.map(p, |rank| Arc::new(problem.b_block(rank)));
-        TwoFaceData { plan, rank_matrices, b_blocks }
+        let rank_matrices = pool.map(problem.layout.nodes(), |rank| {
+            RankMatrices::build(&problem.a, &plan, rank, config.row_panel_height)
+        });
+        TwoFaceData { plan, rank_matrices, b_blocks: stage_b_blocks(problem, pool) }
     }
+}
 
-    /// Stages execution data from a compatible [`PreparedMatrix`]: the plan
-    /// and rank structures are shared (no rebuild), only the `B` blocks —
-    /// the part that depends on the dense operand — are copied out.
-    pub fn from_prepared(
-        problem: &Problem,
-        prepared: &crate::prepared::PreparedMatrix,
-        pool: &Pool,
-    ) -> TwoFaceData {
-        let p = problem.layout.nodes();
-        let b_blocks = pool.map(p, |rank| Arc::new(problem.b_block(rank)));
-        TwoFaceData {
-            plan: Arc::clone(prepared.plan()),
-            rank_matrices: Arc::clone(prepared.rank_matrices()),
-            b_blocks,
-        }
-    }
+/// Each rank's block of `B`, copied out across `pool` in rank order — the
+/// one input of a planned run that depends on the dense operand.
+pub(crate) fn stage_b_blocks(problem: &Problem, pool: &Pool) -> Vec<Arc<Vec<f64>>> {
+    pool.map(problem.layout.nodes(), |rank| Arc::new(problem.b_block(rank)))
+}
+
+/// Where the ranks of a [`PlannedAlgo`] read their nonzeros.
+pub(crate) enum RankNonzeros<'a> {
+    /// Every rank's Figure-6 structures, shared with the compatible
+    /// [`PreparedMatrix`](crate::PreparedMatrix) that built them.
+    Prepared(Arc<Vec<RankMatrices>>),
+    /// The row-sorted `A` itself: each rank reads its row slice in its own
+    /// body ([`SliceSource`]), so a one-shot run builds no rank structures.
+    Slices(&'a CooMatrix),
 }
 
 /// Staged Two-Face / Async Fine execution: the plan (classified or uniform)
 /// decides which of the two it behaves as.
 pub(crate) struct PlannedAlgo<'a> {
-    pub data: TwoFaceData,
+    /// The (replicated) plan: classifications plus multicast metadata.
+    pub plan: Arc<PartitionPlan>,
+    /// Where each rank reads its nonzeros.
+    pub nonzeros: RankNonzeros<'a>,
+    /// Each rank's block of `B`.
+    pub b_blocks: Vec<Arc<Vec<f64>>>,
     pub config: &'a TwoFaceConfig,
     pub exec: ExecOpts,
 }
@@ -122,20 +126,22 @@ pub(crate) fn planned_memory_extra(plan: &PartitionPlan, k: usize, rank: usize) 
 
 impl SpmmAlgorithm for PlannedAlgo<'_> {
     fn memory_extra(&self, rank: usize) -> usize {
-        planned_memory_extra(&self.data.plan, self.exec.k, rank)
+        planned_memory_extra(&self.plan, self.exec.k, rank)
     }
 
-    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, NetError> {
+    fn execute(&self, ctx: &mut RankCtx) -> Result<Vec<f64>, RankError> {
         let rank = ctx.rank();
-        let data = &self.data;
-        twoface_rank(
-            ctx,
-            &data.rank_matrices[rank],
-            &data.plan,
-            &data.b_blocks[rank],
-            self.config,
-            &self.exec,
-        )
+        let (plan, b_block, config, exec) =
+            (&self.plan, &self.b_blocks[rank], self.config, &self.exec);
+        match &self.nonzeros {
+            RankNonzeros::Prepared(matrices) => {
+                Ok(twoface_rank(ctx, || Ok(&matrices[rank]), plan, b_block, config, exec)?)
+            }
+            RankNonzeros::Slices(a) => {
+                let open = || SliceSource::open(a, plan, rank, config.row_panel_height);
+                twoface_rank(ctx, open, plan, b_block, config, exec)
+            }
+        }
     }
 }
 
@@ -150,9 +156,9 @@ pub(crate) struct StripeView<'a> {
     pub unique_cols: &'a [u32],
 }
 
-/// Where [`twoface_rank`] reads one rank's sparse structures from: the
-/// resident [`RankMatrices`], the same under a per-epoch edge mask
-/// ([`crate::sampling`]), or a streamed run's store file
+/// Where [`twoface_rank`] reads one rank's sparse structures from: A's row
+/// slice ([`SliceSource`]), the prepared [`RankMatrices`], the same under a
+/// per-epoch edge mask ([`crate::sampling`]), or a streamed run's store file
 /// ([`crate::stream`]). Internal iteration lets the resident source lend
 /// its slices while the filtering and disk-backed sources refill one reused
 /// buffer.
@@ -170,11 +176,16 @@ pub(crate) trait StripeSource {
     /// non-empty row panels they occupy.
     fn sync_counts(&self) -> (usize, usize);
 
-    /// Visits the sync/local nonzeros row-major, in chunks that never split
-    /// a row.
-    fn for_each_sync_chunk(
+    /// Algorithm 2 over the sync/local nonzeros: adds their products with
+    /// the `B` rows of `rows` into `c_local`, fanning out over `pool`. Each
+    /// output row's contributions are summed in row-major entry order and
+    /// flushed once, whatever the source.
+    fn sync_compute(
         &mut self,
-        visit: impl FnMut(&[SmallTriplet]),
+        pool: &Pool,
+        rows: &mut BlockRows<'_>,
+        c_local: &mut [Scalar],
+        k: usize,
     ) -> Result<(), Self::Error>;
 }
 
@@ -199,11 +210,147 @@ impl StripeSource for &RankMatrices {
         (self.sync_local.nnz(), self.sync_local.num_nonempty_panels())
     }
 
-    fn for_each_sync_chunk(
+    fn sync_compute(
         &mut self,
-        mut visit: impl FnMut(&[SmallTriplet]),
+        pool: &Pool,
+        rows: &mut BlockRows<'_>,
+        c_local: &mut [Scalar],
+        k: usize,
     ) -> Result<(), NetError> {
-        visit(self.sync_local.entries());
+        par_sync_panels(pool, self.sync_local.entries(), &*rows, c_local, k);
+        Ok(())
+    }
+}
+
+/// [`StripeSource`] over one rank's row slice of the row-sorted `A`, for
+/// runs without prepared structures. Opening it walks the slice once: it
+/// buckets the asynchronous stripes' nonzeros row-major, with their
+/// ascending `UniqueColIDs`, and counts the sync/local nonzeros and the row
+/// panels that hold them. The sync lane then runs the row-panel kernel over
+/// the slice itself, skipping the asynchronous stripes, so the sync
+/// nonzeros are never copied. Stripe views, counts and per-row arithmetic
+/// equal those of the [`RankMatrices`] built from the same slice.
+pub(crate) struct SliceSource<'a> {
+    /// The rank's nonzeros in global coordinates, row-major.
+    slice: &'a [Triplet],
+    /// Global row of the rank's first local row.
+    row_base: usize,
+    /// The asynchronous stripes holding nonzeros, ascending.
+    stripes: Vec<SliceStripe>,
+    sync_nnz: usize,
+    nonempty_panels: usize,
+}
+
+/// One asynchronous stripe of a [`SliceSource`].
+struct SliceStripe {
+    stripe: usize,
+    /// Row-major, with local rows.
+    entries: Vec<SmallTriplet>,
+    /// The distinct columns of `entries`, ascending.
+    unique_cols: Vec<u32>,
+}
+
+impl<'a> SliceSource<'a> {
+    /// Opens `rank`'s row slice of `a` under `plan`, with row panels of
+    /// `panel_height` rows.
+    ///
+    /// # Errors
+    ///
+    /// [`RankError::Unclassified`] for the first nonzero, row-major, in a
+    /// stripe the plan never classified for `rank`.
+    pub(crate) fn open(
+        a: &'a CooMatrix,
+        plan: &PartitionPlan,
+        rank: usize,
+        panel_height: usize,
+    ) -> Result<SliceSource<'a>, RankError> {
+        let layout = plan.layout();
+        let rows = layout.row_range(rank);
+        let slice = row_slice(a, rows.clone());
+        let routes = Routes::new(plan, rank);
+        // The plan's profile sizes each bucket exactly when it profiled
+        // this slice; a plan from another matrix only loses the hint.
+        let profile = plan.profile(rank);
+        let profiled = profile.total_nnz() == slice.len();
+        let mut buckets: Vec<Vec<SmallTriplet>> = routes
+            .async_stripes()
+            .iter()
+            .map(|&stripe| {
+                let hint = profile.stripe(stripe).map_or(0, |s| s.nnz);
+                Vec::with_capacity(if profiled { hint } else { 0 })
+            })
+            .collect();
+        let (mut sync_nnz, mut nonempty_panels, mut panel_end) = (0usize, 0usize, 0usize);
+        for t in slice {
+            let local = t.row - rows.start;
+            let stripe = layout.stripe_of_col(t.col);
+            match routes.of(stripe) {
+                Route::SyncLocal => {
+                    sync_nnz += 1;
+                    // Rows ascend, so a row past the last counted panel
+                    // opens a new non-empty panel.
+                    if local >= panel_end {
+                        nonempty_panels += 1;
+                        panel_end = (local / panel_height + 1) * panel_height;
+                    }
+                }
+                Route::Async(bucket) => {
+                    buckets[bucket].push(SmallTriplet::new(local, t.col, t.val))
+                }
+                Route::Unclassified => {
+                    return Err(RankError::Unclassified { stripe, row: t.row, col: t.col })
+                }
+            }
+        }
+        let stripes = routes
+            .async_stripes()
+            .iter()
+            .zip(buckets)
+            .filter(|(_, entries)| !entries.is_empty())
+            .map(|(&stripe, entries)| {
+                let mut unique_cols: Vec<u32> = entries.iter().map(|t| t.col).collect();
+                unique_cols.sort_unstable();
+                unique_cols.dedup();
+                SliceStripe { stripe, entries, unique_cols }
+            })
+            .collect();
+        Ok(SliceSource { slice, row_base: rows.start, stripes, sync_nnz, nonempty_panels })
+    }
+}
+
+impl StripeSource for SliceSource<'_> {
+    type Error = RankError;
+
+    fn for_each_async(
+        &mut self,
+        mut visit: impl FnMut(StripeView<'_>) -> Result<(), RankError>,
+    ) -> Result<(), RankError> {
+        for s in &self.stripes {
+            visit(StripeView {
+                stripe: s.stripe,
+                entries: &s.entries,
+                unique_cols: &s.unique_cols,
+            })?;
+        }
+        Ok(())
+    }
+
+    fn sync_counts(&self) -> (usize, usize) {
+        (self.sync_nnz, self.nonempty_panels)
+    }
+
+    fn sync_compute(
+        &mut self,
+        pool: &Pool,
+        rows: &mut BlockRows<'_>,
+        c_local: &mut [Scalar],
+        k: usize,
+    ) -> Result<(), RankError> {
+        // The slice still holds the nonzeros the async lane computed.
+        for s in &self.stripes {
+            rows.skip_stripe(s.stripe);
+        }
+        par_sync_panels_skipping(pool, self.slice, self.row_base, &*rows, c_local, k);
         Ok(())
     }
 }
@@ -253,11 +400,15 @@ pub(crate) fn sync_multicasts<'p>(
     Ok(stripe_buffers)
 }
 
-/// Executes Two-Face on one rank over `source`. Returns the rank's flat `C`
-/// block, or the first unrecoverable fault.
+/// Executes Two-Face on one rank over the source `open` returns. Returns
+/// the rank's flat `C` block, or the first unrecoverable fault.
+///
+/// The source is opened after the sync lane's multicast chain, the rank's
+/// last collective, so a source that fails to open fails this rank alone:
+/// no peer is left waiting for it at a rendezvous.
 pub(crate) fn twoface_rank<S: StripeSource>(
     ctx: &mut RankCtx,
-    mut source: S,
+    open: impl FnOnce() -> Result<S, S::Error>,
     plan: &PartitionPlan,
     b_block: &Arc<Vec<f64>>,
     config: &TwoFaceConfig,
@@ -274,7 +425,8 @@ pub(crate) fn twoface_rank<S: StripeSource>(
     // the "initial setup of data structures for MPI" that Figure 10 labels
     // Other.
     let win = ctx.create_window(Arc::clone(b_block))?;
-    let stripe_buffers = sync_multicasts(ctx, plan, b_block, k)?;
+    let mut stripe_buffers = sync_multicasts(ctx, plan, b_block, k)?;
+    let mut source = open()?;
 
     // --- Async lane: Algorithm 3 per asynchronous stripe. ---
     let mut c_local = vec![0.0; layout.row_range(rank).len() * k];
@@ -357,12 +509,7 @@ pub(crate) fn twoface_rank<S: StripeSource>(
     if sync_nnz > 0 {
         let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
         if opts.compute {
-            // Row panels tile the local rows and chunks never split a row,
-            // so each chunk fans out over row-aligned spans with the same
-            // per-row accumulation order as the per-panel serial loop.
-            source.for_each_sync_chunk(|chunk| {
-                par_sync_panels(&pool, chunk, &stripe_buffers, &mut c_local, k);
-            })?;
+            source.sync_compute(&pool, &mut stripe_buffers, &mut c_local, k)?;
         }
         let cost = ctx.cost().sync_compute_cost(sync_nnz, k, nonempty_panels);
         ctx.advance_span(

@@ -16,9 +16,9 @@ pub enum RunError {
         /// Simulated per-node capacity in bytes.
         available: usize,
     },
-    /// The *host-side* staging footprint of a resident run (operands plus
-    /// every rank's preprocessed structures, which all coexist in this
-    /// process) exceeds the declared
+    /// The estimated *host-side* footprint of a resident run — the
+    /// operands plus every rank's received stripes and fetch buffers, which
+    /// all coexist in this process — exceeds the declared
     /// [`RunOptions::memory_budget`](crate::RunOptions::memory_budget).
     /// Unlike [`RunError::OutOfMemory`] — the simulated per-node capacity of
     /// the modeled machine — this is about the machine the simulation runs
@@ -45,7 +45,8 @@ pub enum RunError {
         /// Human-readable description of the failed operation.
         context: String,
     },
-    /// Operand shapes are inconsistent.
+    /// Operand shapes are inconsistent, or a supplied plan does not fit the
+    /// problem.
     Shape {
         /// Human-readable description of the mismatch.
         context: String,
@@ -127,12 +128,15 @@ impl RunError {
     }
 }
 
-/// Why one rank's body stopped: a communication fault, or — streamed runs
-/// only — a failed read of the rank's store file.
+/// Why one rank's body stopped: a communication fault, a failed read of
+/// the rank's store file (streamed runs), or a nonzero in a stripe the
+/// supplied plan never classified for the rank (runs that read `A`
+/// directly; the plan was built for another matrix).
 #[derive(Debug)]
 pub(crate) enum RankError {
     Net(NetError),
     Io(String),
+    Unclassified { stripe: usize, row: usize, col: usize },
 }
 
 impl From<NetError> for RankError {
@@ -148,6 +152,12 @@ impl RankError {
         match self {
             RankError::Net(e) => RunError::from_net_with_flight(rank, e, flight),
             RankError::Io(context) => RunError::Io { context },
+            RankError::Unclassified { stripe, row, col } => RunError::Shape {
+                context: format!(
+                    "rank {rank} holds the nonzero ({row}, {col}) in stripe {stripe}, which the \
+                     supplied plan never classified for it: the plan was built for another matrix"
+                ),
+            },
         }
     }
 }

@@ -18,6 +18,7 @@
 //! to fit the small-index limit (checked, never truncated; every runnable
 //! problem fits, since `B` alone at `2^32` rows would exceed host memory).
 
+use std::ops::Range;
 use twoface_matrix::{fits_small_index, CooMatrix, SmallTriplet, Triplet};
 use twoface_partition::{PartitionPlan, StripeClass};
 
@@ -144,15 +145,78 @@ impl AsyncMatrix {
     }
 }
 
-/// Where [`RankMatrices::build_from_rows`] sends the nonzeros of a stripe.
+/// The nonzeros of `a` in `rows`, found by two binary searches on its
+/// row-sorted triplets.
+pub(crate) fn row_slice(a: &CooMatrix, rows: Range<usize>) -> &[Triplet] {
+    let all = a.triplets();
+    let lo = all.partition_point(|t| t.row < rows.start);
+    let hi = lo + all[lo..].partition_point(|t| t.row < rows.end);
+    &all[lo..hi]
+}
+
+/// Where a rank's nonzeros in one stripe go.
 #[derive(Debug, Clone, Copy)]
-enum Route {
+pub(crate) enum Route {
     /// The plan has no class for the stripe on this rank.
     Unclassified,
-    /// Synchronous or local-input: the row-panel matrix.
+    /// Synchronous or local-input: the row-panel (sync) lane.
     SyncLocal,
-    /// Asynchronous: the bucket at this index.
+    /// Asynchronous: the bucket at this index of
+    /// [`Routes::async_stripes`].
     Async(usize),
+}
+
+/// One rank's classification as a stripe-indexed [`Route`] table, so each
+/// nonzero looks its class up once.
+pub(crate) struct Routes {
+    table: Vec<Route>,
+    async_stripes: Vec<usize>,
+}
+
+impl Routes {
+    /// `rank`'s routes under `plan`.
+    pub(crate) fn new(plan: &PartitionPlan, rank: usize) -> Routes {
+        let mut table = vec![Route::Unclassified; plan.layout().num_stripes()];
+        let mut async_stripes = Vec::new();
+        for &(stripe, class) in &plan.classification(rank).classes {
+            table[stripe] = match class {
+                StripeClass::Sync | StripeClass::LocalInput => Route::SyncLocal,
+                StripeClass::Async => {
+                    async_stripes.push(stripe);
+                    Route::Async(async_stripes.len() - 1)
+                }
+            };
+        }
+        Routes { table, async_stripes }
+    }
+
+    /// The route of stripe `stripe`.
+    #[inline]
+    pub(crate) fn of(&self, stripe: usize) -> Route {
+        self.table[stripe]
+    }
+
+    /// The asynchronous stripes, ascending (the classification is): bucket
+    /// `i` of [`Route::Async`] holds stripe `async_stripes()[i]`.
+    pub(crate) fn async_stripes(&self) -> &[usize] {
+        &self.async_stripes
+    }
+}
+
+/// The panel pointers of row-major `entries` over `local_rows` rows in
+/// panels of `panel_height`: `ptrs[i]..ptrs[i + 1]` indexes panel `i`'s
+/// entries. One binary search per panel bound, from the previous bound.
+fn panel_ptrs(entries: &[SmallTriplet], local_rows: usize, panel_height: usize) -> Vec<usize> {
+    let num_panels = local_rows.div_ceil(panel_height).max(1);
+    let mut ptrs = Vec::with_capacity(num_panels + 1);
+    ptrs.push(0);
+    let mut bound = 0usize;
+    for p in 1..=num_panels {
+        let row_end = p * panel_height;
+        bound += entries[bound..].partition_point(|t| (t.row as usize) < row_end);
+        ptrs.push(bound);
+    }
+    ptrs
 }
 
 /// Both preprocessed structures of one node.
@@ -189,11 +253,8 @@ impl RankMatrices {
         rank: usize,
         panel_height: usize,
     ) -> RankMatrices {
-        let rows = plan.layout().row_range(rank);
-        let all = a.triplets();
-        let lo = all.partition_point(|t| t.row < rows.start);
-        let hi = lo + all[lo..].partition_point(|t| t.row < rows.end);
-        RankMatrices::build_from_rows(&all[lo..hi], plan, rank, panel_height)
+        let slice = row_slice(a, plan.layout().row_range(rank));
+        RankMatrices::build_from_rows(slice, plan, rank, panel_height)
     }
 
     /// Builds the node's structures from a row-sorted slice holding exactly
@@ -220,25 +281,14 @@ impl RankMatrices {
             "matrix dimensions exceed the u32 small-index limit of the compact rank structures"
         );
         let rows = layout.row_range(rank);
-        // Where each stripe's nonzeros go, looked up once per nonzero:
-        // asynchronous stripes index their bucket, which are in ascending
-        // stripe order because the classification is.
-        let mut routes = vec![Route::Unclassified; layout.num_stripes()];
-        let mut async_buckets: Vec<(usize, Vec<SmallTriplet>)> = Vec::new();
-        for &(stripe, class) in &plan.classification(rank).classes {
-            routes[stripe] = match class {
-                StripeClass::Sync | StripeClass::LocalInput => Route::SyncLocal,
-                StripeClass::Async => {
-                    async_buckets.push((stripe, Vec::new()));
-                    Route::Async(async_buckets.len() - 1)
-                }
-            };
-        }
+        let routes = Routes::new(plan, rank);
+        let mut async_buckets: Vec<(usize, Vec<SmallTriplet>)> =
+            routes.async_stripes().iter().map(|&stripe| (stripe, Vec::new())).collect();
         let mut sync_entries: Vec<SmallTriplet> = Vec::with_capacity(rank_triplets.len());
         for t in rank_triplets {
             debug_assert!(rows.contains(&t.row), "entry outside the rank's row block");
             let local = SmallTriplet::new(t.row - rows.start, t.col, t.val);
-            match routes[layout.stripe_of_col(t.col)] {
+            match routes.of(layout.stripe_of_col(t.col)) {
                 Route::SyncLocal => sync_entries.push(local),
                 Route::Async(bucket) => async_buckets[bucket].1.push(local),
                 Route::Unclassified => panic!("every nonzero's stripe is classified"),
@@ -247,17 +297,7 @@ impl RankMatrices {
         // The input slice is row-major, so sync_entries already are; build
         // panels.
         let local_rows = rows.len();
-        let num_panels = local_rows.div_ceil(panel_height).max(1);
-        let mut panel_ptrs = Vec::with_capacity(num_panels + 1);
-        panel_ptrs.push(0);
-        let mut cursor = 0usize;
-        for p in 0..num_panels {
-            let row_end = (p + 1) * panel_height;
-            while cursor < sync_entries.len() && (sync_entries[cursor].row as usize) < row_end {
-                cursor += 1;
-            }
-            panel_ptrs.push(cursor);
-        }
+        let panel_ptrs = panel_ptrs(&sync_entries, local_rows, panel_height);
         debug_assert_eq!(*panel_ptrs.last().expect("non-empty"), sync_entries.len());
 
         // A supplied plan may classify stripes these triplets leave empty;
@@ -404,5 +444,39 @@ mod tests {
         let m = RankMatrices::build(&a, &plan, 0, 2);
         assert_eq!(m.sync_local.num_panels(), 2);
         assert_eq!(m.sync_local.num_nonempty_panels(), 1);
+    }
+
+    /// The panel pointers' definition: one walk over every entry.
+    fn linear_panel_ptrs(entries: &[SmallTriplet], local_rows: usize, h: usize) -> Vec<usize> {
+        let mut ptrs = vec![0];
+        let mut cursor = 0;
+        for p in 0..local_rows.div_ceil(h).max(1) {
+            while cursor < entries.len() && (entries[cursor].row as usize) < (p + 1) * h {
+                cursor += 1;
+            }
+            ptrs.push(cursor);
+        }
+        ptrs
+    }
+
+    #[test]
+    fn panel_pointers_match_the_linear_walk() {
+        // Rows 6, 6, 8 and 15 hold entries: in panels of 3 over 20 rows,
+        // panels 0-1 (leading), 3-4 (middle) and 6 (trailing) are empty.
+        let entries: Vec<SmallTriplet> =
+            [6, 6, 8, 15].iter().enumerate().map(|(i, &r)| SmallTriplet::new(r, i, 1.0)).collect();
+        assert_eq!(panel_ptrs(&entries, 20, 3), vec![0, 0, 0, 3, 3, 3, 4, 4]);
+        for h in [1, 2, 3, 4, 7, 16, 64] {
+            for local_rows in [16, 20, 21, 100] {
+                assert_eq!(
+                    panel_ptrs(&entries, local_rows, h),
+                    linear_panel_ptrs(&entries, local_rows, h),
+                    "h={h} rows={local_rows}"
+                );
+            }
+        }
+        for local_rows in [0, 9] {
+            assert_eq!(panel_ptrs(&[], local_rows, 4), linear_panel_ptrs(&[], local_rows, 4));
+        }
     }
 }

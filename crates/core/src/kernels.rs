@@ -25,6 +25,13 @@
 //! a slice. A source resolves only the misses: [`BlockRows`] through a
 //! per-stripe slot table, in O(1) however many blocks it holds, and
 //! [`FetchedRows`] by a binary search over one stripe's few fetched runs.
+//!
+//! The row-panel kernel also has a *skipping* form
+//! ([`par_sync_panels_skipping`]) for entry slices that mix in nonzeros
+//! another lane computes: [`BlockRows`] marks their stripes skipped, and a
+//! lookup there is passed over instead of panicking, without ending the
+//! row's accumulation. Skipping is a compile-time parameter of the one
+//! kernel loop, so the plain form carries no skip test.
 
 use crate::coalesce::RowRun;
 use crate::pool::Pool;
@@ -99,6 +106,33 @@ pub trait RowSource: Sync {
     fn row(&self, col: usize) -> &[Scalar] {
         self.row_with(&mut RowCursor::default(), col)
     }
+
+    /// [`RowSource::resolve`] for a skipping kernel: `None` when `col`'s
+    /// stripe is marked skipped. Sources without skip marks hold or panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col` is neither held nor skipped.
+    fn resolve_held(&self, col: usize) -> Option<RowCursor<'_>> {
+        Some(self.resolve(col))
+    }
+
+    /// [`RowSource::row_with`] for a skipping kernel: `None` when `col`'s
+    /// stripe is skipped. A skip leaves `cursor` on the block it held.
+    ///
+    /// # Panics
+    ///
+    /// Same condition as [`RowSource::resolve_held`].
+    #[inline]
+    fn held_row_with<'s>(&'s self, cursor: &mut RowCursor<'s>, col: usize) -> Option<&'s [Scalar]> {
+        let mut offset = col.wrapping_sub(cursor.start);
+        if offset >= cursor.len {
+            *cursor = self.resolve_held(col)?;
+            offset = col - cursor.start;
+        }
+        let k = self.k();
+        Some(&cursor.rows[offset * k..(offset + 1) * k])
+    }
 }
 
 /// A [`RowSource`] over a set of contiguous block buffers, each covering
@@ -108,7 +142,8 @@ pub trait RowSource: Sync {
 ///
 /// Every rank knows where its blocks land before the kernel runs, so a miss
 /// is O(1): the column's stripe ([`OneDimLayout::stripe_of_col`]) indexes a
-/// per-stripe slot table naming the block that holds it.
+/// per-stripe slot table naming the block that holds it, or marking the
+/// stripe skipped ([`BlockRows::skip_stripe`]).
 #[derive(Debug, Clone)]
 pub struct BlockRows<'l> {
     k: usize,
@@ -116,12 +151,14 @@ pub struct BlockRows<'l> {
     /// `(col_start, col_end, buffer)`, in the order they were added.
     blocks: Vec<(usize, usize, Payload)>,
     /// Per stripe of `layout`, the index in `blocks` of the block holding
-    /// it, or [`NO_BLOCK`].
+    /// it, [`SKIPPED`] or [`NO_BLOCK`].
     slot_of_stripe: Vec<usize>,
 }
 
 /// The slot-table entry of a stripe no block holds; never a valid index.
 const NO_BLOCK: usize = usize::MAX;
+/// The slot-table entry of a skipped stripe; never a valid index either.
+const SKIPPED: usize = usize::MAX - 1;
 
 impl<'l> BlockRows<'l> {
     /// Creates an empty source for `K` columns over `layout`'s stripes.
@@ -169,16 +206,41 @@ impl<'l> BlockRows<'l> {
         self.blocks.push((cols.start, cols.end, buffer));
     }
 
+    /// Marks `stripe` skipped: a skipping kernel
+    /// ([`par_sync_panels_skipping`]) passes over its nonzeros, while every
+    /// other lookup there still panics as for a stripe no block holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block holds `stripe`.
+    pub fn skip_stripe(&mut self, stripe: usize) {
+        let slot = &mut self.slot_of_stripe[stripe];
+        assert!(*slot == NO_BLOCK || *slot == SKIPPED, "stripe {stripe} already has a block");
+        *slot = SKIPPED;
+    }
+
     /// Whether some block holds column `col`.
     pub fn contains(&self, col: usize) -> bool {
         self.block_of(col).is_some()
     }
 
     fn block_of(&self, col: usize) -> Option<&(usize, usize, Payload)> {
+        self.blocks.get(self.slot_of(col))
+    }
+
+    /// `col`'s slot-table entry; past the last column, [`NO_BLOCK`].
+    fn slot_of(&self, col: usize) -> usize {
         if col >= self.layout.cols() {
-            return None;
+            return NO_BLOCK;
         }
-        self.blocks.get(self.slot_of_stripe[self.layout.stripe_of_col(col)])
+        self.slot_of_stripe[self.layout.stripe_of_col(col)]
+    }
+
+    /// A cursor over the block in `slot`, which must hold `col`.
+    fn cursor_at(&self, slot: usize, col: usize) -> RowCursor<'_> {
+        let (start, end, buf) =
+            self.blocks.get(slot).unwrap_or_else(|| panic!("no block holds B row {col}"));
+        RowCursor::new(*start..*end, buf)
     }
 }
 
@@ -188,9 +250,12 @@ impl RowSource for BlockRows<'_> {
     }
 
     fn resolve(&self, col: usize) -> RowCursor<'_> {
-        let (start, end, buf) =
-            self.block_of(col).unwrap_or_else(|| panic!("no block holds B row {col}"));
-        RowCursor::new(*start..*end, buf)
+        self.cursor_at(self.slot_of(col), col)
+    }
+
+    fn resolve_held(&self, col: usize) -> Option<RowCursor<'_>> {
+        let slot = self.slot_of(col);
+        (slot != SKIPPED).then(|| self.cursor_at(slot, col))
     }
 }
 
@@ -346,14 +411,26 @@ pub fn sync_panel_kernel_at<E: Entry>(
     k: usize,
     row_base: usize,
 ) {
+    sync_kernel_at::<false, E>(panel, rows, c_chunk, k, row_base);
+}
+
+/// The row-panel kernel's width dispatch, plain or skipping.
+#[inline(always)]
+fn sync_kernel_at<const SKIP: bool, E: Entry>(
+    panel: &[E],
+    rows: &impl RowSource,
+    c_chunk: &mut [Scalar],
+    k: usize,
+    row_base: usize,
+) {
     if panel.is_empty() {
         return;
     }
     dispatch_k!(
         k,
         FIXED,
-        sync_rows::<FIXED, E>(panel, rows, c_chunk, k, row_base, [0.0; FIXED]),
-        sync_rows::<FIXED, E>(panel, rows, c_chunk, k, row_base, vec![0.0; k])
+        sync_rows::<FIXED, SKIP, E>(panel, rows, c_chunk, k, row_base, [0.0; FIXED]),
+        sync_rows::<FIXED, SKIP, E>(panel, rows, c_chunk, k, row_base, vec![0.0; k])
     );
 }
 
@@ -361,9 +438,10 @@ pub fn sync_panel_kernel_at<E: Entry>(
 /// `acc` and flushing it once per row, at the compile-time width `F` when
 /// `F > 0`. A fixed width passes a local `[Scalar; F]`, which the compiler
 /// keeps out of memory once the loops are unrolled; the generic width
-/// passes one buffer of `k`.
+/// passes one buffer of `k`. With `SKIP`, entries in skipped stripes add
+/// nothing, and a row flushes only if it held an entry.
 #[inline(always)]
-fn sync_rows<const F: usize, E: Entry>(
+fn sync_rows<const F: usize, const SKIP: bool, E: Entry>(
     panel: &[E],
     rows: &impl RowSource,
     c_chunk: &mut [Scalar],
@@ -374,14 +452,28 @@ fn sync_rows<const F: usize, E: Entry>(
     let acc = acc.as_mut();
     let mut cursor = RowCursor::default();
     let mut prev_row = panel[0].row();
+    // Whether `acc` holds a contribution to `prev_row`; always, unskipped.
+    let mut held = !SKIP;
     for t in panel {
         if t.row() != prev_row {
-            flush::<F>(c_chunk, prev_row - row_base, acc, k);
+            if held {
+                flush::<F>(c_chunk, prev_row - row_base, acc, k);
+            }
             prev_row = t.row();
+            held = !SKIP;
         }
-        axpy::<F>(acc, rows.row_with(&mut cursor, t.col()), t.val());
+        if SKIP {
+            if let Some(brow) = rows.held_row_with(&mut cursor, t.col()) {
+                axpy::<F>(acc, brow, t.val());
+                held = true;
+            }
+        } else {
+            axpy::<F>(acc, rows.row_with(&mut cursor, t.col()), t.val());
+        }
     }
-    flush::<F>(c_chunk, prev_row - row_base, acc, k);
+    if held {
+        flush::<F>(c_chunk, prev_row - row_base, acc, k);
+    }
 }
 
 /// The single "atomic" accumulation of a finished row buffer into `C`
@@ -451,14 +543,16 @@ pub fn async_stripe_kernel_at<E: Entry>(
 /// this the scoped-spawn overhead exceeds the work.
 pub(crate) const PAR_MIN_PRODUCTS: usize = 1 << 15;
 
-/// Splits `entries` (sorted by local row) into at most `chunks` spans of
-/// near-equal nonzero count whose boundaries fall on row boundaries, and
-/// returns `(entry_range, row_range)` per span. Row-aligned boundaries are
-/// what make the parallel kernels exact: every output row is touched by
-/// exactly one worker, which applies that row's contributions in the same
-/// order as a serial traversal.
+/// Splits `entries` (sorted by row, rows counted from `origin`) into at
+/// most `chunks` spans of near-equal nonzero count whose boundaries fall on
+/// row boundaries, and returns `(entry_range, row_range)` per span, rows
+/// local (relative to `origin`). Row-aligned boundaries are what make the
+/// parallel kernels exact: every output row is touched by exactly one
+/// worker, which applies that row's contributions in the same order as a
+/// serial traversal.
 fn row_aligned_spans<E: Entry>(
     entries: &[E],
+    origin: usize,
     local_rows: usize,
     chunks: usize,
 ) -> Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> {
@@ -473,7 +567,8 @@ fn row_aligned_spans<E: Entry>(
             let cut_row = entries[entry_hi - 1].row();
             entry_hi += entries[entry_hi..].partition_point(|t| t.row() == cut_row);
         }
-        let row_hi = if entry_hi == entries.len() { local_rows } else { entries[entry_hi].row() };
+        let row_hi =
+            if entry_hi == entries.len() { local_rows } else { entries[entry_hi].row() - origin };
         spans.push((entry_lo..entry_hi, row_lo..row_hi));
         entry_lo = entry_hi;
         row_lo = row_hi;
@@ -486,13 +581,16 @@ fn row_aligned_spans<E: Entry>(
 
 /// Runs `f(entry_span, c_chunk, row_base)` over row-aligned spans of
 /// `entries_by_row`, each worker owning a disjoint `&mut` slice of
-/// `c_local`. Shared driver for the parallel kernels and the parallel
-/// reference oracle. Returns the number of spans dispatched — a host
-/// execution detail (it scales with the pool width), reported only through
-/// wall-time profiling, never through deterministic metrics.
+/// `c_local`, whose first row is entry row `origin`; `row_base` is the
+/// chunk's first row in entry coordinates. Shared driver for the parallel
+/// kernels and the parallel reference oracle. Returns the number of spans
+/// dispatched — a host execution detail (it scales with the pool width),
+/// reported only through wall-time profiling, never through deterministic
+/// metrics.
 pub(crate) fn par_row_spans_plain<E: Entry, F>(
     pool: &Pool,
     entries_by_row: &[E],
+    origin: usize,
     c_local: &mut [Scalar],
     k: usize,
     f: F,
@@ -503,7 +601,7 @@ where
     debug_assert!(entries_by_row.windows(2).all(|w| w[0].row() <= w[1].row()), "not row-sorted");
     let local_rows = c_local.len() / k;
     // More spans than workers lets the sharing queue absorb skew.
-    let spans = row_aligned_spans(entries_by_row, local_rows, 4 * pool.workers());
+    let spans = row_aligned_spans(entries_by_row, origin, local_rows, 4 * pool.workers());
     let span_count = spans.len();
     let mut tasks = Vec::with_capacity(spans.len());
     let mut rest = c_local;
@@ -513,7 +611,7 @@ where
         debug_assert_eq!(offset, row_range.start * k);
         offset = row_range.end * k;
         rest = tail;
-        tasks.push((entry_range, chunk, row_range.start));
+        tasks.push((entry_range, chunk, origin + row_range.start));
     }
     pool.run_items(tasks.into_iter(), |(entry_range, chunk, row_base)| {
         f(&entries_by_row[entry_range], chunk, row_base);
@@ -543,12 +641,51 @@ pub fn par_sync_panels<E: Entry>(
     c_local: &mut [Scalar],
     k: usize,
 ) -> usize {
+    par_sync::<false, E>(pool, entries, 0, rows, c_local, k)
+}
+
+/// [`par_sync_panels`] over a row-sorted entry slice whose rows start at
+/// `origin` (the global row of `c_local`'s first row, say) and which may
+/// hold entries in stripes `rows` marks skipped
+/// ([`BlockRows::skip_stripe`]) — a rank's row slice of `A`, with the
+/// stripes another lane computes skipped. Those entries are passed over;
+/// each row's held entries are still summed in entry order and flushed
+/// once, and a row with none leaves `C` untouched. So the result is
+/// bit-identical to [`par_sync_panels`] over the held entries alone,
+/// rebased to `origin`, for any worker count.
+///
+/// Returns the dispatched span count, like [`par_sync_panels`].
+///
+/// # Panics
+///
+/// Panics if `entries` is not sorted by row, a row lies outside `c_local`,
+/// or a `B` row is neither held nor skipped.
+pub fn par_sync_panels_skipping<E: Entry>(
+    pool: &Pool,
+    entries: &[E],
+    origin: usize,
+    rows: &impl RowSource,
+    c_local: &mut [Scalar],
+    k: usize,
+) -> usize {
+    par_sync::<true, E>(pool, entries, origin, rows, c_local, k)
+}
+
+/// The row-panel kernels' parallel driver, plain or skipping.
+fn par_sync<const SKIP: bool, E: Entry>(
+    pool: &Pool,
+    entries: &[E],
+    origin: usize,
+    rows: &impl RowSource,
+    c_local: &mut [Scalar],
+    k: usize,
+) -> usize {
     if pool.workers() == 1 || entries.len() * k < PAR_MIN_PRODUCTS {
-        sync_panel_kernel(entries, rows, c_local, k);
+        sync_kernel_at::<SKIP, E>(entries, rows, c_local, k, origin);
         return 1;
     }
-    par_row_spans_plain(pool, entries, c_local, k, |span, chunk, row_base| {
-        sync_panel_kernel_at(span, rows, chunk, k, row_base);
+    par_row_spans_plain(pool, entries, origin, c_local, k, |span, chunk, row_base| {
+        sync_kernel_at::<SKIP, E>(span, rows, chunk, k, row_base);
     })
 }
 
@@ -579,7 +716,7 @@ pub fn par_async_stripe<E: Entry>(
         async_stripe_kernel(entries_row_major, rows, c_local, k);
         return 1;
     }
-    par_row_spans_plain(pool, entries_row_major, c_local, k, |span, chunk, row_base| {
+    par_row_spans_plain(pool, entries_row_major, 0, c_local, k, |span, chunk, row_base| {
         async_stripe_kernel_at(span, rows, chunk, k, row_base);
     })
 }
@@ -663,6 +800,123 @@ mod tests {
         let mut b = BlockRows::new(&layout, 1);
         b.add_block(0..5, vec![0.0; 5]);
         b.add_block(3..5, vec![0.0; 2]);
+    }
+
+    #[test]
+    fn skipped_stripes_are_neither_held_nor_missing() {
+        let layout = three_pairs();
+        let mut b = BlockRows::new(&layout, 2);
+        b.add_block(0..2, arc_rows(&[[0.0, 0.0], [1.0, 10.0]]));
+        b.skip_stripe(1);
+        b.skip_stripe(1); // marking twice is harmless
+        let mut cur = RowCursor::default();
+        assert_eq!(b.held_row_with(&mut cur, 1), Some(&[1.0, 10.0][..]));
+        assert_eq!(b.held_row_with(&mut cur, 3), None);
+        // The skip left the cursor on the block it held.
+        assert_eq!(b.held_row_with(&mut cur, 0), Some(&[0.0, 0.0][..]));
+        assert!(!b.contains(2), "a skipped stripe is not held");
+    }
+
+    #[test]
+    #[should_panic(expected = "no block holds B row 2")]
+    fn plain_lookup_in_a_skipped_stripe_panics() {
+        let layout = three_pairs();
+        let mut b = BlockRows::new(&layout, 2);
+        b.skip_stripe(1);
+        let _ = b.row(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "stripe 0 already has a block")]
+    fn skipping_a_held_stripe_panics() {
+        let layout = three_pairs();
+        let mut b = BlockRows::new(&layout, 2);
+        b.add_block(0..2, arc_rows(&[[0.0, 0.0], [1.0, 10.0]]));
+        b.skip_stripe(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no block holds B row 5")]
+    fn skipping_kernel_panics_on_a_missing_stripe() {
+        // Stripe 0 is held, stripe 1 skipped, stripe 2 neither.
+        let layout = three_pairs();
+        let mut b = BlockRows::new(&layout, 1);
+        b.add_block(0..2, vec![1.0, 2.0]);
+        b.skip_stripe(1);
+        let entries =
+            vec![Triplet::new(0, 0, 1.0), Triplet::new(0, 3, 1.0), Triplet::new(1, 5, 1.0)];
+        sync_kernel_at::<true, _>(&entries, &b, &mut [0.0; 2], 1, 0);
+    }
+
+    #[test]
+    fn skipping_kernel_equals_the_plain_kernel_over_the_held_entries() {
+        // Stripes 0..2 and 4..6 are held, 2..4 skipped; rows start at 10.
+        // Row 10 has a skipped entry between held ones, row 11 only skipped
+        // entries, row 12 only held ones, row 13 a skipped entry first, row
+        // 14 nothing and row 15 a skipped entry last.
+        let layout = three_pairs();
+        let entries = vec![
+            Triplet::new(10, 0, 1.5),
+            Triplet::new(10, 2, 9.0),
+            Triplet::new(10, 4, 2.0),
+            Triplet::new(11, 3, 7.0),
+            Triplet::new(12, 1, 0.25),
+            Triplet::new(12, 5, -1.0),
+            Triplet::new(13, 2, 3.0),
+            Triplet::new(13, 3, 1.0),
+            Triplet::new(13, 4, 0.5),
+            Triplet::new(15, 1, 1.0),
+            Triplet::new(15, 3, 4.0),
+        ];
+        let held: Vec<Triplet> = entries
+            .iter()
+            .filter(|t| layout.stripe_of_col(t.col) != 1)
+            .map(|t| Triplet::new(t.row - 10, t.col, t.val))
+            .collect();
+        for k in [1usize, 3, 8] {
+            let b_of = |cols: Range<usize>| -> Vec<f64> {
+                cols.flat_map(|c| (0..k).map(move |j| (c * 7 + j) as f64 * 0.125)).collect()
+            };
+            let mut b = BlockRows::new(&layout, k);
+            b.add_block(0..2, b_of(0..2));
+            b.add_block(4..6, b_of(4..6));
+            b.skip_stripe(1);
+            // -0.0 would turn into +0.0 under a flush of an empty row.
+            let mut want = vec![-0.0; 6 * k];
+            sync_panel_kernel(&held, &b, &mut want, k);
+            let mut got = vec![-0.0; 6 * k];
+            sync_kernel_at::<true, _>(&entries, &b, &mut got, k, 10);
+            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "K={k}");
+            assert_eq!(got[k].to_bits(), (-0.0f64).to_bits(), "the skipped-only row is untouched");
+        }
+    }
+
+    #[test]
+    fn parallel_skipping_kernel_matches_serial_bitwise() {
+        // Columns in five stripes of 13 (the last 12); stripes 1 and 3 are
+        // skipped, and the entries' rows start at 1000.
+        let layout = OneDimLayout::new(97, 64, 5, 13);
+        for k in [8usize, 32, 128] {
+            let entries: Vec<Triplet> = random_entries(97, 64, 1500, k as u64)
+                .into_iter()
+                .map(|t| Triplet::new(t.row + 1000, t.col, t.val))
+                .collect();
+            let mut b = BlockRows::new(&layout, k);
+            for stripe in [0, 2, 4] {
+                let cols = layout.stripe_cols(stripe);
+                b.add_block(cols.clone(), vec![0.5 + stripe as f64; cols.len() * k]);
+            }
+            b.skip_stripe(1);
+            b.skip_stripe(3);
+            let mut serial = vec![0.0; 97 * k];
+            sync_kernel_at::<true, _>(&entries, &b, &mut serial, k, 1000);
+            for workers in [1usize, 2, 4] {
+                let mut par = vec![0.0; 97 * k];
+                par_sync_panels_skipping(&Pool::new(workers), &entries, 1000, &b, &mut par, k);
+                assert_eq!(par, serial, "K={k} workers={workers}");
+            }
+        }
     }
 
     #[test]
@@ -861,7 +1115,7 @@ mod tests {
     fn row_aligned_spans_partition_rows_and_entries() {
         let entries = random_entries(40, 16, 300, 3);
         for chunks in [1usize, 3, 8, 1000] {
-            let spans = row_aligned_spans(&entries, 40, chunks);
+            let spans = row_aligned_spans(&entries, 0, 40, chunks);
             // Entry ranges tile the slice; row ranges tile 0..40.
             let mut entry_cursor = 0;
             let mut row_cursor = 0;

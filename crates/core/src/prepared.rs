@@ -5,7 +5,9 @@
 //! justified by amortization: the same sparse `A` is multiplied against many
 //! dense `B`s (Table 6 prices preprocessing at a handful of SpMM
 //! invocations). One-shot [`run_algorithm`](crate::run_algorithm) calls
-//! rebuild everything per run; a [`PreparedMatrix`] captures exactly the
+//! classify on every run, and each of their ranks reads its nonzeros
+//! straight from `A` instead of building structures it would drop at the
+//! end of the call; a [`PreparedMatrix`] captures exactly the
 //! `B`-independent part once so repeated runs — and the `twoface-serve`
 //! plan cache — can skip it.
 //!

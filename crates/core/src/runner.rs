@@ -2,10 +2,11 @@
 //! executes an algorithm on a simulated cluster, and reports timing,
 //! breakdowns, and (optionally) the verified output.
 
-use crate::algo::twoface::TwoFaceData;
+use crate::algo::twoface::{stage_b_blocks, PlannedAlgo, RankNonzeros};
 use crate::algo::Algorithm;
 use crate::config::TwoFaceConfig;
 use crate::error::{RankError, RunError};
+use crate::format::row_slice;
 use crate::pool::{resolve_workers, Pool};
 use crate::reference::reference_spmm_pooled;
 use serde::{Deserialize, Serialize};
@@ -246,15 +247,19 @@ pub struct RunOptions {
     /// Defaults to the paper's §4.2 greedy model.
     pub classifier: ClassifierKind,
     /// A preprocessed plan to reuse (otherwise one is built per run for the
-    /// algorithms that need it).
+    /// algorithms that need it). It may have been built at another `K`, but
+    /// a plan for another layout is a [`RunError::Shape`], and so is a
+    /// nonzero in a stripe the plan never classified (a plan built for
+    /// another matrix).
     pub plan: Option<Arc<PartitionPlan>>,
     /// Full `B`-independent preprocessing output to reuse — the plan *and*
     /// every rank's Figure-6 structures (see
     /// [`PreparedMatrix`](crate::PreparedMatrix)). Takes precedence over
-    /// [`RunOptions::plan`] for plan-using algorithms. The rank structures
-    /// are only reused when the artifact is compatible with this run
-    /// (same layout and `row_panel_height`); otherwise they are rebuilt from
-    /// the prepared plan.
+    /// [`RunOptions::plan`] for plan-using algorithms, under the same layout
+    /// check. The rank structures are reused when the artifact was built
+    /// for this run's `row_panel_height`; otherwise each rank reads its
+    /// nonzeros straight from `A` under the prepared plan, as a run without
+    /// an artifact does.
     pub prepared: Option<Arc<crate::prepared::PreparedMatrix>>,
     /// A seeded fault plan to install on the cluster for this run. `None`
     /// (the default) simulates a perfect network. Under a nonzero plan the
@@ -277,8 +282,8 @@ pub struct RunOptions {
     /// variable promotes this to [`Observability::full`] and writes the
     /// stream to the named file after the run.
     pub observability: Observability,
-    /// Host-side memory budget in bytes for the *staging* of a resident run:
-    /// the operands plus every simulated rank's preprocessed structures,
+    /// Host-side memory budget in bytes for a resident run: the operands
+    /// plus every simulated rank's received stripes and fetch buffers,
     /// which all coexist in this process. `None` (the default) disables the
     /// check. When the estimated resident footprint exceeds the budget the
     /// run fails up front with [`RunError::HostBudgetExceeded`] instead of
@@ -634,13 +639,7 @@ fn base_bytes_all_ranks(problem: &Problem) -> Vec<usize> {
 /// [`CooMatrix`] keeps its triplets row-sorted, so a rank's nonzeros are one
 /// slice, bounded by two binary searches on its row block.
 fn nnz_by_rank(a: &CooMatrix, layout: &OneDimLayout) -> Vec<usize> {
-    let rows_before = |row: usize| a.triplets().partition_point(|t| t.row < row);
-    (0..layout.nodes())
-        .map(|rank| {
-            let rows = layout.row_range(rank);
-            rows_before(rows.end) - rows_before(rows.start)
-        })
-        .collect()
+    (0..layout.nodes()).map(|rank| row_slice(a, layout.row_range(rank)).len()).collect()
 }
 
 /// Runs one algorithm on one problem under one cost model.
@@ -648,6 +647,8 @@ fn nnz_by_rank(a: &CooMatrix, layout: &OneDimLayout) -> Vec<usize> {
 /// # Errors
 ///
 /// * [`RunError::ReplicationExceedsNodes`] for `DS(c)` with `c > p`;
+/// * [`RunError::Shape`] when a supplied plan or prepared artifact was built
+///   for another layout, or its plan for another matrix;
 /// * [`RunError::OutOfMemory`] when the estimated peak on some node exceeds
 ///   [`CostModel::memory_per_node`];
 /// * [`RunError::TransferTimeout`] / [`RunError::RankStalled`] when
@@ -764,63 +765,72 @@ fn run_algorithm_inner(
     let coefficients = options.coefficients.unwrap_or_else(|| ModelCoefficients::from(&effective));
 
     // Preprocessing / data staging (untimed, like loading the preprocessed
-    // matrices from disk in the real system). A supplied PreparedMatrix
-    // short-circuits all of it; it must at least match the layout, or the
-    // rank structures would address the wrong blocks.
-    let prepared = options.prepared.as_ref().filter(|_| algorithm.uses_plan());
-    if let Some(prep) = prepared {
-        if prep.plan().layout() != &problem.layout {
+    // matrices from disk in the real system). A supplied plan — a
+    // PreparedMatrix's, else `options.plan` — must match the layout, or its
+    // classification would address the wrong stripes.
+    let prepared = options.prepared.as_deref().filter(|_| algorithm.uses_plan());
+    let supplied = match prepared {
+        Some(prep) => Some(prep.plan()),
+        None => options.plan.as_ref().filter(|_| algorithm.uses_plan()),
+    };
+    if let Some(plan) = supplied {
+        if plan.layout() != &problem.layout {
+            let (theirs, ours) = (plan.layout(), &problem.layout);
             return Err(RunError::Shape {
                 context: format!(
-                    "prepared matrix was built for a {} × {} layout over {} nodes, but the \
-                     problem is {} × {} over {} nodes",
-                    prep.plan().layout().rows(),
-                    prep.plan().layout().cols(),
-                    prep.plan().layout().nodes(),
-                    problem.layout.rows(),
-                    problem.layout.cols(),
-                    p
+                    "supplied plan was built for a {} × {} layout over {} nodes, but the problem \
+                     is {} × {} over {} nodes",
+                    theirs.rows(),
+                    theirs.cols(),
+                    theirs.nodes(),
+                    ours.rows(),
+                    ours.cols(),
+                    ours.nodes()
                 ),
             });
         }
     }
-    let plan: Option<Arc<PartitionPlan>> = if algorithm.uses_plan() {
-        Some(match (prepared, &options.plan, algorithm) {
-            (Some(prep), _, _) => Arc::clone(prep.plan()),
-            (None, Some(plan), _) => Arc::clone(plan),
-            (None, None, Algorithm::AsyncFine) => Arc::new(PartitionPlan::build_uniform(
+    let planned = algorithm.uses_plan().then(|| {
+        let plan = match (supplied, algorithm) {
+            (Some(plan), _) => Arc::clone(plan),
+            (None, Algorithm::AsyncFine) => Arc::new(PartitionPlan::build_uniform(
                 &problem.a,
                 problem.layout.clone(),
                 k,
                 StripeClass::Async,
             )),
-            (None, None, _) => Arc::new(prepare_plan_inner(
+            (None, _) => Arc::new(prepare_plan_inner(
                 problem,
                 &coefficients,
                 &effective,
                 options.classifier,
                 workers,
             )),
-        })
-    } else {
-        None
-    };
-    let twoface_data = plan.map(|plan| match prepared {
-        // Reuse the prepared rank structures when they fit this run; only
-        // the B blocks (which depend on the dense operand) are staged fresh.
-        Some(prep) if prep.compatible_with(problem, &options.config) => {
-            TwoFaceData::from_prepared(problem, prep, &pool)
+        };
+        // Ranks share a compatible artifact's structures; otherwise each
+        // rank reads its nonzeros straight from A's row slice.
+        let nonzeros = match prepared {
+            Some(prep) if prep.compatible_with(problem, &options.config) => {
+                RankNonzeros::Prepared(Arc::clone(prep.rank_matrices()))
+            }
+            _ => RankNonzeros::Slices(&problem.a),
+        };
+        PlannedAlgo {
+            plan,
+            nonzeros,
+            b_blocks: stage_b_blocks(problem, &pool),
+            config: &options.config,
+            exec,
         }
-        _ => TwoFaceData::build(problem, plan, &options.config, &pool),
     });
 
     // Stage the algorithm, then gate on memory feasibility: per-rank base
     // bytes plus the staged algorithm's own peak estimate.
-    let staged = crate::algo::stage(algorithm, problem, &options.config, exec, twoface_data);
+    let staged = crate::algo::stage(algorithm, problem, &options.config, exec, planned);
     let base_all = base_bytes_all_ranks(problem);
     // Host-side budget: on the simulating machine, the global operands and
-    // *every* rank's staged structures coexist, so the resident footprint is
-    // the sum over ranks, not the max.
+    // *every* rank's transients coexist, so the resident footprint is the
+    // sum over ranks, not the max.
     if let Some(budget) = options.memory_budget {
         let required: usize =
             base_all.iter().enumerate().map(|(rank, base)| base + staged.memory_extra(rank)).sum();

@@ -20,11 +20,13 @@
 
 use crate::algo::twoface::{twoface_rank, StripeSource, StripeView, TwoFaceData};
 use crate::format::RankMatrices;
+use crate::kernels::{par_sync_panels, BlockRows};
+use crate::pool::Pool;
 use crate::reference::reference_spmm;
 use crate::runner::{harvest, resolve_observability, stack_blocks, ExecOpts, Problem};
 use crate::{RunError, RunOptions};
 use std::sync::Arc;
-use twoface_matrix::{CooMatrix, DenseMatrix, Entry, SmallTriplet};
+use twoface_matrix::{CooMatrix, DenseMatrix, Entry, Scalar, SmallTriplet};
 use twoface_net::{Cluster, CostModel, MetricsRegistry, NetError};
 use twoface_partition::PartitionPlan;
 
@@ -134,7 +136,7 @@ pub fn run_sampled_twoface(
         workers,
     };
     let effective = options.config.effective_cost(cost);
-    let data = TwoFaceData::build(problem, plan, &options.config, &crate::pool::Pool::new(workers));
+    let data = TwoFaceData::build(problem, plan, &options.config, &Pool::new(workers));
     let diagnostics = resolve_observability(&options.observability);
     let cluster = Cluster::new(problem.layout.nodes(), effective);
     cluster.set_fault_plan(options.fault_plan.clone());
@@ -148,7 +150,7 @@ pub fn run_sampled_twoface(
             entries: Vec::new(),
             unique_cols: Vec::new(),
         };
-        twoface_rank(ctx, source, &data.plan, &data.b_blocks[rank], &options.config, &exec)
+        twoface_rank(ctx, || Ok(source), &data.plan, &data.b_blocks[rank], &options.config, &exec)
     });
     let (blocks, report) = harvest(outputs, &diagnostics)?;
     let sampled = mask.apply(&problem.a);
@@ -220,14 +222,17 @@ impl StripeSource for MaskedSource<'_> {
         (sync.entries().iter().filter(self.active()).count(), sync.num_nonempty_panels())
     }
 
-    fn for_each_sync_chunk(
+    fn sync_compute(
         &mut self,
-        mut visit: impl FnMut(&[SmallTriplet]),
+        pool: &Pool,
+        rows: &mut BlockRows<'_>,
+        c_local: &mut [Scalar],
+        k: usize,
     ) -> Result<(), NetError> {
         let active = self.active();
         self.entries.clear();
         self.entries.extend(self.matrices.sync_local.entries().iter().filter(&active));
-        visit(&self.entries);
+        par_sync_panels(pool, &self.entries, &*rows, c_local, k);
         Ok(())
     }
 }

@@ -48,7 +48,8 @@ use crate::algo::twoface::{planned_memory_extra, twoface_rank, StripeSource, Str
 use crate::config::TwoFaceConfig;
 use crate::error::{RankError, RunError};
 use crate::format::RankMatrices;
-use crate::pool::resolve_workers;
+use crate::kernels::{par_sync_panels, BlockRows};
+use crate::pool::{resolve_workers, Pool};
 use crate::runner::{
     generated_b_block, harvest, memory_gate, plan_from_profiles, resolve_observability,
     stack_blocks, ExecOpts, ExecutionReport, NNZ_BYTES,
@@ -60,7 +61,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use twoface_matrix::gen::TripletSource;
-use twoface_matrix::{normalize_triplets, SmallTriplet, Triplet, SCALAR_BYTES};
+use twoface_matrix::{normalize_triplets, Scalar, SmallTriplet, Triplet, SCALAR_BYTES};
 use twoface_net::{
     Cluster, CostModel, Lane, MetricsRegistry, Observability, OpEvent, OpKind, PhaseClass,
 };
@@ -786,7 +787,7 @@ pub fn run_twoface_streamed(
     let mut outputs = cluster.run(|ctx| {
         let rank = ctx.rank();
         let source = StoreSource::new(rank, &stores[rank], &files[rank]);
-        twoface_rank(ctx, source, &plan, &b_blocks[rank], &options.config, &exec)
+        twoface_rank(ctx, || Ok(source), &plan, &b_blocks[rank], &options.config, &exec)
     });
     telemetry.pass(5, realized_nnz as u64, pass_started);
 
@@ -828,6 +829,22 @@ impl<'a> StoreSource<'a> {
             unique_cols: Vec::new(),
         }
     }
+
+    /// Visits the sync/local entries row-major, in chunks that never split
+    /// a row.
+    fn for_each_sync_chunk(
+        &mut self,
+        mut visit: impl FnMut(&[SmallTriplet]),
+    ) -> Result<(), RankError> {
+        let (rank, store) = (self.rank, self.store);
+        for &len in &store.sync_chunks {
+            self.entries.clear();
+            read_records(&mut self.reader, len, &mut self.entries)
+                .map_err(|e| store.read_error(rank, e))?;
+            visit(&self.entries);
+        }
+        Ok(())
+    }
 }
 
 impl RankStore {
@@ -865,18 +882,19 @@ impl StripeSource for StoreSource<'_> {
         (self.store.sync_nnz, self.store.nonempty_panels)
     }
 
-    fn for_each_sync_chunk(
+    /// Chunks never split a row, so each fans out over row-aligned spans
+    /// with the same per-row accumulation order as one pass over every
+    /// entry.
+    fn sync_compute(
         &mut self,
-        mut visit: impl FnMut(&[SmallTriplet]),
+        pool: &Pool,
+        rows: &mut BlockRows<'_>,
+        c_local: &mut [Scalar],
+        k: usize,
     ) -> Result<(), RankError> {
-        let (rank, store) = (self.rank, self.store);
-        for &len in &store.sync_chunks {
-            self.entries.clear();
-            read_records(&mut self.reader, len, &mut self.entries)
-                .map_err(|e| store.read_error(rank, e))?;
-            visit(&self.entries);
-        }
-        Ok(())
+        self.for_each_sync_chunk(|chunk| {
+            par_sync_panels(pool, chunk, &*rows, c_local, k);
+        })
     }
 }
 

@@ -2,10 +2,14 @@
 //! invalid configurations, and degenerate inputs.
 
 use std::sync::Arc;
-use twoface_core::{run_algorithm, Algorithm, Problem, RunError, RunOptions};
+use std::time::{Duration, Instant};
+use twoface_core::{
+    prepare_plan, run_algorithm, Algorithm, PreparedMatrix, Problem, RunError, RunOptions,
+};
 use twoface_matrix::gen::erdos_renyi;
 use twoface_matrix::{CooMatrix, DenseMatrix};
 use twoface_net::{Cluster, CostModel, FaultPlan, NetError, RankOutput};
+use twoface_partition::{ModelCoefficients, PartitionPlan, StripeClass};
 
 fn small_problem(p: usize) -> Problem {
     Problem::with_generated_b(Arc::new(erdos_renyi(128, 128, 800, 1)), 8, p, 16)
@@ -94,6 +98,67 @@ fn mismatched_operand_shapes_are_rejected() {
     let b = Arc::new(DenseMatrix::zeros(32, 4)); // needs 48 rows
     let err = Problem::new(a, b, 4, 8).unwrap_err();
     assert!(matches!(err, RunError::Shape { .. }));
+}
+
+#[test]
+fn plan_for_another_layout_is_a_shape_error() {
+    // Same nodes and stripe width, but the plan covers 256 of 300 columns.
+    let cost = CostModel::delta_scaled();
+    let problem_of = |n, nnz, seed| {
+        Problem::with_generated_b(Arc::new(erdos_renyi(n, n, nnz, seed)), 8, 4, 16).expect("valid")
+    };
+    let (other, problem) = (problem_of(256, 2000, 3), problem_of(300, 2400, 4));
+    let plan = Arc::new(prepare_plan(&other, &ModelCoefficients::from(&cost), &cost));
+    let prepared = Arc::new(PreparedMatrix::build(&other, &cost, &RunOptions::default()).unwrap());
+    for (algorithm, options) in [
+        (Algorithm::TwoFace, RunOptions { plan: Some(Arc::clone(&plan)), ..Default::default() }),
+        (Algorithm::AsyncFine, RunOptions { plan: Some(plan), ..Default::default() }),
+        (Algorithm::TwoFace, RunOptions { prepared: Some(prepared), ..Default::default() }),
+    ] {
+        match run_algorithm(algorithm, &problem, &cost, &options) {
+            Err(RunError::Shape { context }) => {
+                assert!(context.contains("256 × 256") && context.contains("300 × 300"), "{context}")
+            }
+            other => panic!("{algorithm}: expected a shape error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn plan_from_another_matrix_is_a_typed_error() {
+    // A plan profiled on 20 nonzeros classifies few of the stripes that
+    // 6,000 nonzeros on the same layout fill.
+    let cost = CostModel::delta_scaled();
+    let problem_of = |nnz, seed| {
+        Problem::with_generated_b(Arc::new(erdos_renyi(300, 300, nnz, seed)), 8, 4, 16)
+            .expect("valid")
+    };
+    let (sparse, problem) = (problem_of(20, 5), problem_of(6000, 6));
+    let model = Arc::new(prepare_plan(&sparse, &ModelCoefficients::from(&cost), &cost));
+    let uniform = Arc::new(PartitionPlan::build_uniform(
+        &sparse.a,
+        sparse.layout.clone(),
+        8,
+        StripeClass::Async,
+    ));
+    for (algorithm, plan) in [(Algorithm::TwoFace, model), (Algorithm::AsyncFine, uniform)] {
+        let started = Instant::now();
+        let options = RunOptions { plan: Some(plan), ..Default::default() };
+        match run_algorithm(algorithm, &problem, &cost, &options) {
+            Err(RunError::Shape { context }) => {
+                assert!(context.starts_with("rank 0 holds the nonzero"), "{context}");
+                assert!(context.contains("never classified"), "{context}");
+            }
+            other => panic!("{algorithm}: expected a shape error, got {other:?}"),
+        }
+        // The failing ranks stop after the run's last collective, so no
+        // peer waits out the rendezvous watchdog.
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{algorithm} took {:?}",
+            started.elapsed()
+        );
+    }
 }
 
 #[test]

@@ -3,9 +3,14 @@
 //! must preserve.
 
 use std::sync::Arc;
-use twoface_core::{prepare_plan, run_algorithm, Algorithm, Problem, RankMatrices, RunOptions};
-use twoface_matrix::gen::{webcrawl, WebcrawlConfig};
-use twoface_net::CostModel;
+use twoface_core::{
+    prepare_plan, run_algorithm, Algorithm, ExecutionReport, PreparedMatrix, Problem, RankMatrices,
+    RunError, RunOptions,
+};
+use twoface_matrix::gen::{
+    banded, rmat, uniform_random, webcrawl, BandedConfig, RmatConfig, WebcrawlConfig,
+};
+use twoface_net::{CostModel, FaultPlan, Observability};
 use twoface_partition::{ModelCoefficients, PartitionPlan, StripeClass};
 
 fn fixture() -> Problem {
@@ -195,4 +200,155 @@ fn memory_capped_plan_still_validates() {
     )
     .expect("capped plan fits and validates");
     assert!(report.output.is_some());
+}
+
+/// The one-shot sweep's problems at `k`: webcrawl, R-MAT and banded over 8
+/// ranks with 32-column stripes, and a ragged layout — 1000 columns over 6
+/// ranks in stripes of 80, so each owner's last stripe is 6 or 7 wide.
+fn oneshot_problems(k: usize) -> Vec<(&'static str, Problem)> {
+    let web = webcrawl(&WebcrawlConfig { n: 1536, hosts: 24, per_row: 8, ..Default::default() }, 5);
+    let rmat = rmat(&RmatConfig { scale: 10, edge_factor: 8, ..Default::default() }, 6);
+    let band =
+        banded(&BandedConfig { n: 1536, bandwidth: 96, per_row: 8, escape_fraction: 0.05 }, 7);
+    let ragged = uniform_random(1000, 1000, 8, 8);
+    let problem = |a, p, w| Problem::with_generated_b(Arc::new(a), k, p, w).expect("valid");
+    vec![
+        ("webcrawl", problem(web, 8, 32)),
+        ("rmat", problem(rmat, 8, 32)),
+        ("banded", problem(band, 8, 32)),
+        ("ragged", problem(ragged, 6, 80)),
+    ]
+}
+
+/// Rows of `problem` holding both sync-lane and async nonzeros under
+/// `plan`, and rows holding only async nonzeros.
+fn mixed_and_async_only_rows(problem: &Problem, plan: &PartitionPlan) -> (usize, usize) {
+    let layout = &problem.layout;
+    let (mut mixed, mut async_only) = (0, 0);
+    let mut row_classes = |row: Option<usize>, sync: bool, asynchronous: bool| {
+        if row.is_some() && asynchronous {
+            if sync {
+                mixed += 1;
+            } else {
+                async_only += 1;
+            }
+        }
+    };
+    let (mut row, mut sync, mut asynchronous) = (None, false, false);
+    for (r, c, _) in problem.a.iter() {
+        if row != Some(r) {
+            row_classes(row, sync, asynchronous);
+            (row, sync, asynchronous) = (Some(r), false, false);
+        }
+        let class = plan.class_of(layout.owner_of_row(r), layout.stripe_of_col(c));
+        match class.expect("the plan classifies every nonzero's stripe") {
+            StripeClass::Async => asynchronous = true,
+            StripeClass::Sync | StripeClass::LocalInput => sync = true,
+        }
+    }
+    row_classes(row, sync, asynchronous);
+    (mixed, async_only)
+}
+
+fn assert_reports_bitwise_equal(oneshot: &ExecutionReport, prepared: &ExecutionReport, at: &str) {
+    let bits = |r: &ExecutionReport| {
+        r.output.as_ref().map(|c| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+    };
+    assert_eq!(bits(oneshot), bits(prepared), "C at {at}");
+    assert_eq!(oneshot.seconds.to_bits(), prepared.seconds.to_bits(), "seconds at {at}");
+    assert_eq!(oneshot.rank_seconds, prepared.rank_seconds, "rank seconds at {at}");
+    assert_eq!(oneshot.rank_traces, prepared.rank_traces, "rank traces at {at}");
+    assert_eq!(oneshot.rank_events, prepared.rank_events, "event streams at {at}");
+    assert!(oneshot.rank_events.iter().all(|events| !events.is_empty()), "traced at {at}");
+}
+
+/// A run with no prepared artifact reads each rank's nonzeros straight from
+/// A; it must equal a run over the prepared Figure-6 structures bit for
+/// bit: C, simulated seconds, rank traces and every event.
+#[test]
+fn oneshot_runs_equal_prepared_runs_bitwise() {
+    let cost = CostModel::delta_scaled();
+    // Per algorithm, rows holding sync and async nonzeros, and async-only rows.
+    let mut rows = [(0, 0); 2];
+    for k in [1usize, 3, 8, 32, 128] {
+        for (name, problem) in oneshot_problems(k) {
+            for (i, algorithm) in [Algorithm::TwoFace, Algorithm::AsyncFine].into_iter().enumerate()
+            {
+                // Async Fine's prepared artifact is built over its uniform plan.
+                let plan = (algorithm == Algorithm::AsyncFine).then(|| {
+                    let a = &problem.a;
+                    Arc::new(PartitionPlan::build_uniform(
+                        a,
+                        problem.layout.clone(),
+                        k,
+                        StripeClass::Async,
+                    ))
+                });
+                let prepared = PreparedMatrix::build(
+                    &problem,
+                    &cost,
+                    &RunOptions { plan, ..Default::default() },
+                )
+                .expect("prepares");
+                let (mixed, async_only) = mixed_and_async_only_rows(&problem, prepared.plan());
+                rows[i] = (rows[i].0 + mixed, rows[i].1 + async_only);
+                let prepared = Arc::new(prepared);
+                for workers in [1usize, 2, 4] {
+                    let options = RunOptions {
+                        workers: Some(workers),
+                        observability: Observability::full(),
+                        ..Default::default()
+                    };
+                    let with_prepared =
+                        RunOptions { prepared: Some(Arc::clone(&prepared)), ..options.clone() };
+                    let at = format!("{name} {algorithm} K={k} workers={workers}");
+                    let oneshot = run_algorithm(algorithm, &problem, &cost, &options).expect(&at);
+                    let reused =
+                        run_algorithm(algorithm, &problem, &cost, &with_prepared).expect(&at);
+                    assert_reports_bitwise_equal(&oneshot, &reused, &at);
+                }
+            }
+        }
+    }
+    for (algorithm, (mixed, async_only)) in ["Two-Face", "Async Fine"].iter().zip(rows) {
+        assert!(mixed > 0 && async_only > 0, "{algorithm}: {mixed} mixed, {async_only} async-only");
+    }
+}
+
+/// The one-shot contract holds under injected faults and on structural
+/// (value-free) runs too.
+#[test]
+fn oneshot_runs_equal_prepared_runs_under_chaos_and_without_values() {
+    let cost = CostModel::delta_scaled();
+    for (name, problem) in oneshot_problems(8) {
+        let prepared = Arc::new(
+            PreparedMatrix::build(&problem, &cost, &RunOptions::default()).expect("prepares"),
+        );
+        for options in [
+            RunOptions { fault_plan: Some(FaultPlan::heavy(0x5eed)), ..Default::default() },
+            RunOptions { compute_values: false, ..Default::default() },
+        ] {
+            let options = RunOptions { observability: Observability::full(), ..options };
+            let with_prepared =
+                RunOptions { prepared: Some(Arc::clone(&prepared)), ..options.clone() };
+            let at = format!(
+                "{name} faults={} values={}",
+                options.fault_plan.is_some(),
+                options.compute_values
+            );
+            let oneshot = run_algorithm(Algorithm::TwoFace, &problem, &cost, &options);
+            let reused = run_algorithm(Algorithm::TwoFace, &problem, &cost, &with_prepared);
+            match (oneshot, reused) {
+                (Ok(oneshot), Ok(reused)) => {
+                    assert_reports_bitwise_equal(&oneshot, &reused, &at);
+                    assert_eq!(oneshot.faults_injected, reused.faults_injected, "{at}");
+                    assert!(options.fault_plan.is_none() || oneshot.faults_injected > 0, "{at}");
+                }
+                (oneshot, reused) => {
+                    let err = |r: Result<ExecutionReport, RunError>| r.err().map(|e| e.to_string());
+                    assert_eq!(err(oneshot), err(reused), "{at}");
+                }
+            }
+        }
+    }
 }
