@@ -66,7 +66,8 @@ fn main() {
         let plan = prepare_plan(&problem, &coefficients, &cost);
         let per_rank: Vec<RankMatrices> = (0..DEFAULT_P)
             .map(|rank| RankMatrices::build(&a, &plan, rank, config.row_panel_height))
-            .collect();
+            .collect::<Result<_, _>>()
+            .expect("the plan is the matrix's own");
         let offsets: Vec<usize> =
             (0..DEFAULT_P).map(|rank| plan.layout().row_range(rank).start).collect();
         write_structures(&tmp, m.short_name(), &a, &per_rank, &offsets);
@@ -78,7 +79,8 @@ fn main() {
         let plan = prepare_plan(&problem, &coefficients, &cost);
         let _per_rank: Vec<RankMatrices> = (0..DEFAULT_P)
             .map(|rank| RankMatrices::build(&problem.a, &plan, rank, config.row_panel_height))
-            .collect();
+            .collect::<Result<_, _>>()
+            .expect("the plan is the matrix's own");
         let prep = start.elapsed().as_secs_f64();
         drop(plan);
 

@@ -28,15 +28,15 @@
 use crate::algo::SpmmAlgorithm;
 use crate::coalesce::coalesce_rows;
 use crate::config::{AsyncLayout, TwoFaceConfig};
-use crate::error::RankError;
-use crate::format::{row_slice, RankMatrices, Route, Routes};
+use crate::error::{RankError, RunError};
+use crate::format::{row_slice, RankMatrices, Routes};
 use crate::kernels::{
-    par_async_stripe, par_sync_panels, par_sync_panels_skipping, BlockRows, FetchedRows,
+    par_async_stripe, par_route_rows, par_sync_panels, BlockRows, FetchedRows, RankSlice, Stash,
 };
 use crate::pool::{Pool, WallTimer};
 use crate::runner::{ExecOpts, Problem};
 use std::sync::Arc;
-use twoface_matrix::{CooMatrix, Scalar, SmallTriplet, Triplet, SCALAR_BYTES};
+use twoface_matrix::{CooMatrix, Scalar, SmallTriplet, SCALAR_BYTES};
 use twoface_net::{Lane, MulticastStep, NetError, Payload, PhaseClass, RankCtx};
 use twoface_partition::PartitionPlan;
 
@@ -52,20 +52,28 @@ pub(crate) struct TwoFaceData {
 }
 
 impl TwoFaceData {
-    /// Builds all ranks' structures from a problem and plan. Ranks are
-    /// independent, so the builds fan out across `pool`; results are
-    /// collected in rank order, so the data is identical for any worker
-    /// count.
+    /// Builds all ranks' structures from a problem and a plan for its
+    /// layout. Ranks are independent, so the builds fan out across `pool`;
+    /// results are collected in rank order, so the data is identical for
+    /// any worker count.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Shape`] from the lowest rank holding a nonzero the plan
+    /// never classified for it.
     pub fn build(
         problem: &Problem,
         plan: Arc<PartitionPlan>,
         config: &TwoFaceConfig,
         pool: &Pool,
-    ) -> TwoFaceData {
-        let rank_matrices = pool.map(problem.layout.nodes(), |rank| {
-            RankMatrices::build(&problem.a, &plan, rank, config.row_panel_height)
-        });
-        TwoFaceData { plan, rank_matrices, b_blocks: stage_b_blocks(problem, pool) }
+    ) -> Result<TwoFaceData, RunError> {
+        let rank_matrices = pool
+            .map(problem.layout.nodes(), |rank| {
+                RankMatrices::build(&problem.a, &plan, rank, config.row_panel_height)
+            })
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        Ok(TwoFaceData { plan, rank_matrices, b_blocks: stage_b_blocks(problem, pool) })
     }
 }
 
@@ -80,8 +88,9 @@ pub(crate) enum RankNonzeros<'a> {
     /// Every rank's Figure-6 structures, shared with the compatible
     /// [`PreparedMatrix`](crate::PreparedMatrix) that built them.
     Prepared(Arc<Vec<RankMatrices>>),
-    /// The row-sorted `A` itself: each rank reads its row slice in its own
-    /// body ([`SliceSource`]), so a one-shot run builds no rank structures.
+    /// The row-sorted `A` itself: each rank walks its row slice once in its
+    /// own body ([`SliceSource`]), so a one-shot run builds no rank
+    /// structures.
     Slices(&'a CooMatrix),
 }
 
@@ -135,10 +144,14 @@ impl SpmmAlgorithm for PlannedAlgo<'_> {
             (&self.plan, &self.b_blocks[rank], self.config, &self.exec);
         match &self.nonzeros {
             RankNonzeros::Prepared(matrices) => {
-                Ok(twoface_rank(ctx, || Ok(&matrices[rank]), plan, b_block, config, exec)?)
+                let open = |_: &Pool, _: &BlockRows<'_>, _: &mut [Scalar]| Ok(&matrices[rank]);
+                Ok(twoface_rank(ctx, open, plan, b_block, config, exec)?)
             }
             RankNonzeros::Slices(a) => {
-                let open = || SliceSource::open(a, plan, rank, config.row_panel_height);
+                let open = |pool: &Pool, rows: &BlockRows<'_>, c_local: &mut [Scalar]| {
+                    let c_local = exec.compute.then_some(c_local);
+                    SliceSource::open(a, plan, rank, config.row_panel_height, pool, rows, c_local)
+                };
                 twoface_rank(ctx, open, plan, b_block, config, exec)
             }
         }
@@ -159,9 +172,9 @@ pub(crate) struct StripeView<'a> {
 /// Where [`twoface_rank`] reads one rank's sparse structures from: A's row
 /// slice ([`SliceSource`]), the prepared [`RankMatrices`], the same under a
 /// per-epoch edge mask ([`crate::sampling`]), or a streamed run's store file
-/// ([`crate::stream`]). Internal iteration lets the resident source lend
-/// its slices while the filtering and disk-backed sources refill one reused
-/// buffer.
+/// ([`crate::stream`]). Internal iteration lets the resident sources lend
+/// their slices while the filtering and disk-backed sources refill one
+/// reused buffer.
 pub(crate) trait StripeSource {
     /// What reading can fail with besides the transfers the visitor issues.
     type Error: From<NetError>;
@@ -176,14 +189,14 @@ pub(crate) trait StripeSource {
     /// non-empty row panels they occupy.
     fn sync_counts(&self) -> (usize, usize);
 
-    /// Algorithm 2 over the sync/local nonzeros: adds their products with
-    /// the `B` rows of `rows` into `c_local`, fanning out over `pool`. Each
-    /// output row's contributions are summed in row-major entry order and
-    /// flushed once, whatever the source.
+    /// Algorithm 2 over the sync/local nonzeros, after the async lane: adds
+    /// their products with the `B` rows of `rows` into `c_local`, fanning
+    /// out over `pool`. Each output row's contributions are summed in
+    /// row-major entry order and flushed once, whatever the source.
     fn sync_compute(
         &mut self,
         pool: &Pool,
-        rows: &mut BlockRows<'_>,
+        rows: &BlockRows<'_>,
         c_local: &mut [Scalar],
         k: usize,
     ) -> Result<(), Self::Error>;
@@ -213,30 +226,29 @@ impl StripeSource for &RankMatrices {
     fn sync_compute(
         &mut self,
         pool: &Pool,
-        rows: &mut BlockRows<'_>,
+        rows: &BlockRows<'_>,
         c_local: &mut [Scalar],
         k: usize,
     ) -> Result<(), NetError> {
-        par_sync_panels(pool, self.sync_local.entries(), &*rows, c_local, k);
+        par_sync_panels(pool, self.sync_local.entries(), rows, c_local, k);
         Ok(())
     }
 }
 
 /// [`StripeSource`] over one rank's row slice of the row-sorted `A`, for
-/// runs without prepared structures. Opening it walks the slice once: it
-/// buckets the asynchronous stripes' nonzeros row-major, with their
-/// ascending `UniqueColIDs`, and counts the sync/local nonzeros and the row
-/// panels that hold them. The sync lane then runs the row-panel kernel over
-/// the slice itself, skipping the asynchronous stripes, so the sync
-/// nonzeros are never copied. Stripe views, counts and per-row arithmetic
-/// equal those of the [`RankMatrices`] built from the same slice.
-pub(crate) struct SliceSource<'a> {
-    /// The rank's nonzeros in global coordinates, row-major.
-    slice: &'a [Triplet],
-    /// Global row of the rank's first local row.
-    row_base: usize,
+/// runs without prepared structures. Opening it is the rank's one walk of
+/// the slice, a routing walk ([`par_route_rows`]) run once the sync lane's
+/// multicasts are in: it sums the sync/local nonzeros into `C`, buckets the
+/// asynchronous stripes' nonzeros row-major, and counts the sync/local
+/// nonzeros and the row panels that hold them. A row that also holds async
+/// nonzeros keeps its sum in a [`Stash`] until [`StripeSource::sync_compute`]
+/// adds it after the async lane, the order a prepared run adds in. Stripe
+/// views, counts and `C` equal those of a run over the [`RankMatrices`]
+/// built from the same slice, bit for bit.
+pub(crate) struct SliceSource {
     /// The asynchronous stripes holding nonzeros, ascending.
     stripes: Vec<SliceStripe>,
+    stash: Stash,
     sync_nnz: usize,
     nonempty_panels: usize,
 }
@@ -250,62 +262,51 @@ struct SliceStripe {
     unique_cols: Vec<u32>,
 }
 
-impl<'a> SliceSource<'a> {
-    /// Opens `rank`'s row slice of `a` under `plan`, with row panels of
-    /// `panel_height` rows.
+impl SliceSource {
+    /// Opens `rank`'s row slice of `a` under `plan` by walking it once over
+    /// `pool`, with row panels of `panel_height` rows: the sync/local
+    /// nonzeros read their `B` rows from `rows` and add into `c_local`, if
+    /// given (a structural run routes and counts only).
     ///
     /// # Errors
     ///
     /// [`RankError::Unclassified`] for the first nonzero, row-major, in a
     /// stripe the plan never classified for `rank`.
     pub(crate) fn open(
-        a: &'a CooMatrix,
+        a: &CooMatrix,
         plan: &PartitionPlan,
         rank: usize,
         panel_height: usize,
-    ) -> Result<SliceSource<'a>, RankError> {
-        let layout = plan.layout();
-        let rows = layout.row_range(rank);
-        let slice = row_slice(a, rows.clone());
+        pool: &Pool,
+        rows: &BlockRows<'_>,
+        c_local: Option<&mut [Scalar]>,
+    ) -> Result<SliceSource, RankError> {
+        let row_range = plan.layout().row_range(rank);
+        let entries = row_slice(a, row_range.clone());
         let routes = Routes::new(plan, rank);
-        // The plan's profile sizes each bucket exactly when it profiled
-        // this slice; a plan from another matrix only loses the hint.
+        // The plan's profile sizes each bucket exactly, and bounds the walk's
+        // other buffers, when it profiled this slice; a plan from another
+        // matrix only loses the hint.
         let profile = plan.profile(rank);
-        let profiled = profile.total_nnz() == slice.len();
-        let mut buckets: Vec<Vec<SmallTriplet>> = routes
+        let profiled = profile.total_nnz() == entries.len();
+        let hints: Vec<usize> = routes
             .async_stripes()
             .iter()
-            .map(|&stripe| {
-                let hint = profile.stripe(stripe).map_or(0, |s| s.nnz);
-                Vec::with_capacity(if profiled { hint } else { 0 })
-            })
+            .map(|&stripe| profile.stripe(stripe).filter(|_| profiled).map_or(0, |s| s.nnz))
             .collect();
-        let (mut sync_nnz, mut nonempty_panels, mut panel_end) = (0usize, 0usize, 0usize);
-        for t in slice {
-            let local = t.row - rows.start;
-            let stripe = layout.stripe_of_col(t.col);
-            match routes.of(stripe) {
-                Route::SyncLocal => {
-                    sync_nnz += 1;
-                    // Rows ascend, so a row past the last counted panel
-                    // opens a new non-empty panel.
-                    if local >= panel_end {
-                        nonempty_panels += 1;
-                        panel_end = (local / panel_height + 1) * panel_height;
-                    }
-                }
-                Route::Async(bucket) => {
-                    buckets[bucket].push(SmallTriplet::new(local, t.col, t.val))
-                }
-                Route::Unclassified => {
-                    return Err(RankError::Unclassified { stripe, row: t.row, col: t.col })
-                }
-            }
-        }
+        let buckets = hints.iter().map(|&hint| Vec::with_capacity(hint)).collect();
+        let slice = RankSlice {
+            entries,
+            origin: row_range.start,
+            local_rows: row_range.len(),
+            routes: &routes,
+            panel_height,
+        };
+        let routed = par_route_rows(pool, &slice, rows, buckets, hints.iter().sum(), c_local)?;
         let stripes = routes
             .async_stripes()
             .iter()
-            .zip(buckets)
+            .zip(routed.buckets)
             .filter(|(_, entries)| !entries.is_empty())
             .map(|(&stripe, entries)| {
                 let mut unique_cols: Vec<u32> = entries.iter().map(|t| t.col).collect();
@@ -314,11 +315,16 @@ impl<'a> SliceSource<'a> {
                 SliceStripe { stripe, entries, unique_cols }
             })
             .collect();
-        Ok(SliceSource { slice, row_base: rows.start, stripes, sync_nnz, nonempty_panels })
+        Ok(SliceSource {
+            stripes,
+            stash: routed.stash,
+            sync_nnz: routed.sync_nnz,
+            nonempty_panels: routed.nonempty_panels,
+        })
     }
 }
 
-impl StripeSource for SliceSource<'_> {
+impl StripeSource for SliceSource {
     type Error = RankError;
 
     fn for_each_async(
@@ -339,18 +345,16 @@ impl StripeSource for SliceSource<'_> {
         (self.sync_nnz, self.nonempty_panels)
     }
 
+    /// The walk flushed every row the async lane never adds into; what is
+    /// left are the stashed sums of the rows it does.
     fn sync_compute(
         &mut self,
-        pool: &Pool,
-        rows: &mut BlockRows<'_>,
+        _: &Pool,
+        _: &BlockRows<'_>,
         c_local: &mut [Scalar],
         k: usize,
     ) -> Result<(), RankError> {
-        // The slice still holds the nonzeros the async lane computed.
-        for s in &self.stripes {
-            rows.skip_stripe(s.stripe);
-        }
-        par_sync_panels_skipping(pool, self.slice, self.row_base, &*rows, c_local, k);
+        self.stash.add_into(c_local, k);
         Ok(())
     }
 }
@@ -363,6 +367,12 @@ impl StripeSource for SliceSource<'_> {
 /// requires — rooted at the stripe's owner, with destinations borrowed from
 /// the plan. Returns this rank's own block plus every received stripe as
 /// one row source.
+///
+/// The own block is held only over the stripes the plan classified for this
+/// rank, as runs of consecutive stripes, so a held block always stands for
+/// a classified stripe: a one-shot routing walk that meets a nonzero in an
+/// own stripe the plan never classified misses every block and reports it.
+/// Every other reader looks up only the columns of classified stripes.
 pub(crate) fn sync_multicasts<'p>(
     ctx: &mut RankCtx,
     plan: &'p PartitionPlan,
@@ -390,7 +400,20 @@ pub(crate) fn sync_multicasts<'p>(
         Payload::from(Arc::clone(b_block)).subslice(lo..hi)
     })?;
     let mut stripe_buffers = BlockRows::new(layout, k);
-    stripe_buffers.add_block(my_cols.clone(), Arc::clone(b_block));
+    let own = layout.stripes_of_owner(rank);
+    let classified: Vec<usize> = plan
+        .classification(rank)
+        .classes
+        .iter()
+        .map(|&(stripe, _)| stripe)
+        .filter(|stripe| own.contains(stripe))
+        .collect();
+    for run in classified.chunk_by(|a, b| a + 1 == *b) {
+        let cols = layout.stripe_cols(run[0]).start..layout.stripe_cols(run[run.len() - 1]).end;
+        let lo = (cols.start - my_cols.start) * k;
+        let hi = (cols.end - my_cols.start) * k;
+        stripe_buffers.add_block(cols, Payload::from(Arc::clone(b_block)).subslice(lo..hi));
+    }
     for (i, buf) in received {
         let step = &steps[i];
         if step.root != rank {
@@ -405,10 +428,14 @@ pub(crate) fn sync_multicasts<'p>(
 ///
 /// The source is opened after the sync lane's multicast chain, the rank's
 /// last collective, so a source that fails to open fails this rank alone:
-/// no peer is left waiting for it at a rendezvous.
+/// no peer is left waiting for it at a rendezvous. `open` receives the
+/// rank's pool, the `B` rows the multicasts left and the zeroed `C` block:
+/// a [`SliceSource`] runs its routing walk there, adding the sync sums of
+/// the rows the async lane never touches, so the opening's host time rides
+/// on the sync span, with the sync compute's.
 pub(crate) fn twoface_rank<S: StripeSource>(
     ctx: &mut RankCtx,
-    open: impl FnOnce() -> Result<S, S::Error>,
+    open: impl FnOnce(&Pool, &BlockRows<'_>, &mut [Scalar]) -> Result<S, S::Error>,
     plan: &PartitionPlan,
     b_block: &Arc<Vec<f64>>,
     config: &TwoFaceConfig,
@@ -425,11 +452,14 @@ pub(crate) fn twoface_rank<S: StripeSource>(
     // the "initial setup of data structures for MPI" that Figure 10 labels
     // Other.
     let win = ctx.create_window(Arc::clone(b_block))?;
-    let mut stripe_buffers = sync_multicasts(ctx, plan, b_block, k)?;
-    let mut source = open()?;
+    let stripe_buffers = sync_multicasts(ctx, plan, b_block, k)?;
+    let mut c_local = vec![0.0; layout.row_range(rank).len() * k];
+    let wall = ctx.wall_time_enabled() && opts.compute;
+    let opening = WallTimer::start(wall);
+    let mut source = open(&pool, &stripe_buffers, &mut c_local)?;
+    let open_nanos = opening.elapsed_nanos();
 
     // --- Async lane: Algorithm 3 per asynchronous stripe. ---
-    let mut c_local = vec![0.0; layout.row_range(rank).len() * k];
     let max_distance = config.max_coalesce_distance(k);
     // §7.1's rejected row-major variant: the required rows must be
     // identified by a runtime sort+dedup before the transfer can even be
@@ -472,7 +502,7 @@ pub(crate) fn twoface_rank<S: StripeSource>(
         // The real kernel runs before its span is charged so its measured
         // wall time can ride on the event; the simulated clocks advance by
         // exactly the same amount either way.
-        let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
+        let timer = WallTimer::start(wall);
         if opts.compute {
             let rows_src = FetchedRows::new(&runs, col_base, std::mem::take(&mut fetch_scratch), k);
             if row_major {
@@ -507,18 +537,13 @@ pub(crate) fn twoface_rank<S: StripeSource>(
     // --- Sync lane: row-panel compute (Algorithm 1 lines 15-19). ---
     let (sync_nnz, nonempty_panels) = source.sync_counts();
     if sync_nnz > 0 {
-        let timer = WallTimer::start(ctx.wall_time_enabled() && opts.compute);
+        let timer = WallTimer::start(wall);
         if opts.compute {
-            source.sync_compute(&pool, &mut stripe_buffers, &mut c_local, k)?;
+            source.sync_compute(&pool, &stripe_buffers, &mut c_local, k)?;
         }
         let cost = ctx.cost().sync_compute_cost(sync_nnz, k, nonempty_panels);
-        ctx.advance_span(
-            Lane::Sync,
-            cost,
-            PhaseClass::SyncComp,
-            (sync_nnz * k) as u64,
-            timer.elapsed_nanos(),
-        );
+        let nanos = timer.elapsed_nanos().zip(open_nanos).map(|(compute, open)| compute + open);
+        ctx.advance_span(Lane::Sync, cost, PhaseClass::SyncComp, (sync_nnz * k) as u64, nanos);
     }
     Ok(c_local)
 }

@@ -18,6 +18,7 @@
 //! to fit the small-index limit (checked, never truncated; every runnable
 //! problem fits, since `B` alone at `2^32` rows would exceed host memory).
 
+use crate::error::{RankError, RunError};
 use std::ops::Range;
 use twoface_matrix::{fits_small_index, CooMatrix, SmallTriplet, Triplet};
 use twoface_partition::{PartitionPlan, StripeClass};
@@ -176,9 +177,15 @@ pub(crate) struct Routes {
 impl Routes {
     /// `rank`'s routes under `plan`.
     pub(crate) fn new(plan: &PartitionPlan, rank: usize) -> Routes {
-        let mut table = vec![Route::Unclassified; plan.layout().num_stripes()];
+        Routes::from_classes(plan.layout().num_stripes(), &plan.classification(rank).classes)
+    }
+
+    /// The routes of one rank's `(stripe, class)` list, ascending by stripe,
+    /// over `num_stripes` stripes.
+    pub(crate) fn from_classes(num_stripes: usize, classes: &[(usize, StripeClass)]) -> Routes {
+        let mut table = vec![Route::Unclassified; num_stripes];
         let mut async_stripes = Vec::new();
-        for &(stripe, class) in &plan.classification(rank).classes {
+        for &(stripe, class) in classes {
             table[stripe] = match class {
                 StripeClass::Sync | StripeClass::LocalInput => Route::SyncLocal,
                 StripeClass::Async => {
@@ -243,16 +250,23 @@ impl RankMatrices {
     /// `O(nnz)` total, not `O(p * nnz)`). Row indices are rebased to the
     /// block; columns stay global.
     ///
+    /// # Errors
+    ///
+    /// [`RunError::Shape`] for the first nonzero, row-major, in a stripe
+    /// `plan` never classified for `rank`: the plan was built for another
+    /// matrix.
+    ///
     /// # Panics
     ///
-    /// Panics if `panel_height == 0`, or if the matrix dimensions exceed the
-    /// small-index (`u32`) limit of the compact entry layout.
+    /// Panics if `panel_height == 0`, if the matrix dimensions exceed the
+    /// small-index (`u32`) limit of the compact entry layout, or if `plan`
+    /// is for a layout with fewer columns than `a`.
     pub fn build(
         a: &CooMatrix,
         plan: &PartitionPlan,
         rank: usize,
         panel_height: usize,
-    ) -> RankMatrices {
+    ) -> Result<RankMatrices, RunError> {
         let slice = row_slice(a, plan.layout().row_range(rank));
         RankMatrices::build_from_rows(slice, plan, rank, panel_height)
     }
@@ -264,16 +278,22 @@ impl RankMatrices {
     /// Both paths walk entries in the same order, so they construct
     /// identical structures.
     ///
+    /// # Errors
+    ///
+    /// [`RunError::Shape`] for the first nonzero in a stripe `plan` never
+    /// classified for `rank`, as for [`RankMatrices::build`].
+    ///
     /// # Panics
     ///
-    /// Panics if `panel_height == 0`, or if the plan's layout dimensions
-    /// exceed the small-index (`u32`) limit of the compact entry layout.
+    /// Panics if `panel_height == 0`, if the plan's layout dimensions exceed
+    /// the small-index (`u32`) limit of the compact entry layout, or if a
+    /// column lies past the plan's layout.
     pub fn build_from_rows(
         rank_triplets: &[Triplet],
         plan: &PartitionPlan,
         rank: usize,
         panel_height: usize,
-    ) -> RankMatrices {
+    ) -> Result<RankMatrices, RunError> {
         assert!(panel_height > 0, "panel height must be positive");
         let layout = plan.layout();
         assert!(
@@ -288,10 +308,14 @@ impl RankMatrices {
         for t in rank_triplets {
             debug_assert!(rows.contains(&t.row), "entry outside the rank's row block");
             let local = SmallTriplet::new(t.row - rows.start, t.col, t.val);
-            match routes.of(layout.stripe_of_col(t.col)) {
+            let stripe = layout.stripe_of_col(t.col);
+            match routes.of(stripe) {
                 Route::SyncLocal => sync_entries.push(local),
                 Route::Async(bucket) => async_buckets[bucket].1.push(local),
-                Route::Unclassified => panic!("every nonzero's stripe is classified"),
+                Route::Unclassified => {
+                    let error = RankError::Unclassified { stripe, row: t.row, col: t.col };
+                    return Err(error.into_run_error(rank, Vec::new()));
+                }
             }
         }
         // The input slice is row-major, so sync_entries already are; build
@@ -316,7 +340,7 @@ impl RankMatrices {
             })
             .collect();
 
-        RankMatrices {
+        Ok(RankMatrices {
             sync_local: SyncLocalMatrix {
                 local_rows,
                 panel_height,
@@ -324,7 +348,7 @@ impl RankMatrices {
                 panel_ptrs,
             },
             asynchronous: AsyncMatrix { stripes },
-        }
+        })
     }
 
     /// Total nonzeros across both structures.
@@ -367,7 +391,7 @@ mod tests {
     fn all_async_plan_routes_remote_nonzeros_to_async_matrix() {
         let a = fixture();
         let plan = PartitionPlan::build_uniform(&a, layout(), 4, StripeClass::Async);
-        let m = RankMatrices::build(&a, &plan, 0, 2);
+        let m = RankMatrices::build(&a, &plan, 0, 2).unwrap();
         // Node 0's local-input nonzeros: (0,0), (1,1) in stripes 0-1.
         assert_eq!(m.sync_local.nnz(), 2);
         // Remote: (0,5), (2,5), (2,4), (3,7) in stripes 2 and 3.
@@ -389,7 +413,7 @@ mod tests {
     fn all_sync_plan_keeps_everything_in_sync_matrix() {
         let a = fixture();
         let plan = PartitionPlan::build_uniform(&a, layout(), 4, StripeClass::Sync);
-        let m = RankMatrices::build(&a, &plan, 0, 2);
+        let m = RankMatrices::build(&a, &plan, 0, 2).unwrap();
         assert_eq!(m.sync_local.nnz(), 6);
         assert_eq!(m.asynchronous.nnz(), 0);
     }
@@ -398,7 +422,7 @@ mod tests {
     fn panels_partition_rows() {
         let a = fixture();
         let plan = PartitionPlan::build_uniform(&a, layout(), 4, StripeClass::Sync);
-        let m = RankMatrices::build(&a, &plan, 0, 2);
+        let m = RankMatrices::build(&a, &plan, 0, 2).unwrap();
         let sl = &m.sync_local;
         assert_eq!(sl.local_rows(), 4);
         assert_eq!(sl.num_panels(), 2);
@@ -414,7 +438,7 @@ mod tests {
     fn rows_are_rebased_per_node() {
         let a = fixture();
         let plan = PartitionPlan::build_uniform(&a, layout(), 4, StripeClass::Async);
-        let m1 = RankMatrices::build(&a, &plan, 1, 2);
+        let m1 = RankMatrices::build(&a, &plan, 1, 2).unwrap();
         // Node 1 rows 4..8: (5,0) remote, (7,6) local.
         assert_eq!(m1.sync_local.nnz(), 1);
         assert_eq!(m1.sync_local.entries()[0].row, 3); // global row 7
@@ -432,7 +456,8 @@ mod tests {
             4,
             PlanOptions::default(),
         );
-        let total: usize = (0..2).map(|rank| RankMatrices::build(&a, &plan, rank, 2).nnz()).sum();
+        let total: usize =
+            (0..2).map(|rank| RankMatrices::build(&a, &plan, rank, 2).unwrap().nnz()).sum();
         assert_eq!(total, a.nnz());
     }
 
@@ -441,7 +466,7 @@ mod tests {
         // Single nonzero in the last local row of node 0 => 1 non-empty of 2.
         let a = CooMatrix::from_triplets(8, 8, vec![(3, 0, 1.0), (4, 0, 1.0)]).unwrap();
         let plan = PartitionPlan::build_uniform(&a, layout(), 4, StripeClass::Sync);
-        let m = RankMatrices::build(&a, &plan, 0, 2);
+        let m = RankMatrices::build(&a, &plan, 0, 2).unwrap();
         assert_eq!(m.sync_local.num_panels(), 2);
         assert_eq!(m.sync_local.num_nonempty_panels(), 1);
     }

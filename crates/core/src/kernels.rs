@@ -26,17 +26,22 @@
 //! per-stripe slot table, in O(1) however many blocks it holds, and
 //! [`FetchedRows`] by a binary search over one stripe's few fetched runs.
 //!
-//! The row-panel kernel also has a *skipping* form
-//! ([`par_sync_panels_skipping`]) for entry slices that mix in nonzeros
-//! another lane computes: [`BlockRows`] marks their stripes skipped, and a
-//! lookup there is passed over instead of panicking, without ending the
-//! row's accumulation. Skipping is a compile-time parameter of the one
-//! kernel loop, so the plain form carries no skip test.
+//! A one-shot Two-Face rank, which has no prepared structures, runs the
+//! row-panel loop as a *routing walk* (`par_route_rows`) over its row slice
+//! of `A`: one pass sums the nonzeros whose `B` rows [`BlockRows`] holds,
+//! hands each asynchronous nonzero to its stripe's bucket, and counts what
+//! the sync lane's charge needs. A cursor hit can only be a held block; a
+//! miss looks the column's stripe up once and finds the block holding it,
+//! the stripe's async bucket, or no class at all, which fails the rank. A
+//! row that also holds async nonzeros keeps its sum in a stash until the
+//! async lane has added into it.
 
 use crate::coalesce::RowRun;
+use crate::error::RankError;
+use crate::format::{Route, Routes};
 use crate::pool::Pool;
 use std::ops::Range;
-use twoface_matrix::{Entry, Scalar};
+use twoface_matrix::{Entry, Scalar, SmallTriplet, Triplet};
 use twoface_net::Payload;
 use twoface_partition::OneDimLayout;
 
@@ -106,33 +111,6 @@ pub trait RowSource: Sync {
     fn row(&self, col: usize) -> &[Scalar] {
         self.row_with(&mut RowCursor::default(), col)
     }
-
-    /// [`RowSource::resolve`] for a skipping kernel: `None` when `col`'s
-    /// stripe is marked skipped. Sources without skip marks hold or panic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is neither held nor skipped.
-    fn resolve_held(&self, col: usize) -> Option<RowCursor<'_>> {
-        Some(self.resolve(col))
-    }
-
-    /// [`RowSource::row_with`] for a skipping kernel: `None` when `col`'s
-    /// stripe is skipped. A skip leaves `cursor` on the block it held.
-    ///
-    /// # Panics
-    ///
-    /// Same condition as [`RowSource::resolve_held`].
-    #[inline]
-    fn held_row_with<'s>(&'s self, cursor: &mut RowCursor<'s>, col: usize) -> Option<&'s [Scalar]> {
-        let mut offset = col.wrapping_sub(cursor.start);
-        if offset >= cursor.len {
-            *cursor = self.resolve_held(col)?;
-            offset = col - cursor.start;
-        }
-        let k = self.k();
-        Some(&cursor.rows[offset * k..(offset + 1) * k])
-    }
 }
 
 /// A [`RowSource`] over a set of contiguous block buffers, each covering
@@ -142,8 +120,7 @@ pub trait RowSource: Sync {
 ///
 /// Every rank knows where its blocks land before the kernel runs, so a miss
 /// is O(1): the column's stripe ([`OneDimLayout::stripe_of_col`]) indexes a
-/// per-stripe slot table naming the block that holds it, or marking the
-/// stripe skipped ([`BlockRows::skip_stripe`]).
+/// per-stripe slot table naming the block that holds it.
 #[derive(Debug, Clone)]
 pub struct BlockRows<'l> {
     k: usize,
@@ -151,14 +128,23 @@ pub struct BlockRows<'l> {
     /// `(col_start, col_end, buffer)`, in the order they were added.
     blocks: Vec<(usize, usize, Payload)>,
     /// Per stripe of `layout`, the index in `blocks` of the block holding
-    /// it, [`SKIPPED`] or [`NO_BLOCK`].
+    /// it, or [`NO_BLOCK`].
     slot_of_stripe: Vec<usize>,
 }
 
 /// The slot-table entry of a stripe no block holds; never a valid index.
 const NO_BLOCK: usize = usize::MAX;
-/// The slot-table entry of a skipped stripe; never a valid index either.
-const SKIPPED: usize = usize::MAX - 1;
+
+/// What a routing walk's cursor miss finds in one lookup of the column's
+/// stripe.
+enum Miss<'s> {
+    /// The block holding the stripe: a sync or local-input nonzero.
+    Held(RowCursor<'s>),
+    /// The stripe is asynchronous: the nonzero goes to this bucket.
+    Async(usize),
+    /// The plan never classified this stripe for the rank.
+    Unclassified(usize),
+}
 
 impl<'l> BlockRows<'l> {
     /// Creates an empty source for `K` columns over `layout`'s stripes.
@@ -206,41 +192,32 @@ impl<'l> BlockRows<'l> {
         self.blocks.push((cols.start, cols.end, buffer));
     }
 
-    /// Marks `stripe` skipped: a skipping kernel
-    /// ([`par_sync_panels_skipping`]) passes over its nonzeros, while every
-    /// other lookup there still panics as for a stripe no block holds.
+    /// Whether some block holds column `col`.
+    pub fn contains(&self, col: usize) -> bool {
+        col < self.layout.cols() && self.held(self.layout.stripe_of_col(col)).is_some()
+    }
+
+    /// A cursor over the block holding `stripe`, if one does.
+    fn held(&self, stripe: usize) -> Option<RowCursor<'_>> {
+        let (start, end, buf) = self.blocks.get(self.slot_of_stripe[stripe])?;
+        Some(RowCursor::new(*start..*end, buf))
+    }
+
+    /// A routing walk's miss on column `col` of the layout: the block
+    /// holding its stripe, else the stripe's route.
     ///
     /// # Panics
     ///
-    /// Panics if a block holds `stripe`.
-    pub fn skip_stripe(&mut self, stripe: usize) {
-        let slot = &mut self.slot_of_stripe[stripe];
-        assert!(*slot == NO_BLOCK || *slot == SKIPPED, "stripe {stripe} already has a block");
-        *slot = SKIPPED;
-    }
-
-    /// Whether some block holds column `col`.
-    pub fn contains(&self, col: usize) -> bool {
-        self.block_of(col).is_some()
-    }
-
-    fn block_of(&self, col: usize) -> Option<&(usize, usize, Payload)> {
-        self.blocks.get(self.slot_of(col))
-    }
-
-    /// `col`'s slot-table entry; past the last column, [`NO_BLOCK`].
-    fn slot_of(&self, col: usize) -> usize {
-        if col >= self.layout.cols() {
-            return NO_BLOCK;
+    /// Panics if the stripe is routed to the sync lane but no block holds
+    /// it.
+    fn route(&self, col: usize, routes: &Routes) -> Miss<'_> {
+        let stripe = self.layout.stripe_of_col(col);
+        match (self.held(stripe), routes.of(stripe)) {
+            (Some(cursor), _) => Miss::Held(cursor),
+            (None, Route::Async(bucket)) => Miss::Async(bucket),
+            (None, Route::Unclassified) => Miss::Unclassified(stripe),
+            (None, Route::SyncLocal) => panic!("no block holds B row {col}"),
         }
-        self.slot_of_stripe[self.layout.stripe_of_col(col)]
-    }
-
-    /// A cursor over the block in `slot`, which must hold `col`.
-    fn cursor_at(&self, slot: usize, col: usize) -> RowCursor<'_> {
-        let (start, end, buf) =
-            self.blocks.get(slot).unwrap_or_else(|| panic!("no block holds B row {col}"));
-        RowCursor::new(*start..*end, buf)
     }
 }
 
@@ -250,12 +227,10 @@ impl RowSource for BlockRows<'_> {
     }
 
     fn resolve(&self, col: usize) -> RowCursor<'_> {
-        self.cursor_at(self.slot_of(col), col)
-    }
-
-    fn resolve_held(&self, col: usize) -> Option<RowCursor<'_>> {
-        let slot = self.slot_of(col);
-        (slot != SKIPPED).then(|| self.cursor_at(slot, col))
+        let stripe = (col < self.layout.cols()).then(|| self.layout.stripe_of_col(col));
+        stripe
+            .and_then(|stripe| self.held(stripe))
+            .unwrap_or_else(|| panic!("no block holds B row {col}"))
     }
 }
 
@@ -411,26 +386,14 @@ pub fn sync_panel_kernel_at<E: Entry>(
     k: usize,
     row_base: usize,
 ) {
-    sync_kernel_at::<false, E>(panel, rows, c_chunk, k, row_base);
-}
-
-/// The row-panel kernel's width dispatch, plain or skipping.
-#[inline(always)]
-fn sync_kernel_at<const SKIP: bool, E: Entry>(
-    panel: &[E],
-    rows: &impl RowSource,
-    c_chunk: &mut [Scalar],
-    k: usize,
-    row_base: usize,
-) {
     if panel.is_empty() {
         return;
     }
     dispatch_k!(
         k,
         FIXED,
-        sync_rows::<FIXED, SKIP, E>(panel, rows, c_chunk, k, row_base, [0.0; FIXED]),
-        sync_rows::<FIXED, SKIP, E>(panel, rows, c_chunk, k, row_base, vec![0.0; k])
+        sync_rows::<FIXED, E>(panel, rows, c_chunk, k, row_base, [0.0; FIXED]),
+        sync_rows::<FIXED, E>(panel, rows, c_chunk, k, row_base, vec![0.0; k])
     );
 }
 
@@ -438,10 +401,9 @@ fn sync_kernel_at<const SKIP: bool, E: Entry>(
 /// `acc` and flushing it once per row, at the compile-time width `F` when
 /// `F > 0`. A fixed width passes a local `[Scalar; F]`, which the compiler
 /// keeps out of memory once the loops are unrolled; the generic width
-/// passes one buffer of `k`. With `SKIP`, entries in skipped stripes add
-/// nothing, and a row flushes only if it held an entry.
+/// passes one buffer of `k`.
 #[inline(always)]
-fn sync_rows<const F: usize, const SKIP: bool, E: Entry>(
+fn sync_rows<const F: usize, E: Entry>(
     panel: &[E],
     rows: &impl RowSource,
     c_chunk: &mut [Scalar],
@@ -452,28 +414,14 @@ fn sync_rows<const F: usize, const SKIP: bool, E: Entry>(
     let acc = acc.as_mut();
     let mut cursor = RowCursor::default();
     let mut prev_row = panel[0].row();
-    // Whether `acc` holds a contribution to `prev_row`; always, unskipped.
-    let mut held = !SKIP;
     for t in panel {
         if t.row() != prev_row {
-            if held {
-                flush::<F>(c_chunk, prev_row - row_base, acc, k);
-            }
+            flush::<F>(c_chunk, prev_row - row_base, acc, k);
             prev_row = t.row();
-            held = !SKIP;
         }
-        if SKIP {
-            if let Some(brow) = rows.held_row_with(&mut cursor, t.col()) {
-                axpy::<F>(acc, brow, t.val());
-                held = true;
-            }
-        } else {
-            axpy::<F>(acc, rows.row_with(&mut cursor, t.col()), t.val());
-        }
+        axpy::<F>(acc, rows.row_with(&mut cursor, t.col()), t.val());
     }
-    if held {
-        flush::<F>(c_chunk, prev_row - row_base, acc, k);
-    }
+    flush::<F>(c_chunk, prev_row - row_base, acc, k);
 }
 
 /// The single "atomic" accumulation of a finished row buffer into `C`
@@ -581,16 +529,14 @@ fn row_aligned_spans<E: Entry>(
 
 /// Runs `f(entry_span, c_chunk, row_base)` over row-aligned spans of
 /// `entries_by_row`, each worker owning a disjoint `&mut` slice of
-/// `c_local`, whose first row is entry row `origin`; `row_base` is the
-/// chunk's first row in entry coordinates. Shared driver for the parallel
-/// kernels and the parallel reference oracle. Returns the number of spans
+/// `c_local` whose first row is `row_base`; the parallel kernels and the
+/// parallel reference oracle share it. Returns the number of spans
 /// dispatched — a host execution detail (it scales with the pool width),
 /// reported only through wall-time profiling, never through deterministic
 /// metrics.
 pub(crate) fn par_row_spans_plain<E: Entry, F>(
     pool: &Pool,
     entries_by_row: &[E],
-    origin: usize,
     c_local: &mut [Scalar],
     k: usize,
     f: F,
@@ -601,7 +547,7 @@ where
     debug_assert!(entries_by_row.windows(2).all(|w| w[0].row() <= w[1].row()), "not row-sorted");
     let local_rows = c_local.len() / k;
     // More spans than workers lets the sharing queue absorb skew.
-    let spans = row_aligned_spans(entries_by_row, origin, local_rows, 4 * pool.workers());
+    let spans = row_aligned_spans(entries_by_row, 0, local_rows, 4 * pool.workers());
     let span_count = spans.len();
     let mut tasks = Vec::with_capacity(spans.len());
     let mut rest = c_local;
@@ -611,7 +557,7 @@ where
         debug_assert_eq!(offset, row_range.start * k);
         offset = row_range.end * k;
         rest = tail;
-        tasks.push((entry_range, chunk, origin + row_range.start));
+        tasks.push((entry_range, chunk, row_range.start));
     }
     pool.run_items(tasks.into_iter(), |(entry_range, chunk, row_base)| {
         f(&entries_by_row[entry_range], chunk, row_base);
@@ -641,51 +587,12 @@ pub fn par_sync_panels<E: Entry>(
     c_local: &mut [Scalar],
     k: usize,
 ) -> usize {
-    par_sync::<false, E>(pool, entries, 0, rows, c_local, k)
-}
-
-/// [`par_sync_panels`] over a row-sorted entry slice whose rows start at
-/// `origin` (the global row of `c_local`'s first row, say) and which may
-/// hold entries in stripes `rows` marks skipped
-/// ([`BlockRows::skip_stripe`]) — a rank's row slice of `A`, with the
-/// stripes another lane computes skipped. Those entries are passed over;
-/// each row's held entries are still summed in entry order and flushed
-/// once, and a row with none leaves `C` untouched. So the result is
-/// bit-identical to [`par_sync_panels`] over the held entries alone,
-/// rebased to `origin`, for any worker count.
-///
-/// Returns the dispatched span count, like [`par_sync_panels`].
-///
-/// # Panics
-///
-/// Panics if `entries` is not sorted by row, a row lies outside `c_local`,
-/// or a `B` row is neither held nor skipped.
-pub fn par_sync_panels_skipping<E: Entry>(
-    pool: &Pool,
-    entries: &[E],
-    origin: usize,
-    rows: &impl RowSource,
-    c_local: &mut [Scalar],
-    k: usize,
-) -> usize {
-    par_sync::<true, E>(pool, entries, origin, rows, c_local, k)
-}
-
-/// The row-panel kernels' parallel driver, plain or skipping.
-fn par_sync<const SKIP: bool, E: Entry>(
-    pool: &Pool,
-    entries: &[E],
-    origin: usize,
-    rows: &impl RowSource,
-    c_local: &mut [Scalar],
-    k: usize,
-) -> usize {
     if pool.workers() == 1 || entries.len() * k < PAR_MIN_PRODUCTS {
-        sync_kernel_at::<SKIP, E>(entries, rows, c_local, k, origin);
+        sync_panel_kernel(entries, rows, c_local, k);
         return 1;
     }
-    par_row_spans_plain(pool, entries, origin, c_local, k, |span, chunk, row_base| {
-        sync_kernel_at::<SKIP, E>(span, rows, chunk, k, row_base);
+    par_row_spans_plain(pool, entries, c_local, k, |span, chunk, row_base| {
+        sync_panel_kernel_at(span, rows, chunk, k, row_base);
     })
 }
 
@@ -716,16 +623,311 @@ pub fn par_async_stripe<E: Entry>(
         async_stripe_kernel(entries_row_major, rows, c_local, k);
         return 1;
     }
-    par_row_spans_plain(pool, entries_row_major, 0, c_local, k, |span, chunk, row_base| {
+    par_row_spans_plain(pool, entries_row_major, c_local, k, |span, chunk, row_base| {
         async_stripe_kernel_at(span, rows, chunk, k, row_base);
     })
+}
+
+/// A rank's row slice of `A`, as a routing walk ([`par_route_rows`]) reads
+/// it.
+pub(crate) struct RankSlice<'a> {
+    /// The rank's nonzeros in global coordinates, row-major.
+    pub entries: &'a [Triplet],
+    /// Global row of the rank's first local row.
+    pub origin: usize,
+    /// The rank's row count.
+    pub local_rows: usize,
+    /// Where each stripe's nonzeros go.
+    pub routes: &'a Routes,
+    /// Row-panel height, for the count of non-empty panels.
+    pub panel_height: usize,
+}
+
+/// What a routing walk leaves for the rest of the rank body.
+pub(crate) struct Routed {
+    /// Per async bucket of the walk's [`Routes`], its nonzeros row-major,
+    /// with local rows.
+    pub buckets: Vec<Vec<SmallTriplet>>,
+    /// The sync/local nonzeros the sync compute charge counts.
+    pub sync_nnz: usize,
+    /// The row panels holding them.
+    pub nonempty_panels: usize,
+    /// The sums of the rows that also hold async nonzeros.
+    pub stash: Stash,
+}
+
+/// Row sums a routing walk must not flush yet: their rows also hold async
+/// nonzeros, which the async lane adds into `C` first.
+#[derive(Debug, Default)]
+pub(crate) struct Stash {
+    /// Local rows, ascending.
+    rows: Vec<usize>,
+    /// `K` sums per row of `rows`.
+    sums: Vec<Scalar>,
+}
+
+impl Stash {
+    /// Room for `rows` rows of `k` sums.
+    fn with_capacity(rows: usize, k: usize) -> Stash {
+        Stash { rows: Vec::with_capacity(rows), sums: Vec::with_capacity(rows * k) }
+    }
+
+    /// Stashes local row `row`'s sums from `acc` and clears `acc`.
+    fn push(&mut self, row: usize, acc: &mut [Scalar]) {
+        self.rows.push(row);
+        self.sums.extend_from_slice(acc);
+        acc.fill(0.0);
+    }
+
+    /// Appends `other`, whose rows follow this stash's.
+    fn append(&mut self, mut other: Stash) {
+        if self.rows.is_empty() {
+            *self = other;
+        } else {
+            self.rows.append(&mut other.rows);
+            self.sums.append(&mut other.sums);
+        }
+    }
+
+    /// Adds each stashed sum into its row of `c_local`: the one flush the
+    /// row-panel kernel makes per row, made after the async lane's adds.
+    pub(crate) fn add_into(&self, c_local: &mut [Scalar], k: usize) {
+        for (&row, sums) in self.rows.iter().zip(self.sums.chunks_exact(k)) {
+            for (out, sum) in c_local[row * k..(row + 1) * k].iter_mut().zip(sums) {
+                *out += *sum;
+            }
+        }
+    }
+}
+
+/// One span's share of a routing walk. The rank thread reserves its
+/// buffers before the walk, so a helper thread pushes without growing them
+/// while the plan's profile describes the slice.
+struct SpanRoute {
+    /// The span's async nonzeros in walk order, each with its bucket.
+    asyncs: Vec<(usize, SmallTriplet)>,
+    stash: Stash,
+    sync_nnz: usize,
+    /// Non-empty panels, and the first and last of them.
+    panels: usize,
+    first_panel: usize,
+    last_panel: usize,
+    /// The span's first nonzero in an unclassified stripe; its walk stops
+    /// there.
+    unclassified: Option<RankError>,
+}
+
+impl SpanRoute {
+    fn new(asyncs: usize, stash_rows: usize, k: usize) -> SpanRoute {
+        SpanRoute {
+            asyncs: Vec::with_capacity(asyncs),
+            stash: Stash::with_capacity(stash_rows, k),
+            sync_nnz: 0,
+            panels: 0,
+            first_panel: 0,
+            last_panel: 0,
+            unclassified: None,
+        }
+    }
+
+    /// Algorithm 2's loop over `span`, routing as it goes: each sync/local
+    /// nonzero adds into `acc`, each async one joins its bucket. A finished
+    /// row's sum is flushed into `c_chunk`, whose first row is global row
+    /// `row_base`, or stashed if the row also holds async nonzeros. Without
+    /// `COMPUTE` the walk only routes and counts, and touches neither
+    /// `c_chunk` nor `acc`.
+    #[inline(always)]
+    fn walk<const F: usize, const COMPUTE: bool>(
+        &mut self,
+        span: &[Triplet],
+        slice: &RankSlice<'_>,
+        rows: &BlockRows<'_>,
+        c_chunk: &mut [Scalar],
+        row_base: usize,
+        mut acc: impl AsMut<[Scalar]>,
+    ) {
+        let Some(first) = span.first() else {
+            return;
+        };
+        let acc = acc.as_mut();
+        let (k, origin, height) = (rows.k, slice.origin, slice.panel_height);
+        let mut cursor = RowCursor::default();
+        // The counters stay in locals until the span ends: sync/local
+        // nonzeros, non-empty panels, the first and last of those, and the
+        // global row past the last.
+        let (mut sync_nnz, mut panels, mut first_panel, mut last_panel) = (0, 0, 0, 0);
+        let mut panel_end = 0usize;
+        let mut row = first.row;
+        // Whether `row` holds a sync/local nonzero, and an async one.
+        let (mut held, mut mixed) = (false, false);
+        for t in span {
+            if t.row != row {
+                if COMPUTE && held {
+                    self.end_row::<F>(row - origin, row - row_base, mixed, c_chunk, acc, k);
+                }
+                (row, held, mixed) = (t.row, false, false);
+            }
+            let mut offset = t.col.wrapping_sub(cursor.start);
+            if offset >= cursor.len {
+                match rows.route(t.col, slice.routes) {
+                    Miss::Held(found) => {
+                        cursor = found;
+                        offset = t.col - cursor.start;
+                    }
+                    Miss::Async(bucket) => {
+                        let entry = SmallTriplet::new(t.row - origin, t.col, t.val);
+                        self.asyncs.push((bucket, entry));
+                        mixed = true;
+                        continue;
+                    }
+                    Miss::Unclassified(stripe) => {
+                        self.unclassified =
+                            Some(RankError::Unclassified { stripe, row: t.row, col: t.col });
+                        return;
+                    }
+                }
+            }
+            held = true;
+            sync_nnz += 1;
+            // Rows ascend, so a row past the last counted panel opens a new
+            // non-empty panel.
+            if t.row >= panel_end {
+                last_panel = (t.row - origin) / height;
+                if panels == 0 {
+                    first_panel = last_panel;
+                }
+                panels += 1;
+                panel_end = origin + (last_panel + 1) * height;
+            }
+            if COMPUTE {
+                axpy::<F>(acc, &cursor.rows[offset * k..(offset + 1) * k], t.val);
+            }
+        }
+        if COMPUTE && held {
+            self.end_row::<F>(row - origin, row - row_base, mixed, c_chunk, acc, k);
+        }
+        (self.sync_nnz, self.panels) = (sync_nnz, panels);
+        (self.first_panel, self.last_panel) = (first_panel, last_panel);
+    }
+
+    /// Ends a row that held sync/local nonzeros: its sum in `acc` goes to
+    /// the stash if the row also holds async nonzeros (local row `local`),
+    /// and is flushed into row `chunk_row` of `c_chunk` otherwise, where the
+    /// async lane never adds.
+    #[inline(always)]
+    fn end_row<const F: usize>(
+        &mut self,
+        local: usize,
+        chunk_row: usize,
+        mixed: bool,
+        c_chunk: &mut [Scalar],
+        acc: &mut [Scalar],
+        k: usize,
+    ) {
+        if mixed {
+            self.stash.push(local, acc);
+        } else {
+            flush::<F>(c_chunk, chunk_row, acc, k);
+        }
+    }
+}
+
+/// The routing walk: Algorithm 2's row-panel loop over a rank's whole row
+/// slice of `A` (`slice`), which also routes every nonzero, so a one-shot
+/// run walks the slice once.
+///
+/// * A sync/local nonzero — its `B` row held by `rows` — adds into its
+///   row's sum, in entry order, exactly as in [`sync_panel_kernel`]. A
+///   row's sum is flushed into `c_local` when the row holds no async
+///   nonzero: the async lane never touches that row, so it flushes into
+///   the same `C` value it would have met after that lane. Otherwise the
+///   sum waits in the returned [`Stash`], whose [`Stash::add_into`] the
+///   caller applies after the async lane.
+/// * An async nonzero joins its stripe's bucket in `buckets` (one per async
+///   stripe of `slice.routes`, as reserved by the caller), row-major with
+///   local rows.
+/// * The sync/local nonzeros and their non-empty row panels are counted.
+///
+/// With `c_local` absent the walk only routes and counts. It fans out over
+/// row-aligned spans of `pool`, each with its own buffers and counters,
+/// reserved here (`async_bound`, the rank's async nonzeros, bounds a span's
+/// async nonzeros and stashed rows) and merged in span order, so the result
+/// is identical for any worker count.
+///
+/// # Errors
+///
+/// [`RankError::Unclassified`] for the first nonzero, row-major, in a
+/// stripe that neither `rows` holds nor `slice.routes` classifies.
+///
+/// # Panics
+///
+/// Panics if a stripe routed to the sync lane has no block in `rows`.
+pub(crate) fn par_route_rows(
+    pool: &Pool,
+    slice: &RankSlice<'_>,
+    rows: &BlockRows<'_>,
+    buckets: Vec<Vec<SmallTriplet>>,
+    async_bound: usize,
+    c_local: Option<&mut [Scalar]>,
+) -> Result<Routed, RankError> {
+    let (entries, k, compute) = (slice.entries, rows.k, c_local.is_some());
+    let (pool, spans) = if pool.workers() > 1 && entries.len() * k >= PAR_MIN_PRODUCTS {
+        (*pool, row_aligned_spans(entries, slice.origin, slice.local_rows, 4 * pool.workers()))
+    } else {
+        (Pool::SERIAL, vec![(0..entries.len(), 0..slice.local_rows)])
+    };
+    let mut parts: Vec<SpanRoute> = spans
+        .iter()
+        .map(|(entry_range, row_range)| {
+            let stash_rows = if compute { async_bound.min(row_range.len()) } else { 0 };
+            SpanRoute::new(async_bound.min(entry_range.len()), stash_rows, k)
+        })
+        .collect();
+    let mut tasks = Vec::with_capacity(parts.len());
+    let mut rest = c_local.unwrap_or_default();
+    for ((entry_range, row_range), part) in spans.into_iter().zip(&mut parts) {
+        let (chunk, tail) = rest.split_at_mut(if compute { row_range.len() * k } else { 0 });
+        rest = tail;
+        tasks.push((part, &entries[entry_range], chunk, slice.origin + row_range.start));
+    }
+    pool.run_items(tasks.into_iter(), |(part, span, chunk, row_base)| {
+        if compute {
+            dispatch_k!(
+                k,
+                FIXED,
+                part.walk::<FIXED, true>(span, slice, rows, chunk, row_base, [0.0; FIXED]),
+                part.walk::<FIXED, true>(span, slice, rows, chunk, row_base, vec![0.0; k])
+            );
+        } else {
+            part.walk::<0, false>(span, slice, rows, chunk, row_base, []);
+        }
+    });
+    let mut routed = Routed { buckets, sync_nnz: 0, nonempty_panels: 0, stash: Stash::default() };
+    let mut last_panel = None;
+    for part in parts {
+        if let Some(error) = part.unclassified {
+            return Err(error);
+        }
+        for (bucket, entry) in part.asyncs {
+            routed.buckets[bucket].push(entry);
+        }
+        routed.sync_nnz += part.sync_nnz;
+        if part.panels > 0 {
+            // A panel cut by a span boundary counts once.
+            let cut = last_panel == Some(part.first_panel);
+            routed.nonempty_panels += part.panels - usize::from(cut);
+            last_panel = Some(part.last_panel);
+        }
+        routed.stash.append(part.stash);
+    }
+    Ok(routed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use twoface_matrix::Triplet;
+    use twoface_partition::StripeClass;
 
     fn arc_rows(rows: &[[Scalar; 2]]) -> Arc<Vec<Scalar>> {
         Arc::new(rows.iter().flatten().copied().collect())
@@ -800,123 +1002,6 @@ mod tests {
         let mut b = BlockRows::new(&layout, 1);
         b.add_block(0..5, vec![0.0; 5]);
         b.add_block(3..5, vec![0.0; 2]);
-    }
-
-    #[test]
-    fn skipped_stripes_are_neither_held_nor_missing() {
-        let layout = three_pairs();
-        let mut b = BlockRows::new(&layout, 2);
-        b.add_block(0..2, arc_rows(&[[0.0, 0.0], [1.0, 10.0]]));
-        b.skip_stripe(1);
-        b.skip_stripe(1); // marking twice is harmless
-        let mut cur = RowCursor::default();
-        assert_eq!(b.held_row_with(&mut cur, 1), Some(&[1.0, 10.0][..]));
-        assert_eq!(b.held_row_with(&mut cur, 3), None);
-        // The skip left the cursor on the block it held.
-        assert_eq!(b.held_row_with(&mut cur, 0), Some(&[0.0, 0.0][..]));
-        assert!(!b.contains(2), "a skipped stripe is not held");
-    }
-
-    #[test]
-    #[should_panic(expected = "no block holds B row 2")]
-    fn plain_lookup_in_a_skipped_stripe_panics() {
-        let layout = three_pairs();
-        let mut b = BlockRows::new(&layout, 2);
-        b.skip_stripe(1);
-        let _ = b.row(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "stripe 0 already has a block")]
-    fn skipping_a_held_stripe_panics() {
-        let layout = three_pairs();
-        let mut b = BlockRows::new(&layout, 2);
-        b.add_block(0..2, arc_rows(&[[0.0, 0.0], [1.0, 10.0]]));
-        b.skip_stripe(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no block holds B row 5")]
-    fn skipping_kernel_panics_on_a_missing_stripe() {
-        // Stripe 0 is held, stripe 1 skipped, stripe 2 neither.
-        let layout = three_pairs();
-        let mut b = BlockRows::new(&layout, 1);
-        b.add_block(0..2, vec![1.0, 2.0]);
-        b.skip_stripe(1);
-        let entries =
-            vec![Triplet::new(0, 0, 1.0), Triplet::new(0, 3, 1.0), Triplet::new(1, 5, 1.0)];
-        sync_kernel_at::<true, _>(&entries, &b, &mut [0.0; 2], 1, 0);
-    }
-
-    #[test]
-    fn skipping_kernel_equals_the_plain_kernel_over_the_held_entries() {
-        // Stripes 0..2 and 4..6 are held, 2..4 skipped; rows start at 10.
-        // Row 10 has a skipped entry between held ones, row 11 only skipped
-        // entries, row 12 only held ones, row 13 a skipped entry first, row
-        // 14 nothing and row 15 a skipped entry last.
-        let layout = three_pairs();
-        let entries = vec![
-            Triplet::new(10, 0, 1.5),
-            Triplet::new(10, 2, 9.0),
-            Triplet::new(10, 4, 2.0),
-            Triplet::new(11, 3, 7.0),
-            Triplet::new(12, 1, 0.25),
-            Triplet::new(12, 5, -1.0),
-            Triplet::new(13, 2, 3.0),
-            Triplet::new(13, 3, 1.0),
-            Triplet::new(13, 4, 0.5),
-            Triplet::new(15, 1, 1.0),
-            Triplet::new(15, 3, 4.0),
-        ];
-        let held: Vec<Triplet> = entries
-            .iter()
-            .filter(|t| layout.stripe_of_col(t.col) != 1)
-            .map(|t| Triplet::new(t.row - 10, t.col, t.val))
-            .collect();
-        for k in [1usize, 3, 8] {
-            let b_of = |cols: Range<usize>| -> Vec<f64> {
-                cols.flat_map(|c| (0..k).map(move |j| (c * 7 + j) as f64 * 0.125)).collect()
-            };
-            let mut b = BlockRows::new(&layout, k);
-            b.add_block(0..2, b_of(0..2));
-            b.add_block(4..6, b_of(4..6));
-            b.skip_stripe(1);
-            // -0.0 would turn into +0.0 under a flush of an empty row.
-            let mut want = vec![-0.0; 6 * k];
-            sync_panel_kernel(&held, &b, &mut want, k);
-            let mut got = vec![-0.0; 6 * k];
-            sync_kernel_at::<true, _>(&entries, &b, &mut got, k, 10);
-            let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "K={k}");
-            assert_eq!(got[k].to_bits(), (-0.0f64).to_bits(), "the skipped-only row is untouched");
-        }
-    }
-
-    #[test]
-    fn parallel_skipping_kernel_matches_serial_bitwise() {
-        // Columns in five stripes of 13 (the last 12); stripes 1 and 3 are
-        // skipped, and the entries' rows start at 1000.
-        let layout = OneDimLayout::new(97, 64, 5, 13);
-        for k in [8usize, 32, 128] {
-            let entries: Vec<Triplet> = random_entries(97, 64, 1500, k as u64)
-                .into_iter()
-                .map(|t| Triplet::new(t.row + 1000, t.col, t.val))
-                .collect();
-            let mut b = BlockRows::new(&layout, k);
-            for stripe in [0, 2, 4] {
-                let cols = layout.stripe_cols(stripe);
-                b.add_block(cols.clone(), vec![0.5 + stripe as f64; cols.len() * k]);
-            }
-            b.skip_stripe(1);
-            b.skip_stripe(3);
-            let mut serial = vec![0.0; 97 * k];
-            sync_kernel_at::<true, _>(&entries, &b, &mut serial, k, 1000);
-            for workers in [1usize, 2, 4] {
-                let mut par = vec![0.0; 97 * k];
-                par_sync_panels_skipping(&Pool::new(workers), &entries, 1000, &b, &mut par, k);
-                assert_eq!(par, serial, "K={k} workers={workers}");
-            }
-        }
     }
 
     #[test]
@@ -1077,6 +1162,311 @@ mod tests {
         entries.sort_by_key(|t| (t.row, t.col));
         entries.dedup_by_key(|t| (t.row, t.col));
         entries
+    }
+
+    /// The routes of `classes` over `layout`'s stripes.
+    fn routes_of(layout: &OneDimLayout, classes: &[(usize, StripeClass)]) -> Routes {
+        Routes::from_classes(layout.num_stripes(), classes)
+    }
+
+    /// `B` rows for `cols`, `k` wide: close to 1, and distinct per element.
+    fn b_rows(cols: Range<usize>, k: usize) -> Vec<Scalar> {
+        cols.flat_map(|c| (0..k).map(move |j| 1.0 + (c * 7 + j) as f64 / 1024.0)).collect()
+    }
+
+    /// A [`BlockRows`] holding every stripe in `stripes`, one block each,
+    /// with [`b_rows`]' values.
+    fn holding<'l>(layout: &'l OneDimLayout, stripes: &[usize], k: usize) -> BlockRows<'l> {
+        let mut rows = BlockRows::new(layout, k);
+        for &stripe in stripes {
+            let cols = layout.stripe_cols(stripe);
+            rows.add_block(cols.clone(), b_rows(cols, k));
+        }
+        rows
+    }
+
+    /// The stripes of `layout` whose route is asynchronous, with their
+    /// entries from `entries` (rows rebased by `origin`), row-major.
+    fn async_buckets(
+        layout: &OneDimLayout,
+        routes: &Routes,
+        entries: &[Triplet],
+        origin: usize,
+    ) -> Vec<Vec<SmallTriplet>> {
+        let bucket_of = |t: &Triplet| match routes.of(layout.stripe_of_col(t.col)) {
+            Route::Async(bucket) => Some(bucket),
+            _ => None,
+        };
+        let mut buckets = vec![Vec::new(); routes.async_stripes().len()];
+        for t in entries {
+            if let Some(bucket) = bucket_of(t) {
+                buckets[bucket].push(SmallTriplet::new(t.row - origin, t.col, t.val));
+            }
+        }
+        buckets
+    }
+
+    /// A routing walk over `entries` into `c` (when given), from empty
+    /// buckets with no reservation hint.
+    fn walk(
+        pool: &Pool,
+        slice: &RankSlice<'_>,
+        rows: &BlockRows<'_>,
+        c: Option<&mut [Scalar]>,
+    ) -> Result<Routed, RankError> {
+        let buckets = vec![Vec::new(); slice.routes.async_stripes().len()];
+        par_route_rows(pool, slice, rows, buckets, 0, c)
+    }
+
+    /// The async lane's adds, then the stashed sums: what the rank body
+    /// applies after a routing walk.
+    fn finish(routed: &Routed, all: &BlockRows<'_>, c: &mut [Scalar], k: usize) {
+        for bucket in &routed.buckets {
+            async_stripe_kernel(bucket, all, c, k);
+        }
+        routed.stash.add_into(c, k);
+    }
+
+    fn bits(c: &[Scalar]) -> Vec<u64> {
+        c.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn routing_walk_equals_the_plain_kernel_after_the_async_adds() {
+        // Stripes 0 and 2 are held, stripe 1 asynchronous; rows start at 10.
+        // Row 10 holds an async entry between held ones, row 11 only async
+        // entries, row 12 only held ones, row 13 two async entries and then
+        // a large held one, row 14 nothing and row 15 an async entry last.
+        let layout = three_pairs();
+        let routes = routes_of(
+            &layout,
+            &[(0, StripeClass::LocalInput), (1, StripeClass::Async), (2, StripeClass::Sync)],
+        );
+        let entries = vec![
+            Triplet::new(10, 0, 1.5),
+            Triplet::new(10, 2, 9.0),
+            Triplet::new(10, 4, 2.0),
+            Triplet::new(11, 3, 7.0),
+            Triplet::new(12, 1, 0.25),
+            Triplet::new(12, 5, -1.0),
+            Triplet::new(13, 2, 1.0),
+            Triplet::new(13, 3, 1.0),
+            Triplet::new(13, 4, 1e16),
+            Triplet::new(15, 1, 1.0),
+            Triplet::new(15, 3, 4.0),
+        ];
+        let slice = RankSlice {
+            entries: &entries,
+            origin: 10,
+            local_rows: 6,
+            routes: &routes,
+            panel_height: 2,
+        };
+        let held: Vec<Triplet> = entries
+            .iter()
+            .filter(|t| layout.stripe_of_col(t.col) != 1)
+            .map(|t| Triplet::new(t.row - 10, t.col, t.val))
+            .collect();
+        let asyncs = async_buckets(&layout, &routes, &entries, 10);
+        for k in [1usize, 3, 8] {
+            let (rows, all) = (holding(&layout, &[0, 2], k), holding(&layout, &[0, 1, 2], k));
+            // A prepared run: the async adds first, then the plain kernel.
+            // -0.0 turns into +0.0 under any add, so an untouched row shows.
+            let mut want = vec![-0.0; 6 * k];
+            for bucket in &asyncs {
+                async_stripe_kernel(bucket, &all, &mut want, k);
+            }
+            sync_panel_kernel(&held, &rows, &mut want, k);
+            let mut got = vec![-0.0; 6 * k];
+            let routed = walk(&Pool::SERIAL, &slice, &rows, Some(&mut got)).expect("classified");
+            // Rows 12 (sync only) and 11 (async only) are final, and row 14
+            // untouched, before the async lane runs.
+            assert_eq!(bits(&got[2 * k..3 * k]), bits(&want[2 * k..3 * k]), "K={k}");
+            assert!(got[k..2 * k]
+                .iter()
+                .chain(&got[4 * k..5 * k])
+                .all(|x| x.to_bits() == (-0.0f64).to_bits()));
+            finish(&routed, &all, &mut got, k);
+            assert_eq!(bits(&got), bits(&want), "K={k}");
+            assert_eq!(routed.buckets, asyncs, "K={k}");
+            assert_eq!((routed.sync_nnz, routed.nonempty_panels), (6, 3), "K={k}");
+            // The data tells the orders apart: row 13 flushed before its
+            // async adds would differ.
+            let early = -0.0 + (1e16 * all.row(4)[0]) + all.row(2)[0] + all.row(3)[0];
+            assert_ne!(early.to_bits(), want[3 * k].to_bits(), "K={k}");
+        }
+    }
+
+    #[test]
+    fn parallel_routing_walk_matches_serial_bitwise() {
+        // Five stripes of 13 columns (the last 12); 1 and 3 are asynchronous.
+        // Rows start at 1000, and panels of 7 rows are cut by row-aligned
+        // spans.
+        let layout = OneDimLayout::new(3000, 64, 5, 13);
+        let classes = [
+            (0, StripeClass::LocalInput),
+            (1, StripeClass::Async),
+            (2, StripeClass::Sync),
+            (3, StripeClass::Async),
+            (4, StripeClass::Sync),
+        ];
+        let routes = routes_of(&layout, &classes);
+        let (origin, local_rows, height) = (1000, 3000, 7);
+        let entries: Vec<Triplet> = random_entries(local_rows, 64, 45_000, 17)
+            .into_iter()
+            .map(|t| Triplet::new(t.row + origin, t.col, t.val))
+            .collect();
+        assert!(entries.len() >= PAR_MIN_PRODUCTS, "K = 1 fans out too");
+        let slice = RankSlice {
+            entries: &entries,
+            origin,
+            local_rows,
+            routes: &routes,
+            panel_height: height,
+        };
+        let held = |t: &&Triplet| [0, 2, 4].contains(&layout.stripe_of_col(t.col));
+        let mut panels: Vec<usize> =
+            entries.iter().filter(held).map(|t| (t.row - origin) / height).collect();
+        panels.dedup();
+        for workers in [2usize, 4] {
+            let spans = row_aligned_spans(&entries, origin, local_rows, 4 * workers);
+            assert!(spans.iter().any(|(_, rows)| rows.start % height != 0), "a span cuts a panel");
+        }
+        for k in [1usize, 3, 8, 32, 128] {
+            let (rows, all) =
+                (holding(&layout, &[0, 2, 4], k), holding(&layout, &[0, 1, 2, 3, 4], k));
+            let mut serial = vec![0.0; local_rows * k];
+            let want = walk(&Pool::SERIAL, &slice, &rows, Some(&mut serial)).expect("classified");
+            assert_eq!(want.nonempty_panels, panels.len(), "K={k}");
+            assert_eq!(want.sync_nnz, entries.iter().filter(held).count(), "K={k}");
+            assert_eq!(want.buckets, async_buckets(&layout, &routes, &entries, origin), "K={k}");
+            finish(&want, &all, &mut serial, k);
+            for workers in [1usize, 2, 4] {
+                let mut par = vec![0.0; local_rows * k];
+                let got =
+                    walk(&Pool::new(workers), &slice, &rows, Some(&mut par)).expect("classified");
+                let at = format!("K={k} workers={workers}");
+                assert_eq!(got.buckets, want.buckets, "{at}");
+                assert_eq!(
+                    (got.sync_nnz, got.nonempty_panels),
+                    (want.sync_nnz, want.nonempty_panels),
+                    "{at}"
+                );
+                assert_eq!(
+                    (&got.stash.rows, bits(&got.stash.sums)),
+                    (&want.stash.rows, bits(&want.stash.sums)),
+                    "{at}"
+                );
+                finish(&got, &all, &mut par, k);
+                assert_eq!(bits(&par), bits(&serial), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn routing_walk_reports_the_first_unclassified_nonzero() {
+        // Owner 0's column block holds stripes 0-2 and owner 1's stripes
+        // 3-5, four columns each. The plan classified stripes 0 and 2 of the
+        // rank's own block, but not stripe 1 between them, so the own block
+        // is held as two runs; stripe 4 is asynchronous and stripe 5 was
+        // never classified either.
+        let layout = OneDimLayout::new(2000, 24, 2, 4);
+        let classes = [
+            (0, StripeClass::LocalInput),
+            (2, StripeClass::LocalInput),
+            (3, StripeClass::Sync),
+            (4, StripeClass::Async),
+        ];
+        let routes = routes_of(&layout, &classes);
+        let k = 8;
+        let rows = holding(&layout, &[0, 2, 3], k);
+        let classified = |t: &Triplet| ![4..8, 20..24].iter().any(|cols| cols.contains(&t.col));
+        let mut entries: Vec<Triplet> =
+            random_entries(2000, 24, 12_000, 5).into_iter().filter(classified).collect();
+        // Two nonzeros in stripe 5, past the first span; then one in the
+        // own block's stripe 1, alone in a later row.
+        let last = entries.len() - 1;
+        let (first_row, next_row) = (entries[last / 2].row, entries[3 * last / 4].row);
+        entries.push(Triplet::new(first_row, 21, 1.0));
+        entries.push(Triplet::new(next_row, 20, 1.0));
+        entries.sort_by_key(|t| (t.row, t.col));
+        let slice = RankSlice {
+            entries: &entries,
+            origin: 0,
+            local_rows: 2000,
+            routes: &routes,
+            panel_height: 32,
+        };
+        let spans = row_aligned_spans(&entries, 0, 2000, 8);
+        assert!(spans[0].1.end <= first_row, "the first unclassified nonzero lies past span 0");
+        for workers in [1usize, 2, 4] {
+            let mut c = vec![0.0; 2000 * k];
+            match walk(&Pool::new(workers), &slice, &rows, Some(&mut c)) {
+                Err(RankError::Unclassified { stripe, row, col }) => {
+                    assert_eq!((stripe, row, col), (5, first_row, 21), "workers={workers}")
+                }
+                other => panic!("workers={workers}: expected Unclassified, got {:?}", other.err()),
+            }
+        }
+        // In the rank's own column block: the runs leave stripe 1 unheld.
+        let own = vec![Triplet::new(3, 0, 1.0), Triplet::new(3, 5, 1.0), Triplet::new(4, 9, 1.0)];
+        let slice = RankSlice {
+            entries: &own,
+            origin: 0,
+            local_rows: 2000,
+            routes: &routes,
+            panel_height: 32,
+        };
+        match walk(&Pool::SERIAL, &slice, &rows, None) {
+            Err(RankError::Unclassified { stripe, row, col }) => {
+                assert_eq!((stripe, row, col), (1, 3, 5))
+            }
+            other => panic!("expected Unclassified, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn structural_routing_walk_routes_and_counts_only() {
+        let layout = OneDimLayout::new(500, 64, 5, 13);
+        let routes = routes_of(
+            &layout,
+            &[
+                (0, StripeClass::LocalInput),
+                (1, StripeClass::Async),
+                (2, StripeClass::Sync),
+                (4, StripeClass::Async),
+            ],
+        );
+        let entries: Vec<Triplet> = random_entries(500, 64, 6000, 9)
+            .into_iter()
+            .filter(|t| layout.stripe_of_col(t.col) != 3)
+            .collect();
+        let slice = RankSlice {
+            entries: &entries,
+            origin: 0,
+            local_rows: 500,
+            routes: &routes,
+            panel_height: 16,
+        };
+        let k = 32;
+        let rows = holding(&layout, &[0, 2], k);
+        for workers in [1usize, 4] {
+            let pool = Pool::new(workers);
+            let mut c = vec![0.0; 500 * k];
+            let computed = walk(&pool, &slice, &rows, Some(&mut c)).expect("classified");
+            assert!(c.iter().any(|&x| x != 0.0) && !computed.stash.rows.is_empty());
+            let counted = walk(&pool, &slice, &rows, None).expect("classified");
+            assert_eq!(counted.buckets, computed.buckets, "workers={workers}");
+            assert_eq!(
+                (counted.sync_nnz, counted.nonempty_panels),
+                (computed.sync_nnz, computed.nonempty_panels),
+                "workers={workers}"
+            );
+            assert!(
+                counted.stash.rows.is_empty() && counted.stash.sums.is_empty(),
+                "workers={workers}"
+            );
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::config::TwoFaceConfig;
 use crate::error::RunError;
 use crate::format::RankMatrices;
 use crate::pool::{resolve_workers, Pool};
-use crate::runner::{prepare_plan_inner, Problem, RunOptions};
+use crate::runner::{check_plan_layout, prepare_plan_inner, Problem, RunOptions};
 use std::sync::Arc;
 use twoface_matrix::Fingerprint;
 use twoface_net::CostModel;
@@ -86,7 +86,8 @@ impl PreparedMatrix {
     /// # Errors
     ///
     /// [`RunError::Shape`] if a supplied `options.plan` was built for a
-    /// different layout or `K` than `problem`'s.
+    /// different layout or `K` than `problem`'s, or for another matrix whose
+    /// classification misses a stripe `problem` has nonzeros in.
     pub fn build(
         problem: &Problem,
         cost: &CostModel,
@@ -107,23 +108,23 @@ impl PreparedMatrix {
                 workers,
             )),
         };
-        if plan.layout() != &problem.layout || plan.k() != problem.k() {
+        check_plan_layout(&plan, problem)?;
+        if plan.k() != problem.k() {
             return Err(RunError::Shape {
                 context: format!(
-                    "supplied plan was built for a {}-node layout at K = {} but the problem \
-                     is {} nodes at K = {}",
-                    plan.layout().nodes(),
+                    "supplied plan was built for K = {} but the problem is K = {}",
                     plan.k(),
-                    problem.layout.nodes(),
                     problem.k()
                 ),
             });
         }
         let panel_height = options.config.row_panel_height;
         let p = problem.layout.nodes();
-        let rank_matrices = Arc::new(
-            pool.map(p, |rank| RankMatrices::build(&problem.a, &plan, rank, panel_height)),
-        );
+        let rank_matrices = pool
+            .map(p, |rank| RankMatrices::build(&problem.a, &plan, rank, panel_height))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        let rank_matrices = Arc::new(rank_matrices);
         let approx_bytes = plan.approx_bytes()
             + rank_matrices.iter().map(RankMatrices::approx_bytes).sum::<usize>();
         let mut f = Fingerprint::new();

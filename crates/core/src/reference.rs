@@ -56,7 +56,7 @@ pub fn reference_spmm_pooled(a: &CooMatrix, b: &DenseMatrix, pool: &Pool) -> Den
     if pool.workers() == 1 || entries.len() * k < PAR_MIN_PRODUCTS {
         accumulate(entries, b, &mut data, k, 0);
     } else {
-        par_row_spans_plain(pool, entries, 0, &mut data, k, |span, chunk, row_base| {
+        par_row_spans_plain(pool, entries, &mut data, k, |span, chunk, row_base| {
             accumulate(span, b, chunk, k, row_base);
         });
     }

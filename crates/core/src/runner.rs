@@ -247,10 +247,11 @@ pub struct RunOptions {
     /// Defaults to the paper's §4.2 greedy model.
     pub classifier: ClassifierKind,
     /// A preprocessed plan to reuse (otherwise one is built per run for the
-    /// algorithms that need it). It may have been built at another `K`, but
-    /// a plan for another layout is a [`RunError::Shape`], and so is a
-    /// nonzero in a stripe the plan never classified (a plan built for
-    /// another matrix).
+    /// algorithms that need it). At every entry point that takes a plan, a
+    /// plan for another layout is a [`RunError::Shape`], and so is a nonzero
+    /// in a stripe the plan never classified (a plan built for another
+    /// matrix). A run may use a plan built at another `K`;
+    /// [`PreparedMatrix::build`](crate::PreparedMatrix::build) may not.
     pub plan: Option<Arc<PartitionPlan>>,
     /// Full `B`-independent preprocessing output to reuse — the plan *and*
     /// every rank's Figure-6 structures (see
@@ -766,29 +767,14 @@ fn run_algorithm_inner(
 
     // Preprocessing / data staging (untimed, like loading the preprocessed
     // matrices from disk in the real system). A supplied plan — a
-    // PreparedMatrix's, else `options.plan` — must match the layout, or its
-    // classification would address the wrong stripes.
+    // PreparedMatrix's, else `options.plan` — must match the layout.
     let prepared = options.prepared.as_deref().filter(|_| algorithm.uses_plan());
     let supplied = match prepared {
         Some(prep) => Some(prep.plan()),
         None => options.plan.as_ref().filter(|_| algorithm.uses_plan()),
     };
     if let Some(plan) = supplied {
-        if plan.layout() != &problem.layout {
-            let (theirs, ours) = (plan.layout(), &problem.layout);
-            return Err(RunError::Shape {
-                context: format!(
-                    "supplied plan was built for a {} × {} layout over {} nodes, but the problem \
-                     is {} × {} over {} nodes",
-                    theirs.rows(),
-                    theirs.cols(),
-                    theirs.nodes(),
-                    ours.rows(),
-                    ours.cols(),
-                    ours.nodes()
-                ),
-            });
-        }
+        check_plan_layout(plan, problem)?;
     }
     let planned = algorithm.uses_plan().then(|| {
         let plan = match (supplied, algorithm) {
@@ -874,6 +860,33 @@ fn run_algorithm_inner(
         memory_peak_bytes: required,
         output,
         ..report
+    })
+}
+
+/// The check every entry point that takes a plan makes before using it: a
+/// plan for another layout would address the wrong stripes, or columns past
+/// the problem's.
+///
+/// # Errors
+///
+/// [`RunError::Shape`] when `plan` was built for another layout than
+/// `problem`'s.
+pub(crate) fn check_plan_layout(plan: &PartitionPlan, problem: &Problem) -> Result<(), RunError> {
+    if plan.layout() == &problem.layout {
+        return Ok(());
+    }
+    let (theirs, ours) = (plan.layout(), &problem.layout);
+    Err(RunError::Shape {
+        context: format!(
+            "supplied plan was built for a {} × {} layout over {} nodes, but the problem is {} × \
+             {} over {} nodes",
+            theirs.rows(),
+            theirs.cols(),
+            theirs.nodes(),
+            ours.rows(),
+            ours.cols(),
+            ours.nodes()
+        ),
     })
 }
 

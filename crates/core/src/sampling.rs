@@ -23,7 +23,9 @@ use crate::format::RankMatrices;
 use crate::kernels::{par_sync_panels, BlockRows};
 use crate::pool::Pool;
 use crate::reference::reference_spmm;
-use crate::runner::{harvest, resolve_observability, stack_blocks, ExecOpts, Problem};
+use crate::runner::{
+    check_plan_layout, harvest, resolve_observability, stack_blocks, ExecOpts, Problem,
+};
 use crate::{RunError, RunOptions};
 use std::sync::Arc;
 use twoface_matrix::{CooMatrix, DenseMatrix, Entry, Scalar, SmallTriplet};
@@ -115,8 +117,10 @@ pub struct SampledReport {
 ///
 /// # Errors
 ///
-/// Returns [`RunError::ValidationFailed`] when `options.validate` is set and
-/// the output disagrees with a serial SpMM over the masked matrix, and
+/// Returns [`RunError::Shape`] when `plan` was built for another layout, or
+/// for another matrix whose classification misses a stripe `problem` has
+/// nonzeros in; [`RunError::ValidationFailed`] when `options.validate` is set
+/// and the output disagrees with a serial SpMM over the masked matrix; and
 /// [`RunError::TransferTimeout`] / [`RunError::RankStalled`], with the
 /// failing rank's flight-recorder tail, when `options.fault_plan` injects
 /// faults the run cannot absorb.
@@ -127,6 +131,7 @@ pub fn run_sampled_twoface(
     cost: &CostModel,
     options: &RunOptions,
 ) -> Result<SampledReport, RunError> {
+    check_plan_layout(&plan, problem)?;
     let k = problem.k();
     let workers = crate::pool::resolve_workers(options.workers);
     let exec = ExecOpts {
@@ -136,7 +141,7 @@ pub fn run_sampled_twoface(
         workers,
     };
     let effective = options.config.effective_cost(cost);
-    let data = TwoFaceData::build(problem, plan, &options.config, &Pool::new(workers));
+    let data = TwoFaceData::build(problem, plan, &options.config, &Pool::new(workers))?;
     let diagnostics = resolve_observability(&options.observability);
     let cluster = Cluster::new(problem.layout.nodes(), effective);
     cluster.set_fault_plan(options.fault_plan.clone());
@@ -150,7 +155,8 @@ pub fn run_sampled_twoface(
             entries: Vec::new(),
             unique_cols: Vec::new(),
         };
-        twoface_rank(ctx, || Ok(source), &data.plan, &data.b_blocks[rank], &options.config, &exec)
+        let (plan, b_block) = (&data.plan, &data.b_blocks[rank]);
+        twoface_rank(ctx, |_, _, _| Ok(source), plan, b_block, &options.config, &exec)
     });
     let (blocks, report) = harvest(outputs, &diagnostics)?;
     let sampled = mask.apply(&problem.a);
@@ -225,14 +231,14 @@ impl StripeSource for MaskedSource<'_> {
     fn sync_compute(
         &mut self,
         pool: &Pool,
-        rows: &mut BlockRows<'_>,
+        rows: &BlockRows<'_>,
         c_local: &mut [Scalar],
         k: usize,
     ) -> Result<(), NetError> {
         let active = self.active();
         self.entries.clear();
         self.entries.extend(self.matrices.sync_local.entries().iter().filter(&active));
-        par_sync_panels(pool, &self.entries, &*rows, c_local, k);
+        par_sync_panels(pool, &self.entries, rows, c_local, k);
         Ok(())
     }
 }

@@ -14,7 +14,7 @@ use crate::algo::twoface::{sync_multicasts, TwoFaceData};
 use crate::coalesce::coalesce_rows;
 use crate::config::TwoFaceConfig;
 use crate::kernels::{FetchedRows, RowCursor, RowSource};
-use crate::runner::{harvest, resolve_observability, Problem};
+use crate::runner::{check_plan_layout, harvest, resolve_observability, Problem};
 use crate::{prepare_plan, RunError, RunOptions};
 use std::sync::Arc;
 use twoface_matrix::{CooMatrix, DenseMatrix, Entry, Scalar, Triplet};
@@ -88,8 +88,10 @@ fn dot(a: &[Scalar], b: &[Scalar]) -> Scalar {
 ///
 /// # Errors
 ///
-/// Returns [`RunError::Shape`] for mismatched factors and propagates
-/// validation failures when `options.validate` is set.
+/// Returns [`RunError::Shape`] for mismatched factors, for an
+/// `options.plan` built for another layout, or for one built for another
+/// matrix whose classification misses a stripe `problem` has nonzeros in,
+/// and propagates validation failures when `options.validate` is set.
 pub fn run_sddmm(
     algorithm: SddmmAlgorithm,
     problem: &Problem,
@@ -129,8 +131,9 @@ pub fn run_sddmm(
             Arc::new(prepare_plan(problem, &coefficients, &effective))
         }
     };
+    check_plan_layout(&plan, problem)?;
     let pool = crate::pool::Pool::new(crate::pool::resolve_workers(options.workers));
-    let data = TwoFaceData::build(problem, plan, &options.config, &pool);
+    let data = TwoFaceData::build(problem, plan, &options.config, &pool)?;
     let compute = options.compute_values || options.validate;
 
     let p = problem.layout.nodes();

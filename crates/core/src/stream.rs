@@ -736,7 +736,7 @@ pub fn run_twoface_streamed(
             });
         }
         let matrices =
-            RankMatrices::build_from_rows(&shard, &plan, rank, options.config.row_panel_height);
+            RankMatrices::build_from_rows(&shard, &plan, rank, options.config.row_panel_height)?;
         drop(shard);
         let (store, bytes) = write_store(spill.path(format!("store.{rank}")), &matrices)?;
         spilled_bytes += bytes;
@@ -787,7 +787,7 @@ pub fn run_twoface_streamed(
     let mut outputs = cluster.run(|ctx| {
         let rank = ctx.rank();
         let source = StoreSource::new(rank, &stores[rank], &files[rank]);
-        twoface_rank(ctx, || Ok(source), &plan, &b_blocks[rank], &options.config, &exec)
+        twoface_rank(ctx, |_, _, _| Ok(source), &plan, &b_blocks[rank], &options.config, &exec)
     });
     telemetry.pass(5, realized_nnz as u64, pass_started);
 
@@ -888,12 +888,12 @@ impl StripeSource for StoreSource<'_> {
     fn sync_compute(
         &mut self,
         pool: &Pool,
-        rows: &mut BlockRows<'_>,
+        rows: &BlockRows<'_>,
         c_local: &mut [Scalar],
         k: usize,
     ) -> Result<(), RankError> {
         self.for_each_sync_chunk(|chunk| {
-            par_sync_panels(pool, chunk, &*rows, c_local, k);
+            par_sync_panels(pool, chunk, rows, c_local, k);
         })
     }
 }
@@ -975,7 +975,7 @@ mod tests {
             8,
             StripeClass::Async,
         );
-        let matrices = RankMatrices::build(&a, &plan, 1, 4);
+        let matrices = RankMatrices::build(&a, &plan, 1, 4).unwrap();
         let spill = SpillDir::create(None).unwrap();
         let (store, bytes) = write_store(spill.path("store.1".to_string()), &matrices).unwrap();
         File::options().write(true).open(&store.path).unwrap().set_len(bytes as u64 / 2).unwrap();
@@ -1004,7 +1004,7 @@ mod tests {
         let a = twoface_matrix::CooMatrix::from_triplets(rows, rows, triplets).unwrap();
         let layout = OneDimLayout::new(rows, rows, 1, 64);
         let plan = PartitionPlan::build_uniform(&a, layout, 8, StripeClass::Sync);
-        let matrices = RankMatrices::build(&a, &plan, 0, 32);
+        let matrices = RankMatrices::build(&a, &plan, 0, 32).unwrap();
         let spill = SpillDir::create(None).unwrap();
         let (store, _) = write_store(spill.path("store.0".to_string()), &matrices).unwrap();
         let file = File::open(&store.path).unwrap();

@@ -2,10 +2,12 @@
 //!
 //! The per-nonzero lookups — [`OneDimLayout::owner_of_row`],
 //! [`OneDimLayout::owner_of_col`] and [`OneDimLayout::stripe_of_col`] — run
-//! once per nonzero in every profile and rank build, so they divide by
-//! nothing. [`OneDimLayout::new`] precomputes each block's size and each
-//! divisor's reciprocal, and a lookup is a compare, a multiply-high or two
-//! and a few multiply-adds. The reciprocals are exact for every index below
+//! once per nonzero in every profile, rank build, one-shot routing walk and
+//! streamed pass, so they divide by nothing. [`OneDimLayout::new`]
+//! precomputes each block's size and each divisor's reciprocal, and a lookup
+//! is a compare, a multiply-high or two and a few multiply-adds. They are
+//! `#[inline]`, so the other crates' per-nonzero loops inline them instead of
+//! calling across the crate boundary. The reciprocals are exact for every index below
 //! `2^32`, which covers every layout the compact (`u32`) rank structures
 //! accept; a layout with more than `2^32` rows or columns divides in
 //! hardware instead, with the same results.
@@ -142,6 +144,7 @@ impl OneDimLayout {
     /// # Panics
     ///
     /// Panics if `col >= cols`.
+    #[inline]
     pub fn owner_of_col(&self, col: usize) -> usize {
         assert!(col < self.cols, "column {col} out of range");
         self.lookup.col_blocks.locate(col).0
@@ -152,6 +155,7 @@ impl OneDimLayout {
     /// # Panics
     ///
     /// Panics if `row >= rows`.
+    #[inline]
     pub fn owner_of_row(&self, row: usize) -> usize {
         assert!(row < self.rows, "row {row} out of range");
         self.lookup.row_blocks.locate(row).0
@@ -188,6 +192,7 @@ impl OneDimLayout {
     /// # Panics
     ///
     /// Panics if `col >= cols`.
+    #[inline]
     pub fn stripe_of_col(&self, col: usize) -> usize {
         assert!(col < self.cols, "column {col} out of range");
         let (owner, offset) = self.lookup.col_blocks.locate(col);
@@ -209,6 +214,7 @@ impl OneDimLayout {
     /// The index of `owner`'s first stripe: every stripe of the column
     /// blocks before it comes first, `block_stripes.0` per larger block and
     /// `block_stripes.1` per smaller one.
+    #[inline]
     fn first_stripe(&self, owner: usize) -> usize {
         let (big, small) = self.lookup.block_stripes;
         let rem = self.lookup.col_blocks.rem;

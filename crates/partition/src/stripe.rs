@@ -3,10 +3,13 @@
 //! The preprocessing model (§4.2) needs two numbers per sparse stripe of a
 //! node: `n_i`, the nonzeros the stripe holds, and `l_i`, the distinct dense
 //! rows of `B` it requires. This module counts both in one walk of the
-//! node's row slice, marking distinct columns in a bitset over `A`'s
-//! columns; no column ids are kept.
+//! node's row slice: each nonzero bumps its stripe's count and sets its
+//! column's bit in a bitset over `A`'s columns, with no test on either, and
+//! each non-empty stripe's `l_i` is then the popcount of the bits over its
+//! columns. No column ids are kept.
 
 use crate::OneDimLayout;
+use std::ops::Range;
 use twoface_matrix::{CooMatrix, Entry};
 
 /// Profile of one sparse stripe of one node.
@@ -68,28 +71,25 @@ impl NodeProfile {
     ) -> NodeProfile {
         let rows = layout.row_range(rank);
         let mut nnz = vec![0usize; layout.num_stripes()];
-        let mut rows_needed = vec![0usize; layout.num_stripes()];
-        // One bit per column of A: a column counts towards its stripe's
-        // `rows_needed` the first time it is seen.
+        // One bit per column of A, set for every nonzero: a stripe's
+        // `rows_needed` is the number of bits set over its columns.
         let mut seen = vec![0u64; layout.cols().div_ceil(64)];
         for t in rank_entries {
             debug_assert!(rows.contains(&t.row()), "entry outside rank's row block");
             let col = t.col();
-            let s = layout.stripe_of_col(col);
-            nnz[s] += 1;
-            let (word, bit) = (col / 64, 1u64 << (col % 64));
-            if seen[word] & bit == 0 {
-                seen[word] |= bit;
-                rows_needed[s] += 1;
-            }
+            nnz[layout.stripe_of_col(col)] += 1;
+            seen[col / 64] |= 1u64 << (col % 64);
         }
         let _ = rows;
         let stripes = nnz
             .into_iter()
-            .zip(rows_needed)
             .enumerate()
-            .filter(|&(_, (nnz, _))| nnz > 0)
-            .map(|(stripe, (nnz, rows_needed))| StripeProfile { stripe, nnz, rows_needed })
+            .filter(|&(_, nnz)| nnz > 0)
+            .map(|(stripe, nnz)| StripeProfile {
+                stripe,
+                nnz,
+                rows_needed: ones_in(&seen, layout.stripe_cols(stripe)),
+            })
             .collect();
         NodeProfile { rank, stripes }
     }
@@ -120,6 +120,23 @@ impl NodeProfile {
     ) -> impl Iterator<Item = &'a StripeProfile> + 'a {
         self.stripes.iter().filter(move |s| layout.stripe_owner(s.stripe) == self.rank)
     }
+}
+
+/// The number of bits of `bits` set at the positions in `range`.
+fn ones_in(bits: &[u64], range: Range<usize>) -> usize {
+    if range.is_empty() {
+        return 0;
+    }
+    let (first, last) = (range.start / 64, (range.end - 1) / 64);
+    // Keep the bits from `range.start` up in the first word, and those up
+    // to `range.end - 1` in the last.
+    let low = !0u64 << (range.start % 64);
+    let high = !0u64 >> (63 - (range.end - 1) % 64);
+    if first == last {
+        return (bits[first] & low & high).count_ones() as usize;
+    }
+    let inner: u32 = bits[first + 1..last].iter().map(|w| w.count_ones()).sum();
+    ((bits[first] & low).count_ones() + inner + (bits[last] & high).count_ones()) as usize
 }
 
 /// Builds profiles for every node.
@@ -201,6 +218,25 @@ mod tests {
             let from_shard = NodeProfile::build_from_rows(&shard, &layout, rank);
             assert_eq!(from_shard, NodeProfile::build(&a, &layout, rank), "rank {rank}");
         }
+    }
+
+    #[test]
+    fn ones_in_counts_the_bits_of_a_range() {
+        // Bits 3, 5, 62, 63 of word 0; 0, 1 and 40 of word 1; 0 and 63 of
+        // word 2.
+        let bits = [1 << 3 | 1 << 5 | 3 << 62, 3 | 1 << 40, 1 | 1 << 63];
+        let by_bit = |range: Range<usize>| {
+            range.clone().filter(|&i| bits[i / 64] >> (i % 64) & 1 == 1).count()
+        };
+        // Inside one word; crossing one or two word boundaries; ending on a
+        // word boundary; starting on one; empty.
+        for range in [3..6, 4..5, 6..62, 0..64, 62..66, 5..129, 64..128, 0..192, 63..64, 7..7] {
+            assert_eq!(ones_in(&bits, range.clone()), by_bit(range.clone()), "{range:?}");
+        }
+        assert_eq!(ones_in(&bits, 3..6), 2);
+        assert_eq!(ones_in(&bits, 62..66), 4);
+        assert_eq!(ones_in(&bits, 0..64), 4);
+        assert_eq!(ones_in(&bits, 0..192), 9);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Failure injection and boundary conditions: out-of-memory refusals,
 //! invalid configurations, and degenerate inputs.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use twoface_core::sampling::{run_sampled_twoface, EdgeSampler};
+use twoface_core::sddmm::{run_sddmm, SddmmAlgorithm};
 use twoface_core::{
     prepare_plan, run_algorithm, Algorithm, PreparedMatrix, Problem, RunError, RunOptions,
 };
@@ -110,9 +113,9 @@ fn plan_for_another_layout_is_a_shape_error() {
     let (other, problem) = (problem_of(256, 2000, 3), problem_of(300, 2400, 4));
     let plan = Arc::new(prepare_plan(&other, &ModelCoefficients::from(&cost), &cost));
     let prepared = Arc::new(PreparedMatrix::build(&other, &cost, &RunOptions::default()).unwrap());
+    // Two-Face with the plan is one of the entry points below.
     for (algorithm, options) in [
-        (Algorithm::TwoFace, RunOptions { plan: Some(Arc::clone(&plan)), ..Default::default() }),
-        (Algorithm::AsyncFine, RunOptions { plan: Some(plan), ..Default::default() }),
+        (Algorithm::AsyncFine, RunOptions { plan: Some(Arc::clone(&plan)), ..Default::default() }),
         (Algorithm::TwoFace, RunOptions { prepared: Some(prepared), ..Default::default() }),
     ] {
         match run_algorithm(algorithm, &problem, &cost, &options) {
@@ -120,6 +123,16 @@ fn plan_for_another_layout_is_a_shape_error() {
                 assert!(context.contains("256 × 256") && context.contains("300 × 300"), "{context}")
             }
             other => panic!("{algorithm}: expected a shape error, got {other:?}"),
+        }
+    }
+    for (entry, outcome, _) in through_every_entry_point(&problem, &plan, Algorithm::TwoFace, &cost)
+    {
+        match outcome {
+            Err(RunError::Shape { context }) => assert!(
+                context.contains("256 × 256") && context.contains("300 × 300"),
+                "{entry}: {context}"
+            ),
+            other => panic!("{entry}: expected a shape error, got {other:?}"),
         }
     }
 }
@@ -141,6 +154,17 @@ fn plan_from_another_matrix_is_a_typed_error() {
         8,
         StripeClass::Async,
     ));
+    for (entry, outcome, _) in
+        through_every_entry_point(&problem, &model, Algorithm::TwoFace, &cost)
+    {
+        match outcome {
+            Err(RunError::Shape { context }) => {
+                assert!(context.starts_with("rank 0 holds the nonzero"), "{entry}: {context}");
+                assert!(context.contains("never classified"), "{entry}: {context}");
+            }
+            other => panic!("{entry}: expected a shape error, got {other:?}"),
+        }
+    }
     for (algorithm, plan) in [(Algorithm::TwoFace, model), (Algorithm::AsyncFine, uniform)] {
         let started = Instant::now();
         let options = RunOptions { plan: Some(plan), ..Default::default() };
@@ -159,6 +183,158 @@ fn plan_from_another_matrix_is_a_typed_error() {
             started.elapsed()
         );
     }
+}
+
+/// The four entry points that take a plan, each given `plan` for
+/// `problem`: one-shot `run_algorithm`, `PreparedMatrix::build`, a sampled
+/// epoch and an SDDMM. Returns each one's outcome and host time, labelled.
+fn through_every_entry_point(
+    problem: &Problem,
+    plan: &Arc<PartitionPlan>,
+    algorithm: Algorithm,
+    cost: &CostModel,
+) -> Vec<(&'static str, Result<(), RunError>, Duration)> {
+    let options = RunOptions { plan: Some(Arc::clone(plan)), ..Default::default() };
+    let x = DenseMatrix::from_vec(
+        problem.a.rows(),
+        problem.k(),
+        (0..problem.a.rows() * problem.k()).map(|i| (i % 7) as f64 - 3.0).collect(),
+    )
+    .expect("rows x K");
+    let mask = EdgeSampler::new(0.7, 3).mask(0);
+    let timed = |entry, call: &dyn Fn() -> Result<(), RunError>| {
+        let started = Instant::now();
+        (entry, call(), started.elapsed())
+    };
+    vec![
+        timed("run_algorithm", &|| run_algorithm(algorithm, problem, cost, &options).map(drop)),
+        timed("PreparedMatrix::build", &|| {
+            PreparedMatrix::build(problem, cost, &options).map(drop)
+        }),
+        timed("run_sampled_twoface", &|| {
+            run_sampled_twoface(problem, Arc::clone(plan), mask, cost, &RunOptions::default())
+                .map(drop)
+        }),
+        timed("run_sddmm", &|| {
+            run_sddmm(SddmmAlgorithm::TwoFace, problem, &x, cost, &options).map(drop)
+        }),
+    ]
+}
+
+#[test]
+fn unclassified_nonzero_in_the_own_column_block_is_a_shape_error() {
+    // The plan's matrix has no nonzero of rank 0 in its own stripe 2 (columns
+    // 32..48), so the plan never classifies that stripe for rank 0; the
+    // problem adds one there, at (0, 40).
+    let cost = CostModel::delta_scaled();
+    let full = erdos_renyi(300, 300, 6000, 8);
+    let own_stripe_2 = |r: usize, c: usize| r < 75 && (32..48).contains(&c);
+    let kept: Vec<_> = full.iter().filter(|&(r, c, _)| !own_stripe_2(r, c)).collect();
+    let problem_of = |triplets: Vec<(usize, usize, f64)>| {
+        let a = CooMatrix::from_triplets(300, 300, triplets).expect("in bounds");
+        Problem::with_generated_b(Arc::new(a), 8, 4, 16).expect("valid")
+    };
+    let planned = problem_of(kept.clone());
+    let problem = problem_of(kept.into_iter().chain([(0, 40, 1.0)]).collect());
+    let plan = Arc::new(prepare_plan(&planned, &ModelCoefficients::from(&cost), &cost));
+    assert!(plan.class_of(0, 2).is_none() && plan.class_of(0, 1).is_some());
+    for workers in [1, 4] {
+        let options = RunOptions {
+            plan: Some(Arc::clone(&plan)),
+            workers: Some(workers),
+            ..Default::default()
+        };
+        match run_algorithm(Algorithm::TwoFace, &problem, &cost, &options) {
+            Err(RunError::Shape { context }) => assert!(
+                context.starts_with("rank 0 holds the nonzero (0, 40) in stripe 2"),
+                "{context}"
+            ),
+            other => panic!("workers={workers}: expected a shape error, got {other:?}"),
+        }
+    }
+    for (entry, outcome, _) in through_every_entry_point(&problem, &plan, Algorithm::TwoFace, &cost)
+    {
+        assert!(matches!(outcome, Err(RunError::Shape { .. })), "{entry}: {outcome:?}");
+    }
+}
+
+/// Deterministic default; override with `CHAOS_SEED_BASE=<n>` (decimal), as
+/// for the chaos suite, to sweep new seeds.
+fn seed_base() -> u64 {
+    std::env::var("CHAOS_SEED_BASE").ok().and_then(|s| s.parse().ok()).unwrap_or(0xF0E16)
+}
+
+/// splitmix64: the sweep's case generator.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn between(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+}
+
+/// A seeded sweep of foreign plans — from another matrix of the same shape,
+/// from another shape, or uniform — through every entry point that takes a
+/// plan. Each must answer with `Ok` or `RunError::Shape`, within a second,
+/// and never panic.
+#[test]
+fn foreign_plans_are_ok_or_shape_errors_at_every_entry_point() {
+    const CASES: u64 = 64;
+    let base = seed_base();
+    let cost = CostModel::delta_scaled();
+    let coefficients = ModelCoefficients::from(&cost);
+    let (mut ok, mut shape) = (0, 0);
+    for case in 0..CASES {
+        let seed = base.wrapping_add(case);
+        let mut rng = SplitMix(seed);
+        let n = rng.between(24, 240);
+        let (p, w, k) = (rng.between(1, 6), rng.between(1, 48), [1, 3, 8][rng.between(0, 2)]);
+        let matrix = |rng: &mut SplitMix, n: usize| {
+            let nnz = rng.between(0, 8 * n);
+            Arc::new(erdos_renyi(n, n, nnz, rng.next()))
+        };
+        let problem = Problem::with_generated_b(matrix(&mut rng, n), k, p, w).expect("p <= 6 <= n");
+        let kind = rng.between(0, 2);
+        let other_n = if kind == 1 { rng.between(24, 240) } else { n };
+        let other_p = if kind == 1 { rng.between(1, 6) } else { p };
+        let other_w = if kind == 1 { rng.between(1, 48) } else { w };
+        let other = Problem::with_generated_b(matrix(&mut rng, other_n), k, other_p, other_w)
+            .expect("p <= 6 <= n");
+        let plan = Arc::new(if kind == 2 {
+            let class = [StripeClass::Sync, StripeClass::Async][rng.between(0, 1)];
+            PartitionPlan::build_uniform(&other.a, other.layout.clone(), k, class)
+        } else {
+            prepare_plan(&other, &coefficients, &cost)
+        });
+        let algorithm = [Algorithm::TwoFace, Algorithm::AsyncFine][rng.between(0, 1)];
+        let at = format!(
+            "case {case} (CHAOS_SEED_BASE={base}): {n}x{n} p={p} W={w} K={k}, plan kind {kind} \
+             for {other_n}x{other_n} p={other_p} W={other_w}, {algorithm}"
+        );
+        let outcomes = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            through_every_entry_point(&problem, &plan, algorithm, &cost)
+        }))
+        .unwrap_or_else(|_| panic!("{at}: an entry point panicked"));
+        for (entry, outcome, took) in outcomes {
+            match outcome {
+                Ok(()) => ok += 1,
+                Err(RunError::Shape { .. }) => shape += 1,
+                Err(other) => panic!("{at}: {entry} returned {other:?}"),
+            }
+            assert!(took < Duration::from_secs(1), "{at}: {entry} took {took:?}");
+        }
+    }
+    // A sweep that only ever meets one answer checks little.
+    assert!(ok > 0 && shape > 0, "CHAOS_SEED_BASE={base}: {ok} Ok, {shape} shape errors");
 }
 
 #[test]

@@ -246,6 +246,11 @@ fn wall_time_is_segregated_from_deterministic_exports() {
     let timed =
         |r: &ExecutionReport| r.rank_events.iter().flatten().any(|e| e.wall_nanos.is_some());
     assert!(timed(&a) && timed(&b), "wall_time must stamp real kernel spans");
+    // A one-shot rank sums its sync nonzeros while it walks its slice of A;
+    // its sync span carries that host time.
+    let sync_spans = a.rank_events.iter().flatten().filter(|e| e.class == PhaseClass::SyncComp);
+    assert!(sync_spans.clone().count() > 0);
+    assert!(sync_spans.into_iter().all(|e| e.wall_nanos.is_some()), "every sync span is timed");
     // Host timings differ run to run, but the deterministic export does not.
     let strip = |r: &ExecutionReport| export::events_jsonl(&r.rank_events, &r.rank_traces, false);
     assert_eq!(strip(&a), strip(&b));

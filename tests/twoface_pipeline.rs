@@ -27,7 +27,7 @@ fn plan_partitions_every_nonzero_exactly_once() {
     let cost = CostModel::delta_scaled();
     let plan = prepare_plan(&problem, &ModelCoefficients::from(&cost), &cost);
     let total: usize =
-        (0..8).map(|rank| RankMatrices::build(&problem.a, &plan, rank, 32).nnz()).sum();
+        (0..8).map(|rank| RankMatrices::build(&problem.a, &plan, rank, 32).unwrap().nnz()).sum();
     assert_eq!(total, problem.a.nnz());
 }
 
@@ -37,7 +37,7 @@ fn async_stripes_in_structures_match_plan_classes() {
     let cost = CostModel::delta_scaled();
     let plan = prepare_plan(&problem, &ModelCoefficients::from(&cost), &cost);
     for rank in 0..8 {
-        let m = RankMatrices::build(&problem.a, &plan, rank, 32);
+        let m = RankMatrices::build(&problem.a, &plan, rank, 32).unwrap();
         for stripe in m.asynchronous.stripes() {
             assert_eq!(
                 plan.class_of(rank, stripe.stripe),
@@ -60,7 +60,7 @@ fn sync_local_structures_are_row_major_and_paneled() {
     let cost = CostModel::delta_scaled();
     let plan = prepare_plan(&problem, &ModelCoefficients::from(&cost), &cost);
     for rank in 0..8 {
-        let m = RankMatrices::build(&problem.a, &plan, rank, 32);
+        let m = RankMatrices::build(&problem.a, &plan, rank, 32).unwrap();
         let sl = &m.sync_local;
         let rows: Vec<u32> = sl.entries().iter().map(|t| t.row).collect();
         assert!(rows.windows(2).all(|w| w[0] <= w[1]), "not row-major");
