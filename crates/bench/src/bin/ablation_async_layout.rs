@@ -9,6 +9,8 @@
 //! grow with K, so column-major wins at small-to-moderate K — the paper's
 //! operating points — with a crossover at large K.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, default_cost, write_json, SuiteCache, DEFAULT_P};
 use twoface_core::{run_algorithm, Algorithm, AsyncLayout, RunOptions, TwoFaceConfig};

@@ -9,6 +9,8 @@
 //! inflates the modeled sync cost by the multicast penalty and should narrow
 //! those losses while leaving the winning matrices untouched.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::sync::Arc;
 use twoface_bench::{banner, default_cost, write_json, SuiteCache, DEFAULT_K, DEFAULT_P};

@@ -6,6 +6,8 @@
 //! transfer useless padding rows. The Table-2 rule should sit near the
 //! minimum for each K, with the optimum shifting left as K grows.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, default_cost, write_json, SuiteCache, DEFAULT_P};
 use twoface_core::{run_algorithm, Algorithm, RunOptions, TwoFaceConfig};

@@ -7,6 +7,8 @@
 //! but the sweep documents it and guards against regressions that would make
 //! the panel structure load-bearing.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, default_cost, write_json, SuiteCache, DEFAULT_K, DEFAULT_P};
 use twoface_core::{run_algorithm, Algorithm, RunOptions, TwoFaceConfig};

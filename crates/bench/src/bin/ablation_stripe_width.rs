@@ -6,6 +6,8 @@
 //! (more exactly-needed data) but multiply per-stripe overheads and multicast
 //! calls; wide stripes degenerate toward whole-block transfers.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::time::Instant;
 use twoface_bench::{banner, default_cost, write_json, SuiteCache, DEFAULT_K, DEFAULT_P};

@@ -13,6 +13,8 @@
 //!    changes *host wall-clock* only — the modeled seconds and the output
 //!    are bit-identical across the sweep, and this binary asserts both.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;

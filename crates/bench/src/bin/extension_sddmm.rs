@@ -6,6 +6,8 @@
 //! win/loss pattern mirrors the SpMM results because the communication —
 //! which dominates — is identical.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, default_cost, geo_mean, write_json, SuiteCache, DEFAULT_K, DEFAULT_P};
 use twoface_core::sddmm::{run_sddmm, SddmmAlgorithm};

@@ -7,6 +7,8 @@
 //! hardest to beat. This harness runs the suite at `K = 1` with the standard
 //! parameters and reports where the hybrid still wins.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::sync::Arc;
 use twoface_bench::{banner, cell, default_cost, write_json, SuiteCache, DEFAULT_P};

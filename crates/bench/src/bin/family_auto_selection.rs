@@ -3,6 +3,8 @@
 //! often the model's pick lands within 10% of the best measured simulated
 //! time (the acceptance bar is ≥ 87% of the suite, enforced here).
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, cell, default_cost, write_json, SuiteCache, DEFAULT_P};
 use twoface_core::{resolve_auto, run_algorithm, Algorithm, RunError, RunOptions, TwoFaceConfig};

@@ -6,6 +6,8 @@
 //! prefer each. As in the paper, kmer at K = 128 has no collectives data
 //! because full replication exceeds node memory.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, cell, default_cost, write_json, CommCounters, SuiteCache, DEFAULT_P};
 use twoface_core::{run_algorithm, Algorithm, RunError, RunOptions};

@@ -7,6 +7,8 @@
 //! on the large-multicast ones (twitter, friendster); DS with higher
 //! replication factors runs out of memory on the big matrices at K = 512.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::collections::BTreeMap;
 use twoface_bench::{

@@ -6,6 +6,8 @@
 //! execution time is the taller of the two. DS4 only has the synchronous
 //! components. Everything is normalized to DS4, as in the paper.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{
     banner, default_cost, write_json, CommCounters, SuiteCache, DEFAULT_K, DEFAULT_P,

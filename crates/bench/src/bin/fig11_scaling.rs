@@ -6,6 +6,8 @@
 //! high replication (or any flavor at low node counts on the big matrices)
 //! exceeds node memory, and DS(c) cannot run with c > p.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, cell, default_cost, write_json, CommCounters, SuiteCache, DEFAULT_K};
 use twoface_core::{run_algorithm, Algorithm, RunError, RunOptions};

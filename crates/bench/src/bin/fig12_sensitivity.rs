@@ -9,6 +9,8 @@
 //! representative matrices: web (best case), twitter (worst case), stokes
 //! (median case).
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, default_cost, geo_mean, write_json, SuiteCache, DEFAULT_K, DEFAULT_P};
 use twoface_core::{run_algorithm, Algorithm, RunOptions};

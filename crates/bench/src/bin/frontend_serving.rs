@@ -22,6 +22,8 @@
 //!
 //! Writes `results/frontend_serving.json`.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;

@@ -23,6 +23,8 @@
 //! only prints its numbers, so the gated report has the same shape in both
 //! modes.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;

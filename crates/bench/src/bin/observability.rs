@@ -17,6 +17,8 @@
 //!   ratio. Acceptance: the ratio stays within 2% of 1.0 on a quiet host
 //!   (this container is time-shared; see `host_note`).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;

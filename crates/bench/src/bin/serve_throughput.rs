@@ -15,6 +15,8 @@
 //!
 //! Writes `results/serve_throughput.json`.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;

@@ -4,6 +4,8 @@
 //! the scaled synthetic analogs, plus the structural statistics that justify
 //! each analog's class (column-degree Gini, near-diagonal fraction).
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, write_json};
 use twoface_matrix::gen::SuiteMatrix;

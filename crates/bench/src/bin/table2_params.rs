@@ -1,5 +1,7 @@
 //! Table 2: the constant runtime parameters of Two-Face.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, write_json};
 use twoface_core::TwoFaceConfig;

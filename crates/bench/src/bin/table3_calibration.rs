@@ -18,6 +18,8 @@
 //! waits the two-term model cannot express — the same unmodeled effects a
 //! real calibration faces.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::sync::Arc;
 use twoface_bench::{banner, default_cost, write_json, SuiteCache, DEFAULT_P};

@@ -1,6 +1,8 @@
 //! Table 4: the SpMM algorithms under comparison and their MPI transfer
 //! operations.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use twoface_bench::{banner, write_json};
 use twoface_core::Algorithm;

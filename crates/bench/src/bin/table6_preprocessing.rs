@@ -7,6 +7,8 @@
 //! simulated seconds; both scale linearly with matrix size, so the ratio is
 //! directly comparable to the paper's (up to single-core speed differences).
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::time::Instant;
 use twoface_bench::{banner, default_cost, write_json, SuiteCache, DEFAULT_K, DEFAULT_P};

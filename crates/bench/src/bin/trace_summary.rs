@@ -17,6 +17,8 @@
 //! Either way the run ends with the top-N longest operations on the slowest
 //! rank — the simulated critical path a Perfetto timeline would show.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use twoface_bench::{banner, results_dir};
 use twoface_core::{run_algorithm, Algorithm, Breakdown, Problem, RunOptions};

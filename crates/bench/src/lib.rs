@@ -6,6 +6,8 @@
 //! `for b in crates/bench/src/bin/*.rs; do cargo run --release -p
 //! twoface-bench --bin $(basename ${b%.rs}); done`.
 
+#![forbid(unsafe_code)]
+
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::PathBuf;

@@ -252,22 +252,35 @@ impl RankMatrices {
     ///
     /// # Errors
     ///
-    /// [`RunError::Shape`] for the first nonzero, row-major, in a stripe
-    /// `plan` never classified for `rank`: the plan was built for another
-    /// matrix.
+    /// [`RunError::Shape`] if `plan` was built for a layout of another shape
+    /// than `a`'s, or for the first nonzero, row-major, in a stripe `plan`
+    /// never classified for `rank`: the plan was built for another matrix.
     ///
     /// # Panics
     ///
-    /// Panics if `panel_height == 0`, if the matrix dimensions exceed the
-    /// small-index (`u32`) limit of the compact entry layout, or if `plan`
-    /// is for a layout with fewer columns than `a`.
+    /// Panics if `panel_height == 0` or if the matrix dimensions exceed the
+    /// small-index (`u32`) limit of the compact entry layout.
     pub fn build(
         a: &CooMatrix,
         plan: &PartitionPlan,
         rank: usize,
         panel_height: usize,
     ) -> Result<RankMatrices, RunError> {
-        let slice = row_slice(a, plan.layout().row_range(rank));
+        let layout = plan.layout();
+        if (layout.rows(), layout.cols()) != (a.rows(), a.cols()) {
+            return Err(RunError::Shape {
+                context: format!(
+                    "supplied plan was built for a {} × {} layout over {} nodes, but the matrix \
+                     is {} × {}",
+                    layout.rows(),
+                    layout.cols(),
+                    layout.nodes(),
+                    a.rows(),
+                    a.cols()
+                ),
+            });
+        }
+        let slice = row_slice(a, layout.row_range(rank));
         RankMatrices::build_from_rows(slice, plan, rank, panel_height)
     }
 
@@ -280,14 +293,14 @@ impl RankMatrices {
     ///
     /// # Errors
     ///
-    /// [`RunError::Shape`] for the first nonzero in a stripe `plan` never
-    /// classified for `rank`, as for [`RankMatrices::build`].
+    /// [`RunError::Shape`] for the first nonzero in a column past the plan's
+    /// layout or in a stripe `plan` never classified for `rank`, as for
+    /// [`RankMatrices::build`].
     ///
     /// # Panics
     ///
-    /// Panics if `panel_height == 0`, if the plan's layout dimensions exceed
-    /// the small-index (`u32`) limit of the compact entry layout, or if a
-    /// column lies past the plan's layout.
+    /// Panics if `panel_height == 0` or if the plan's layout dimensions
+    /// exceed the small-index (`u32`) limit of the compact entry layout.
     pub fn build_from_rows(
         rank_triplets: &[Triplet],
         plan: &PartitionPlan,
@@ -307,6 +320,17 @@ impl RankMatrices {
         let mut sync_entries: Vec<SmallTriplet> = Vec::with_capacity(rank_triplets.len());
         for t in rank_triplets {
             debug_assert!(rows.contains(&t.row), "entry outside the rank's row block");
+            if t.col >= layout.cols() {
+                return Err(RunError::Shape {
+                    context: format!(
+                        "rank {rank} holds the nonzero ({}, {}), past the {} columns of the \
+                         supplied plan's layout",
+                        t.row,
+                        t.col,
+                        layout.cols()
+                    ),
+                });
+            }
             let local = SmallTriplet::new(t.row - rows.start, t.col, t.val);
             let stripe = layout.stripe_of_col(t.col);
             match routes.of(stripe) {

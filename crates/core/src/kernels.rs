@@ -18,6 +18,19 @@
 //! `K ∈ {8, 32, 128}` (fixed-size array arithmetic the compiler unrolls and
 //! vectorizes; other widths take a generic fallback).
 //!
+//! The dense loops of both kernels and of the routing walk below are
+//! compiled once per vector instruction set — AVX-512F, AVX2 and the
+//! target's baseline — and each call runs the widest one the host's CPU
+//! supports, detected at run time. Each body is written once and only the
+//! vector width differs: every element of a row's sum is still multiplied,
+//! rounded and then added in the same order (entry order in the row-panel
+//! loop, ascending column in the async loop), and Rust never contracts a
+//! multiply and an add into a fused multiply-add, so `C` is bit-identical
+//! on every host. The serial oracle ([`crate::reference_spmm`]) and SDDMM's
+//! dot products stay scalar: the oracle is what the kernels are checked
+//! against, and a dot product is one sequential sum that wider vectors
+//! would only speed up by reordering it.
+//!
 //! Row sources are `Sync`: lookup state lives in a per-caller
 //! [`RowCursor`], not in the source, so concurrent workers never thrash a
 //! shared cursor. The cursor caches the block that satisfied the previous
@@ -303,35 +316,119 @@ impl RowSource for FetchedRows {
     }
 }
 
-/// Dispatches `$body` with `$fixed` bound to a compile-time dense width for
-/// the paper's `K ∈ {8, 32, 128}`, falling back to the generic path (with
-/// `$fixed = 0`, meaning "use the runtime `k`") for anything else — through
-/// `$generic` when given, else through `$body` too. The fixed-width
-/// instantiations run the inner FMA loops over `[Scalar; K]` arrays, which
-/// the compiler fully unrolls and vectorizes.
-macro_rules! dispatch_k {
-    ($k:expr, $fixed:ident, $body:expr) => {
-        dispatch_k!($k, $fixed, $body, $body)
-    };
-    ($k:expr, $fixed:ident, $body:expr, $generic:expr) => {
-        match $k {
-            8 => {
-                const $fixed: usize = 8;
-                $body
-            }
-            32 => {
-                const $fixed: usize = 32;
-                $body
-            }
-            128 => {
-                const $fixed: usize = 128;
-                $body
-            }
-            _ => {
-                const $fixed: usize = 0;
-                $generic
-            }
+/// A vector instruction set the dense kernels are compiled for.
+#[derive(Debug, Clone, Copy)]
+enum Isa {
+    /// The target's baseline: two doubles per instruction on x86-64.
+    Baseline,
+    /// AVX2: four doubles per instruction.
+    Avx2,
+    /// AVX-512F: eight doubles per instruction.
+    Avx512f,
+}
+
+impl Isa {
+    /// Every ISA, widest first.
+    const ALL: [Isa; 3] = [Isa::Avx512f, Isa::Avx2, Isa::Baseline];
+
+    /// Whether this host's CPU supports `self`, and its OS saves the
+    /// registers `self` uses: the one detection.
+    fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        use std::arch::is_x86_feature_detected as has;
+        match self {
+            Isa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => has!("avx2"),
+            // Enabling `avx512f` also enables `avx2`, `fma` and `f16c`.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => has!("avx512f") && has!("avx2") && has!("fma") && has!("f16c"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Isa::Avx2 | Isa::Avx512f => false,
         }
+    }
+
+    /// The widest ISA this host supports.
+    fn host() -> Isa {
+        Isa::ALL.into_iter().find(|isa| isa.supported()).unwrap_or(Isa::Baseline)
+    }
+
+    /// Runs `kernel` compiled for `self`: the one dispatch to the per-ISA
+    /// copies. `kernel` must be an `#[inline(always)]` closure, so that its
+    /// whole loop is compiled into each copy ([`dispatch_k!`] makes it one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host does not support `self`.
+    #[allow(unsafe_code)]
+    fn run(self, kernel: impl FnOnce()) {
+        match self {
+            Isa::Baseline => kernel(),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 if self.supported() => {
+                // SAFETY: `supported` just detected AVX2 on this CPU, and OS
+                // support for its registers, with `is_x86_feature_detected!`.
+                unsafe { avx2(kernel) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f if self.supported() => {
+                // SAFETY: `supported` just detected AVX-512F and every feature
+                // it enables on this CPU, and OS support for their registers,
+                // with `is_x86_feature_detected!`.
+                unsafe { avx512f(kernel) }
+            }
+            _ => panic!("this host does not support {self:?}"),
+        }
+    }
+}
+
+/// The AVX2 copy of `kernel`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2(kernel: impl FnOnce()) {
+    kernel()
+}
+
+/// The AVX-512F copy of `kernel`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn avx512f(kernel: impl FnOnce()) {
+    kernel()
+}
+
+/// Runs `$body` compiled for the ISA `$isa` ([`Isa::run`]), with `$fixed`
+/// bound to a compile-time dense width for the paper's `K ∈ {8, 32, 128}`,
+/// falling back to the generic path (with `$fixed = 0`, meaning "use the
+/// runtime `k`") for anything else — through `$generic` when given, else
+/// through `$body` too. The fixed-width instantiations run the inner
+/// multiply-then-add loops over `[Scalar; K]` arrays, which the compiler
+/// fully unrolls and vectorizes at the ISA's width.
+macro_rules! dispatch_k {
+    ($isa:expr, $k:expr, $fixed:ident, $body:expr) => {
+        dispatch_k!($isa, $k, $fixed, $body, $body)
+    };
+    ($isa:expr, $k:expr, $fixed:ident, $body:expr, $generic:expr) => {
+        $isa.run(
+            #[inline(always)]
+            || match $k {
+                8 => {
+                    const $fixed: usize = 8;
+                    $body
+                }
+                32 => {
+                    const $fixed: usize = 32;
+                    $body
+                }
+                128 => {
+                    const $fixed: usize = 128;
+                    $body
+                }
+                _ => {
+                    const $fixed: usize = 0;
+                    $generic
+                }
+            },
+        )
     };
 }
 
@@ -386,10 +483,23 @@ pub fn sync_panel_kernel_at<E: Entry>(
     k: usize,
     row_base: usize,
 ) {
+    sync_panel_for(Isa::host(), panel, rows, c_chunk, k, row_base);
+}
+
+/// [`sync_panel_kernel_at`] compiled for `isa`.
+fn sync_panel_for<E: Entry>(
+    isa: Isa,
+    panel: &[E],
+    rows: &impl RowSource,
+    c_chunk: &mut [Scalar],
+    k: usize,
+    row_base: usize,
+) {
     if panel.is_empty() {
         return;
     }
     dispatch_k!(
+        isa,
         k,
         FIXED,
         sync_rows::<FIXED, E>(panel, rows, c_chunk, k, row_base, [0.0; FIXED]),
@@ -477,7 +587,19 @@ pub fn async_stripe_kernel_at<E: Entry>(
     k: usize,
     row_base: usize,
 ) {
-    dispatch_k!(k, FIXED, {
+    async_stripe_for(Isa::host(), entries, rows, c_chunk, k, row_base);
+}
+
+/// [`async_stripe_kernel_at`] compiled for `isa`.
+fn async_stripe_for<E: Entry>(
+    isa: Isa,
+    entries: &[E],
+    rows: &impl RowSource,
+    c_chunk: &mut [Scalar],
+    k: usize,
+    row_base: usize,
+) {
+    dispatch_k!(isa, k, FIXED, {
         let mut cursor = RowCursor::default();
         for t in entries {
             let brow = rows.row_with(&mut cursor, t.col());
@@ -870,6 +992,19 @@ pub(crate) fn par_route_rows(
     async_bound: usize,
     c_local: Option<&mut [Scalar]>,
 ) -> Result<Routed, RankError> {
+    route_rows_for(Isa::host(), pool, slice, rows, buckets, async_bound, c_local)
+}
+
+/// [`par_route_rows`] with its sums compiled for `isa`.
+fn route_rows_for(
+    isa: Isa,
+    pool: &Pool,
+    slice: &RankSlice<'_>,
+    rows: &BlockRows<'_>,
+    buckets: Vec<Vec<SmallTriplet>>,
+    async_bound: usize,
+    c_local: Option<&mut [Scalar]>,
+) -> Result<Routed, RankError> {
     let (entries, k, compute) = (slice.entries, rows.k, c_local.is_some());
     let (pool, spans) = if pool.workers() > 1 && entries.len() * k >= PAR_MIN_PRODUCTS {
         (*pool, row_aligned_spans(entries, slice.origin, slice.local_rows, 4 * pool.workers()))
@@ -893,6 +1028,7 @@ pub(crate) fn par_route_rows(
     pool.run_items(tasks.into_iter(), |(part, span, chunk, row_base)| {
         if compute {
             dispatch_k!(
+                isa,
                 k,
                 FIXED,
                 part.walk::<FIXED, true>(span, slice, rows, chunk, row_base, [0.0; FIXED]),
@@ -1143,15 +1279,20 @@ mod tests {
         assert_eq!(c_sync, c_async);
     }
 
-    /// Pseudorandom row-major triplets over `rows x cols`.
-    fn random_entries(rows: usize, cols: usize, nnz: usize, seed: u64) -> Vec<Triplet> {
+    /// A xorshift stream from `seed`.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
+        }
+    }
+
+    /// Pseudorandom row-major triplets over `rows x cols`.
+    fn random_entries(rows: usize, cols: usize, nnz: usize, seed: u64) -> Vec<Triplet> {
+        let mut next = xorshift(seed);
         let mut entries: Vec<Triplet> = (0..nnz)
             .map(|_| {
                 let r = (next() as usize) % rows;
@@ -1497,6 +1638,128 @@ mod tests {
                 let mut c_par = vec![0.0; rows * k];
                 par_async_stripe(&pool, &entries, &b, &mut c_par, k);
                 assert_eq!(c_par, c_serial_async, "async K={k} workers={workers}");
+            }
+        }
+    }
+
+    /// Full-mantissa values in `[-1, 1)`, from `seed`.
+    fn noise(seed: u64) -> impl FnMut() -> f64 {
+        let mut next = xorshift(seed);
+        move || (next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    #[test]
+    fn every_isa_matches_the_baseline_bitwise() {
+        let isas: Vec<Isa> = Isa::ALL.into_iter().filter(|isa| isa.supported()).collect();
+        println!("each kernel compared bitwise with its baseline copy: {isas:?}");
+        // Five stripes of 13 columns (the last 12); 1 and 3 are asynchronous.
+        let layout = OneDimLayout::new(1500, 64, 5, 13);
+        let classes = [
+            (0, StripeClass::LocalInput),
+            (1, StripeClass::Async),
+            (2, StripeClass::Sync),
+            (3, StripeClass::Async),
+            (4, StripeClass::Sync),
+        ];
+        let routes = routes_of(&layout, &classes);
+        // Products near 1e16 next to small terms, with full mantissas: a fused
+        // multiply-add keeps the product's low bits, which these sums show.
+        let mut value = noise(3);
+        let mut entries: Vec<Triplet> = random_entries(1500, 64, 20_000, 11)
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let v = value();
+                Triplet::new(t.row, t.col, if i % 3 == 0 { 1e16 * v } else { v })
+            })
+            .collect();
+        // A row holding only async nonzeros, and one holding a sync nonzero
+        // between two async ones, which the routing walk stashes.
+        entries.retain(|t| t.row != 7 && t.row != 8);
+        entries.extend([
+            Triplet::new(7, 14, 1.5),
+            Triplet::new(7, 40, -2.5),
+            Triplet::new(8, 15, 3.0),
+            Triplet::new(8, 27, 1e16 + 2.0),
+            Triplet::new(8, 41, 0.5),
+        ]);
+        entries.sort_by_key(|t| (t.row, t.col));
+        let slice = RankSlice {
+            entries: &entries,
+            origin: 0,
+            local_rows: 1500,
+            routes: &routes,
+            panel_height: 32,
+        };
+        let mut col_major = entries.clone();
+        col_major.sort_by_key(|t| (t.col, t.row));
+        for k in [1usize, 3, 4, 8, 16, 32, 64, 100, 128] {
+            let mut b = noise(k as u64);
+            let mut held = BlockRows::new(&layout, k);
+            let mut all = BlockRows::new(&layout, k);
+            for stripe in 0..5 {
+                let cols = layout.stripe_cols(stripe);
+                let rows: Vec<Scalar> = (0..cols.len() * k).map(|_| b()).collect();
+                if ![1, 3].contains(&stripe) {
+                    held.add_block(cols.clone(), rows.clone());
+                }
+                all.add_block(cols, rows);
+            }
+            // -0.0 turns into +0.0 under any add, so an untouched element shows.
+            let zeros = || vec![-0.0; 1500 * k];
+            let mut want_sync = zeros();
+            sync_panel_for(Isa::Baseline, &entries, &all, &mut want_sync, k, 0);
+            let mut want_async = zeros();
+            async_stripe_for(Isa::Baseline, &col_major, &all, &mut want_async, k, 0);
+            let mut want_walk = zeros();
+            let buckets = vec![Vec::new(); 2];
+            let want = route_rows_for(
+                Isa::Baseline,
+                &Pool::SERIAL,
+                &slice,
+                &held,
+                buckets.clone(),
+                0,
+                Some(&mut want_walk),
+            )
+            .expect("classified");
+            assert!(want.stash.rows.contains(&8), "K={k}: row 8 is stashed");
+            let untouched =
+                want_walk[7 * k..8 * k].iter().all(|x| x.to_bits() == (-0.0f64).to_bits());
+            assert!(untouched, "K={k}: the walk leaves row 7, async only, to the async lane");
+            for workers in [1usize, 2, 4] {
+                let pool = Pool::new(workers);
+                for &isa in &isas {
+                    let at = format!("{isa:?} K={k} workers={workers}");
+                    let mut got = zeros();
+                    par_row_spans_plain(&pool, &entries, &mut got, k, |span, chunk, row_base| {
+                        sync_panel_for(isa, span, &all, chunk, k, row_base)
+                    });
+                    assert_eq!(bits(&got), bits(&want_sync), "row-panel kernel, {at}");
+                    let mut got = zeros();
+                    par_row_spans_plain(&pool, &entries, &mut got, k, |span, chunk, row_base| {
+                        async_stripe_for(isa, span, &all, chunk, k, row_base)
+                    });
+                    assert_eq!(bits(&got), bits(&want_async), "async kernel, {at}");
+                    let mut got = zeros();
+                    let routed = route_rows_for(
+                        isa,
+                        &pool,
+                        &slice,
+                        &held,
+                        buckets.clone(),
+                        0,
+                        Some(&mut got),
+                    )
+                    .expect("classified");
+                    assert_eq!(bits(&got), bits(&want_walk), "routing walk, {at}");
+                    assert_eq!(
+                        (&routed.stash.rows, bits(&routed.stash.sums)),
+                        (&want.stash.rows, bits(&want.stash.sums)),
+                        "routing walk's stash, {at}"
+                    );
+                    assert_eq!(routed.buckets, want.buckets, "routing walk's buckets, {at}");
+                }
             }
         }
     }

@@ -41,6 +41,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The only `unsafe` is the kernels' vector-ISA dispatch, allowed there.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod algo;
 mod coalesce;

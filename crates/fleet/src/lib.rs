@@ -30,6 +30,7 @@
 //! (`--explain FILE` asks for the same breakdown on demand).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod attribution;
 pub mod diff;

@@ -13,6 +13,8 @@
 //! `results/fleet_report.json`, then diffs every gated report against
 //! `baselines/` and exits non-zero on any job failure or out-of-band field.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;

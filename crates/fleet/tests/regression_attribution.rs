@@ -4,6 +4,8 @@
 //! must name the phase class and op kind that actually moved (Sync
 //! Comm/multicast) while the one-sided side is reported unchanged.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use twoface_fleet::{attribution, diff};
 use twoface_net::{

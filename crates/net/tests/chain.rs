@@ -13,6 +13,8 @@
 //! * malformed groups and disagreeing step lists fail at once instead of
 //!   waiting out the meet watchdog.
 
+#![forbid(unsafe_code)]
+
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

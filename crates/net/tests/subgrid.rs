@@ -15,6 +15,8 @@
 //!   [`NetError::RankStalled`], and no rank hangs at an unrelated
 //!   collective waiting for the dead team.
 
+#![forbid(unsafe_code)]
+
 use twoface_net::{Cluster, CostModel, FaultPlan, Grid2d, NetError, Payload};
 
 /// Each column team multicasts its top row's rank id; every member must see

@@ -734,7 +734,7 @@ impl SpmmService {
         };
 
         match result {
-            Ok(report) => {
+            Ok(mut report) => {
                 let sim_start = self.sim_now;
                 self.sim_now += report.seconds;
                 self.record(
@@ -757,12 +757,18 @@ impl SpmmService {
                 self.metrics.inc("serve.batches", 1);
                 self.metrics.observe("serve.batch_requests", batch.requests.len() as u64);
                 self.metrics.observe("serve.batch_fused_k", problem.k() as u64);
-                let output = report.output.as_ref().expect("service runs compute values");
+                let mut output = report.output.take().expect("service runs compute values");
                 let batch_size = batch.requests.len();
                 let mut col_offset = 0usize;
                 for pending in &batch.requests {
                     let k = pending.b.cols();
-                    let c = split_columns(output, col_offset, k);
+                    // A solo request's columns are the whole output: hand it
+                    // over instead of copying it.
+                    let c = if batch_size == 1 {
+                        std::mem::take(&mut output)
+                    } else {
+                        split_columns(&output, col_offset, k)
+                    };
                     col_offset += k;
                     self.metrics.inc("serve.requests_completed", 1);
                     self.metrics

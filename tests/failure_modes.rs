@@ -7,10 +7,11 @@ use std::time::{Duration, Instant};
 use twoface_core::sampling::{run_sampled_twoface, EdgeSampler};
 use twoface_core::sddmm::{run_sddmm, SddmmAlgorithm};
 use twoface_core::{
-    prepare_plan, run_algorithm, Algorithm, PreparedMatrix, Problem, RunError, RunOptions,
+    prepare_plan, run_algorithm, Algorithm, PreparedMatrix, Problem, RankMatrices, RunError,
+    RunOptions,
 };
 use twoface_matrix::gen::erdos_renyi;
-use twoface_matrix::{CooMatrix, DenseMatrix};
+use twoface_matrix::{CooMatrix, DenseMatrix, Triplet};
 use twoface_net::{Cluster, CostModel, FaultPlan, NetError, RankOutput};
 use twoface_partition::{ModelCoefficients, PartitionPlan, StripeClass};
 
@@ -185,9 +186,10 @@ fn plan_from_another_matrix_is_a_typed_error() {
     }
 }
 
-/// The four entry points that take a plan, each given `plan` for
+/// The five entry points that take a plan, each given `plan` for
 /// `problem`: one-shot `run_algorithm`, `PreparedMatrix::build`, a sampled
-/// epoch and an SDDMM. Returns each one's outcome and host time, labelled.
+/// epoch, an SDDMM and `RankMatrices::build` over every rank of the plan.
+/// Returns each one's outcome and host time, labelled.
 fn through_every_entry_point(
     problem: &Problem,
     plan: &Arc<PartitionPlan>,
@@ -218,7 +220,37 @@ fn through_every_entry_point(
         timed("run_sddmm", &|| {
             run_sddmm(SddmmAlgorithm::TwoFace, problem, &x, cost, &options).map(drop)
         }),
+        timed("RankMatrices::build", &|| {
+            (0..plan.layout().nodes())
+                .try_for_each(|rank| RankMatrices::build(&problem.a, plan, rank, 32).map(drop))
+        }),
     ]
+}
+
+#[test]
+fn rank_matrices_given_a_plan_for_a_narrower_layout_are_a_shape_error() {
+    // The plan covers 256 of the matrix's 300 columns, so rank 0's nonzeros
+    // reach past its layout.
+    let cost = CostModel::delta_scaled();
+    let problem_of = |n, nnz, seed| {
+        Problem::with_generated_b(Arc::new(erdos_renyi(n, n, nnz, seed)), 8, 4, 16).expect("valid")
+    };
+    let (other, problem) = (problem_of(256, 2000, 3), problem_of(300, 2400, 4));
+    let plan = prepare_plan(&other, &ModelCoefficients::from(&cost), &cost);
+    match RankMatrices::build(&problem.a, &plan, 0, 32) {
+        Err(RunError::Shape { context }) => {
+            assert!(context.contains("256 × 256") && context.contains("300 × 300"), "{context}")
+        }
+        other => panic!("expected a shape error, got {other:?}"),
+    }
+    // `build_from_rows` has no matrix to compare with; it reports the
+    // first column past the layout.
+    match RankMatrices::build_from_rows(&[Triplet::new(3, 287, 1.0)], &plan, 0, 32) {
+        Err(RunError::Shape { context }) => {
+            assert!(context.contains("(3, 287), past the 256 columns"), "{context}")
+        }
+        other => panic!("expected a shape error, got {other:?}"),
+    }
 }
 
 #[test]
