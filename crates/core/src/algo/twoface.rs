@@ -9,7 +9,8 @@
 //!   stripe, as destination when any of its stripes was classified sync.
 //! * **Async lane** (lines 9–14, Algorithm 3): for each asynchronous stripe,
 //!   scan `UniqueColIDs`, coalesce into runs, issue one indexed `Rget`, and
-//!   compute column-major straight into `C`.
+//!   compute straight into `C`, each row's products in ascending column
+//!   order, as the paper's column-major loop adds them.
 //! * **Sync lane, compute phase** (lines 15–19, Algorithm 2): once the
 //!   multicasts are in, process row panels with a thread-local accumulation
 //!   buffer.
@@ -29,14 +30,14 @@ use crate::algo::SpmmAlgorithm;
 use crate::coalesce::coalesce_rows;
 use crate::config::{AsyncLayout, TwoFaceConfig};
 use crate::error::{RankError, RunError};
-use crate::format::{row_slice, RankMatrices, Routes};
+use crate::format::{row_slice, AsyncMatrix, AsyncStripe, RankMatrices, Routes};
 use crate::kernels::{
     par_async_stripe, par_route_rows, par_sync_panels, BlockRows, FetchedRows, RankSlice, Stash,
 };
 use crate::pool::{Pool, WallTimer};
 use crate::runner::{ExecOpts, Problem};
 use std::sync::Arc;
-use twoface_matrix::{CooMatrix, Scalar, SmallTriplet, SCALAR_BYTES};
+use twoface_matrix::{CooMatrix, Scalar, SCALAR_BYTES};
 use twoface_net::{Lane, MulticastStep, NetError, Payload, PhaseClass, RankCtx};
 use twoface_partition::PartitionPlan;
 
@@ -158,23 +159,12 @@ impl SpmmAlgorithm for PlannedAlgo<'_> {
     }
 }
 
-/// One asynchronous stripe as the rank body consumes it.
-pub(crate) struct StripeView<'a> {
-    /// Global stripe index.
-    pub stripe: usize,
-    /// The stripe's nonzeros, row-major.
-    pub entries: &'a [SmallTriplet],
-    /// The distinct global columns of `entries`, ascending — Algorithm 3's
-    /// `UniqueColIDs`, identifying the `B` rows to fetch.
-    pub unique_cols: &'a [u32],
-}
-
 /// Where [`twoface_rank`] reads one rank's sparse structures from: A's row
 /// slice ([`SliceSource`]), the prepared [`RankMatrices`], the same under a
 /// per-epoch edge mask ([`crate::sampling`]), or a streamed run's store file
 /// ([`crate::stream`]). Internal iteration lets the resident sources lend
-/// their slices while the filtering and disk-backed sources refill one
-/// reused buffer.
+/// their stripes while the filtering and disk-backed sources refill one
+/// reused stripe.
 pub(crate) trait StripeSource {
     /// What reading can fail with besides the transfers the visitor issues.
     type Error: From<NetError>;
@@ -182,7 +172,7 @@ pub(crate) trait StripeSource {
     /// Visits the asynchronous stripes in ascending stripe order.
     fn for_each_async(
         &mut self,
-        visit: impl FnMut(StripeView<'_>) -> Result<(), Self::Error>,
+        visit: impl FnMut(&AsyncStripe) -> Result<(), Self::Error>,
     ) -> Result<(), Self::Error>;
 
     /// The sync/local nonzeros the sync compute charge counts, and the
@@ -207,16 +197,9 @@ impl StripeSource for &RankMatrices {
 
     fn for_each_async(
         &mut self,
-        mut visit: impl FnMut(StripeView<'_>) -> Result<(), NetError>,
+        visit: impl FnMut(&AsyncStripe) -> Result<(), NetError>,
     ) -> Result<(), NetError> {
-        for stripe in self.asynchronous.stripes() {
-            visit(StripeView {
-                stripe: stripe.stripe,
-                entries: stripe.entries_row_major(),
-                unique_cols: &stripe.unique_cols,
-            })?;
-        }
-        Ok(())
+        self.asynchronous.stripes().iter().try_for_each(visit)
     }
 
     fn sync_counts(&self) -> (usize, usize) {
@@ -242,24 +225,14 @@ impl StripeSource for &RankMatrices {
 /// asynchronous stripes' nonzeros row-major, and counts the sync/local
 /// nonzeros and the row panels that hold them. A row that also holds async
 /// nonzeros keeps its sum in a [`Stash`] until [`StripeSource::sync_compute`]
-/// adds it after the async lane, the order a prepared run adds in. Stripe
-/// views, counts and `C` equal those of a run over the [`RankMatrices`]
-/// built from the same slice, bit for bit.
+/// adds it after the async lane, the order a prepared run adds in. Stripes,
+/// counts and `C` equal those of a run over the [`RankMatrices`] built from
+/// the same slice, bit for bit.
 pub(crate) struct SliceSource {
-    /// The asynchronous stripes holding nonzeros, ascending.
-    stripes: Vec<SliceStripe>,
+    asynchronous: AsyncMatrix,
     stash: Stash,
     sync_nnz: usize,
     nonempty_panels: usize,
-}
-
-/// One asynchronous stripe of a [`SliceSource`].
-struct SliceStripe {
-    stripe: usize,
-    /// Row-major, with local rows.
-    entries: Vec<SmallTriplet>,
-    /// The distinct columns of `entries`, ascending.
-    unique_cols: Vec<u32>,
 }
 
 impl SliceSource {
@@ -303,20 +276,8 @@ impl SliceSource {
             panel_height,
         };
         let routed = par_route_rows(pool, &slice, rows, buckets, hints.iter().sum(), c_local)?;
-        let stripes = routes
-            .async_stripes()
-            .iter()
-            .zip(routed.buckets)
-            .filter(|(_, entries)| !entries.is_empty())
-            .map(|(&stripe, entries)| {
-                let mut unique_cols: Vec<u32> = entries.iter().map(|t| t.col).collect();
-                unique_cols.sort_unstable();
-                unique_cols.dedup();
-                SliceStripe { stripe, entries, unique_cols }
-            })
-            .collect();
         Ok(SliceSource {
-            stripes,
+            asynchronous: AsyncMatrix::from_buckets(routes.async_stripes(), routed.buckets),
             stash: routed.stash,
             sync_nnz: routed.sync_nnz,
             nonempty_panels: routed.nonempty_panels,
@@ -329,16 +290,9 @@ impl StripeSource for SliceSource {
 
     fn for_each_async(
         &mut self,
-        mut visit: impl FnMut(StripeView<'_>) -> Result<(), RankError>,
+        visit: impl FnMut(&AsyncStripe) -> Result<(), RankError>,
     ) -> Result<(), RankError> {
-        for s in &self.stripes {
-            visit(StripeView {
-                stripe: s.stripe,
-                entries: &s.entries,
-                unique_cols: &s.unique_cols,
-            })?;
-        }
-        Ok(())
+        self.asynchronous.stripes().iter().try_for_each(visit)
     }
 
     fn sync_counts(&self) -> (usize, usize) {
@@ -508,13 +462,13 @@ pub(crate) fn twoface_rank<S: StripeSource>(
             if row_major {
                 // The buffered kernel: the numeric result is identical,
                 // only the charged cost differs.
-                par_sync_panels(&pool, stripe.entries, &rows_src, &mut c_local, k);
+                par_sync_panels(&pool, &stripe.entries, &rows_src, &mut c_local, k);
             } else {
-                // Per output row, the row-major view applies contributions
+                // Per output row, the row-major entries apply contributions
                 // in the ascending-column order of Algorithm 3's
                 // column-major loop, so the result is bit-identical to it
                 // for any worker count.
-                let spans = par_async_stripe(&pool, stripe.entries, &rows_src, &mut c_local, k);
+                let spans = par_async_stripe(&pool, &stripe.entries, &rows_src, &mut c_local, k);
                 // Span fan-out scales with the host pool, so it lives in the
                 // host-profiling namespace, gated with wall time.
                 if ctx.wall_time_enabled() {

@@ -1,16 +1,20 @@
 //! Runtime tuning knobs (Table 2) and their effect on the cost model.
 
+use crate::error::RunError;
 use serde::{Deserialize, Serialize};
 use twoface_net::CostModel;
 
-/// The nonzero storage order inside asynchronous stripes.
+/// The nonzero order inside asynchronous stripes that the cost model
+/// charges for (§7.1).
 ///
 /// The paper keeps column-major order because the distinct required `B`
 /// rows then fall out of a linear scan; §7.1 reports that a row-major
 /// variant (cheaper compute via output buffering) lost overall because
 /// "the cost of identifying which columns contained nonzeros ... became
 /// drastically higher". [`AsyncLayout::RowMajor`] reproduces that rejected
-/// design for the `ablation_async_layout` experiment.
+/// design for the `ablation_async_layout` experiment. The layout selects
+/// only the charges: both read the one stored stripe, row-major with its
+/// `UniqueColIDs` built at preparation, and compute bit-identical `C`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum AsyncLayout {
     /// The paper's choice: linear-scan column identification, one atomic
@@ -86,6 +90,32 @@ impl TwoFaceConfig {
     const DEFAULT_ASYNC_COMP: f64 = 8.0;
     const DEFAULT_SYNC_COMP: f64 = 120.0;
 
+    /// Checks that every knob can run: the thread counts, the row-panel
+    /// height and a set coalescing-distance override must all be positive.
+    /// Every entry point that takes a config calls this before anything
+    /// else, so a zero reaches no kernel, rank thread or spill file.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::InvalidConfig`] naming the first zero field.
+    pub fn check(&self) -> Result<(), RunError> {
+        let threads = [
+            ("async_comm_threads", self.async_comm_threads),
+            ("async_comp_threads", self.async_comp_threads),
+            ("sync_comp_threads", self.sync_comp_threads),
+        ];
+        if let Some((field, _)) = threads.iter().find(|(_, count)| *count == 0) {
+            return Err(RunError::InvalidConfig { context: format!("{field} must be positive") });
+        }
+        check_panel_height(self.row_panel_height)?;
+        if self.coalesce_distance_override == Some(0) {
+            return Err(RunError::InvalidConfig {
+                context: "coalesce_distance_override must be positive when set".to_string(),
+            });
+        }
+        Ok(())
+    }
+
     /// The maximum row-coalescing distance for asynchronous transfers:
     /// `(127 / K) + 1` (Table 2), so aggressiveness falls as the cost of a
     /// useless row grows with `K`.
@@ -133,6 +163,17 @@ impl TwoFaceConfig {
             ..*base
         }
     }
+}
+
+/// The row-panel height part of [`TwoFaceConfig::check`], for the rank
+/// structure builders that take a height alone.
+pub(crate) fn check_panel_height(panel_height: usize) -> Result<(), RunError> {
+    if panel_height == 0 {
+        return Err(RunError::InvalidConfig {
+            context: "row_panel_height must be positive".to_string(),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -45,6 +45,13 @@ pub enum RunError {
         /// Human-readable description of the failed operation.
         context: String,
     },
+    /// A [`TwoFaceConfig`](crate::TwoFaceConfig) field holds a value no run
+    /// can use: a zero thread count, row-panel height or coalescing
+    /// distance. See [`TwoFaceConfig::check`](crate::TwoFaceConfig::check).
+    InvalidConfig {
+        /// The offending field and what it must be.
+        context: String,
+    },
     /// Operand shapes are inconsistent, or a supplied plan does not fit the
     /// problem.
     Shape {
@@ -203,6 +210,7 @@ impl fmt::Display for RunError {
                 write!(f, "replication factor {replication} exceeds node count {nodes}")
             }
             RunError::Io { context } => write!(f, "streamed spill I/O failed: {context}"),
+            RunError::InvalidConfig { context } => write!(f, "invalid configuration: {context}"),
             RunError::Shape { context } => write!(f, "shape mismatch: {context}"),
             RunError::ValidationFailed { max_abs_diff } => {
                 write!(f, "output differs from serial reference by up to {max_abs_diff:e}")

@@ -1,15 +1,16 @@
 //! The Two-Face sparse matrix representation (Figure 6).
 //!
-//! Preprocessing splits each node's nonzeros into two structures:
+//! Preprocessing splits each node's nonzeros into two structures, each
+//! stored once, in the row-major order every kernel reads:
 //!
-//! * a [`SyncLocalMatrix`] holding synchronous and local-input nonzeros in
-//!   row-major order, divided into *row panels* — the unit of work for
-//!   synchronous compute threads, each finished with a single accumulation
-//!   into `C` (Figure 6b);
+//! * a [`SyncLocalMatrix`] holding synchronous and local-input nonzeros
+//!   row-major, plus the number of non-empty *row panels* — the unit of
+//!   work for synchronous compute threads, each finished with a single
+//!   accumulation into `C` (Figure 6b) — that the sync lane's charge counts;
 //! * an [`AsyncMatrix`] holding asynchronous nonzeros grouped by stripe
-//!   (stripes in row-major i.e. ascending order), column-major *within* each
-//!   stripe so the distinct required `B` rows fall out of a single linear
-//!   scan (Figure 6c).
+//!   (ascending), each stripe's nonzeros row-major with its distinct
+//!   columns, the `UniqueColIDs` that name the `B` rows to fetch
+//!   (Figure 6c).
 //!
 //! Row indices in both structures are node-local (0-based within the node's
 //! row block); column indices stay global. Entries are stored as 16-byte
@@ -18,6 +19,7 @@
 //! to fit the small-index limit (checked, never truncated; every runnable
 //! problem fits, since `B` alone at `2^32` rows would exceed host memory).
 
+use crate::config::check_panel_height;
 use crate::error::{RankError, RunError};
 use std::ops::Range;
 use twoface_matrix::{fits_small_index, CooMatrix, SmallTriplet, Triplet};
@@ -29,9 +31,7 @@ pub struct SyncLocalMatrix {
     local_rows: usize,
     panel_height: usize,
     entries: Vec<SmallTriplet>,
-    /// `panel_ptrs[i]..panel_ptrs[i+1]` indexes the entries of panel `i`
-    /// (local rows `[i*h, (i+1)*h)`).
-    panel_ptrs: Vec<usize>,
+    nonempty_panels: usize,
 }
 
 impl SyncLocalMatrix {
@@ -45,29 +45,15 @@ impl SyncLocalMatrix {
         self.entries.len()
     }
 
-    /// Number of row panels.
-    pub fn num_panels(&self) -> usize {
-        self.panel_ptrs.len().saturating_sub(1)
-    }
-
     /// Number of row panels that contain at least one nonzero — the panels
     /// that are actually enqueued as work units.
     pub fn num_nonempty_panels(&self) -> usize {
-        (0..self.num_panels()).filter(|&i| !self.panel(i).is_empty()).count()
+        self.nonempty_panels
     }
 
     /// The configured panel height in rows.
     pub fn panel_height(&self) -> usize {
         self.panel_height
-    }
-
-    /// The entries of panel `i`, row-major.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= num_panels()`.
-    pub fn panel(&self, i: usize) -> &[SmallTriplet] {
-        &self.entries[self.panel_ptrs[i]..self.panel_ptrs[i + 1]]
     }
 
     /// All entries, row-major.
@@ -77,36 +63,55 @@ impl SyncLocalMatrix {
 
     /// Approximate heap footprint in bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<SmallTriplet>()
-            + self.panel_ptrs.len() * std::mem::size_of::<usize>()
+        std::mem::size_of_val(self.entries.as_slice())
     }
 }
 
+/// The row panels of `panel_height` rows that hold at least one of the
+/// row-major `entries`: one binary search per non-empty panel.
+fn count_nonempty_panels(entries: &[SmallTriplet], panel_height: usize) -> usize {
+    let (mut panels, mut rest) = (0, entries);
+    while let Some(first) = rest.first() {
+        let panel_end = (first.row as usize / panel_height + 1) * panel_height;
+        rest = &rest[rest.partition_point(|t| (t.row as usize) < panel_end)..];
+        panels += 1;
+    }
+    panels
+}
+
 /// One asynchronous stripe of one node (a run of Figure 6c).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AsyncStripe {
     /// Global stripe index.
     pub stripe: usize,
-    /// Nonzeros in column-major order (sorted by column, then local row).
+    /// Nonzeros in row-major order (sorted by local row, then column).
     pub entries: Vec<SmallTriplet>,
     /// The distinct global column ids of the entries, ascending — the
     /// `UniqueColIDs` of Algorithm 3, identifying the `B` rows to fetch.
     pub unique_cols: Vec<u32>,
-    /// The same nonzeros in row-major order, precomputed so the §7.1
-    /// row-major ablation does not re-sort the stripe on every run.
-    entries_row_major: Vec<SmallTriplet>,
 }
 
 impl AsyncStripe {
+    /// Stripe `stripe` over its row-major `entries`, with their
+    /// `UniqueColIDs`.
+    pub(crate) fn new(stripe: usize, entries: Vec<SmallTriplet>) -> AsyncStripe {
+        let mut async_stripe = AsyncStripe { stripe, entries, unique_cols: Vec::new() };
+        async_stripe.index_cols();
+        async_stripe
+    }
+
+    /// Recomputes `unique_cols` from `entries` — the one rule every stripe
+    /// is built by: sort the columns and drop repeats.
+    pub(crate) fn index_cols(&mut self) {
+        self.unique_cols.clear();
+        self.unique_cols.extend(self.entries.iter().map(|t| t.col));
+        self.unique_cols.sort_unstable();
+        self.unique_cols.dedup();
+    }
+
     /// Nonzeros in this stripe.
     pub fn nnz(&self) -> usize {
         self.entries.len()
-    }
-
-    /// The stripe's nonzeros in row-major order (sorted by local row, then
-    /// column) — the traversal order of the §7.1 row-major ablation.
-    pub fn entries_row_major(&self) -> &[SmallTriplet] {
-        &self.entries_row_major
     }
 }
 
@@ -122,14 +127,14 @@ impl AsyncMatrix {
         &self.stripes
     }
 
-    /// Approximate heap footprint in bytes (both entry orders plus the
+    /// Approximate heap footprint in bytes (the entries plus the
     /// unique-column tables).
     pub fn approx_bytes(&self) -> usize {
         self.stripes
             .iter()
             .map(|s| {
-                2 * s.entries.len() * std::mem::size_of::<SmallTriplet>()
-                    + s.unique_cols.len() * std::mem::size_of::<u32>()
+                std::mem::size_of_val(s.entries.as_slice())
+                    + std::mem::size_of_val(s.unique_cols.as_slice())
                     + std::mem::size_of::<AsyncStripe>()
             })
             .sum()
@@ -143,6 +148,20 @@ impl AsyncMatrix {
     /// Number of asynchronous stripes.
     pub fn num_stripes(&self) -> usize {
         self.stripes.len()
+    }
+
+    /// The stripes of `buckets`, where bucket `i` holds stripe
+    /// `stripes[i]`'s nonzeros row-major and `stripes` ascends. A supplied
+    /// plan may classify stripes a rank's nonzeros leave empty; those get no
+    /// stripe.
+    pub(crate) fn from_buckets(stripes: &[usize], buckets: Vec<Vec<SmallTriplet>>) -> AsyncMatrix {
+        let stripes = stripes
+            .iter()
+            .zip(buckets)
+            .filter(|(_, entries)| !entries.is_empty())
+            .map(|(&stripe, entries)| AsyncStripe::new(stripe, entries))
+            .collect();
+        AsyncMatrix { stripes }
     }
 }
 
@@ -210,22 +229,6 @@ impl Routes {
     }
 }
 
-/// The panel pointers of row-major `entries` over `local_rows` rows in
-/// panels of `panel_height`: `ptrs[i]..ptrs[i + 1]` indexes panel `i`'s
-/// entries. One binary search per panel bound, from the previous bound.
-fn panel_ptrs(entries: &[SmallTriplet], local_rows: usize, panel_height: usize) -> Vec<usize> {
-    let num_panels = local_rows.div_ceil(panel_height).max(1);
-    let mut ptrs = Vec::with_capacity(num_panels + 1);
-    ptrs.push(0);
-    let mut bound = 0usize;
-    for p in 1..=num_panels {
-        let row_end = p * panel_height;
-        bound += entries[bound..].partition_point(|t| (t.row as usize) < row_end);
-        ptrs.push(bound);
-    }
-    ptrs
-}
-
 /// Both preprocessed structures of one node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankMatrices {
@@ -255,11 +258,12 @@ impl RankMatrices {
     /// [`RunError::Shape`] if `plan` was built for a layout of another shape
     /// than `a`'s, or for the first nonzero, row-major, in a stripe `plan`
     /// never classified for `rank`: the plan was built for another matrix.
+    /// [`RunError::InvalidConfig`] if `panel_height == 0`.
     ///
     /// # Panics
     ///
-    /// Panics if `panel_height == 0` or if the matrix dimensions exceed the
-    /// small-index (`u32`) limit of the compact entry layout.
+    /// Panics if the matrix dimensions exceed the small-index (`u32`) limit
+    /// of the compact entry layout.
     pub fn build(
         a: &CooMatrix,
         plan: &PartitionPlan,
@@ -294,20 +298,21 @@ impl RankMatrices {
     /// # Errors
     ///
     /// [`RunError::Shape`] for the first nonzero in a column past the plan's
-    /// layout or in a stripe `plan` never classified for `rank`, as for
+    /// layout or in a stripe `plan` never classified for `rank`, and
+    /// [`RunError::InvalidConfig`] if `panel_height == 0`, as for
     /// [`RankMatrices::build`].
     ///
     /// # Panics
     ///
-    /// Panics if `panel_height == 0` or if the plan's layout dimensions
-    /// exceed the small-index (`u32`) limit of the compact entry layout.
+    /// Panics if the plan's layout dimensions exceed the small-index (`u32`)
+    /// limit of the compact entry layout.
     pub fn build_from_rows(
         rank_triplets: &[Triplet],
         plan: &PartitionPlan,
         rank: usize,
         panel_height: usize,
     ) -> Result<RankMatrices, RunError> {
-        assert!(panel_height > 0, "panel height must be positive");
+        check_panel_height(panel_height)?;
         let layout = plan.layout();
         assert!(
             fits_small_index(layout.rows(), layout.cols()),
@@ -315,8 +320,7 @@ impl RankMatrices {
         );
         let rows = layout.row_range(rank);
         let routes = Routes::new(plan, rank);
-        let mut async_buckets: Vec<(usize, Vec<SmallTriplet>)> =
-            routes.async_stripes().iter().map(|&stripe| (stripe, Vec::new())).collect();
+        let mut async_buckets = vec![Vec::new(); routes.async_stripes().len()];
         let mut sync_entries: Vec<SmallTriplet> = Vec::with_capacity(rank_triplets.len());
         for t in rank_triplets {
             debug_assert!(rows.contains(&t.row), "entry outside the rank's row block");
@@ -335,43 +339,23 @@ impl RankMatrices {
             let stripe = layout.stripe_of_col(t.col);
             match routes.of(stripe) {
                 Route::SyncLocal => sync_entries.push(local),
-                Route::Async(bucket) => async_buckets[bucket].1.push(local),
+                Route::Async(bucket) => async_buckets[bucket].push(local),
                 Route::Unclassified => {
                     let error = RankError::Unclassified { stripe, row: t.row, col: t.col };
                     return Err(error.into_run_error(rank, Vec::new()));
                 }
             }
         }
-        // The input slice is row-major, so sync_entries already are; build
-        // panels.
-        let local_rows = rows.len();
-        let panel_ptrs = panel_ptrs(&sync_entries, local_rows, panel_height);
-        debug_assert_eq!(*panel_ptrs.last().expect("non-empty"), sync_entries.len());
-
-        // A supplied plan may classify stripes these triplets leave empty;
-        // those get no async stripe.
-        let stripes = async_buckets
-            .into_iter()
-            .filter(|(_, entries)| !entries.is_empty())
-            .map(|(stripe, mut entries)| {
-                // The bucket preserves the input's row-major order; snapshot it
-                // before the column-major sort instead of re-sorting later.
-                let entries_row_major = entries.clone();
-                entries.sort_by_key(|t| (t.col, t.row));
-                let mut unique_cols: Vec<u32> = entries.iter().map(|t| t.col).collect();
-                unique_cols.dedup(); // sorted by col already
-                AsyncStripe { stripe, entries, unique_cols, entries_row_major }
-            })
-            .collect();
-
+        // The input slice is row-major, so the sync entries and every
+        // bucket already are.
         Ok(RankMatrices {
             sync_local: SyncLocalMatrix {
-                local_rows,
+                local_rows: rows.len(),
                 panel_height,
+                nonempty_panels: count_nonempty_panels(&sync_entries, panel_height),
                 entries: sync_entries,
-                panel_ptrs,
             },
-            asynchronous: AsyncMatrix { stripes },
+            asynchronous: AsyncMatrix::from_buckets(routes.async_stripes(), async_buckets),
         })
     }
 
@@ -424,13 +408,9 @@ mod tests {
         let s2 = &m.asynchronous.stripes()[0];
         assert_eq!(s2.stripe, 2);
         assert_eq!(s2.unique_cols, vec![4, 5]);
-        // Column-major: col 4 first, then col 5 rows ascending.
-        let order: Vec<(u32, u32)> = s2.entries.iter().map(|t| (t.col, t.row)).collect();
-        assert_eq!(order, vec![(4, 2), (5, 0), (5, 2)]);
-        // The precomputed row-major view holds the same nonzeros sorted by
-        // (row, col).
-        let rm: Vec<(u32, u32)> = s2.entries_row_major().iter().map(|t| (t.row, t.col)).collect();
-        assert_eq!(rm, vec![(0, 5), (2, 4), (2, 5)]);
+        // Row-major: sorted by (local row, col).
+        let order: Vec<(u32, u32)> = s2.entries.iter().map(|t| (t.row, t.col)).collect();
+        assert_eq!(order, vec![(0, 5), (2, 4), (2, 5)]);
     }
 
     #[test]
@@ -446,16 +426,18 @@ mod tests {
     fn panels_partition_rows() {
         let a = fixture();
         let plan = PartitionPlan::build_uniform(&a, layout(), 4, StripeClass::Sync);
-        let m = RankMatrices::build(&a, &plan, 0, 2).unwrap();
-        let sl = &m.sync_local;
-        assert_eq!(sl.local_rows(), 4);
-        assert_eq!(sl.num_panels(), 2);
-        // Panel 0: local rows 0-1 => (0,0), (0,5), (1,1).
-        assert_eq!(sl.panel(0).len(), 3);
-        // Panel 1: local rows 2-3 => (2,4), (2,5), (3,7).
-        assert_eq!(sl.panel(1).len(), 3);
-        let total: usize = (0..sl.num_panels()).map(|p| sl.panel(p).len()).sum();
-        assert_eq!(total, sl.nnz());
+        let sl = RankMatrices::build(&a, &plan, 0, 2).unwrap().sync_local;
+        assert_eq!((sl.local_rows(), sl.panel_height()), (4, 2));
+        // Panel 0: local rows 0-1 => (0,0), (0,5), (1,1); panel 1: local
+        // rows 2-3 => (2,4), (2,5), (3,7).
+        let panels: Vec<u32> = sl.entries().iter().map(|t| t.row / 2).collect();
+        assert_eq!(panels, vec![0, 0, 0, 1, 1, 1]);
+        assert_eq!(sl.num_nonempty_panels(), 2);
+        // One panel per row fills all four; one of four rows holds all six.
+        for (height, panels) in [(1, 4), (4, 1)] {
+            let sl = RankMatrices::build(&a, &plan, 0, height).unwrap().sync_local;
+            assert_eq!(sl.num_nonempty_panels(), panels, "height {height}");
+        }
     }
 
     #[test]
@@ -491,41 +473,41 @@ mod tests {
         let a = CooMatrix::from_triplets(8, 8, vec![(3, 0, 1.0), (4, 0, 1.0)]).unwrap();
         let plan = PartitionPlan::build_uniform(&a, layout(), 4, StripeClass::Sync);
         let m = RankMatrices::build(&a, &plan, 0, 2).unwrap();
-        assert_eq!(m.sync_local.num_panels(), 2);
         assert_eq!(m.sync_local.num_nonempty_panels(), 1);
     }
 
-    /// The panel pointers' definition: one walk over every entry.
-    fn linear_panel_ptrs(entries: &[SmallTriplet], local_rows: usize, h: usize) -> Vec<usize> {
-        let mut ptrs = vec![0];
-        let mut cursor = 0;
-        for p in 0..local_rows.div_ceil(h).max(1) {
-            while cursor < entries.len() && (entries[cursor].row as usize) < (p + 1) * h {
-                cursor += 1;
-            }
-            ptrs.push(cursor);
-        }
-        ptrs
+    /// The non-empty panel count's definition: one walk over every entry,
+    /// counting each panel it enters.
+    fn linear_nonempty_panels(entries: &[SmallTriplet], h: usize) -> usize {
+        let mut panels: Vec<usize> = entries.iter().map(|t| t.row as usize / h).collect();
+        panels.dedup();
+        panels.len()
     }
 
     #[test]
-    fn panel_pointers_match_the_linear_walk() {
+    fn nonempty_panel_count_matches_the_linear_walk() {
         // Rows 6, 6, 8 and 15 hold entries: in panels of 3 over 20 rows,
         // panels 0-1 (leading), 3-4 (middle) and 6 (trailing) are empty.
-        let entries: Vec<SmallTriplet> =
-            [6, 6, 8, 15].iter().enumerate().map(|(i, &r)| SmallTriplet::new(r, i, 1.0)).collect();
-        assert_eq!(panel_ptrs(&entries, 20, 3), vec![0, 0, 0, 3, 3, 3, 4, 4]);
-        for h in [1, 2, 3, 4, 7, 16, 64] {
-            for local_rows in [16, 20, 21, 100] {
+        let triplets: Vec<_> =
+            [6, 6, 8, 15].iter().enumerate().map(|(col, &row)| (row, col, 1.0)).collect();
+        let build = |rows, height| {
+            let a = CooMatrix::from_triplets(rows, 4, triplets.clone()).unwrap();
+            let layout = OneDimLayout::new(rows, 4, 1, 2);
+            let plan = PartitionPlan::build_uniform(&a, layout, 4, StripeClass::Sync);
+            RankMatrices::build(&a, &plan, 0, height).unwrap().sync_local
+        };
+        assert_eq!(build(20, 3).num_nonempty_panels(), 2);
+        for height in [1, 2, 3, 4, 7, 16, 64] {
+            for rows in [16, 20, 21, 100] {
+                let sl = build(rows, height);
+                assert_eq!(sl.nnz(), 4);
                 assert_eq!(
-                    panel_ptrs(&entries, local_rows, h),
-                    linear_panel_ptrs(&entries, local_rows, h),
-                    "h={h} rows={local_rows}"
+                    sl.num_nonempty_panels(),
+                    linear_nonempty_panels(sl.entries(), height),
+                    "height={height} rows={rows}"
                 );
             }
         }
-        for local_rows in [0, 9] {
-            assert_eq!(panel_ptrs(&[], local_rows, 4), linear_panel_ptrs(&[], local_rows, 4));
-        }
+        assert_eq!(count_nonempty_panels(&[], 4), 0);
     }
 }

@@ -7,9 +7,11 @@
 //!
 //! * [`sync_panel_kernel`] — Algorithm 2: row-major traversal with a
 //!   thread-local accumulation buffer flushed once per output row;
-//! * [`async_stripe_kernel`] — Algorithm 3's loop: column-major traversal
-//!   accumulating straight into `C` (the pattern that costs one atomic per
-//!   nonzero on real hardware).
+//! * [`async_stripe_kernel`] — Algorithm 3's loop: each product added
+//!   straight into `C` (the pattern that costs one atomic per nonzero on
+//!   real hardware), over a stripe's row-major entries, which reach each
+//!   output row in the ascending-column order of the paper's column-major
+//!   loop.
 //!
 //! Both have work-sharing parallel drivers ([`par_sync_panels`],
 //! [`par_async_stripe`]) that split `C` into disjoint row ranges so any
@@ -556,9 +558,10 @@ fn flush<const F: usize>(c_local: &mut [Scalar], row: usize, acc: &mut [Scalar],
     }
 }
 
-/// Algorithm 3's compute loop: column-major traversal of an asynchronous
-/// stripe, accumulating each product straight into `C` (one atomic per
-/// nonzero on real hardware; the cost model charges `γ_A` accordingly).
+/// Algorithm 3's compute loop over an asynchronous stripe's entries,
+/// accumulating each product straight into `C` (one atomic per nonzero on
+/// real hardware; the cost model charges `γ_A` accordingly). Each output
+/// row receives its products in entry order.
 ///
 /// # Panics
 ///
@@ -720,32 +723,31 @@ pub fn par_sync_panels<E: Entry>(
 
 /// Work-sharing parallel form of [`async_stripe_kernel`].
 ///
-/// Takes the stripe's nonzeros in *row-major* order (the precomputed
-/// [`crate::AsyncStripe::entries_row_major`] view) and accumulates directly
-/// into `C`, one row-aligned chunk per worker. Within one output row,
-/// column-major and row-major traversals apply contributions in the same
-/// ascending-column order, and rows never cross workers — so the result is
-/// bit-identical to the serial column-major [`async_stripe_kernel`], for
-/// any worker count.
+/// Takes the stripe's nonzeros row-major, as [`crate::AsyncStripe`] stores
+/// them, and accumulates directly into `C`, one row-aligned chunk per
+/// worker. Rows never cross workers, so the result is bit-identical to the
+/// serial [`async_stripe_kernel`] for any worker count; and within one
+/// output row, row-major entries apply their contributions in the
+/// ascending-column order of Algorithm 3's column-major loop.
 ///
 /// Returns the dispatched span count, like [`par_sync_panels`].
 ///
 /// # Panics
 ///
-/// Panics if `entries_row_major` is not sorted by row, a row lies outside
-/// `c_local`, or a needed `B` row is missing.
+/// Panics if `entries` is not sorted by row, a row lies outside `c_local`,
+/// or a needed `B` row is missing.
 pub fn par_async_stripe<E: Entry>(
     pool: &Pool,
-    entries_row_major: &[E],
+    entries: &[E],
     rows: &impl RowSource,
     c_local: &mut [Scalar],
     k: usize,
 ) -> usize {
-    if pool.workers() == 1 || entries_row_major.len() * k < PAR_MIN_PRODUCTS {
-        async_stripe_kernel(entries_row_major, rows, c_local, k);
+    if pool.workers() == 1 || entries.len() * k < PAR_MIN_PRODUCTS {
+        async_stripe_kernel(entries, rows, c_local, k);
         return 1;
     }
-    par_row_spans_plain(pool, entries_row_major, c_local, k, |span, chunk, row_base| {
+    par_row_spans_plain(pool, entries, c_local, k, |span, chunk, row_base| {
         async_stripe_kernel_at(span, rows, chunk, k, row_base);
     })
 }

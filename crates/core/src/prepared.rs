@@ -85,14 +85,17 @@ impl PreparedMatrix {
     ///
     /// # Errors
     ///
-    /// [`RunError::Shape`] if a supplied `options.plan` was built for a
-    /// different layout or `K` than `problem`'s, or for another matrix whose
-    /// classification misses a stripe `problem` has nonzeros in.
+    /// [`RunError::InvalidConfig`] if `options.config` has a zero field
+    /// ([`TwoFaceConfig::check`]); [`RunError::Shape`] if a supplied
+    /// `options.plan` was built for a different layout or `K` than
+    /// `problem`'s, or for another matrix whose classification misses a
+    /// stripe `problem` has nonzeros in.
     pub fn build(
         problem: &Problem,
         cost: &CostModel,
         options: &RunOptions,
     ) -> Result<PreparedMatrix, RunError> {
+        options.config.check()?;
         let workers = resolve_workers(options.workers);
         let pool = Pool::new(workers);
         let effective = options.config.effective_cost(cost);

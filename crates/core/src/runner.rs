@@ -647,6 +647,9 @@ fn nnz_by_rank(a: &CooMatrix, layout: &OneDimLayout) -> Vec<usize> {
 ///
 /// # Errors
 ///
+/// * [`RunError::InvalidConfig`] when `options.config` has a zero thread
+///   count, row-panel height or coalescing-distance override, before
+///   anything else is checked;
 /// * [`RunError::ReplicationExceedsNodes`] for `DS(c)` with `c > p`;
 /// * [`RunError::Shape`] when a supplied plan or prepared artifact was built
 ///   for another layout, or its plan for another matrix;
@@ -707,15 +710,6 @@ pub fn run_algorithm_on(
     cost: &CostModel,
     options: &RunOptions,
 ) -> Result<ExecutionReport, RunError> {
-    if cluster.ranks() != problem.layout.nodes() {
-        return Err(RunError::Shape {
-            context: format!(
-                "cluster has {} ranks but the problem is laid out over {} nodes",
-                cluster.ranks(),
-                problem.layout.nodes()
-            ),
-        });
-    }
     run_algorithm_inner(algorithm, problem, cost, options, Some(cluster))
 }
 
@@ -726,7 +720,16 @@ fn run_algorithm_inner(
     options: &RunOptions,
     external: Option<&Cluster>,
 ) -> Result<ExecutionReport, RunError> {
+    options.config.check()?;
     let p = problem.layout.nodes();
+    if let Some(cluster) = external.filter(|cluster| cluster.ranks() != p) {
+        return Err(RunError::Shape {
+            context: format!(
+                "cluster has {} ranks but the problem is laid out over {p} nodes",
+                cluster.ranks()
+            ),
+        });
+    }
     let k = problem.k();
     // The machine the run actually experiences, with the thread split
     // folded in — also what a calibration run would have profiled.

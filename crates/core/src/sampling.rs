@@ -18,8 +18,8 @@
 //!   rows the surviving nonzeros reference — fully masked stripes transfer
 //!   nothing.
 
-use crate::algo::twoface::{twoface_rank, StripeSource, StripeView, TwoFaceData};
-use crate::format::RankMatrices;
+use crate::algo::twoface::{twoface_rank, StripeSource, TwoFaceData};
+use crate::format::{AsyncStripe, RankMatrices};
 use crate::kernels::{par_sync_panels, BlockRows};
 use crate::pool::Pool;
 use crate::reference::reference_spmm;
@@ -117,7 +117,9 @@ pub struct SampledReport {
 ///
 /// # Errors
 ///
-/// Returns [`RunError::Shape`] when `plan` was built for another layout, or
+/// Returns [`RunError::InvalidConfig`] when `options.config` has a zero
+/// field ([`TwoFaceConfig::check`](crate::TwoFaceConfig::check));
+/// [`RunError::Shape`] when `plan` was built for another layout, or
 /// for another matrix whose classification misses a stripe `problem` has
 /// nonzeros in; [`RunError::ValidationFailed`] when `options.validate` is set
 /// and the output disagrees with a serial SpMM over the masked matrix; and
@@ -131,6 +133,7 @@ pub fn run_sampled_twoface(
     cost: &CostModel,
     options: &RunOptions,
 ) -> Result<SampledReport, RunError> {
+    options.config.check()?;
     check_plan_layout(&plan, problem)?;
     let k = problem.k();
     let workers = crate::pool::resolve_workers(options.workers);
@@ -152,8 +155,7 @@ pub fn run_sampled_twoface(
             matrices: &data.rank_matrices[rank],
             mask,
             row_base: problem.layout.row_range(rank).start,
-            entries: Vec::new(),
-            unique_cols: Vec::new(),
+            stripe: AsyncStripe::default(),
         };
         let (plan, b_block) = (&data.plan, &data.b_blocks[rank]);
         twoface_rank(ctx, |_, _, _| Ok(source), plan, b_block, &options.config, &exec)
@@ -186,8 +188,9 @@ struct MaskedSource<'a> {
     mask: EdgeMask,
     /// Global row of the rank's first local row.
     row_base: usize,
-    entries: Vec<SmallTriplet>,
-    unique_cols: Vec<u32>,
+    /// The surviving nonzeros of the stripe being visited; its entries
+    /// then hold the surviving sync/local nonzeros.
+    stripe: AsyncStripe,
 }
 
 impl MaskedSource<'_> {
@@ -203,22 +206,15 @@ impl StripeSource for MaskedSource<'_> {
 
     fn for_each_async(
         &mut self,
-        mut visit: impl FnMut(StripeView<'_>) -> Result<(), NetError>,
+        mut visit: impl FnMut(&AsyncStripe) -> Result<(), NetError>,
     ) -> Result<(), NetError> {
         let active = self.active();
         for stripe in self.matrices.asynchronous.stripes() {
-            self.entries.clear();
-            self.entries.extend(stripe.entries_row_major().iter().filter(&active));
-            // Column-major order makes the surviving UniqueColIDs a single
-            // filtered, deduplicated scan.
-            self.unique_cols.clear();
-            self.unique_cols.extend(stripe.entries.iter().filter(&active).map(|t| t.col));
-            self.unique_cols.dedup();
-            visit(StripeView {
-                stripe: stripe.stripe,
-                entries: &self.entries,
-                unique_cols: &self.unique_cols,
-            })?;
+            self.stripe.stripe = stripe.stripe;
+            self.stripe.entries.clear();
+            self.stripe.entries.extend(stripe.entries.iter().filter(&active));
+            self.stripe.index_cols();
+            visit(&self.stripe)?;
         }
         Ok(())
     }
@@ -236,9 +232,10 @@ impl StripeSource for MaskedSource<'_> {
         k: usize,
     ) -> Result<(), NetError> {
         let active = self.active();
-        self.entries.clear();
-        self.entries.extend(self.matrices.sync_local.entries().iter().filter(&active));
-        par_sync_panels(pool, &self.entries, rows, c_local, k);
+        let entries = &mut self.stripe.entries;
+        entries.clear();
+        entries.extend(self.matrices.sync_local.entries().iter().filter(&active));
+        par_sync_panels(pool, entries, rows, c_local, k);
         Ok(())
     }
 }

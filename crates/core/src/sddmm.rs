@@ -88,7 +88,9 @@ fn dot(a: &[Scalar], b: &[Scalar]) -> Scalar {
 ///
 /// # Errors
 ///
-/// Returns [`RunError::Shape`] for mismatched factors, for an
+/// Returns [`RunError::InvalidConfig`] when `options.config` has a zero
+/// field ([`TwoFaceConfig::check`]); [`RunError::Shape`] for mismatched
+/// factors, for an
 /// `options.plan` built for another layout, or for one built for another
 /// matrix whose classification misses a stripe `problem` has nonzeros in,
 /// and propagates validation failures when `options.validate` is set.
@@ -99,6 +101,7 @@ pub fn run_sddmm(
     cost: &CostModel,
     options: &RunOptions,
 ) -> Result<SddmmReport, RunError> {
+    options.config.check()?;
     let k = problem.k();
     if x.rows() != problem.a.rows() || x.cols() != k {
         return Err(RunError::Shape {
@@ -193,7 +196,7 @@ fn sddmm_rank(
 
     let mut out: Vec<Triplet> = Vec::with_capacity(matrices.nnz());
 
-    // Async lane: coalesced gets + column-major dot products.
+    // Async lane: coalesced gets + one dot product per nonzero.
     let max_distance = config.max_coalesce_distance(k);
     for stripe in matrices.asynchronous.stripes() {
         let owner = layout.stripe_owner(stripe.stripe);

@@ -44,10 +44,10 @@
 //! execute the same rank body, so this holds by construction; the
 //! differential suite in `tests/streamed_pipeline.rs` checks it.
 
-use crate::algo::twoface::{planned_memory_extra, twoface_rank, StripeSource, StripeView};
+use crate::algo::twoface::{planned_memory_extra, twoface_rank, StripeSource};
 use crate::config::TwoFaceConfig;
 use crate::error::{RankError, RunError};
-use crate::format::RankMatrices;
+use crate::format::{AsyncStripe, RankMatrices};
 use crate::kernels::{par_sync_panels, BlockRows};
 use crate::pool::{resolve_workers, Pool};
 use crate::runner::{
@@ -79,6 +79,12 @@ const SYNC_CHUNK_ENTRIES: usize = 1 << 18;
 
 /// Bytes of one serialized compact entry (`u32` row, `u32` col, `f64` val).
 const SMALL_ENTRY_BYTES: usize = 16;
+
+/// Host bytes per entry of one shard that the build passes charge, a bound
+/// on both: pass 2's counting sort holds at most 56 (the 24-byte triplet, an
+/// 8-byte key and a 24-byte gathered entry), pass 4 at most 44 (the
+/// triplet, its compact entry and a 4-byte column id).
+const BUILD_BYTES_PER_NNZ: usize = 60;
 
 /// Bytes moved per read or write call on the shard files, and the capacity
 /// of each record writer's buffer.
@@ -508,7 +514,7 @@ fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<(RankStore, usi
     let write = || -> io::Result<()> {
         let mut out = RecordWriter::create(&path)?;
         for stripe in matrices.asynchronous.stripes() {
-            out.extend(stripe.entries_row_major())?;
+            out.extend(&stripe.entries)?;
             out.extend(&stripe.unique_cols)?;
         }
         out.extend(matrices.sync_local.entries())?;
@@ -555,6 +561,8 @@ fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<(RankStore, usi
 ///
 /// # Errors
 ///
+/// * [`RunError::InvalidConfig`] when `options.config` has a zero field
+///   ([`TwoFaceConfig::check`]), before any spill file is written;
 /// * [`RunError::Shape`] for infeasible layouts or out-of-bounds draws;
 /// * [`RunError::HostBudgetExceeded`] when even the out-of-core working set
 ///   exceeds [`StreamOptions::memory_budget`];
@@ -570,6 +578,8 @@ pub fn run_twoface_streamed(
     cost: &CostModel,
     options: &StreamOptions,
 ) -> Result<StreamedRun, RunError> {
+    // Before pass 1 writes a spill file.
+    options.config.check()?;
     let rows = source.rows();
     let cols = source.cols();
     if p == 0 || stripe_width == 0 || p > rows.max(1) || p > cols.max(1) {
@@ -685,13 +695,10 @@ pub fn run_twoface_streamed(
         effective.memory_per_node,
     )?;
 
-    // Host working-set estimate: the worst of the build pass (one shard plus
-    // its structures, 60 B per entry, which also covers pass 2's 56) and the
-    // execute pass (dense operands plus every rank's bounded transients).
-    let build_peak = (0..p)
-        .map(|rank| nnz_by_rank[rank] * (NNZ_BYTES + 2 * SMALL_ENTRY_BYTES + 4))
-        .max()
-        .unwrap_or(0);
+    // Host working-set estimate: the worst of the build passes (one shard
+    // plus what is built from it) and the execute pass (dense operands plus
+    // every rank's bounded transients).
+    let build_peak = nnz_by_rank.iter().max().map_or(0, |&nnz| nnz * BUILD_BYTES_PER_NNZ);
     let dense_bytes = (rows + cols) * k * SCALAR_BYTES;
     let exec_transients: usize = (0..p)
         .map(|rank| {
@@ -815,19 +822,14 @@ struct StoreSource<'a> {
     rank: usize,
     store: &'a RankStore,
     reader: BufReader<&'a File>,
-    entries: Vec<SmallTriplet>,
-    unique_cols: Vec<u32>,
+    /// The async stripe being visited; its entries then hold each sync
+    /// chunk in turn.
+    stripe: AsyncStripe,
 }
 
 impl<'a> StoreSource<'a> {
     fn new(rank: usize, store: &'a RankStore, file: &'a File) -> StoreSource<'a> {
-        StoreSource {
-            rank,
-            store,
-            reader: BufReader::new(file),
-            entries: Vec::new(),
-            unique_cols: Vec::new(),
-        }
+        StoreSource { rank, store, reader: BufReader::new(file), stripe: AsyncStripe::default() }
     }
 
     /// Visits the sync/local entries row-major, in chunks that never split
@@ -838,10 +840,10 @@ impl<'a> StoreSource<'a> {
     ) -> Result<(), RankError> {
         let (rank, store) = (self.rank, self.store);
         for &len in &store.sync_chunks {
-            self.entries.clear();
-            read_records(&mut self.reader, len, &mut self.entries)
-                .map_err(|e| store.read_error(rank, e))?;
-            visit(&self.entries);
+            let entries = &mut self.stripe.entries;
+            entries.clear();
+            read_records(&mut self.reader, len, entries).map_err(|e| store.read_error(rank, e))?;
+            visit(entries);
         }
         Ok(())
     }
@@ -859,21 +861,18 @@ impl StripeSource for StoreSource<'_> {
 
     fn for_each_async(
         &mut self,
-        mut visit: impl FnMut(StripeView<'_>) -> Result<(), RankError>,
+        mut visit: impl FnMut(&AsyncStripe) -> Result<(), RankError>,
     ) -> Result<(), RankError> {
-        let (rank, store) = (self.rank, self.store);
+        let (rank, store, stripe) = (self.rank, self.store, &mut self.stripe);
         for meta in &store.stripes {
-            self.entries.clear();
-            read_records(&mut self.reader, meta.nnz, &mut self.entries)
+            stripe.stripe = meta.stripe;
+            stripe.entries.clear();
+            read_records(&mut self.reader, meta.nnz, &mut stripe.entries)
                 .map_err(|e| store.read_error(rank, e))?;
-            self.unique_cols.clear();
-            read_records(&mut self.reader, meta.unique, &mut self.unique_cols)
+            stripe.unique_cols.clear();
+            read_records(&mut self.reader, meta.unique, &mut stripe.unique_cols)
                 .map_err(|e| store.read_error(rank, e))?;
-            visit(StripeView {
-                stripe: meta.stripe,
-                entries: &self.entries,
-                unique_cols: &self.unique_cols,
-            })?;
+            visit(stripe)?;
         }
         Ok(())
     }

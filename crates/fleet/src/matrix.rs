@@ -65,8 +65,8 @@ const BENCH_BINS: &[(&str, &[&str], u64)] = &[
     ("ablation_threads", &["ablation"], 1800),
     ("ablation_panel_height", &["ablation"], 1800),
     ("ablation_classifier", &["ablation"], 1800),
-    ("ablation_async_layout", &["ablation"], 1800),
-    ("extension_sddmm", &["extension"], 1800),
+    ("ablation_async_layout", &["fast", "ablation"], 1800),
+    ("extension_sddmm", &["fast", "extension"], 1800),
     ("extension_spmv", &["extension"], 1800),
     ("family_auto_selection", &["fig", "family"], 3600),
     ("serve_throughput", &["fast", "serve"], 600),

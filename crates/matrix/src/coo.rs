@@ -1,4 +1,4 @@
-use crate::{CscMatrix, CsrMatrix, MatrixError, Scalar};
+use crate::{MatrixError, Scalar};
 
 /// A single `(row, column, value)` nonzero entry.
 ///
@@ -219,16 +219,6 @@ impl CooMatrix {
             .map(|t| Triplet::new(t.row - row_range.start, t.col, t.val))
             .collect();
         CooMatrix { rows: row_range.len(), cols: self.cols, entries }
-    }
-
-    /// Converts to CSR (compressed sparse row).
-    pub fn to_csr(&self) -> CsrMatrix {
-        CsrMatrix::from_coo(self)
-    }
-
-    /// Converts to CSC (compressed sparse column).
-    pub fn to_csc(&self) -> CscMatrix {
-        CscMatrix::from_coo(self)
     }
 
     /// Returns the transpose as a new COO matrix.

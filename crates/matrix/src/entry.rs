@@ -17,7 +17,7 @@
 use crate::{Scalar, Triplet};
 
 /// The exclusive upper bound on coordinates representable by the small-index
-/// (`u32`) entry and CSR layouts.
+/// (`u32`) entry layout.
 pub const SMALL_INDEX_LIMIT: usize = 1 << 32;
 
 /// Whether a `rows x cols` matrix can use small-index (`u32`) layouts.

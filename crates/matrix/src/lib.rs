@@ -4,8 +4,8 @@
 //! This crate provides the matrix substrate that the rest of the workspace
 //! builds on:
 //!
-//! * [`CooMatrix`], [`CsrMatrix`], and [`CscMatrix`] — sparse formats with
-//!   lossless conversions between them,
+//! * [`CooMatrix`] — the row-major sorted sparse `A`, and the compact
+//!   [`SmallTriplet`] entries the per-rank structures store,
 //! * [`DenseMatrix`] — the row-major dense operand type used for the `B` and
 //!   `C` matrices of `C = A × B`,
 //! * [`gen`] — synthetic sparse matrix generators that stand in for the eight
@@ -21,10 +21,17 @@
 //! use twoface_matrix::{CooMatrix, DenseMatrix};
 //!
 //! # fn main() -> Result<(), twoface_matrix::MatrixError> {
-//! // A tiny 2x2 sparse matrix multiplied by a dense 2x3 matrix.
-//! let a = CooMatrix::from_triplets(2, 2, vec![(0, 0, 2.0), (1, 1, 3.0)])?;
+//! // A tiny 2x2 sparse matrix multiplied by a dense 2x3 matrix; the
+//! // triplets come back row-major whatever order they were given in.
+//! let a = CooMatrix::from_triplets(2, 2, vec![(1, 1, 3.0), (0, 0, 2.0)])?;
+//! assert_eq!(a.iter().collect::<Vec<_>>(), vec![(0, 0, 2.0), (1, 1, 3.0)]);
 //! let b = DenseMatrix::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]])?;
-//! let c = a.to_csr().spmm(&b);
+//! let mut c = DenseMatrix::zeros(a.rows(), b.cols());
+//! for (row, col, val) in a.iter() {
+//!     for (out, x) in c.row_mut(row).iter_mut().zip(b.row(col)) {
+//!         *out += val * x;
+//!     }
+//! }
 //! assert_eq!(c.row(0), &[2.0, 4.0, 6.0]);
 //! assert_eq!(c.row(1), &[12.0, 15.0, 18.0]);
 //! # Ok(())
@@ -35,8 +42,6 @@
 #![forbid(unsafe_code)]
 
 mod coo;
-mod csc;
-mod csr;
 mod dense;
 mod entry;
 mod error;
@@ -46,8 +51,6 @@ pub mod io;
 pub mod stats;
 
 pub use coo::{normalize_triplets, CooMatrix, Triplet};
-pub use csc::CscMatrix;
-pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use entry::{fits_small_index, Entry, SmallTriplet, SMALL_INDEX_LIMIT};
 pub use error::MatrixError;

@@ -201,7 +201,10 @@ impl SpmmService {
     ///
     /// # Panics
     ///
-    /// Panics if `config.p == 0`.
+    /// Panics if `config.p == 0`, or if a thread count in `config.exec` is
+    /// zero: the effective cost the cluster is built with divides by each.
+    /// [`TwoFaceConfig::check`] reports any zero field of `config.exec` as a
+    /// typed error instead.
     pub fn new(config: ServeConfig) -> SpmmService {
         let cluster = Cluster::new(config.p, config.exec.effective_cost(&config.cost));
         cluster.set_window_retention(true);

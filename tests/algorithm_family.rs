@@ -11,9 +11,11 @@
 //! block double-counted, partial misrouted), never roundoff.
 
 use std::sync::Arc;
+use twoface_core::sddmm::{reference_sddmm, run_sddmm, SddmmAlgorithm};
 use twoface_core::{reference_spmm, run_algorithm, Algorithm, Problem, RunOptions};
 use twoface_matrix::gen::{
-    banded, erdos_renyi, hub_traffic, rmat, BandedConfig, HubConfig, RmatConfig,
+    banded, erdos_renyi, hub_traffic, rmat, webcrawl, BandedConfig, HubConfig, RmatConfig,
+    WebcrawlConfig,
 };
 use twoface_matrix::{CooMatrix, DenseMatrix, Triplet};
 use twoface_net::CostModel;
@@ -193,6 +195,51 @@ fn degenerate_shapes_still_match() {
                 got.iter().zip(&oracle).all(|(g, o)| g.to_bits() == o.to_bits()),
                 "{algorithm} wrong at degenerate (p={p}, K={k})"
             );
+        }
+    }
+}
+
+/// SDDMM computes each output nonzero with one dot product of an `X` row and
+/// a `Y` row, exactly as the serial oracle does, and a fetched or multicast
+/// `Y` row is a copy of the oracle's. So every schedule matches
+/// [`reference_sddmm`] bit for bit on real-valued operands, whatever the
+/// order each lane visits its nonzeros in and at any worker count.
+#[test]
+fn sddmm_matches_the_oracle_bitwise() {
+    let cost = CostModel { memory_per_node: usize::MAX, ..CostModel::delta_scaled() };
+    let crawl = WebcrawlConfig { n: 1024, hosts: 32, per_row: 8, ..Default::default() };
+    let matrices = [
+        ("webcrawl", webcrawl(&crawl, 71)),
+        ("rmat", rmat(&RmatConfig { scale: 10, edge_factor: 8, ..Default::default() }, 72)),
+    ];
+    let bits = |m: &CooMatrix| m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect::<Vec<_>>();
+    for (name, a) in matrices {
+        let a = Arc::new(a);
+        for (k, p, w) in [(8usize, 4usize, 16usize), (32, 8, 32), (5, 6, 24)] {
+            let problem = Problem::with_generated_b(Arc::clone(&a), k, p, w).expect("well-formed");
+            let x = DenseMatrix::from_fn(a.rows(), k, |i, j| {
+                ((i * 13 + j * 7) % 17) as f64 / 7.0 - 1.1
+            });
+            let oracle = bits(&reference_sddmm(&a, &x, &problem.b));
+            for algorithm in
+                [SddmmAlgorithm::TwoFace, SddmmAlgorithm::AsyncFine, SddmmAlgorithm::Allgather]
+            {
+                for workers in [1usize, 4] {
+                    let options = RunOptions {
+                        compute_values: true,
+                        workers: Some(workers),
+                        ..Default::default()
+                    };
+                    let report = run_sddmm(algorithm, &problem, &x, &cost, &options)
+                        .unwrap_or_else(|e| panic!("{algorithm} on {name} failed: {e}"));
+                    let got = report.output.expect("compute_values produces output");
+                    assert!(
+                        bits(&got) == oracle,
+                        "{algorithm} on {name} (K={k}, p={p}, W={w}, workers={workers}) differs \
+                         from the serial oracle"
+                    );
+                }
+            }
         }
     }
 }

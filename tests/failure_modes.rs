@@ -7,10 +7,10 @@ use std::time::{Duration, Instant};
 use twoface_core::sampling::{run_sampled_twoface, EdgeSampler};
 use twoface_core::sddmm::{run_sddmm, SddmmAlgorithm};
 use twoface_core::{
-    prepare_plan, run_algorithm, Algorithm, PreparedMatrix, Problem, RankMatrices, RunError,
-    RunOptions,
+    prepare_plan, run_algorithm, run_algorithm_on, run_twoface_streamed, Algorithm, PreparedMatrix,
+    Problem, RankMatrices, RunError, RunOptions, StreamOptions, TwoFaceConfig,
 };
-use twoface_matrix::gen::erdos_renyi;
+use twoface_matrix::gen::{erdos_renyi, ErdosChunks};
 use twoface_matrix::{CooMatrix, DenseMatrix, Triplet};
 use twoface_net::{Cluster, CostModel, FaultPlan, NetError, RankOutput};
 use twoface_partition::{ModelCoefficients, PartitionPlan, StripeClass};
@@ -225,6 +225,88 @@ fn through_every_entry_point(
                 .try_for_each(|rank| RankMatrices::build(&problem.a, plan, rank, 32).map(drop))
         }),
     ]
+}
+
+/// Calls one entry point with a zeroed config field and checks that it
+/// returns [`RunError::InvalidConfig`] naming the field, within a second and
+/// without panicking.
+fn assert_invalid_config(entry: &str, field: &str, call: impl FnOnce() -> Result<(), RunError>) {
+    let started = Instant::now();
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(call));
+    let elapsed = started.elapsed();
+    match outcome {
+        Ok(Err(e @ RunError::InvalidConfig { .. })) => {
+            let text = e.to_string();
+            assert!(text.starts_with("invalid configuration: "), "{entry}: {text}");
+            assert!(text.contains(field), "{entry} with zero {field}: {text}");
+        }
+        Ok(other) => panic!("{entry} with zero {field}: expected InvalidConfig, got {other:?}"),
+        Err(_) => panic!("{entry} with zero {field} panicked"),
+    }
+    assert!(elapsed < Duration::from_secs(1), "{entry} with zero {field} took {elapsed:?}");
+}
+
+#[test]
+fn zero_valued_config_fields_are_typed_errors_at_every_entry_point() {
+    let problem = small_problem(4);
+    let cost = CostModel::delta_scaled();
+    let plan = Arc::new(prepare_plan(&problem, &ModelCoefficients::from(&cost), &cost));
+    let x = DenseMatrix::from_elem(problem.a.rows(), problem.k(), 0.5);
+    let mask = EdgeSampler::new(0.7, 3).mask(0);
+    let cluster = Cluster::new(problem.layout.nodes(), cost);
+    let spill_dir =
+        std::env::temp_dir().join(format!("twoface-zero-config-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).expect("temp dir is writable");
+    let base = TwoFaceConfig::default();
+    let zeroed = [
+        ("row_panel_height", TwoFaceConfig { row_panel_height: 0, ..base }),
+        ("async_comm_threads", TwoFaceConfig { async_comm_threads: 0, ..base }),
+        ("async_comp_threads", TwoFaceConfig { async_comp_threads: 0, ..base }),
+        ("sync_comp_threads", TwoFaceConfig { sync_comp_threads: 0, ..base }),
+        (
+            "coalesce_distance_override",
+            TwoFaceConfig { coalesce_distance_override: Some(0), ..base },
+        ),
+    ];
+    for (field, config) in zeroed {
+        let options = RunOptions { config, ..Default::default() };
+        for algorithm in Algorithm::FAMILY.into_iter().chain([Algorithm::Auto]) {
+            assert_invalid_config(&format!("run_algorithm({algorithm})"), field, || {
+                run_algorithm(algorithm, &problem, &cost, &options).map(drop)
+            });
+            assert_invalid_config(&format!("run_algorithm_on({algorithm})"), field, || {
+                run_algorithm_on(&cluster, algorithm, &problem, &cost, &options).map(drop)
+            });
+        }
+        assert_invalid_config("PreparedMatrix::build", field, || {
+            PreparedMatrix::build(&problem, &cost, &options).map(drop)
+        });
+        assert_invalid_config("run_sampled_twoface", field, || {
+            run_sampled_twoface(&problem, Arc::clone(&plan), mask, &cost, &options).map(drop)
+        });
+        for algorithm in
+            [SddmmAlgorithm::TwoFace, SddmmAlgorithm::AsyncFine, SddmmAlgorithm::Allgather]
+        {
+            assert_invalid_config(&format!("run_sddmm({algorithm})"), field, || {
+                run_sddmm(algorithm, &problem, &x, &cost, &options).map(drop)
+            });
+        }
+        let stream =
+            StreamOptions { config, spill_dir: Some(spill_dir.clone()), ..Default::default() };
+        assert_invalid_config("run_twoface_streamed", field, || {
+            let mut source = ErdosChunks::new(128, 128, 800, 1);
+            run_twoface_streamed(&mut source, 8, 4, 16, &cost, &stream).map(drop)
+        });
+        let written = std::fs::read_dir(&spill_dir).expect("spill dir exists").count();
+        assert_eq!(written, 0, "run_twoface_streamed with zero {field} wrote a spill file");
+    }
+    std::fs::remove_dir(&spill_dir).expect("spill dir is empty");
+    assert_invalid_config("RankMatrices::build", "row_panel_height", || {
+        RankMatrices::build(&problem.a, &plan, 0, 0).map(drop)
+    });
+    assert_invalid_config("RankMatrices::build_from_rows", "row_panel_height", || {
+        RankMatrices::build_from_rows(&[], &plan, 0, 0).map(drop)
+    });
 }
 
 #[test]

@@ -9,9 +9,7 @@
 
 use std::io::Read;
 use twoface_matrix::io::{read_binary, read_market, write_binary, write_market};
-use twoface_matrix::{
-    fits_small_index, CooMatrix, CsrMatrix, SmallTriplet, Triplet, SMALL_INDEX_LIMIT,
-};
+use twoface_matrix::{fits_small_index, CooMatrix, SmallTriplet, Triplet, SMALL_INDEX_LIMIT};
 
 /// A matrix whose column space crosses the `u32` boundary: indices at
 /// `2^32 - 1` (the largest representable small index), `2^32`, and beyond.
@@ -62,25 +60,6 @@ fn narrowing_rejects_wide_indices_explicitly() {
     // The shape-level gate matches the per-entry one.
     assert!(fits_small_index(4, SMALL_INDEX_LIMIT));
     assert!(!fits_small_index(4, SMALL_INDEX_LIMIT + 1));
-}
-
-#[test]
-fn csr_widens_rather_than_truncates_past_u32() {
-    let m = boundary_matrix();
-    let csr = CsrMatrix::from_coo(&m);
-    assert!(!csr.small_indices(), "a 2^32-wide matrix must use wide CSR storage");
-    // Column ids survive exactly — the tell-tale of silent truncation would
-    // be `col & 0xFFFF_FFFF`.
-    let cols: Vec<usize> = (0..csr.nnz()).map(|i| csr.col_id(i)).collect();
-    assert!(cols.contains(&SMALL_INDEX_LIMIT));
-    assert!(cols.contains(&(SMALL_INDEX_LIMIT + 9)));
-    assert_eq!(csr.to_coo(), m);
-}
-
-#[test]
-fn csr_picks_small_indices_at_the_boundary() {
-    let m = CooMatrix::from_triplets(8, 8, vec![(0, 1, 1.0), (7, 7, 2.0)]).unwrap();
-    assert!(CsrMatrix::from_coo(&m).small_indices());
 }
 
 /// A reader that hands out at most `chunk` bytes per `read` call — the

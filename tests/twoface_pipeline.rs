@@ -45,11 +45,13 @@ fn async_stripes_in_structures_match_plan_classes() {
                 "rank {rank} stripe {} misplaced",
                 stripe.stripe
             );
-            // Column-major order within the stripe, and unique_cols matches.
-            let mut cols: Vec<u32> = stripe.entries.iter().map(|t| t.col).collect();
-            assert!(cols.windows(2).all(|w| w[0] <= w[1]), "not column-major");
-            cols.dedup();
-            assert_eq!(cols, stripe.unique_cols);
+            // Row-major order within the stripe, and unique_cols holds its
+            // distinct columns, ascending.
+            let order: Vec<(u32, u32)> = stripe.entries.iter().map(|t| (t.row, t.col)).collect();
+            assert!(order.windows(2).all(|w| w[0] < w[1]), "not row-major");
+            let cols: std::collections::BTreeSet<u32> =
+                stripe.entries.iter().map(|t| t.col).collect();
+            assert_eq!(cols.into_iter().collect::<Vec<_>>(), stripe.unique_cols);
         }
     }
 }
@@ -62,17 +64,11 @@ fn sync_local_structures_are_row_major_and_paneled() {
     for rank in 0..8 {
         let m = RankMatrices::build(&problem.a, &plan, rank, 32).unwrap();
         let sl = &m.sync_local;
-        let rows: Vec<u32> = sl.entries().iter().map(|t| t.row).collect();
-        assert!(rows.windows(2).all(|w| w[0] <= w[1]), "not row-major");
-        for p in 0..sl.num_panels() {
-            for t in sl.panel(p) {
-                assert!(
-                    t.row as usize / sl.panel_height() == p,
-                    "entry row {} leaked into panel {p}",
-                    t.row
-                );
-            }
-        }
+        let order: Vec<(u32, u32)> = sl.entries().iter().map(|t| (t.row, t.col)).collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "not row-major");
+        let panels: std::collections::BTreeSet<usize> =
+            sl.entries().iter().map(|t| t.row as usize / sl.panel_height()).collect();
+        assert_eq!(sl.num_nonempty_panels(), panels.len(), "rank {rank}");
     }
 }
 
