@@ -62,8 +62,9 @@ fn main() {
                 .iter()
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("at least one candidate fits");
-            let chosen =
-                resolve_auto(&problem.a, &problem.layout, k, &config, &effective).algorithm;
+            let chosen = resolve_auto(&problem.a, &problem.layout, k, &config, &effective)
+                .expect("the default config is valid")
+                .algorithm;
             let chosen_seconds = measured.iter().find(|(a, _)| *a == chosen).map(|&(_, s)| s);
             let loss_ratio = chosen_seconds.map(|s| s / best_seconds);
             let within_10pct = loss_ratio.is_some_and(|r| r <= 1.10);

@@ -14,6 +14,7 @@
 use crate::algo::Algorithm;
 use crate::coalesce::coalesce_rows;
 use crate::config::TwoFaceConfig;
+use crate::error::RunError;
 use crate::runner::NNZ_BYTES;
 use twoface_matrix::{CooMatrix, SCALAR_BYTES};
 use twoface_net::{CostModel, Grid2d, SpmmStats};
@@ -118,12 +119,18 @@ fn memory_feasible(algorithm: Algorithm, stats: &SpmmStats, cost: &CostModel) ->
 /// Only the structure of `A`, the layout, `K`, and the coalescing knob
 /// matter — the values of `A` and the contents of `B` never do, so the
 /// serving layer can resolve Auto before the dense operand exists.
+///
+/// # Errors
+///
+/// [`RunError::InvalidConfig`] when `config` has a zero field
+/// ([`TwoFaceConfig::check`]).
 pub fn spmm_stats(
     a: &CooMatrix,
     layout: &OneDimLayout,
     k: usize,
     config: &TwoFaceConfig,
-) -> SpmmStats {
+) -> Result<SpmmStats, RunError> {
+    config.check()?;
     let p = layout.nodes();
     let cols = layout.cols();
     let words = p.div_ceil(64);
@@ -258,7 +265,7 @@ pub fn spmm_stats(
     }
     let sync_nnz_fraction = if nnz == 0 { 0.0 } else { sync_nnz as f64 / nnz as f64 };
 
-    SpmmStats {
+    Ok(SpmmStats {
         p,
         rows: layout.rows(),
         cols,
@@ -279,7 +286,7 @@ pub fn spmm_stats(
         sync_chain_stripes,
         mean_sync_group_readers,
         panel_height: config.row_panel_height,
-    }
+    })
 }
 
 /// Resolves [`Algorithm::Auto`] for one problem: scan, score, gate, argmin.
@@ -287,14 +294,19 @@ pub fn spmm_stats(
 /// Never panics on degenerate inputs (`p = 1`, `K = 1`, empty matrices);
 /// falls back to [`Algorithm::TwoFace`] in the (theoretical) case of no
 /// feasible candidate.
+///
+/// # Errors
+///
+/// [`RunError::InvalidConfig`] when `config` has a zero field, as for
+/// [`spmm_stats`].
 pub fn resolve_auto(
     a: &CooMatrix,
     layout: &OneDimLayout,
     k: usize,
     config: &TwoFaceConfig,
     cost: &CostModel,
-) -> AutoChoice {
-    let stats = spmm_stats(a, layout, k, config);
+) -> Result<AutoChoice, RunError> {
+    let stats = spmm_stats(a, layout, k, config)?;
     let candidates = auto_candidates(layout.nodes());
     let predictions: Vec<(Algorithm, f64)> =
         candidates.iter().map(|&alg| (alg, predict(alg, &stats, cost))).collect();
@@ -311,7 +323,7 @@ pub fn resolve_auto(
         }
     }
     let algorithm = best.map_or(Algorithm::TwoFace, |(alg, _)| alg);
-    AutoChoice { algorithm, stats, predictions, feasible }
+    Ok(AutoChoice { algorithm, stats, predictions, feasible })
 }
 
 /// The closed-form predicted execution time, in simulated seconds, of one
@@ -322,6 +334,11 @@ pub fn resolve_auto(
 /// [`Algorithm::Auto`] resolves first (via [`resolve_auto`]) and predicts
 /// its winner. The estimate is deterministic: it depends only on the matrix
 /// structure, layout, `k`, config, and cost model.
+///
+/// # Errors
+///
+/// [`RunError::InvalidConfig`] when `config` has a zero field, as for
+/// [`spmm_stats`].
 pub fn predict_latency(
     a: &CooMatrix,
     layout: &OneDimLayout,
@@ -329,18 +346,18 @@ pub fn predict_latency(
     config: &TwoFaceConfig,
     cost: &CostModel,
     algorithm: Algorithm,
-) -> f64 {
-    match algorithm {
+) -> Result<f64, RunError> {
+    Ok(match algorithm {
         Algorithm::Auto => {
-            let choice = resolve_auto(a, layout, k, config, cost);
+            let choice = resolve_auto(a, layout, k, config, cost)?;
             choice
                 .predictions
                 .iter()
                 .find(|(alg, _)| *alg == choice.algorithm)
                 .map_or(0.0, |&(_, t)| t)
         }
-        concrete => predict(concrete, &spmm_stats(a, layout, k, config), cost),
-    }
+        concrete => predict(concrete, &spmm_stats(a, layout, k, config)?, cost),
+    })
 }
 
 #[cfg(test)]
@@ -369,7 +386,7 @@ mod tests {
     #[test]
     fn stats_empty_matrix_is_all_zero() {
         let a = CooMatrix::from_triplets(64, 64, Vec::<Triplet>::new()).unwrap();
-        let s = spmm_stats(&a, &layout(64, 64, 4), 8, &TwoFaceConfig::default());
+        let s = spmm_stats(&a, &layout(64, 64, 4), 8, &TwoFaceConfig::default()).unwrap();
         assert_eq!(s.nnz, 0);
         assert_eq!(s.remote_fetches, 0);
         assert_eq!(s.sync_nnz_fraction, 0.0);
@@ -388,7 +405,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let s = spmm_stats(&a, &layout(8, 8, 4), 8, &TwoFaceConfig::default());
+        let s = spmm_stats(&a, &layout(8, 8, 4), 8, &TwoFaceConfig::default()).unwrap();
         assert_eq!(s.nnz, 5);
         // Rank 0's remote cols {4, 5}; rank 3 (row 6) reads col 4 locally
         // (col 4 belongs to rank 2; row 6 belongs to rank 3 — remote too).
@@ -415,7 +432,7 @@ mod tests {
         let lay = layout(128, 128, 8);
         let cfg = TwoFaceConfig::default();
         let cost = CostModel::delta();
-        let choice = resolve_auto(&a, &lay, 32, &cfg, &cost);
+        let choice = resolve_auto(&a, &lay, 32, &cfg, &cost).unwrap();
         assert_ne!(choice.algorithm, Algorithm::Auto);
         assert!(choice.feasible.contains(&choice.algorithm));
         let winner = choice
@@ -437,14 +454,14 @@ mod tests {
         let cost = CostModel::delta();
         // Empty matrix.
         let empty = CooMatrix::from_triplets(16, 16, Vec::<Triplet>::new()).unwrap();
-        let c = resolve_auto(&empty, &layout(16, 16, 4), 8, &cfg, &cost);
+        let c = resolve_auto(&empty, &layout(16, 16, 4), 8, &cfg, &cost).unwrap();
         assert_ne!(c.algorithm, Algorithm::Auto);
         // p = 1.
         let a = Arc::new(erdos_renyi(32, 32, 100, 3));
-        let c = resolve_auto(&a, &layout(32, 32, 1), 8, &cfg, &cost);
+        let c = resolve_auto(&a, &layout(32, 32, 1), 8, &cfg, &cost).unwrap();
         assert_ne!(c.algorithm, Algorithm::Auto);
         // K = 1.
-        let c = resolve_auto(&a, &layout(32, 32, 4), 1, &cfg, &cost);
+        let c = resolve_auto(&a, &layout(32, 32, 4), 1, &cfg, &cost).unwrap();
         assert_ne!(c.algorithm, Algorithm::Auto);
     }
 
@@ -454,9 +471,9 @@ mod tests {
         let lay = layout(256, 256, 8);
         let cfg = TwoFaceConfig::default();
         let cost = CostModel::delta();
-        let first = resolve_auto(&a, &lay, 16, &cfg, &cost);
+        let first = resolve_auto(&a, &lay, 16, &cfg, &cost).unwrap();
         for _ in 0..3 {
-            let again = resolve_auto(&a, &lay, 16, &cfg, &cost);
+            let again = resolve_auto(&a, &lay, 16, &cfg, &cost).unwrap();
             assert_eq!(first.algorithm, again.algorithm);
             assert_eq!(first.predictions, again.predictions);
         }

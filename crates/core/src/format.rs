@@ -289,11 +289,11 @@ impl RankMatrices {
     }
 
     /// Builds the node's structures from a row-sorted slice holding exactly
-    /// the rank's nonzeros in *global* coordinates — the entry point the
-    /// streamed (out-of-core) pipeline uses with per-rank shards, and which
-    /// [`RankMatrices::build`] feeds with a subslice of the resident matrix.
-    /// Both paths walk entries in the same order, so they construct
-    /// identical structures.
+    /// the rank's nonzeros in *global* coordinates; [`RankMatrices::build`]
+    /// feeds it a subslice of the resident matrix. The streamed
+    /// (out-of-core) pipeline builds no `RankMatrices`: it routes each
+    /// rank's spilled shard by the same stripe routes, so both store the
+    /// same async stripes and sync entries.
     ///
     /// # Errors
     ///

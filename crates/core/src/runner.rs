@@ -745,7 +745,7 @@ fn run_algorithm_inner(
                 k,
                 &options.config,
                 &effective,
-            )
+            )?
             .algorithm
         }
         other => other,

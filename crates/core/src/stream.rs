@@ -10,32 +10,39 @@
 //!    to a per-rank shard file (row blocks partition the stream), holding
 //!    only one chunk plus one write buffer per rank.
 //! 2. **Normalize + profile** — per rank, load the raw shard, apply
-//!    [`normalize_triplets`] (the one normalization path in the workspace,
-//!    so per-shard normalization concatenates to exactly the resident
-//!    matrix; a counting sort over the shard's contiguous rows), profile its
-//!    stripes, and spill the normalized shard back.
+//!    [`normalize_triplets`] in place (the one normalization path in the
+//!    workspace, so per-shard normalization concatenates to exactly the
+//!    resident matrix; a counting sort over the shard's contiguous rows),
+//!    profile its stripes, and write the normalized shard back. The
+//!    normalized shard is the rank's row-major sync store.
 //! 3. **Plan** — classify from the per-rank profiles through the planner
 //!    the resident [`prepare_plan`](crate::prepare_plan) runs: the
 //!    sync-buffer budget from each rank's operand bytes, then
 //!    [`PartitionPlan::build_from_profiles`](twoface_partition::PartitionPlan::build_from_profiles).
-//! 4. **Build + store** — per rank, build the compact [`RankMatrices`]
-//!    from the normalized shard ([`RankMatrices::build_from_rows`]) and
-//!    serialize them to a per-rank store file: async stripes first
-//!    (ascending), sync entries last — the order execution consumes them,
-//!    so reads are purely sequential.
+//! 4. **Route** — per rank, stream the normalized shard once in bounded
+//!    chunks and route each entry by its stripe's class, under the rule
+//!    [`RankMatrices`](crate::RankMatrices) are built by: asynchronous
+//!    entries are bucketed by stripe and written to a per-rank store file
+//!    (per stripe, ascending: its entries, then its `UniqueColIDs`);
+//!    synchronous and local entries stay in the shard and are only counted
+//!    (their number, their non-empty row panels, and the shard's row-aligned
+//!    read chunks).
 //! 5. **Execute** — run the resident Two-Face rank body over a store
-//!    source: each rank reads its store front to back into one reused
-//!    buffer, one async stripe or one row-aligned sync chunk at a time, so
-//!    peak memory is the dense operands plus a few panels of sparse
-//!    entries per rank.
+//!    source: each rank reads its async stripes from its store, one stripe
+//!    at a time, then its sync entries from its normalized shard, one
+//!    row-aligned chunk at a time, dropping the async entries as it decodes.
+//!    Peak memory is the dense operands plus a few panels of sparse entries
+//!    per rank.
 //!
-//! Every file is back-to-back fixed-width little-endian records — 24-byte
-//! wide triplets in the shards, 16-byte compact entries and 4-byte column
-//! ids in the stores — and every pass moves them in bulk: one encoder
-//! buffer per file written a chunk at a time, and a decoder that turns a
-//! reader's whole buffer into records at once. A shard whose length is not
-//! a whole number of records is a typed [`RunError::Io`] naming the rank
-//! and the file.
+//! Every file is back-to-back fixed-width little-endian records — 16-byte
+//! compact entries (`u32` rank-local row, `u32` global column, `f64` value)
+//! in the shards and the stores, and 4-byte column ids in the stores — and
+//! every pass moves them in bulk: one encoder buffer per file written a
+//! chunk at a time, and a decoder that turns a reader's whole buffer into
+//! records at once. A shard whose length is not a whole number of records
+//! is a typed [`RunError::Io`] naming the rank and the file. A matrix
+//! dimension past the `u32` small-index limit is a [`RunError::Shape`]
+//! before any file is written.
 //!
 //! The correctness contract is *bit-identity*: at any scale where the
 //! resident path also fits, the streamed run's output `C`, simulated
@@ -47,7 +54,7 @@
 use crate::algo::twoface::{planned_memory_extra, twoface_rank, StripeSource};
 use crate::config::TwoFaceConfig;
 use crate::error::{RankError, RunError};
-use crate::format::{AsyncStripe, RankMatrices};
+use crate::format::{AsyncMatrix, AsyncStripe, Route, Routes};
 use crate::kernels::{par_sync_panels, BlockRows};
 use crate::pool::{resolve_workers, Pool};
 use crate::runner::{
@@ -61,12 +68,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use twoface_matrix::gen::TripletSource;
-use twoface_matrix::{normalize_triplets, Scalar, SmallTriplet, Triplet, SCALAR_BYTES};
+use twoface_matrix::{fits_small_index, normalize_triplets, Scalar, SmallTriplet, SCALAR_BYTES};
 use twoface_net::{
     Cluster, CostModel, Lane, MetricsRegistry, Observability, OpEvent, OpKind, PhaseClass,
 };
 use twoface_partition::{
-    ClassifierKind, ModelCoefficients, NodeProfile, OneDimLayout, StripeClass,
+    ClassifierKind, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan, StripeClass,
 };
 
 /// Raw spill chunk cap in entries when no budget narrows it further.
@@ -81,14 +88,17 @@ const SYNC_CHUNK_ENTRIES: usize = 1 << 18;
 const SMALL_ENTRY_BYTES: usize = 16;
 
 /// Host bytes per entry of one shard that the build passes charge, a bound
-/// on both: pass 2's counting sort holds at most 56 (the 24-byte triplet, an
-/// 8-byte key and a 24-byte gathered entry), pass 4 at most 44 (the
-/// triplet, its compact entry and a 4-byte column id).
+/// on both: pass 2's counting sort holds at most 36 (the 16-byte entry, an
+/// 8-byte key, its 8-byte value and a 4-byte row count), pass 4 at most 20
+/// (an async entry and its column id) plus one read chunk.
 const BUILD_BYTES_PER_NNZ: usize = 60;
 
 /// Bytes moved per read or write call on the shard files, and the capacity
 /// of each record writer's buffer.
 const IO_CHUNK_BYTES: usize = 1 << 16;
+
+/// Entries pass 4 decodes and routes at a time.
+const ROUTE_CHUNK_ENTRIES: usize = IO_CHUNK_BYTES / SMALL_ENTRY_BYTES;
 
 /// Options controlling one [`run_twoface_streamed`] call. Mirrors the
 /// subset of [`RunOptions`](crate::RunOptions) the streamed pipeline
@@ -332,8 +342,8 @@ fn disk_bytes(path: &Path, accounted: usize) -> u64 {
 trait Record: Sized {
     /// Encoded width in bytes.
     const BYTES: usize;
-    /// Appends the encoding to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
+    /// Encodes into exactly [`Record::BYTES`] bytes.
+    fn encode(&self, out: &mut [u8]);
     /// Decodes one record from exactly [`Record::BYTES`] bytes.
     fn decode(bytes: &[u8]) -> Self;
 }
@@ -343,31 +353,14 @@ fn field<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
     bytes[at..at + N].try_into().expect("the record holds the field")
 }
 
-/// Raw and normalized shards: `u64` row, `u64` col, `f64` value.
-impl Record for Triplet {
-    const BYTES: usize = NNZ_BYTES;
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.row as u64).to_le_bytes());
-        out.extend_from_slice(&(self.col as u64).to_le_bytes());
-        out.extend_from_slice(&self.val.to_le_bytes());
-    }
-
-    fn decode(bytes: &[u8]) -> Triplet {
-        let row = u64::from_le_bytes(field(bytes, 0)) as usize;
-        let col = u64::from_le_bytes(field(bytes, 8)) as usize;
-        Triplet::new(row, col, f64::from_le_bytes(field(bytes, 16)))
-    }
-}
-
-/// Store entries: `u32` row, `u32` col, `f64` value.
+/// Shard and store entries: `u32` row, `u32` col, `f64` value.
 impl Record for SmallTriplet {
     const BYTES: usize = SMALL_ENTRY_BYTES;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.row.to_le_bytes());
-        out.extend_from_slice(&self.col.to_le_bytes());
-        out.extend_from_slice(&self.val.to_le_bytes());
+    fn encode(&self, out: &mut [u8]) {
+        out[..4].copy_from_slice(&self.row.to_le_bytes());
+        out[4..8].copy_from_slice(&self.col.to_le_bytes());
+        out[8..].copy_from_slice(&self.val.to_le_bytes());
     }
 
     fn decode(bytes: &[u8]) -> SmallTriplet {
@@ -380,8 +373,8 @@ impl Record for SmallTriplet {
 impl Record for u32 {
     const BYTES: usize = 4;
 
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+    fn encode(&self, out: &mut [u8]) {
+        out.copy_from_slice(&self.to_le_bytes());
     }
 
     fn decode(bytes: &[u8]) -> u32 {
@@ -393,81 +386,118 @@ impl Record for u32 {
 /// file sees one `write` per chunk rather than one per record.
 struct RecordWriter {
     file: File,
-    buf: Vec<u8>,
+    buf: Box<[u8]>,
+    /// The bytes of `buf` in use.
+    len: usize,
 }
 
 impl RecordWriter {
     fn create(path: &Path) -> io::Result<RecordWriter> {
-        Ok(RecordWriter { file: File::create(path)?, buf: Vec::with_capacity(IO_CHUNK_BYTES) })
+        let buf = vec![0; IO_CHUNK_BYTES].into_boxed_slice();
+        Ok(RecordWriter { file: File::create(path)?, buf, len: 0 })
     }
 
     fn push<R: Record>(&mut self, record: &R) -> io::Result<()> {
-        if self.buf.len() + R::BYTES > IO_CHUNK_BYTES {
-            self.file.write_all(&self.buf)?;
-            self.buf.clear();
+        self.extend(std::slice::from_ref(record))
+    }
+
+    /// Encodes as many records as the buffer has room for at a time.
+    fn extend<R: Record>(&mut self, mut records: &[R]) -> io::Result<()> {
+        while !records.is_empty() {
+            if self.len + R::BYTES > self.buf.len() {
+                self.flush()?;
+            }
+            let room = (self.buf.len() - self.len) / R::BYTES;
+            let (now, later) = records.split_at(room.min(records.len()));
+            let out = &mut self.buf[self.len..self.len + now.len() * R::BYTES];
+            for (record, out) in now.iter().zip(out.chunks_exact_mut(R::BYTES)) {
+                record.encode(out);
+            }
+            self.len += now.len() * R::BYTES;
+            records = later;
         }
-        record.encode(&mut self.buf);
         Ok(())
     }
 
-    fn extend<R: Record>(&mut self, records: &[R]) -> io::Result<()> {
-        records.iter().try_for_each(|record| self.push(record))
+    /// Writes what is buffered.
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.write_all(&self.buf[..self.len])?;
+        self.len = 0;
+        Ok(())
     }
 
     /// Writes what is still buffered.
     fn finish(mut self) -> io::Result<()> {
-        self.file.write_all(&self.buf)
+        self.flush()
     }
 }
 
-/// Appends `count` records from `input` to `out`, decoding every whole
-/// record in the reader's buffer at once; only a record split across two
-/// refills is copied out on its own.
+/// Decodes the next `count` records of `input` and appends those `keep`
+/// accepts to `out`, decoding every whole record in the reader's buffer at
+/// once; only a record split across two refills is copied out on its own.
 fn read_records<R: Record>(
     input: &mut impl BufRead,
     count: usize,
     out: &mut Vec<R>,
+    keep: impl Fn(&R) -> bool,
 ) -> io::Result<()> {
-    out.reserve(count);
     let mut left = count;
     while left > 0 {
         let buf = input.fill_buf()?;
         let whole = (buf.len() / R::BYTES).min(left);
         if whole > 0 {
-            out.extend(buf[..whole * R::BYTES].chunks_exact(R::BYTES).map(R::decode));
+            let records = buf[..whole * R::BYTES].chunks_exact(R::BYTES).map(R::decode);
+            out.extend(records.filter(|record| keep(record)));
             input.consume(whole * R::BYTES);
             left -= whole;
         } else {
             // A split record, or the input's end: `read_exact` refills
             // across the split, or reports the end as an error. No record
-            // is wider than a triplet.
-            let mut record = [0u8; NNZ_BYTES];
+            // is wider than an entry.
+            let mut record = [0u8; SMALL_ENTRY_BYTES];
             let record = &mut record[..R::BYTES];
             input.read_exact(record)?;
-            out.push(R::decode(record));
+            let record = R::decode(record);
+            if keep(&record) {
+                out.push(record);
+            }
             left -= 1;
         }
     }
     Ok(())
 }
 
-/// Reads rank `rank`'s whole shard file at `path`. A file whose length is
-/// not a whole number of records is a typed error naming the rank and the
-/// file, never a silently dropped partial record.
-fn read_shard(rank: usize, path: &Path) -> Result<Vec<Triplet>, RunError> {
-    let context = format!("rank {rank} reading shard {}", path.display());
-    let file = File::open(path).map_err(|e| io_err(&context, e))?;
-    let len = file.metadata().map_err(|e| io_err(&context, e))?.len();
-    decode_shard(BufReader::with_capacity(IO_CHUNK_BYTES, file), len, &context)
+/// Rank `rank`'s shard file at `path`, opened for reading.
+struct ShardReader {
+    input: BufReader<File>,
+    /// Whole records in the file.
+    records: usize,
+    /// "rank {rank} reading shard {path}", what every error names.
+    context: String,
 }
 
-/// Decodes the `len` bytes of `input` as whole shard records.
-fn decode_shard(
-    mut input: impl BufRead,
-    len: u64,
-    context: &str,
-) -> Result<Vec<Triplet>, RunError> {
-    let width = Triplet::BYTES as u64;
+impl ShardReader {
+    /// Opens the shard. A file whose length is not a whole number of
+    /// records is a typed error naming the rank and the file, never a
+    /// silently dropped partial record.
+    fn open(rank: usize, path: &Path) -> Result<ShardReader, RunError> {
+        let context = format!("rank {rank} reading shard {}", path.display());
+        let file = File::open(path).map_err(|e| io_err(&context, e))?;
+        let len = file.metadata().map_err(|e| io_err(&context, e))?.len();
+        let records = whole_records(len, &context)?;
+        Ok(ShardReader { input: BufReader::with_capacity(IO_CHUNK_BYTES, file), records, context })
+    }
+
+    /// Appends the next `count` entries to `out`.
+    fn read(&mut self, count: usize, out: &mut Vec<SmallTriplet>) -> Result<(), RunError> {
+        read_records(&mut self.input, count, out, |_| true).map_err(|e| io_err(&self.context, e))
+    }
+}
+
+/// The number of entries in `len` bytes of shard, or the typed error for a
+/// partial record.
+fn whole_records(len: u64, context: &str) -> Result<usize, RunError> {
+    let width = SmallTriplet::BYTES as u64;
     if !len.is_multiple_of(width) {
         return Err(RunError::Io {
             context: format!(
@@ -475,9 +505,7 @@ fn decode_shard(
             ),
         });
     }
-    let mut shard = Vec::new();
-    read_records(&mut input, (len / width) as usize, &mut shard).map_err(|e| io_err(context, e))?;
-    Ok(shard)
+    Ok((len / width) as usize)
 }
 
 /// Writes `records` to a new file at `path`.
@@ -494,60 +522,183 @@ struct StripeMeta {
     unique: usize,
 }
 
-/// One rank's serialized compact structures plus the metadata the executor
-/// and the cost charges need without touching the file.
+/// One rank's spilled structures — its async stripes in a store file, its
+/// sync entries in its normalized shard — plus the metadata the executor
+/// and the cost charges need without touching either file.
 struct RankStore {
     path: PathBuf,
     stripes: Vec<StripeMeta>,
+    /// The normalized shard, which holds the sync entries among the rest.
+    shard: PathBuf,
+    /// The rank's classification, which tells the sync entries apart.
+    routes: Routes,
     sync_nnz: usize,
-    /// The sync entries' read chunks, in entries: [`SYNC_CHUNK_ENTRIES`]
-    /// each, plus the rest of the chunk's last row.
-    sync_chunks: Vec<usize>,
+    /// The shard's read chunks, from its start.
+    sync_chunks: Vec<ReadChunk>,
     nonempty_panels: usize,
 }
 
-/// Serializes one rank's built structures in execution order: per async
-/// stripe (ascending) its row-major entries then its unique columns, then
-/// the sync/local entries (row-major). Returns the store handle and the
-/// bytes written.
-fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<(RankStore, usize), RunError> {
+/// A run of a normalized shard's records that holds [`SYNC_CHUNK_ENTRIES`]
+/// sync entries plus the rest of the last one's row; the last run ends at
+/// the last sync entry.
+#[derive(Debug, Clone, Copy)]
+struct ReadChunk {
+    records: usize,
+    /// The sync entries among them.
+    sync: usize,
+}
+
+impl RankStore {
+    /// The bytes of the store file.
+    fn store_bytes(&self) -> usize {
+        self.stripes.iter().map(|m| m.nnz * SMALL_ENTRY_BYTES + m.unique * 4).sum()
+    }
+
+    /// The shard bytes pass 5 reads for the sync entries.
+    fn sync_read_bytes(&self) -> usize {
+        self.sync_chunks.iter().map(|c| c.records).sum::<usize>() * SMALL_ENTRY_BYTES
+    }
+}
+
+/// The sync entries of one rank's shard, counted as pass 4 streams it.
+struct SyncCount {
+    panel_height: usize,
+    nnz: usize,
+    nonempty_panels: usize,
+    last_panel: Option<usize>,
+    last_row: u32,
+    /// Finished read chunks.
+    chunks: Vec<ReadChunk>,
+    /// The first record of the open chunk, and its sync entries so far.
+    chunk_start: usize,
+    chunk_nnz: usize,
+    /// One past the last sync record seen.
+    end: usize,
+}
+
+impl SyncCount {
+    fn new(panel_height: usize) -> SyncCount {
+        SyncCount {
+            panel_height,
+            nnz: 0,
+            nonempty_panels: 0,
+            last_panel: None,
+            last_row: 0,
+            chunks: Vec::new(),
+            chunk_start: 0,
+            chunk_nnz: 0,
+            end: 0,
+        }
+    }
+
+    /// Counts the sync entry at record `position` of the row-major shard,
+    /// in rank-local row `row`. A full chunk closes before the first sync
+    /// entry of a later row, so no chunk splits a row's sync entries.
+    fn push(&mut self, position: usize, row: u32) {
+        if self.chunk_nnz >= SYNC_CHUNK_ENTRIES && row != self.last_row {
+            self.close(position);
+        }
+        let panel = row as usize / self.panel_height;
+        if self.last_panel != Some(panel) {
+            self.nonempty_panels += 1;
+            self.last_panel = Some(panel);
+        }
+        self.chunk_nnz += 1;
+        self.nnz += 1;
+        self.last_row = row;
+        self.end = position + 1;
+    }
+
+    /// Closes the open chunk before record `position`.
+    fn close(&mut self, position: usize) {
+        let chunk = ReadChunk { records: position - self.chunk_start, sync: self.chunk_nnz };
+        self.chunks.push(chunk);
+        (self.chunk_start, self.chunk_nnz) = (position, 0);
+    }
+
+    /// The read chunks, the last closed at the last sync entry.
+    fn chunks(mut self) -> Vec<ReadChunk> {
+        if self.chunk_nnz > 0 {
+            self.close(self.end);
+        }
+        self.chunks
+    }
+}
+
+/// Pass 4 for rank `rank`: streams its normalized shard at `shard` —
+/// `nnz` entries, row-major, rank-local rows — once in bounded chunks and
+/// routes each entry by its stripe's class under `plan`. Async entries go
+/// to their stripe's bucket, and the buckets are written to a store file at
+/// `path` in execution order: per async stripe (ascending) its row-major
+/// entries then its unique columns. Sync and local entries stay in the
+/// shard and are only counted.
+fn build_store(
+    rank: usize,
+    shard: PathBuf,
+    nnz: usize,
+    path: PathBuf,
+    plan: &PartitionPlan,
+    panel_height: usize,
+) -> Result<RankStore, RunError> {
+    let mut reader = ShardReader::open(rank, &shard)?;
+    if reader.records != nnz {
+        return Err(RunError::Io {
+            context: format!(
+                "{}: {} records, but pass 2 wrote {nnz}",
+                reader.context, reader.records
+            ),
+        });
+    }
+    let layout = plan.layout();
+    let rows = layout.row_range(rank);
+    let routes = Routes::new(plan, rank);
+    let mut buckets = vec![Vec::new(); routes.async_stripes().len()];
+    let mut sync = SyncCount::new(panel_height);
+    let mut chunk = Vec::with_capacity(ROUTE_CHUNK_ENTRIES.min(nnz));
+    let mut position = 0;
+    while position < nnz {
+        chunk.clear();
+        reader.read(ROUTE_CHUNK_ENTRIES.min(nnz - position), &mut chunk)?;
+        for t in &chunk {
+            let stripe = layout.stripe_of_col(t.col as usize);
+            match routes.of(stripe) {
+                Route::SyncLocal => sync.push(position, t.row),
+                Route::Async(bucket) => buckets[bucket].push(*t),
+                Route::Unclassified => {
+                    let (row, col) = (rows.start + t.row as usize, t.col as usize);
+                    let error = RankError::Unclassified { stripe, row, col };
+                    return Err(error.into_run_error(rank, Vec::new()));
+                }
+            }
+            position += 1;
+        }
+    }
+    // The shard is row-major, so every bucket already is.
+    let asynchronous = AsyncMatrix::from_buckets(routes.async_stripes(), buckets);
     let write = || -> io::Result<()> {
         let mut out = RecordWriter::create(&path)?;
-        for stripe in matrices.asynchronous.stripes() {
+        for stripe in asynchronous.stripes() {
             out.extend(&stripe.entries)?;
             out.extend(&stripe.unique_cols)?;
         }
-        out.extend(matrices.sync_local.entries())?;
         out.finish()
     };
     write().map_err(|e| io_err(&format!("writing store {}", path.display()), e))?;
-    let stripes: Vec<StripeMeta> = matrices
-        .asynchronous
+    let stripes = asynchronous
         .stripes()
         .iter()
         .map(|s| StripeMeta { stripe: s.stripe, nnz: s.nnz(), unique: s.unique_cols.len() })
         .collect();
-    let sync = matrices.sync_local.entries();
-    let bytes = stripes.iter().map(|m| m.nnz * SMALL_ENTRY_BYTES + m.unique * 4).sum::<usize>()
-        + sync.len() * SMALL_ENTRY_BYTES;
-    let mut sync_chunks = Vec::new();
-    let mut start = 0;
-    while start < sync.len() {
-        let mut end = (start + SYNC_CHUNK_ENTRIES).min(sync.len());
-        while end < sync.len() && sync[end].row == sync[end - 1].row {
-            end += 1;
-        }
-        sync_chunks.push(end - start);
-        start = end;
-    }
     let store = RankStore {
         path,
         stripes,
-        sync_nnz: sync.len(),
-        sync_chunks,
-        nonempty_panels: matrices.sync_local.num_nonempty_panels(),
+        shard,
+        routes,
+        sync_nnz: sync.nnz,
+        nonempty_panels: sync.nonempty_panels,
+        sync_chunks: sync.chunks(),
     };
-    Ok((store, bytes))
+    Ok(store)
 }
 
 /// Executes Two-Face out of core on a chunked triplet source.
@@ -563,13 +714,15 @@ fn write_store(path: PathBuf, matrices: &RankMatrices) -> Result<(RankStore, usi
 ///
 /// * [`RunError::InvalidConfig`] when `options.config` has a zero field
 ///   ([`TwoFaceConfig::check`]), before any spill file is written;
-/// * [`RunError::Shape`] for infeasible layouts or out-of-bounds draws;
+/// * [`RunError::Shape`] for infeasible layouts, dimensions past the `u32`
+///   small-index limit (both before any spill file is written) or
+///   out-of-bounds draws;
 /// * [`RunError::HostBudgetExceeded`] when even the out-of-core working set
 ///   exceeds [`StreamOptions::memory_budget`];
 /// * [`RunError::OutOfMemory`] under the same *simulated* per-node gate as
 ///   the resident path;
 /// * [`RunError::Io`] when spill or store files cannot be written or read
-///   back (naming the rank and the file for store reads).
+///   back (naming the rank and the file for shard and store reads).
 pub fn run_twoface_streamed(
     source: &mut dyn TripletSource,
     k: usize,
@@ -590,6 +743,14 @@ pub fn run_twoface_streamed(
             ),
         });
     }
+    if !fits_small_index(rows, cols) {
+        return Err(RunError::Shape {
+            context: format!(
+                "a {rows}x{cols} matrix exceeds the u32 small-index limit of the spill records \
+                 and the compact rank structures"
+            ),
+        });
+    }
     let layout = OneDimLayout::new(rows, cols, p, stripe_width);
     let effective = options.config.effective_cost(cost);
     let coefficients = options.coefficients.unwrap_or_else(|| ModelCoefficients::from(&effective));
@@ -607,6 +768,7 @@ pub fn run_twoface_streamed(
         None => options.chunk_nnz,
     };
     let raw_paths: Vec<PathBuf> = (0..p).map(|r| spill.path(format!("raw.{r}"))).collect();
+    let row_starts: Vec<usize> = (0..p).map(|r| layout.row_range(r).start).collect();
     {
         let mut writers: Vec<RecordWriter> = raw_paths
             .iter()
@@ -615,7 +777,7 @@ pub fn run_twoface_streamed(
                     .map_err(|e| io_err(&format!("creating shard {}", path.display()), e))
             })
             .collect::<Result<_, _>>()?;
-        let mut chunk: Vec<Triplet> = Vec::new();
+        let mut chunk = Vec::new();
         loop {
             chunk.clear();
             if source.next_chunk(chunk_nnz, &mut chunk) == 0 {
@@ -630,11 +792,11 @@ pub fn run_twoface_streamed(
                         ),
                     });
                 }
-                writers[layout.owner_of_row(t.row)]
-                    .push(t)
-                    .map_err(|e| io_err("spilling raw shard", e))?;
+                let rank = layout.owner_of_row(t.row);
+                let entry = SmallTriplet::new(t.row - row_starts[rank], t.col, t.val);
+                writers[rank].push(&entry).map_err(|e| io_err("spilling raw shard", e))?;
             }
-            spilled_bytes += chunk.len() * NNZ_BYTES;
+            spilled_bytes += chunk.len() * SMALL_ENTRY_BYTES;
         }
         for w in writers {
             w.finish().map_err(|e| io_err("flushing raw shard", e))?;
@@ -645,31 +807,36 @@ pub fn run_twoface_streamed(
             telemetry.spill_write(rank, disk_bytes(path, 0));
         }
     }
-    telemetry.pass(1, (spilled_bytes / NNZ_BYTES) as u64, pass_started);
+    telemetry.pass(1, (spilled_bytes / SMALL_ENTRY_BYTES) as u64, pass_started);
 
     // --- Pass 2: normalize + profile per rank, one shard at a time. ---
     // Shards partition the draw stream by row and `normalize_triplets` puts
     // entries in stable (row, col) order with in-order duplicate summing, so
-    // the concatenation of normalized shards is exactly the resident matrix.
-    // Its transient (at most 32 B per entry beyond the 24 B shard) keeps
-    // this pass inside the build term of the host estimate below.
+    // the concatenation of normalized shards is exactly the resident matrix
+    // (rebasing a shard's rows keeps their order). Its transient (at most
+    // 20 B per entry beyond the 16 B shard) keeps this pass inside the build
+    // term of the host estimate below.
     let mut profiles: Vec<NodeProfile> = Vec::with_capacity(p);
     let mut nnz_by_rank: Vec<usize> = Vec::with_capacity(p);
     let mut peak_shard_bytes = 0usize;
     let norm_paths: Vec<PathBuf> = (0..p).map(|r| spill.path(format!("norm.{r}"))).collect();
     pass_started = Instant::now();
     for rank in 0..p {
-        let mut shard = read_shard(rank, &raw_paths[rank])?;
-        telemetry.spill_read(rank, (shard.len() * NNZ_BYTES) as u64);
-        peak_shard_bytes = peak_shard_bytes.max(shard.len() * NNZ_BYTES);
+        let mut reader = ShardReader::open(rank, &raw_paths[rank])?;
+        let mut shard = Vec::with_capacity(reader.records);
+        reader.read(reader.records, &mut shard)?;
+        drop(reader);
+        let raw_bytes = shard.len() * SMALL_ENTRY_BYTES;
+        telemetry.spill_read(rank, raw_bytes as u64);
+        peak_shard_bytes = peak_shard_bytes.max(raw_bytes);
         normalize_triplets(&mut shard);
         profiles.push(NodeProfile::build_from_rows(&shard, &layout, rank));
         nnz_by_rank.push(shard.len());
         write_records(&norm_paths[rank], &shard)
             .map_err(|e| io_err("spilling normalized shard", e))?;
-        spilled_bytes += shard.len() * NNZ_BYTES;
+        spilled_bytes += shard.len() * SMALL_ENTRY_BYTES;
         if telemetry.enabled {
-            let written = disk_bytes(&norm_paths[rank], shard.len() * NNZ_BYTES);
+            let written = disk_bytes(&norm_paths[rank], shard.len() * SMALL_ENTRY_BYTES);
             telemetry.spill_write(rank, written);
         }
         let _ = std::fs::remove_file(&raw_paths[rank]);
@@ -725,27 +892,21 @@ pub fn run_twoface_streamed(
     telemetry.gauge(estimated_host_bytes as u64, options.memory_budget.map(|b| b as u64));
     telemetry.pass(3, layout.num_stripes() as u64, pass_started);
 
-    // --- Pass 4: build compact structures per rank, serialize, drop. ---
+    // --- Pass 4: route each shard once; store the async stripes. ---
     pass_started = Instant::now();
     let mut stores: Vec<RankStore> = Vec::with_capacity(p);
     let mut store_bytes = 0u64;
     for rank in 0..p {
-        telemetry.spill_read(rank, (nnz_by_rank[rank] * NNZ_BYTES) as u64);
-        let shard = read_shard(rank, &norm_paths[rank])?;
-        if shard.len() != nnz_by_rank[rank] {
-            return Err(RunError::Io {
-                context: format!(
-                    "rank {rank} reading shard {}: {} records, but pass 2 wrote {}",
-                    norm_paths[rank].display(),
-                    shard.len(),
-                    nnz_by_rank[rank]
-                ),
-            });
-        }
-        let matrices =
-            RankMatrices::build_from_rows(&shard, &plan, rank, options.config.row_panel_height)?;
-        drop(shard);
-        let (store, bytes) = write_store(spill.path(format!("store.{rank}")), &matrices)?;
+        let store = build_store(
+            rank,
+            norm_paths[rank].clone(),
+            nnz_by_rank[rank],
+            spill.path(format!("store.{rank}")),
+            &plan,
+            options.config.row_panel_height,
+        )?;
+        telemetry.spill_read(rank, (nnz_by_rank[rank] * SMALL_ENTRY_BYTES) as u64);
+        let bytes = store.store_bytes();
         spilled_bytes += bytes;
         if telemetry.enabled {
             let written = disk_bytes(&store.path, bytes);
@@ -753,7 +914,6 @@ pub fn run_twoface_streamed(
             telemetry.spill_write(rank, written);
         }
         stores.push(store);
-        let _ = std::fs::remove_file(&norm_paths[rank]);
     }
     telemetry.pass(4, store_bytes, pass_started);
 
@@ -767,33 +927,35 @@ pub fn run_twoface_streamed(
         panel_height: options.config.row_panel_height,
         workers,
     };
-    // The executors read the stores back inside the rank threads; charge
-    // those reads up front at the driver (structural runs skip the sync
-    // entries, so only the async portion is charged without compute).
+    // The executors read the stores and shards back inside the rank
+    // threads; charge those reads up front, before they start (structural runs
+    // skip the sync entries, so only the async stripes are charged without
+    // compute).
     if telemetry.enabled {
         for (rank, store) in stores.iter().enumerate() {
-            let async_bytes: usize =
-                store.stripes.iter().map(|m| m.nnz * SMALL_ENTRY_BYTES + m.unique * 4).sum();
-            let sync_bytes = if exec.compute { store.sync_nnz * SMALL_ENTRY_BYTES } else { 0 };
-            telemetry.spill_read(rank, (async_bytes + sync_bytes) as u64);
+            let sync_bytes = if exec.compute { store.sync_read_bytes() } else { 0 };
+            telemetry.spill_read(rank, (store.store_bytes() + sync_bytes) as u64);
         }
     }
-    // Open every store before the cluster starts, so a vanished spill file
+    // Open every file before the cluster starts, so a vanished spill file
     // fails the run up front instead of inside a rank thread.
-    let files: Vec<File> = stores
+    let open = |rank: usize, what: &str, path: &Path| {
+        File::open(path)
+            .map_err(|e| io_err(&format!("rank {rank} opening {what} {}", path.display()), e))
+    };
+    let files: Vec<(File, File)> = stores
         .iter()
         .enumerate()
         .map(|(rank, store)| {
-            File::open(&store.path).map_err(|e| {
-                io_err(&format!("rank {rank} opening store {}", store.path.display()), e)
-            })
+            Ok((open(rank, "store", &store.path)?, open(rank, "shard", &store.shard)?))
         })
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, RunError>>()?;
     let cluster = Cluster::new(p, effective);
     cluster.set_observability(resolved.observability.clone());
     let mut outputs = cluster.run(|ctx| {
         let rank = ctx.rank();
-        let source = StoreSource::new(rank, &stores[rank], &files[rank]);
+        let (store_file, shard_file) = &files[rank];
+        let source = StoreSource::new(rank, &stores[rank], &layout, store_file, shard_file);
         twoface_rank(ctx, |_, _, _| Ok(source), &plan, &b_blocks[rank], &options.config, &exec)
     });
     telemetry.pass(5, realized_nnz as u64, pass_started);
@@ -812,24 +974,40 @@ pub fn run_twoface_streamed(
     Ok(StreamedRun { report, realized_nnz, spilled_bytes, peak_shard_bytes, estimated_host_bytes })
 }
 
-/// [`StripeSource`] over one rank's store file, read front to back — async
-/// stripes in ascending order, then the sync entries — into one reused
-/// entry buffer, so at most one stripe or one sync chunk of the rank's
-/// nonzeros is resident at a time. Records decode straight out of the
-/// reader's default-sized buffer, so a rank adds no staging buffer sized to
-/// what it reads.
+/// [`StripeSource`] over one rank's spilled structures: its store file's
+/// async stripes in ascending order, then its normalized shard's sync
+/// entries, each file read front to back into one reused entry buffer, so
+/// at most one stripe or one sync chunk of the rank's nonzeros is resident
+/// at a time. Records decode straight out of the readers' default-sized
+/// buffers, and the shard's async entries are dropped as they decode, so a
+/// rank adds no staging buffer sized to what it reads.
 struct StoreSource<'a> {
     rank: usize,
     store: &'a RankStore,
-    reader: BufReader<&'a File>,
+    layout: &'a OneDimLayout,
+    store_reader: BufReader<&'a File>,
+    shard_reader: BufReader<&'a File>,
     /// The async stripe being visited; its entries then hold each sync
     /// chunk in turn.
     stripe: AsyncStripe,
 }
 
 impl<'a> StoreSource<'a> {
-    fn new(rank: usize, store: &'a RankStore, file: &'a File) -> StoreSource<'a> {
-        StoreSource { rank, store, reader: BufReader::new(file), stripe: AsyncStripe::default() }
+    fn new(
+        rank: usize,
+        store: &'a RankStore,
+        layout: &'a OneDimLayout,
+        store_file: &'a File,
+        shard_file: &'a File,
+    ) -> StoreSource<'a> {
+        StoreSource {
+            rank,
+            store,
+            layout,
+            store_reader: BufReader::new(store_file),
+            shard_reader: BufReader::new(shard_file),
+            stripe: AsyncStripe::default(),
+        }
     }
 
     /// Visits the sync/local entries row-major, in chunks that never split
@@ -838,21 +1016,22 @@ impl<'a> StoreSource<'a> {
         &mut self,
         mut visit: impl FnMut(&[SmallTriplet]),
     ) -> Result<(), RankError> {
-        let (rank, store) = (self.rank, self.store);
-        for &len in &store.sync_chunks {
+        let (rank, store, layout) = (self.rank, self.store, self.layout);
+        let any_async = !store.routes.async_stripes().is_empty();
+        let is_sync = |t: &SmallTriplet| {
+            !any_async
+                || !matches!(store.routes.of(layout.stripe_of_col(t.col as usize)), Route::Async(_))
+        };
+        for chunk in &store.sync_chunks {
             let entries = &mut self.stripe.entries;
             entries.clear();
-            read_records(&mut self.reader, len, entries).map_err(|e| store.read_error(rank, e))?;
+            entries.reserve(chunk.sync);
+            read_records(&mut self.shard_reader, chunk.records, entries, is_sync).map_err(|e| {
+                RankError::Io(format!("rank {rank} reading shard {}: {e}", store.shard.display()))
+            })?;
             visit(entries);
         }
         Ok(())
-    }
-}
-
-impl RankStore {
-    /// A failed read of rank `rank`'s store as the typed error naming both.
-    fn read_error(&self, rank: usize, e: io::Error) -> RankError {
-        RankError::Io(format!("rank {rank} reading store {}: {e}", self.path.display()))
     }
 }
 
@@ -864,14 +1043,18 @@ impl StripeSource for StoreSource<'_> {
         mut visit: impl FnMut(&AsyncStripe) -> Result<(), RankError>,
     ) -> Result<(), RankError> {
         let (rank, store, stripe) = (self.rank, self.store, &mut self.stripe);
+        let read_error =
+            |e| RankError::Io(format!("rank {rank} reading store {}: {e}", store.path.display()));
         for meta in &store.stripes {
             stripe.stripe = meta.stripe;
             stripe.entries.clear();
-            read_records(&mut self.reader, meta.nnz, &mut stripe.entries)
-                .map_err(|e| store.read_error(rank, e))?;
+            stripe.entries.reserve(meta.nnz);
+            read_records(&mut self.store_reader, meta.nnz, &mut stripe.entries, |_| true)
+                .map_err(read_error)?;
             stripe.unique_cols.clear();
-            read_records(&mut self.reader, meta.unique, &mut stripe.unique_cols)
-                .map_err(|e| store.read_error(rank, e))?;
+            stripe.unique_cols.reserve(meta.unique);
+            read_records(&mut self.store_reader, meta.unique, &mut stripe.unique_cols, |_| true)
+                .map_err(read_error)?;
             visit(stripe)?;
         }
         Ok(())
@@ -911,50 +1094,82 @@ pub fn peak_rss_bytes() -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twoface_matrix::gen::ErdosChunks;
-    use twoface_partition::PartitionPlan;
+    use crate::format::RankMatrices;
+    use twoface_matrix::gen::{erdos_renyi, ErdosChunks};
+    use twoface_matrix::{CooMatrix, Triplet};
+
+    /// Writes rank `rank`'s shard of `a` in rank-local rows to `path`, as
+    /// pass 2 leaves it, and returns its entry count.
+    fn write_shard(a: &CooMatrix, layout: &OneDimLayout, rank: usize, path: &Path) -> usize {
+        let rows = layout.row_range(rank);
+        let shard: Vec<SmallTriplet> = a
+            .triplets()
+            .iter()
+            .filter(|t| rows.contains(&t.row))
+            .map(|t| SmallTriplet::new(t.row - rows.start, t.col, t.val))
+            .collect();
+        write_records(path, &shard).unwrap();
+        shard.len()
+    }
+
+    /// Pass 4 over rank `rank`'s shard of `a` under `plan`, in `spill`.
+    fn store_of(
+        a: &CooMatrix,
+        plan: &PartitionPlan,
+        rank: usize,
+        panel_height: usize,
+        spill: &SpillDir,
+    ) -> RankStore {
+        let shard = spill.path(format!("norm.{rank}"));
+        let nnz = write_shard(a, plan.layout(), rank, &shard);
+        let store = spill.path(format!("store.{rank}"));
+        build_store(rank, shard, nnz, store, plan, panel_height).unwrap()
+    }
 
     #[test]
-    fn wide_and_small_roundtrip() {
+    fn records_roundtrip_across_buffer_refills() {
         // More bytes than one writer chunk, read back through a buffer that
         // no record width divides, so records straddle its refills.
-        let wide: Vec<Triplet> =
-            (0..4000).map(|i| Triplet::new(123_456_789_012 + i, 7 * i, -1.5 * i as f64)).collect();
         let small: Vec<SmallTriplet> =
-            (0..300).map(|i| SmallTriplet::new(42 + i, 99 * i, 0.25 + i as f64)).collect();
+            (0..5000).map(|i| SmallTriplet::new(42 + i, 99 * i, 0.25 + i as f64)).collect();
         let cols: Vec<u32> = (0..50).map(|i| u32::MAX - i).collect();
-        assert!(wide.len() * Triplet::BYTES > IO_CHUNK_BYTES);
+        assert!(small.len() * SmallTriplet::BYTES > IO_CHUNK_BYTES);
         let spill = SpillDir::create(None).unwrap();
         let path = spill.path("records".to_string());
         let mut out = RecordWriter::create(&path).unwrap();
-        out.extend(&wide).unwrap();
         out.extend(&small).unwrap();
         out.extend(&cols).unwrap();
+        out.extend(&small).unwrap();
         out.finish().unwrap();
         let file = File::open(&path).unwrap();
-        assert_eq!(file.metadata().unwrap().len(), 4000 * 24 + 300 * 16 + 50 * 4);
+        assert_eq!(file.metadata().unwrap().len(), 2 * 5000 * 16 + 50 * 4);
         let mut reader = BufReader::with_capacity(1000, file);
-        let (mut w, mut s, mut c) = (Vec::new(), Vec::new(), Vec::new());
-        read_records(&mut reader, wide.len(), &mut w).unwrap();
-        read_records(&mut reader, small.len(), &mut s).unwrap();
-        read_records(&mut reader, cols.len(), &mut c).unwrap();
-        assert_eq!((w, s, c), (wide, small, cols));
-        let err = read_records(&mut reader, 1, &mut Vec::<u32>::new()).unwrap_err();
+        let (mut s, mut c, mut kept) = (Vec::new(), Vec::new(), Vec::new());
+        read_records(&mut reader, small.len(), &mut s, |_| true).unwrap();
+        read_records(&mut reader, cols.len(), &mut c, |_| true).unwrap();
+        // Dropping records as they decode, split ones included.
+        let even = |t: &SmallTriplet| t.row.is_multiple_of(2);
+        read_records(&mut reader, small.len(), &mut kept, even).unwrap();
+        let evens: Vec<SmallTriplet> = small.iter().copied().filter(even).collect();
+        assert_eq!((s, c, kept), (small, cols, evens));
+        let err = read_records(&mut reader, 1, &mut Vec::<u32>::new(), |_| true).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
     fn partial_shard_record_is_a_typed_error_naming_the_rank_and_file() {
-        let records = [Triplet::new(1, 2, 3.0), Triplet::new(4, 5, -6.0)];
-        let mut bytes = Vec::new();
-        records.iter().for_each(|t| t.encode(&mut bytes));
-        let context = "rank 3 reading shard raw.3";
-        let whole = decode_shard(bytes.as_slice(), bytes.len() as u64, context).unwrap();
+        let records = [SmallTriplet::new(1, 2, 3.0), SmallTriplet::new(4, 5, -6.0)];
+        let spill = SpillDir::create(None).unwrap();
+        let path = spill.path("raw.3".to_string());
+        write_records(&path, &records).unwrap();
+        let mut reader = ShardReader::open(3, &path).unwrap();
+        let mut whole = Vec::new();
+        reader.read(reader.records, &mut whole).unwrap();
         assert_eq!(whole, records);
-        for len in [bytes.len() + 1, bytes.len() - 1] {
-            let mut input = bytes.clone();
-            input.resize(len, 0);
-            match decode_shard(input.as_slice(), len as u64, context) {
+        let bytes = records.len() * SmallTriplet::BYTES;
+        for len in [bytes + 1, bytes - 1] {
+            File::options().write(true).open(&path).unwrap().set_len(len as u64).unwrap();
+            match ShardReader::open(3, &path).map(|reader| reader.records) {
                 Err(RunError::Io { context }) => {
                     assert!(context.contains("rank 3"), "{context}");
                     assert!(context.contains("raw.3"), "{context}");
@@ -967,55 +1182,141 @@ mod tests {
 
     #[test]
     fn truncated_store_is_a_typed_read_error() {
-        let a = twoface_matrix::gen::erdos_renyi(64, 64, 600, 5);
-        let plan = PartitionPlan::build_uniform(
-            &a,
-            OneDimLayout::new(64, 64, 4, 4),
-            8,
-            StripeClass::Async,
-        );
-        let matrices = RankMatrices::build(&a, &plan, 1, 4).unwrap();
-        let spill = SpillDir::create(None).unwrap();
-        let (store, bytes) = write_store(spill.path("store.1".to_string()), &matrices).unwrap();
-        File::options().write(true).open(&store.path).unwrap().set_len(bytes as u64 / 2).unwrap();
-        let file = File::open(&store.path).unwrap();
-        let mut source = StoreSource::new(1, &store, &file);
-        let err = source
-            .for_each_async(|_| Ok(()))
-            .and_then(|()| source.for_each_sync_chunk(|_| {}))
-            .expect_err("half the store is gone");
-        match err.into_run_error(1, Vec::new()) {
-            RunError::Io { context } => {
-                assert!(context.contains("rank 1"), "{context}");
-                assert!(context.contains(&store.path.display().to_string()), "{context}");
+        // Rank 1's remote stripes are async and its own column block is
+        // sync, so it reads both files.
+        let a = erdos_renyi(64, 64, 600, 5);
+        let layout = OneDimLayout::new(64, 64, 4, 4);
+        let plan = PartitionPlan::build_uniform(&a, layout, 8, StripeClass::Async);
+        for truncate_store in [true, false] {
+            let spill = SpillDir::create(None).unwrap();
+            let store = store_of(&a, &plan, 1, 4, &spill);
+            assert!(!store.stripes.is_empty() && store.sync_nnz > 0, "rank 1 reads both files");
+            let (path, len) = if truncate_store {
+                (&store.path, store.store_bytes() / 2)
+            } else {
+                (&store.shard, store.sync_read_bytes() / 2)
+            };
+            File::options().write(true).open(path).unwrap().set_len(len as u64).unwrap();
+            let (store_file, shard_file) =
+                (File::open(&store.path).unwrap(), File::open(&store.shard).unwrap());
+            let mut source = StoreSource::new(1, &store, plan.layout(), &store_file, &shard_file);
+            let err = source
+                .for_each_async(|_| Ok(()))
+                .and_then(|()| source.for_each_sync_chunk(|_| {}))
+                .expect_err("half the file is gone");
+            match err.into_run_error(1, Vec::new()) {
+                RunError::Io { context } => {
+                    assert!(context.contains("rank 1"), "{context}");
+                    assert!(context.contains(&path.display().to_string()), "{context}");
+                }
+                other => panic!("expected an I/O error, got {other:?}"),
             }
-            other => panic!("expected an I/O error, got {other:?}"),
         }
     }
 
     #[test]
     fn sync_chunks_cover_the_entries_without_splitting_rows() {
-        // One rank holds every nonzero — seven per row, so the chunk cap
-        // falls mid-row — and enough of them for more than one chunk.
-        let rows = SYNC_CHUNK_ENTRIES / 7 + 1000;
-        let triplets: Vec<(usize, usize, f64)> =
-            (0..rows).flat_map(|r| (0..7).map(move |j| (r, (r + 3 * j) % rows, 1.0))).collect();
-        let a = twoface_matrix::CooMatrix::from_triplets(rows, rows, triplets).unwrap();
-        let layout = OneDimLayout::new(rows, rows, 1, 64);
-        let plan = PartitionPlan::build_uniform(&a, layout, 8, StripeClass::Sync);
+        // Rank 0 of two holds every nonzero — five sync ones per row, so the
+        // chunk cap falls mid-row, and two in the other rank's async
+        // stripes, which the reads drop — and enough for several chunks.
+        let n = 2 * (SYNC_CHUNK_ENTRIES / 5 + 1000);
+        let layout = OneDimLayout::new(n, n, 2, 64);
+        let (rows, half) = (layout.row_range(0), layout.col_range(0).len());
+        let triplets: Vec<(usize, usize, f64)> = rows
+            .flat_map(|r| {
+                let sync = (0..5).map(move |j| (r, (r + 3 * j) % half, 1.0 + j as f64));
+                sync.chain((0..2).map(move |j| (r, half + (r + 5 * j) % half, -1.0)))
+            })
+            .collect();
+        let a = CooMatrix::from_triplets(n, n, triplets).unwrap();
+        let plan = PartitionPlan::build_uniform(&a, layout, 8, StripeClass::Async);
         let matrices = RankMatrices::build(&a, &plan, 0, 32).unwrap();
         let spill = SpillDir::create(None).unwrap();
-        let (store, _) = write_store(spill.path("store.0".to_string()), &matrices).unwrap();
-        let file = File::open(&store.path).unwrap();
-        let mut chunks: Vec<Vec<SmallTriplet>> = Vec::new();
-        StoreSource::new(0, &store, &file)
-            .for_each_sync_chunk(|chunk| chunks.push(chunk.to_vec()))
+        let store = store_of(&a, &plan, 0, 32, &spill);
+        let sync = &matrices.sync_local;
+        assert_eq!(
+            (store.sync_nnz, store.nonempty_panels),
+            (sync.nnz(), sync.num_nonempty_panels())
+        );
+        let (store_file, shard_file) =
+            (File::open(&store.path).unwrap(), File::open(&store.shard).unwrap());
+        let mut source = StoreSource::new(0, &store, plan.layout(), &store_file, &shard_file);
+        let mut stripes: Vec<AsyncStripe> = Vec::new();
+        source
+            .for_each_async(|stripe| {
+                stripes.push(stripe.clone());
+                Ok(())
+            })
             .unwrap();
+        assert_eq!(stripes, matrices.asynchronous.stripes());
+        let mut chunks: Vec<Vec<SmallTriplet>> = Vec::new();
+        source.for_each_sync_chunk(|chunk| chunks.push(chunk.to_vec())).unwrap();
         assert!(chunks.len() > 1, "the fixture spans several chunks");
         for pair in chunks.windows(2) {
             assert_ne!(pair[0].last().unwrap().row, pair[1][0].row, "a row straddles two chunks");
         }
-        assert_eq!(chunks.concat(), matrices.sync_local.entries());
+        assert_eq!(chunks.concat(), sync.entries());
+    }
+
+    #[test]
+    fn all_sync_plan_spills_one_record_per_draw_and_per_nonzero() {
+        // Async transfers cost a second each, so every stripe is sync and
+        // pass 4 writes empty stores: only the raw and normalized shards
+        // reach the disk, at 16 bytes an entry.
+        let all_sync = ModelCoefficients {
+            beta_sync: 1e-15,
+            alpha_sync: 1e-15,
+            beta_async: 1.0,
+            alpha_async: 1.0,
+            gamma_async: 1.0,
+            kappa_async: 1.0,
+        };
+        let draws = 20_000;
+        let run = run_twoface_streamed(
+            &mut ErdosChunks::new(1024, 1024, draws, 5),
+            8,
+            4,
+            32,
+            &CostModel::delta_scaled(),
+            &StreamOptions { coefficients: Some(all_sync), ..Default::default() },
+        )
+        .unwrap();
+        assert!(run.realized_nnz < draws, "the draws repeat coordinates");
+        assert_eq!(run.spilled_bytes, 16 * (draws + run.realized_nnz));
+    }
+
+    #[test]
+    fn normalization_is_bitwise_equal_at_both_entry_widths() {
+        // Duplicate-heavy draws whose sums depend on their order: forty
+        // rows, thirty columns, values of very different magnitudes. Rows
+        // a thousand apart span more than the entry count, which takes the
+        // comparison-sort path; adjacent rows take the counting sort.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let draws: Vec<(u64, u64, f64)> = (0..5000)
+            .map(|_| (draw(40), draw(30), [1e16, -1e16, 1.0, 0.1][draw(4) as usize]))
+            .collect();
+        for (path, row_stride) in [("counting sort", 1), ("comparison sort", 1000)] {
+            let wide: Vec<Triplet> = draws
+                .iter()
+                .map(|&(r, c, v)| Triplet::new(r as usize * row_stride, c as usize, v))
+                .collect();
+            let mut small: Vec<SmallTriplet> =
+                wide.iter().map(|&t| SmallTriplet::try_from(t).unwrap()).collect();
+            let mut wide = wide;
+            normalize_triplets(&mut wide);
+            normalize_triplets(&mut small);
+            assert!(wide.len() < 40 * 30 + 1, "{path}: duplicates are summed");
+            let wide: Vec<_> = wide.iter().map(|t| (t.row, t.col, t.val.to_bits())).collect();
+            let small: Vec<_> =
+                small.iter().map(|t| (t.row as usize, t.col as usize, t.val.to_bits())).collect();
+            assert_eq!(wide, small, "{path}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::{MatrixError, Scalar};
+use crate::{Entry, MatrixError, Scalar};
 
 /// A single `(row, column, value)` nonzero entry.
 ///
@@ -82,7 +82,7 @@ impl CooMatrix {
     ///
     /// This is the assembly path the chunked generators and the streaming
     /// executor share: the caller's allocation, plus the transient of
-    /// [`normalize_triplets`] (at most 32 bytes per entry), and its exact
+    /// [`normalize_triplets`] (at most 20 bytes per entry), and its exact
     /// summation order.
     ///
     /// # Errors
@@ -265,7 +265,7 @@ impl CooMatrix {
     }
 }
 
-/// Canonicalizes a raw triplet list in place: the entries end in the order
+/// Canonicalizes a raw entry list in place: the entries end in the order
 /// of a stable sort by (row, col), and duplicates are summed in that order.
 ///
 /// This is *the* assembly semantics of [`CooMatrix::from_triplets`], exposed
@@ -273,85 +273,115 @@ impl CooMatrix {
 /// is stable and rows partition disjointly, normalizing each row-range shard
 /// of a raw stream independently yields bit-identical entries (values summed
 /// in the same left-to-right draw order) to normalizing the whole stream and
-/// slicing afterwards.
+/// slicing afterwards. The entry width does not matter: 16-byte
+/// [`SmallTriplet`](crate::SmallTriplet)s normalize to the same coordinates
+/// and value bits as the wide [`Triplet`]s they narrow.
 ///
 /// The order comes from a counting sort by row followed by a sort of each
-/// row by column, in time linear in the entries plus the row span. Its
-/// transient is an 8-byte key per entry and a 4-byte count per row while
-/// sorting, then the key plus a 24-byte output entry while gathering: at
-/// most 32 bytes per entry beyond the input. Where counting cannot run — the
-/// rows span more entries than there are, or a column or an input position
-/// does not fit in 32 bits — a comparison sort produces the same order.
-pub fn normalize_triplets(entries: &mut Vec<Triplet>) {
-    match row_major_order(entries) {
-        Some(order) => *entries = order.iter().map(|&key| entries[key as u32 as usize]).collect(),
-        None => entries.sort_by_key(|t| (t.row, t.col)),
-    }
-    // Sum duplicates in place (two-pointer compaction, no second buffer).
-    let mut len = 0usize;
-    for i in 0..entries.len() {
-        if len > 0
-            && entries[len - 1].row == entries[i].row
-            && entries[len - 1].col == entries[i].col
-        {
-            entries[len - 1].val += entries[i].val;
-        } else {
-            entries[len] = entries[i];
-            len += 1;
+/// row by column, in time linear in the entries plus the row span. Nothing
+/// is gathered: each entry's value moves to its row's bucket next to an
+/// 8-byte key of its column and bucket slot, and each sorted bucket is
+/// written back over the input with its duplicates summed. The transient is
+/// the key and the 8-byte value per entry plus a 4-byte count per row. Where
+/// counting cannot run — the rows span more entries than there are, or a
+/// column or the entry count does not fit in 32 bits — a comparison sort
+/// produces the same order.
+pub fn normalize_triplets<E: Entry>(entries: &mut Vec<E>) {
+    let len = match row_span(entries) {
+        Some((lo, span)) => normalize_by_counting(entries, lo, span),
+        None => {
+            entries.sort_by_key(|t| (t.row(), t.col()));
+            sum_sorted_duplicates(entries)
         }
-    }
+    };
     entries.truncate(len);
 }
 
-/// The stable (row, col) order of `entries` by counting sort, as one key
-/// `col << 32 | position` per entry: keys are scattered into their row's
-/// bucket in input order, then each bucket is sorted. The position makes
-/// every key unique, so the unstable bucket sort yields the stable order.
-///
-/// Returns `None` when counting cannot run: for no entries, when the rows
-/// span more than `entries.len()`, or when a column or a position does not
-/// fit in the key's 32 bits.
-fn row_major_order(entries: &[Triplet]) -> Option<Vec<u64>> {
+/// The lowest row and the row span of `entries` when counting can sort
+/// them: `None` for no entries, when the rows span more than
+/// `entries.len()`, or when a column or the entry count does not fit in the
+/// key's 32 bits.
+fn row_span<E: Entry>(entries: &[E]) -> Option<(usize, usize)> {
     let n = entries.len();
     if n == 0 || n > u32::MAX as usize {
         return None;
     }
     let (mut lo, mut hi) = (usize::MAX, 0);
     for t in entries {
-        if t.col > u32::MAX as usize {
+        if t.col() > u32::MAX as usize {
             return None;
         }
-        lo = lo.min(t.row);
-        hi = hi.max(t.row);
+        lo = lo.min(t.row());
+        hi = hi.max(t.row());
     }
-    if hi - lo >= n {
-        return None;
-    }
-    let span = hi - lo + 1;
-    // `next[r]` is where row `lo + r`'s next key goes: its bucket's start,
+    (hi - lo < n).then_some((lo, hi - lo + 1))
+}
+
+/// Counting sort of `entries`, whose rows lie in `lo..lo + span`, into
+/// stable (row, col) order with duplicates summed in input order, written
+/// over the front of `entries`; returns how many entries remain.
+///
+/// Values are scattered into their row's bucket in input order, next to one
+/// key `col << 32 | slot` each. A bucket's slots ascend in input order, so
+/// sorting its keys yields the stable order, and the values it reads stay
+/// inside the bucket.
+fn normalize_by_counting<E: Entry>(entries: &mut [E], lo: usize, span: usize) -> usize {
+    let n = entries.len();
+    // `next[r]` is where row `lo + r`'s next entry goes: its bucket's start,
     // from the prefix sum of the row counts, then its end once scattered.
     let mut next = vec![0u32; span + 1];
-    for t in entries {
-        next[t.row - lo + 1] += 1;
+    for t in entries.iter() {
+        next[t.row() - lo + 1] += 1;
     }
     for r in 1..=span {
         next[r] += next[r - 1];
     }
     let mut keys = vec![0u64; n];
-    for (position, t) in entries.iter().enumerate() {
-        let slot = &mut next[t.row - lo];
-        keys[*slot as usize] = (t.col as u64) << 32 | position as u64;
+    let mut vals: Vec<Scalar> = vec![0.0; n];
+    for t in entries.iter() {
+        let slot = &mut next[t.row() - lo];
+        keys[*slot as usize] = (t.col() as u64) << 32 | u64::from(*slot);
+        vals[*slot as usize] = t.val();
         *slot += 1;
     }
-    let mut start = 0;
-    for &end in &next[..span] {
-        let end = end as usize;
-        if end - start > 1 {
-            keys[start..end].sort_unstable();
+    // Every value now sits in `vals`, so the buckets are written back over
+    // the front of `entries`.
+    let (mut len, mut start) = (0, 0);
+    for (r, &end) in next[..span].iter().enumerate() {
+        let bucket = &mut keys[start..end as usize];
+        bucket.sort_unstable();
+        let mut i = 0;
+        while i < bucket.len() {
+            let col = bucket[i] >> 32;
+            let mut sum = vals[bucket[i] as u32 as usize];
+            i += 1;
+            while i < bucket.len() && bucket[i] >> 32 == col {
+                sum += vals[bucket[i] as u32 as usize];
+                i += 1;
+            }
+            entries[len] = E::from_parts(lo + r, col as usize, sum);
+            len += 1;
         }
-        start = end;
+        start = end as usize;
     }
-    Some(keys)
+    len
+}
+
+/// Sums each run of equal coordinates in (row, col)-sorted `entries` into
+/// its first entry, in order, compacting to the front; returns how many
+/// entries remain.
+fn sum_sorted_duplicates<E: Entry>(entries: &mut [E]) -> usize {
+    let mut len = 0usize;
+    for i in 0..entries.len() {
+        let (last, t) = (entries[len.saturating_sub(1)], entries[i]);
+        if len > 0 && (last.row(), last.col()) == (t.row(), t.col()) {
+            entries[len - 1] = E::from_parts(t.row(), t.col(), last.val() + t.val());
+        } else {
+            entries[len] = t;
+            len += 1;
+        }
+    }
+    len
 }
 
 impl FromIterator<Triplet> for CooMatrix {
@@ -463,7 +493,7 @@ mod tests {
     /// Normalizes `entries` and compares every coordinate and value bit
     /// with the comparison sort, checking which path ran.
     fn assert_normalizes_like_the_sort(case: &str, entries: Vec<Triplet>, counted: bool) {
-        assert_eq!(row_major_order(&entries).is_some(), counted, "{case}: path taken");
+        assert_eq!(row_span(&entries).is_some(), counted, "{case}: path taken");
         let expected = sorted_and_summed(entries.clone());
         let mut got = entries;
         normalize_triplets(&mut got);

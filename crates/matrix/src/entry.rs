@@ -37,6 +37,13 @@ pub trait Entry: Copy + Send + Sync + 'static {
     fn col(&self) -> usize;
     /// Numeric value of the nonzero.
     fn val(&self) -> Scalar;
+    /// The entry `(row, col, val)`, at coordinates taken from entries of
+    /// the same width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate does not fit the width.
+    fn from_parts(row: usize, col: usize, val: Scalar) -> Self;
 }
 
 impl Entry for Triplet {
@@ -53,6 +60,11 @@ impl Entry for Triplet {
     #[inline(always)]
     fn val(&self) -> Scalar {
         self.val
+    }
+
+    #[inline(always)]
+    fn from_parts(row: usize, col: usize, val: Scalar) -> Self {
+        Triplet { row, col, val }
     }
 }
 
@@ -125,6 +137,11 @@ impl Entry for SmallTriplet {
     #[inline(always)]
     fn val(&self) -> Scalar {
         self.val
+    }
+
+    #[inline(always)]
+    fn from_parts(row: usize, col: usize, val: Scalar) -> Self {
+        SmallTriplet::new(row, col, val)
     }
 }
 

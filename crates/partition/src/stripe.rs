@@ -60,10 +60,11 @@ impl NodeProfile {
     }
 
     /// Builds the profile of `rank` directly from its row shard — the
-    /// normalized entries whose rows all fall in `rank`'s row block. The
-    /// streamed runner profiles each rank from its spilled shard this way and
-    /// never holds the global matrix; [`NodeProfile::build`] feeds it the
-    /// resident matrix's row slice.
+    /// normalized entries whose rows all fall in `rank`'s row block, as
+    /// global rows or rebased to the block (the profile reads only the
+    /// columns). The streamed runner profiles each rank from its spilled
+    /// rank-local shard this way and never holds the global matrix;
+    /// [`NodeProfile::build`] feeds it the resident matrix's row slice.
     pub fn build_from_rows<E: Entry>(
         rank_entries: &[E],
         layout: &OneDimLayout,
@@ -75,7 +76,10 @@ impl NodeProfile {
         // `rows_needed` is the number of bits set over its columns.
         let mut seen = vec![0u64; layout.cols().div_ceil(64)];
         for t in rank_entries {
-            debug_assert!(rows.contains(&t.row()), "entry outside rank's row block");
+            debug_assert!(
+                rows.contains(&t.row()) || t.row() < rows.len(),
+                "entry outside rank's row block, in global or block-local rows"
+            );
             let col = t.col();
             nnz[layout.stripe_of_col(col)] += 1;
             seen[col / 64] |= 1u64 << (col % 64);

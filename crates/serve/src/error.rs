@@ -7,6 +7,8 @@ use twoface_core::RunError;
 /// Scheduling errors (`UnknownMatrix`, `Shape`, `MixedBatch`) surface
 /// before anything runs: from [`submit`](crate::SpmmService::submit), or
 /// in every response of a rejected [`execute`](crate::SpmmService::execute).
+/// `Config` answers a query that runs nothing under invalid execution
+/// options.
 /// Execution errors (`Run`) arrive in the request's
 /// [`SpmmResponse`](crate::SpmmResponse) after the retry budget — and, when
 /// enabled, the dense-allgather fallback — has been exhausted.
@@ -31,6 +33,16 @@ pub enum ServeError {
         /// first request's.
         index: usize,
     },
+    /// The service's execution options are invalid
+    /// ([`TwoFaceConfig::check`](twoface_core::TwoFaceConfig::check)), found
+    /// by a query that runs nothing:
+    /// [`predicted_seconds`](crate::SpmmService::predicted_seconds), or a
+    /// plan-cache lookup that resolves `Auto`. A batch reports the same
+    /// error as a `Run` failure after no attempt.
+    Config {
+        /// The configuration error.
+        source: RunError,
+    },
     /// Execution failed after `attempts` runs (retries and any fallback
     /// included).
     Run {
@@ -41,6 +53,13 @@ pub enum ServeError {
         /// The last underlying run error.
         source: RunError,
     },
+}
+
+impl ServeError {
+    /// The [`ServeError::Config`] of `source`.
+    pub(crate) fn config(source: RunError) -> ServeError {
+        ServeError::Config { source }
+    }
 }
 
 impl std::fmt::Display for ServeError {
@@ -54,6 +73,7 @@ impl std::fmt::Display for ServeError {
                 f,
                 "batch cannot fuse: request {index} differs from request 0 in matrix, algorithm or K"
             ),
+            ServeError::Config { source } => write!(f, "invalid service configuration: {source}"),
             ServeError::Run { request, attempts, source } => {
                 write!(f, "request {request} failed after {attempts} attempt(s): {source}")
             }
@@ -64,7 +84,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::Run { source, .. } => Some(source),
+            ServeError::Config { source } | ServeError::Run { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -92,6 +112,13 @@ mod tests {
 
         let e = ServeError::MixedBatch { index: 2 };
         assert!(e.to_string().contains("request 2") && e.source().is_none());
+
+        let e = ServeError::Config {
+            source: RunError::InvalidConfig { context: "row_panel_height must be positive".into() },
+        };
+        let s = e.to_string();
+        assert!(s.contains("invalid service configuration") && s.contains("row_panel"), "{s}");
+        assert!(e.source().is_some());
 
         let e = ServeError::Run {
             request: 7,

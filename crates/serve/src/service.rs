@@ -400,7 +400,9 @@ impl SpmmService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownMatrix`] for a foreign handle.
+    /// [`ServeError::UnknownMatrix`] for a foreign handle, and
+    /// [`ServeError::Config`] when `Auto` cannot resolve under the service's
+    /// execution options.
     pub fn plan_cache_key(
         &self,
         matrix: MatrixHandle,
@@ -408,7 +410,9 @@ impl SpmmService {
         k: usize,
     ) -> Result<u64, ServeError> {
         let registered = self.registered(matrix)?;
-        Ok(self.cache_key(registered, algorithm, k))
+        let resolved =
+            self.resolve_algorithm(registered, algorithm, k).map_err(ServeError::config)?;
+        Ok(self.cache_key(registered, resolved, k))
     }
 
     /// The calibrated cost model's predicted execution time, in simulated
@@ -419,7 +423,9 @@ impl SpmmService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownMatrix`] for a foreign handle.
+    /// [`ServeError::UnknownMatrix`] for a foreign handle, and
+    /// [`ServeError::Config`] when the service's execution options are
+    /// invalid.
     pub fn predicted_seconds(
         &self,
         matrix: MatrixHandle,
@@ -429,7 +435,8 @@ impl SpmmService {
         let registered = self.registered(matrix)?;
         let layout = registered.layout(self.config.p);
         let effective = self.config.exec.effective_cost(&self.config.cost);
-        Ok(predict_latency(&registered.a, &layout, k, &self.config.exec, &effective, algorithm))
+        predict_latency(&registered.a, &layout, k, &self.config.exec, &effective, algorithm)
+            .map_err(ServeError::config)
     }
 
     /// Whether the preprocessing artifact a `(matrix, algorithm, k)` request
@@ -438,7 +445,7 @@ impl SpmmService {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownMatrix`] for a foreign handle.
+    /// As for [`SpmmService::plan_cache_key`].
     pub fn plan_resident(
         &self,
         matrix: MatrixHandle,
@@ -446,10 +453,9 @@ impl SpmmService {
         k: usize,
     ) -> Result<bool, ServeError> {
         let registered = self.registered(matrix)?;
-        if !self.resolve_algorithm(registered, algorithm, k).uses_plan() {
-            return Ok(false);
-        }
-        Ok(self.cache.contains(self.cache_key(registered, algorithm, k)))
+        let resolved =
+            self.resolve_algorithm(registered, algorithm, k).map_err(ServeError::config)?;
+        Ok(resolved.uses_plan() && self.cache.contains(self.cache_key(registered, resolved, k)))
     }
 
     /// Shape and population of a registered matrix as
@@ -473,27 +479,29 @@ impl SpmmService {
     /// Resolves [`Algorithm::Auto`] against this matrix and the service's
     /// effective machine model — exactly the resolution the runner would
     /// perform, so the cache key and the plan flavor always describe the
-    /// algorithm that actually executes. Concrete algorithms pass through.
+    /// algorithm that actually executes. Concrete algorithms pass through;
+    /// `Auto` fails on invalid execution options.
     fn resolve_algorithm(
         &self,
         registered: &Registered,
         algorithm: Algorithm,
         k: usize,
-    ) -> Algorithm {
+    ) -> Result<Algorithm, RunError> {
         match algorithm {
             Algorithm::Auto => {
                 let layout = registered.layout(self.config.p);
                 let effective = self.config.exec.effective_cost(&self.config.cost);
-                resolve_auto(&registered.a, &layout, k, &self.config.exec, &effective).algorithm
+                resolve_auto(&registered.a, &layout, k, &self.config.exec, &effective)
+                    .map(|choice| choice.algorithm)
             }
-            other => other,
+            other => Ok(other),
         }
     }
 
     /// The content fingerprint of `(A, ExecOpts, cluster shape)` backing
-    /// [`SpmmService::plan_cache_key`].
-    fn cache_key(&self, registered: &Registered, algorithm: Algorithm, k: usize) -> u64 {
-        let resolved = self.resolve_algorithm(registered, algorithm, k);
+    /// [`SpmmService::plan_cache_key`], for the `resolved` (concrete)
+    /// algorithm.
+    fn cache_key(&self, registered: &Registered, resolved: Algorithm, k: usize) -> u64 {
         let mut f = Fingerprint::new();
         f.mix_bytes(b"serve-key")
             .mix_u64(registered.fingerprint)
@@ -641,8 +649,18 @@ impl SpmmService {
         // plan flavor and the cache key. The runner re-resolves to the same
         // choice (resolution is deterministic), keeping Auto provenance in
         // the report.
-        let resolved =
-            self.resolve_algorithm(&self.matrices[batch.matrix], batch.algorithm, batch.k_each);
+        let resolved = match self.resolve_algorithm(
+            &self.matrices[batch.matrix],
+            batch.algorithm,
+            batch.k_each,
+        ) {
+            Ok(resolved) => resolved,
+            Err(source) => {
+                let e = ServeError::Run { request: ids[0], attempts: 0, source };
+                self.fail_batch(&batch, e, 0, false, None, out);
+                return;
+            }
+        };
         let uses_plan = resolved.uses_plan();
 
         let (prepared, cache_hit, prep_wall_nanos) = if uses_plan {

@@ -7,8 +7,9 @@ use std::time::{Duration, Instant};
 use twoface_core::sampling::{run_sampled_twoface, EdgeSampler};
 use twoface_core::sddmm::{run_sddmm, SddmmAlgorithm};
 use twoface_core::{
-    prepare_plan, run_algorithm, run_algorithm_on, run_twoface_streamed, Algorithm, PreparedMatrix,
-    Problem, RankMatrices, RunError, RunOptions, StreamOptions, TwoFaceConfig,
+    predict_latency, prepare_plan, resolve_auto, run_algorithm, run_algorithm_on,
+    run_twoface_streamed, spmm_stats, Algorithm, PreparedMatrix, Problem, RankMatrices, RunError,
+    RunOptions, StreamOptions, TwoFaceConfig,
 };
 use twoface_matrix::gen::{erdos_renyi, ErdosChunks};
 use twoface_matrix::{CooMatrix, DenseMatrix, Triplet};
@@ -307,6 +308,77 @@ fn zero_valued_config_fields_are_typed_errors_at_every_entry_point() {
     assert_invalid_config("RankMatrices::build_from_rows", "row_panel_height", || {
         RankMatrices::build_from_rows(&[], &plan, 0, 0).map(drop)
     });
+}
+
+/// The problem of the cost-model queries' tests, and a config whose zero
+/// coalescing distance they once divided by.
+fn zero_coalescing_query() -> (Problem, TwoFaceConfig) {
+    let problem = Problem::with_generated_b(Arc::new(erdos_renyi(256, 256, 2000, 1)), 8, 4, 16)
+        .expect("valid problem");
+    (problem, TwoFaceConfig { coalesce_distance_override: Some(0), ..Default::default() })
+}
+
+#[test]
+fn spmm_stats_checks_the_config() {
+    let (problem, config) = zero_coalescing_query();
+    assert_invalid_config("spmm_stats", "coalesce_distance_override", || {
+        spmm_stats(&problem.a, &problem.layout, problem.k(), &config).map(drop)
+    });
+}
+
+#[test]
+fn resolve_auto_checks_the_config() {
+    let (problem, config) = zero_coalescing_query();
+    let cost = CostModel::delta();
+    assert_invalid_config("resolve_auto", "coalesce_distance_override", || {
+        resolve_auto(&problem.a, &problem.layout, problem.k(), &config, &cost).map(drop)
+    });
+}
+
+#[test]
+fn predict_latency_checks_the_config() {
+    let (problem, config) = zero_coalescing_query();
+    let cost = CostModel::delta();
+    for algorithm in [Algorithm::Auto, Algorithm::TwoFace, Algorithm::Allgather] {
+        assert_invalid_config(
+            &format!("predict_latency({algorithm})"),
+            "coalesce_distance_override",
+            || {
+                predict_latency(&problem.a, &problem.layout, problem.k(), &config, &cost, algorithm)
+                    .map(drop)
+            },
+        );
+    }
+}
+
+/// A chunked source past the `u32` small-index limit of the spill records
+/// is a shape error before the spill directory is written to.
+#[test]
+fn streamed_source_wider_than_u32_is_a_shape_error_before_spilling() {
+    let spill_dir =
+        std::env::temp_dir().join(format!("twoface-wide-source-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).expect("temp dir is writable");
+    // `delta()`'s node memory refuses this layout in the simulated gate;
+    // widen it so only the index width can stop the run.
+    let cost = CostModel { memory_per_node: usize::MAX / 4, ..CostModel::delta() };
+    let options = StreamOptions { spill_dir: Some(spill_dir.clone()), ..Default::default() };
+    let started = Instant::now();
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut source = ErdosChunks::new((1 << 32) + 64, 64, 100, 1);
+        run_twoface_streamed(&mut source, 8, 2, 32, &cost, &options).map(drop)
+    }));
+    let took = started.elapsed();
+    let written = std::fs::read_dir(&spill_dir).expect("spill dir exists").count();
+    std::fs::remove_dir_all(&spill_dir).expect("spill dir is removable");
+    match outcome {
+        Ok(Err(RunError::Shape { context })) => {
+            assert!(context.contains("u32 small-index limit"), "{context}")
+        }
+        Ok(other) => panic!("expected a shape error, got {other:?}"),
+        Err(_) => panic!("a source wider than u32 panicked"),
+    }
+    assert!(took < Duration::from_secs(1), "the shape error took {took:?}");
+    assert_eq!(written, 0, "the run wrote to the spill directory");
 }
 
 #[test]

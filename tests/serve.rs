@@ -444,6 +444,49 @@ fn reset_session_drops_cached_plans_but_keeps_history() {
     assert_eq!(after.cache_hit, Some(false));
 }
 
+/// A service whose coalescing distance is zero: concrete algorithms pass
+/// it through to the runner, which rejects it.
+fn zero_coalescing_service() -> (SpmmService, twoface_serve::MatrixHandle) {
+    let mut config = config();
+    config.exec.coalesce_distance_override = Some(0);
+    let mut service = SpmmService::new(config);
+    let handle = service.register_matrix(matrix(5), STRIPE).unwrap();
+    (service, handle)
+}
+
+fn assert_config_error(outcome: &Result<impl std::fmt::Debug, ServeError>) {
+    match outcome {
+        Err(ServeError::Config { source: RunError::InvalidConfig { context } })
+        | Err(ServeError::Run {
+            source: RunError::InvalidConfig { context }, attempts: 0, ..
+        }) => {
+            assert!(context.contains("coalesce_distance_override"), "{context}")
+        }
+        other => panic!("expected the invalid coalescing distance, got {other:?}"),
+    }
+}
+
+#[test]
+fn predicted_seconds_under_an_invalid_config_is_a_typed_error() {
+    let (service, handle) = zero_coalescing_service();
+    for algorithm in [Algorithm::Auto, Algorithm::TwoFace] {
+        assert_config_error(&service.predicted_seconds(handle, algorithm, 8));
+    }
+    assert_config_error(&service.plan_cache_key(handle, Algorithm::Auto, 8));
+    assert_config_error(&service.plan_resident(handle, Algorithm::Auto, 8));
+}
+
+#[test]
+fn auto_batch_under_an_invalid_config_is_a_typed_error() {
+    let (mut service, handle) = zero_coalescing_service();
+    let request = SpmmRequest { matrix: handle, b: dense(8, 3), algorithm: Algorithm::Auto };
+    let responses = service.execute(vec![request.clone(), request]);
+    assert_eq!(responses.len(), 2);
+    for response in &responses {
+        assert_config_error(&response.output);
+    }
+}
+
 #[test]
 fn non_plan_algorithms_batch_but_bypass_the_cache() {
     let mut service = SpmmService::new(config());

@@ -6,26 +6,29 @@
 //! equality, not a tolerance), same simulated seconds, same per-lane
 //! breakdowns, same communication volumes, same memory verdicts. These
 //! tests enforce the contract across generator families, chunk sizes,
-//! `K` widths, and the row-major ablation.
+//! `K` widths, worker counts, classifications from all-sync to
+//! all-async, and the row-major ablation.
 
 use std::sync::Arc;
 use twoface_core::{
-    run_algorithm, run_twoface_streamed, Algorithm, Problem, RunError, RunOptions, StreamOptions,
-    TwoFaceConfig,
+    prepare_plan, run_algorithm, run_twoface_streamed, Algorithm, Problem, RunError, RunOptions,
+    StreamOptions, TwoFaceConfig,
 };
 use twoface_matrix::gen::{assemble, ErdosChunks, HubChunks, RmatChunks, TripletSource};
 use twoface_matrix::gen::{HubConfig, RmatConfig};
 use twoface_net::{CostModel, Observability, OpKind};
+use twoface_partition::{ModelCoefficients, StripeClass};
 
 /// Runs the resident Two-Face path on the assembled source and the streamed
 /// path on a fresh source, then checks the full bit-identity contract.
+/// Returns the resident problem.
 fn assert_streamed_matches_resident(
     make_source: impl Fn() -> Box<dyn TripletSource>,
     k: usize,
     p: usize,
     stripe_width: usize,
     stream_options: &StreamOptions,
-) {
+) -> Problem {
     let cost = CostModel::delta_scaled();
     let a = Arc::new(assemble(&mut *make_source()));
     let problem = Problem::with_generated_b(Arc::clone(&a), k, p, stripe_width)
@@ -57,6 +60,7 @@ fn assert_streamed_matches_resident(
     assert_eq!(sr.messages, resident.messages);
     assert_eq!(sr.mean_multicast_recipients, resident.mean_multicast_recipients);
     assert_eq!(sr.memory_peak_bytes, resident.memory_peak_bytes);
+    problem
 }
 
 #[test]
@@ -122,6 +126,111 @@ fn row_major_ablation_streams_identically() {
         32,
         &StreamOptions { config, ..Default::default() },
     );
+}
+
+/// Deterministic default; override with `CHAOS_SEED_BASE=<n>` (decimal), as
+/// for the chaos suite, to sweep new seeds.
+fn seed_base() -> u64 {
+    std::env::var("CHAOS_SEED_BASE").ok().and_then(|s| s.parse().ok()).unwrap_or(0x57EA)
+}
+
+/// splitmix64: the sweep's case generator.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `lo..=hi`.
+    fn between(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+}
+
+/// Coefficients under which a sync transfer costs a second and the async
+/// lane is free, so nearly every remote stripe classifies async.
+const ALL_ASYNC: ModelCoefficients = ModelCoefficients {
+    beta_sync: 1.0,
+    alpha_sync: 1.0,
+    beta_async: 1e-15,
+    alpha_async: 1e-15,
+    gamma_async: 1e-15,
+    kappa_async: 1e-15,
+};
+
+/// The reverse: every remote stripe classifies sync.
+const ALL_SYNC: ModelCoefficients = ModelCoefficients {
+    beta_sync: 1e-15,
+    alpha_sync: 1e-15,
+    beta_async: 1.0,
+    alpha_async: 1.0,
+    gamma_async: 1.0,
+    kappa_async: 1.0,
+};
+
+/// A seeded sweep of the bit-identity contract: each case draws a generator
+/// family, `p`, a stripe width, a spill chunk, `K` and a worker count, and
+/// cycles through the model's coefficients, all-async ones and all-sync
+/// ones. The all-async cases must really classify nearly every remote
+/// stripe async, so the streamed executor's dropping of async entries from
+/// the sync reads is exercised on every run.
+#[test]
+fn seeded_sweep_matches_resident_from_all_sync_to_all_async() {
+    const CASES: u64 = 12;
+    let base = seed_base();
+    let cost = CostModel::delta_scaled();
+    for case in 0..CASES {
+        let mut rng = SplitMix(base.wrapping_add(case));
+        let family = rng.between(0, 2);
+        let (p, stripe_width) = (rng.between(2, 8), [16, 32, 64, 128][rng.between(0, 3)]);
+        let chunk_nnz = [64, 1000, 1 << 20][rng.between(0, 2)];
+        let (k, workers) = ([1, 8, 20, 32][rng.between(0, 3)], [1, 2, 4][rng.between(0, 2)]);
+        let (scale, n, seed) = (rng.between(9, 11) as u32, 1 << rng.between(10, 12), rng.next());
+        let (set, coefficients) =
+            [("model", None), ("all-async", Some(ALL_ASYNC)), ("all-sync", Some(ALL_SYNC))]
+                [case as usize % 3];
+        let (name, make_source): (_, Box<dyn Fn() -> Box<dyn TripletSource>>) = match family {
+            0 => ("R-MAT", {
+                let config = RmatConfig { scale, edge_factor: 8, ..Default::default() };
+                Box::new(move || Box::new(RmatChunks::new(&config, seed)))
+            }),
+            1 => ("hub", {
+                let config = HubConfig { n, nnz: 4 * n, ..Default::default() };
+                Box::new(move || Box::new(HubChunks::new(&config, seed)))
+            }),
+            _ => ("Erdos-Renyi", Box::new(move || Box::new(ErdosChunks::new(n, n, 6 * n, seed)))),
+        };
+        let at = format!(
+            "case {case} (CHAOS_SEED_BASE={base}): {name} (scale {scale}, n {n}, seed {seed}) \
+             p={p} W={stripe_width} chunk {chunk_nnz} K={k} workers {workers}, {set} coefficients"
+        );
+        println!("{at}");
+        let options =
+            StreamOptions { coefficients, workers: Some(workers), chunk_nnz, ..Default::default() };
+        let problem = assert_streamed_matches_resident(make_source, k, p, stripe_width, &options);
+        if let Some(coefficients) = coefficients.filter(|_| set == "all-async") {
+            let plan = prepare_plan(&problem, &coefficients, &cost);
+            let classes = (0..p).flat_map(|rank| plan.classification(rank).classes.iter());
+            let remote: Vec<StripeClass> = classes
+                .map(|&(_, class)| class)
+                .filter(|&class| class != StripeClass::LocalInput)
+                .collect();
+            let asynchronous = remote.iter().filter(|&&class| class == StripeClass::Async).count();
+            // The greedy prefix leaves at most one remote stripe per rank
+            // sync.
+            println!("  {asynchronous} of {} remote stripes async", remote.len());
+            assert!(
+                asynchronous > 0 && remote.len() - asynchronous <= p,
+                "{at}: only {asynchronous} of {} remote stripes classify async",
+                remote.len()
+            );
+        }
+    }
 }
 
 #[test]
