@@ -12,9 +12,9 @@ use serde::Serialize;
 use twoface_bench::{
     banner, default_cost, write_json, CommCounters, SuiteCache, DEFAULT_K, DEFAULT_P,
 };
-use twoface_core::{run_algorithm, Algorithm, Breakdown, RunError, RunOptions};
+use twoface_core::{run_algorithm, Algorithm, Breakdown, ExecutionReport, RunError, RunOptions};
 use twoface_matrix::gen::SuiteMatrix;
-use twoface_net::Observability;
+use twoface_net::{seconds_by_class, Observability, PhaseClass};
 
 #[derive(Serialize)]
 struct Row {
@@ -23,10 +23,6 @@ struct Row {
     two_face: BreakdownOut,
     /// Two-Face execution time normalized to DS4 (the paper's y-axis).
     two_face_normalized: Option<f64>,
-    /// Two-Face's critical-rank breakdown re-derived from the per-operation
-    /// event stream instead of the aggregate trace — cross-checked against
-    /// `two_face` before the JSON is written.
-    two_face_from_events: BreakdownOut,
     /// Per-nonzero throughput of Two-Face in simulated time: `nnz /
     /// two_face.seconds`. Host-independent (derived from the deterministic
     /// simulation), so the fleet gate guards it hard.
@@ -60,25 +56,24 @@ impl BreakdownOut {
     }
 }
 
-/// Asserts that the event-derived breakdown agrees with the aggregate-trace
-/// breakdown. The two accounting systems round independently (the aggregate
-/// adds wait + cost in one step, events in two), so exact equality is not
-/// guaranteed — but disagreement beyond float rounding means an operation
-/// was recorded in one system and not the other.
-fn assert_consistent(matrix: &str, from_trace: &Breakdown, from_events: &Breakdown) {
-    let tolerance = 1e-9 * from_trace.total().max(1e-30);
-    for (label, t, e) in [
-        ("sync_comm", from_trace.sync_comm, from_events.sync_comm),
-        ("sync_comp", from_trace.sync_comp, from_events.sync_comp),
-        ("async_comm", from_trace.async_comm, from_events.async_comm),
-        ("async_comp", from_trace.async_comp, from_events.async_comp),
-        ("other", from_trace.other, from_events.other),
-        ("recovery", from_trace.recovery, from_events.recovery),
-    ] {
-        assert!(
-            (t - e).abs() <= tolerance,
-            "{matrix}: event stream disagrees with aggregate trace on {label}: {t} vs {e}"
-        );
+/// Asserts the coverage invariant on every rank: the per-class durations of
+/// its event stream sum to its aggregate trace's per-class seconds. The two
+/// accounting systems round independently (the aggregate adds wait + cost in
+/// one step, events in two), so exact equality is not guaranteed — but
+/// disagreement beyond float rounding means an operation was recorded in
+/// one system and not the other.
+fn assert_consistent(matrix: &str, report: &ExecutionReport) {
+    for (rank, (events, trace)) in report.rank_events.iter().zip(&report.rank_traces).enumerate() {
+        let from_trace = trace.class_seconds();
+        let tolerance = 1e-9 * from_trace.iter().sum::<f64>().max(1e-30);
+        let from_events = seconds_by_class(events);
+        for (class, (e, t)) in PhaseClass::ALL.iter().zip(from_events.iter().zip(&from_trace)) {
+            assert!(
+                (t - e).abs() <= tolerance,
+                "{matrix} rank {rank}: event stream disagrees with aggregate trace on {}: {t} vs {e}",
+                class.label()
+            );
+        }
     }
 }
 
@@ -93,8 +88,8 @@ fn main() {
     );
     let cost = default_cost();
     let options = RunOptions { compute_values: false, ..Default::default() };
-    // Two-Face runs with full event tracing so the breakdown can be
-    // re-derived from the per-operation stream and cross-checked.
+    // Two-Face runs with full event tracing so every rank's per-operation
+    // stream can be cross-checked against its aggregate trace.
     let traced = RunOptions { observability: Observability::full(), ..options.clone() };
     let mut cache = SuiteCache::new();
     let mut rows = Vec::new();
@@ -125,8 +120,7 @@ fn main() {
         };
         let tf = run_algorithm(Algorithm::TwoFace, &problem, &cost, &traced)
             .expect("Two-Face fits in memory on the whole suite");
-        let from_events = Breakdown::from_events(&tf.rank_events[tf.critical_rank]);
-        assert_consistent(m.short_name(), &tf.critical_breakdown, &from_events);
+        assert_consistent(m.short_name(), &tf);
         let normalized = ds4.as_ref().map(|d| tf.seconds / d.seconds);
         let b = &tf.critical_breakdown;
         match &ds4 {
@@ -163,7 +157,6 @@ fn main() {
             two_face: BreakdownOut::new(tf.seconds, &tf.critical_breakdown),
             two_face_normalized: normalized,
             two_face_sim_nnz_per_second: problem.a.nnz() as f64 / tf.seconds,
-            two_face_from_events: BreakdownOut::new(tf.seconds, &from_events),
             two_face_comm: CommCounters::from_traces(&tf.rank_traces),
             two_face_rank_comm: tf.rank_traces.iter().map(CommCounters::from_trace).collect(),
         });
@@ -173,8 +166,8 @@ fn main() {
          SpMM is communication-bound); Two-Face's win comes from shrinking sync\n\
          comm; mawi's async-comp column shows the atomics-bound pathology; on\n\
          twitter/friendster the sync comm column exceeds DS4's.\n\
-         Every Two-Face breakdown above was cross-checked against the\n\
-         per-operation event stream (see two_face_from_events in the JSON)."
+         Every Two-Face run above was cross-checked: each rank's per-operation\n\
+         event stream sums to its aggregate trace, class by class."
     );
     write_json("fig10_breakdown", &rows);
 }

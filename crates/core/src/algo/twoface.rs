@@ -29,7 +29,7 @@
 use crate::algo::SpmmAlgorithm;
 use crate::coalesce::coalesce_rows;
 use crate::config::{AsyncLayout, TwoFaceConfig};
-use crate::error::{RankError, RunError};
+use crate::error::RankError;
 use crate::format::{row_slice, AsyncMatrix, AsyncStripe, RankMatrices, Routes};
 use crate::kernels::{
     par_async_stripe, par_route_rows, par_sync_panels, BlockRows, FetchedRows, RankSlice, Stash,
@@ -40,43 +40,6 @@ use std::sync::Arc;
 use twoface_matrix::{CooMatrix, Scalar, SCALAR_BYTES};
 use twoface_net::{Lane, MulticastStep, NetError, Payload, PhaseClass, RankCtx};
 use twoface_partition::PartitionPlan;
-
-/// The materialized inputs of a masked (sampled) or SDDMM run, indexed by
-/// rank: both walk every rank's Figure-6 structures.
-pub(crate) struct TwoFaceData {
-    /// The (replicated) plan: classifications plus multicast metadata.
-    pub plan: Arc<PartitionPlan>,
-    /// Each rank's Figure-6 structures.
-    pub rank_matrices: Vec<RankMatrices>,
-    /// Each rank's block of `B`.
-    pub b_blocks: Vec<Arc<Vec<f64>>>,
-}
-
-impl TwoFaceData {
-    /// Builds all ranks' structures from a problem and a plan for its
-    /// layout. Ranks are independent, so the builds fan out across `pool`;
-    /// results are collected in rank order, so the data is identical for
-    /// any worker count.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Shape`] from the lowest rank holding a nonzero the plan
-    /// never classified for it.
-    pub fn build(
-        problem: &Problem,
-        plan: Arc<PartitionPlan>,
-        config: &TwoFaceConfig,
-        pool: &Pool,
-    ) -> Result<TwoFaceData, RunError> {
-        let rank_matrices = pool
-            .map(problem.layout.nodes(), |rank| {
-                RankMatrices::build(&problem.a, &plan, rank, config.row_panel_height)
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-        Ok(TwoFaceData { plan, rank_matrices, b_blocks: stage_b_blocks(problem, pool) })
-    }
-}
 
 /// Each rank's block of `B`, copied out across `pool` in rank order — the
 /// one input of a planned run that depends on the dense operand.
@@ -415,10 +378,11 @@ pub(crate) fn twoface_rank<S: StripeSource>(
 
     // --- Async lane: Algorithm 3 per asynchronous stripe. ---
     let max_distance = config.max_coalesce_distance(k);
-    // §7.1's rejected row-major variant: the required rows must be
-    // identified by a runtime sort+dedup before the transfer can even be
-    // issued; compute is then buffered (row-panel throughput on the async
-    // pool) instead of atomic-per-nonzero.
+    // §7.1's rejected row-major variant is charged a runtime sort+dedup to
+    // identify the required rows before the transfer can even be issued, and
+    // buffered compute (row-panel throughput on the async pool) instead of
+    // atomic-per-nonzero. Only the charges differ: both layouts run the one
+    // async kernel below, so `C` is bit-identical.
     let row_major = config.async_layout == AsyncLayout::RowMajor;
     // Arena scratch shared across stripes: the fetch buffer cycles through
     // `FetchedRows` and back, and the owner-local column list is rebuilt in
@@ -459,21 +423,14 @@ pub(crate) fn twoface_rank<S: StripeSource>(
         let timer = WallTimer::start(wall);
         if opts.compute {
             let rows_src = FetchedRows::new(&runs, col_base, std::mem::take(&mut fetch_scratch), k);
-            if row_major {
-                // The buffered kernel: the numeric result is identical,
-                // only the charged cost differs.
-                par_sync_panels(&pool, &stripe.entries, &rows_src, &mut c_local, k);
-            } else {
-                // Per output row, the row-major entries apply contributions
-                // in the ascending-column order of Algorithm 3's
-                // column-major loop, so the result is bit-identical to it
-                // for any worker count.
-                let spans = par_async_stripe(&pool, &stripe.entries, &rows_src, &mut c_local, k);
-                // Span fan-out scales with the host pool, so it lives in the
-                // host-profiling namespace, gated with wall time.
-                if ctx.wall_time_enabled() {
-                    ctx.observe("host.kernel_spans", spans as u64);
-                }
+            // Per output row, the row-major entries apply contributions in
+            // the ascending-column order of Algorithm 3's column-major loop,
+            // so the result is bit-identical to it for any worker count.
+            let spans = par_async_stripe(&pool, &stripe.entries, &rows_src, &mut c_local, k);
+            // Span fan-out scales with the host pool, so it lives in the
+            // host-profiling namespace, gated with wall time.
+            if ctx.wall_time_enabled() {
+                ctx.observe("host.kernel_spans", spans as u64);
             }
             // Recycle the fetch allocation for the next stripe.
             fetch_scratch = rows_src.into_data();

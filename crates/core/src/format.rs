@@ -251,7 +251,10 @@ impl RankMatrices {
     /// binary search on the row-sorted triplet array, so the per-rank cost is
     /// `O(nnz_rank)`, not a full-matrix scan (building all `p` ranks is
     /// `O(nnz)` total, not `O(p * nnz)`). Row indices are rebased to the
-    /// block; columns stay global.
+    /// block; columns stay global. The streamed (out-of-core) pipeline builds
+    /// no `RankMatrices`: it routes each rank's spilled shard by the same
+    /// stripe routes, so both store the same async stripes and sync
+    /// entries.
     ///
     /// # Errors
     ///
@@ -284,57 +287,17 @@ impl RankMatrices {
                 ),
             });
         }
-        let slice = row_slice(a, layout.row_range(rank));
-        RankMatrices::build_from_rows(slice, plan, rank, panel_height)
-    }
-
-    /// Builds the node's structures from a row-sorted slice holding exactly
-    /// the rank's nonzeros in *global* coordinates; [`RankMatrices::build`]
-    /// feeds it a subslice of the resident matrix. The streamed
-    /// (out-of-core) pipeline builds no `RankMatrices`: it routes each
-    /// rank's spilled shard by the same stripe routes, so both store the
-    /// same async stripes and sync entries.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::Shape`] for the first nonzero in a column past the plan's
-    /// layout or in a stripe `plan` never classified for `rank`, and
-    /// [`RunError::InvalidConfig`] if `panel_height == 0`, as for
-    /// [`RankMatrices::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's layout dimensions exceed the small-index (`u32`)
-    /// limit of the compact entry layout.
-    pub fn build_from_rows(
-        rank_triplets: &[Triplet],
-        plan: &PartitionPlan,
-        rank: usize,
-        panel_height: usize,
-    ) -> Result<RankMatrices, RunError> {
         check_panel_height(panel_height)?;
-        let layout = plan.layout();
         assert!(
-            fits_small_index(layout.rows(), layout.cols()),
+            fits_small_index(a.rows(), a.cols()),
             "matrix dimensions exceed the u32 small-index limit of the compact rank structures"
         );
         let rows = layout.row_range(rank);
+        let rank_triplets = row_slice(a, rows.clone());
         let routes = Routes::new(plan, rank);
         let mut async_buckets = vec![Vec::new(); routes.async_stripes().len()];
         let mut sync_entries: Vec<SmallTriplet> = Vec::with_capacity(rank_triplets.len());
         for t in rank_triplets {
-            debug_assert!(rows.contains(&t.row), "entry outside the rank's row block");
-            if t.col >= layout.cols() {
-                return Err(RunError::Shape {
-                    context: format!(
-                        "rank {rank} holds the nonzero ({}, {}), past the {} columns of the \
-                         supplied plan's layout",
-                        t.row,
-                        t.col,
-                        layout.cols()
-                    ),
-                });
-            }
             let local = SmallTriplet::new(t.row - rows.start, t.col, t.val);
             let stripe = layout.stripe_of_col(t.col);
             match routes.of(stripe) {
@@ -346,8 +309,8 @@ impl RankMatrices {
                 }
             }
         }
-        // The input slice is row-major, so the sync entries and every
-        // bucket already are.
+        // The row slice is row-major, so the sync entries and every bucket
+        // already are.
         Ok(RankMatrices {
             sync_local: SyncLocalMatrix {
                 local_rows: rows.len(),

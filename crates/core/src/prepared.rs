@@ -8,8 +8,10 @@
 //! classify on every run, and each of their ranks reads its nonzeros
 //! straight from `A` instead of building structures it would drop at the
 //! end of the call; a [`PreparedMatrix`] captures exactly the
-//! `B`-independent part once so repeated runs — and the `twoface-serve`
-//! plan cache — can skip it.
+//! `B`-independent part once so repeated runs, masked epochs
+//! ([`run_sampled_twoface`](crate::sampling::run_sampled_twoface)) and the
+//! `twoface-serve` plan cache can skip it. It is the one holder of rank
+//! structures: SDDMM builds one too.
 //!
 //! What is and is not `B`-independent:
 //!
@@ -29,7 +31,7 @@ use crate::config::TwoFaceConfig;
 use crate::error::RunError;
 use crate::format::RankMatrices;
 use crate::pool::{resolve_workers, Pool};
-use crate::runner::{check_plan_layout, prepare_plan_inner, Problem, RunOptions};
+use crate::runner::{check_plan_layout, prepare_plan_with_classifier, Problem, RunOptions};
 use std::sync::Arc;
 use twoface_matrix::Fingerprint;
 use twoface_net::CostModel;
@@ -78,8 +80,8 @@ impl PreparedMatrix {
     /// `options.coefficients`), §4.2 classification (honoring
     /// `options.plan` if supplied), and per-rank structure building.
     ///
-    /// Deterministic across worker counts: classification and rank builds
-    /// are collected in rank order, so the artifact — including its
+    /// Deterministic across worker counts: rank builds are collected in rank
+    /// order, so the artifact — including its
     /// [`PreparedMatrix::fingerprint`] — is identical for any
     /// `options.workers`.
     ///
@@ -96,19 +98,16 @@ impl PreparedMatrix {
         options: &RunOptions,
     ) -> Result<PreparedMatrix, RunError> {
         options.config.check()?;
-        let workers = resolve_workers(options.workers);
-        let pool = Pool::new(workers);
         let effective = options.config.effective_cost(cost);
         let coefficients =
             options.coefficients.unwrap_or_else(|| ModelCoefficients::from(&effective));
         let plan = match &options.plan {
             Some(plan) => Arc::clone(plan),
-            None => Arc::new(prepare_plan_inner(
+            None => Arc::new(prepare_plan_with_classifier(
                 problem,
                 &coefficients,
                 &effective,
                 options.classifier,
-                workers,
             )),
         };
         check_plan_layout(&plan, problem)?;
@@ -121,10 +120,36 @@ impl PreparedMatrix {
                 ),
             });
         }
-        let panel_height = options.config.row_panel_height;
-        let p = problem.layout.nodes();
+        let pool = Pool::new(resolve_workers(options.workers));
+        PreparedMatrix::from_plan(
+            problem,
+            plan,
+            coefficients,
+            options.config.row_panel_height,
+            &pool,
+        )
+    }
+
+    /// Builds every rank's structures under `plan`, a plan for `problem`'s
+    /// layout, with row panels of `panel_height` rows. Ranks are independent,
+    /// so the builds fan out across `pool`, collected in rank order.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Shape`] from the lowest rank holding a nonzero the plan
+    /// never classified for it; [`RunError::InvalidConfig`] if
+    /// `panel_height == 0`.
+    pub(crate) fn from_plan(
+        problem: &Problem,
+        plan: Arc<PartitionPlan>,
+        coefficients: ModelCoefficients,
+        panel_height: usize,
+        pool: &Pool,
+    ) -> Result<PreparedMatrix, RunError> {
         let rank_matrices = pool
-            .map(p, |rank| RankMatrices::build(&problem.a, &plan, rank, panel_height))
+            .map(problem.layout.nodes(), |rank| {
+                RankMatrices::build(&problem.a, &plan, rank, panel_height)
+            })
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
         let rank_matrices = Arc::new(rank_matrices);

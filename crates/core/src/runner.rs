@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use twoface_matrix::{CooMatrix, DenseMatrix, SCALAR_BYTES};
 use twoface_net::{
-    export, seconds_by_class, Cluster, CostModel, FaultPlan, MetricsRegistry, Observability,
-    OpEvent, PhaseClass, ProfileSummary, RankOutput, RankTrace,
+    export, Cluster, CostModel, FaultPlan, MetricsRegistry, Observability, OpEvent, PhaseClass,
+    ProfileSummary, RankOutput, RankTrace,
 };
 use twoface_partition::{
     profile_all_nodes, ClassifierKind, ModelCoefficients, NodeProfile, OneDimLayout, PartitionPlan,
@@ -352,26 +352,6 @@ impl Breakdown {
         }
     }
 
-    /// Derives a breakdown from one rank's event stream instead of its
-    /// aggregate trace. At [`TraceLevel::Full`](twoface_net::TraceLevel)
-    /// with no sampling, the result equals [`ExecutionReport`]'s
-    /// trace-derived breakdowns to floating-point rounding — the two
-    /// accounting systems are independent, which makes the comparison a
-    /// cross-check (`trace_summary` and the observability tests rely on
-    /// it). At lower levels or with sampling the event stream undercounts.
-    pub fn from_events(events: &[OpEvent]) -> Breakdown {
-        // seconds_by_class follows PhaseClass::ALL order.
-        let s = seconds_by_class(events);
-        Breakdown {
-            sync_comp: s[0],
-            sync_comm: s[1],
-            async_comp: s[2],
-            async_comm: s[3],
-            other: s[4],
-            recovery: s[5],
-        }
-    }
-
     /// Sum of all categories.
     pub fn total(&self) -> f64 {
         self.sync_comm
@@ -531,18 +511,6 @@ pub fn prepare_plan_with_classifier(
     cost: &CostModel,
     classifier: ClassifierKind,
 ) -> PartitionPlan {
-    prepare_plan_inner(problem, coefficients, cost, classifier, resolve_workers(None))
-}
-
-/// The plan builder with every knob resolved; public entry points default
-/// the worker count from the environment.
-pub(crate) fn prepare_plan_inner(
-    problem: &Problem,
-    coefficients: &ModelCoefficients,
-    cost: &CostModel,
-    classifier: ClassifierKind,
-    workers: usize,
-) -> PartitionPlan {
     let profiles = profile_all_nodes(&problem.a, &problem.layout);
     plan_from_profiles(
         profiles,
@@ -551,7 +519,6 @@ pub(crate) fn prepare_plan_inner(
         coefficients,
         cost.memory_per_node,
         classifier,
-        workers,
     )
     .0
 }
@@ -567,7 +534,6 @@ pub(crate) fn plan_from_profiles(
     coefficients: &ModelCoefficients,
     memory_per_node: usize,
     classifier: ClassifierKind,
-    workers: usize,
 ) -> (PartitionPlan, Vec<usize>) {
     let nnz_by_rank: Vec<usize> = profiles.iter().map(NodeProfile::total_nnz).collect();
     let operands = operand_bytes(&layout, k, &nnz_by_rank);
@@ -577,7 +543,7 @@ pub(crate) fn plan_from_profiles(
         layout,
         coefficients,
         k,
-        PlanOptions { sync_buffer_budget: Some(budget), classifier, workers },
+        PlanOptions { sync_buffer_budget: Some(budget), classifier },
     );
     (plan, operands)
 }
@@ -788,12 +754,11 @@ fn run_algorithm_inner(
                 k,
                 StripeClass::Async,
             )),
-            (None, _) => Arc::new(prepare_plan_inner(
+            (None, _) => Arc::new(prepare_plan_with_classifier(
                 problem,
                 &coefficients,
                 &effective,
                 options.classifier,
-                workers,
             )),
         };
         // Ranks share a compatible artifact's structures; otherwise each

@@ -11,26 +11,25 @@
 //!   nonzero survives with probability `keep_probability`, decided by a hash
 //!   of `(row, col, epoch, seed)`, so every rank agrees on the mask without
 //!   any communication;
-//! * [`run_sampled_twoface`] executes a normal Two-Face SpMM against the
-//!   *fixed* plan while skipping masked nonzeros: synchronous multicasts
-//!   keep their offline schedule (the stripes were classified for expected
-//!   density), and asynchronous stripes shrink their fetches to exactly the
-//!   rows the surviving nonzeros reference — fully masked stripes transfer
-//!   nothing.
+//! * [`run_sampled_twoface`] executes a normal Two-Face SpMM over the
+//!   *fixed* [`PreparedMatrix`] — the one-time plan and Figure-6 storage of
+//!   the full matrix — while skipping masked nonzeros: synchronous
+//!   multicasts keep their offline schedule (the stripes were classified for
+//!   expected density), and asynchronous stripes shrink their fetches to
+//!   exactly the rows the surviving nonzeros reference — fully masked
+//!   stripes transfer nothing. An epoch builds no rank structures.
 
-use crate::algo::twoface::{twoface_rank, StripeSource, TwoFaceData};
+use crate::algo::twoface::{stage_b_blocks, twoface_rank, StripeSource};
 use crate::format::{AsyncStripe, RankMatrices};
 use crate::kernels::{par_sync_panels, BlockRows};
-use crate::pool::Pool;
+use crate::pool::{resolve_workers, Pool};
 use crate::reference::reference_spmm;
 use crate::runner::{
     check_plan_layout, harvest, resolve_observability, stack_blocks, ExecOpts, Problem,
 };
-use crate::{RunError, RunOptions};
-use std::sync::Arc;
+use crate::{PreparedMatrix, RunError, RunOptions};
 use twoface_matrix::{CooMatrix, DenseMatrix, Entry, Scalar, SmallTriplet};
 use twoface_net::{Cluster, CostModel, MetricsRegistry, NetError};
-use twoface_partition::PartitionPlan;
 
 /// Derives deterministic per-epoch edge masks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,33 +109,48 @@ pub struct SampledReport {
     pub output: Option<DenseMatrix>,
 }
 
-/// Runs one sampled Two-Face SpMM epoch against a fixed plan.
+/// Runs one sampled Two-Face SpMM epoch over `prepared`, the *full*
+/// matrix's one-time preprocessing: the mask only filters its stored
+/// nonzeros at runtime, exactly as §5.4 proposes.
 ///
-/// The plan must come from the *full* matrix's one-time preprocessing; the
-/// mask only filters nonzeros at runtime, exactly as §5.4 proposes.
+/// `prepared` is held to the contract of
+/// [`RunOptions::prepared`](crate::RunOptions::prepared): built for
+/// `problem`'s `A` and layout, at any `K`. Its rank structures are used only
+/// when it was built for `options.config.row_panel_height`; a masked run has
+/// no other structures to fall back on, so any other height is an error.
+/// `options.plan` and `options.prepared` are ignored.
 ///
 /// # Errors
 ///
 /// Returns [`RunError::InvalidConfig`] when `options.config` has a zero
 /// field ([`TwoFaceConfig::check`](crate::TwoFaceConfig::check));
-/// [`RunError::Shape`] when `plan` was built for another layout, or
-/// for another matrix whose classification misses a stripe `problem` has
-/// nonzeros in; [`RunError::ValidationFailed`] when `options.validate` is set
-/// and the output disagrees with a serial SpMM over the masked matrix; and
-/// [`RunError::TransferTimeout`] / [`RunError::RankStalled`], with the
-/// failing rank's flight-recorder tail, when `options.fault_plan` injects
-/// faults the run cannot absorb.
+/// [`RunError::Shape`] when `prepared` was built for another layout or
+/// another row-panel height; [`RunError::ValidationFailed`] when
+/// `options.validate` is set and the output disagrees with a serial SpMM over
+/// the masked matrix; and [`RunError::TransferTimeout`] /
+/// [`RunError::RankStalled`], with the failing rank's flight-recorder tail,
+/// when `options.fault_plan` injects faults the run cannot absorb.
 pub fn run_sampled_twoface(
     problem: &Problem,
-    plan: Arc<PartitionPlan>,
+    prepared: &PreparedMatrix,
     mask: EdgeMask,
     cost: &CostModel,
     options: &RunOptions,
 ) -> Result<SampledReport, RunError> {
     options.config.check()?;
-    check_plan_layout(&plan, problem)?;
+    check_plan_layout(prepared.plan(), problem)?;
+    let panel_height = options.config.row_panel_height;
+    if prepared.panel_height() != panel_height {
+        return Err(RunError::Shape {
+            context: format!(
+                "prepared artifact was built for row panels of {} rows but the run asks for {}",
+                prepared.panel_height(),
+                panel_height
+            ),
+        });
+    }
     let k = problem.k();
-    let workers = crate::pool::resolve_workers(options.workers);
+    let workers = resolve_workers(options.workers);
     let exec = ExecOpts {
         k,
         compute: options.compute_values || options.validate,
@@ -144,7 +158,8 @@ pub fn run_sampled_twoface(
         workers,
     };
     let effective = options.config.effective_cost(cost);
-    let data = TwoFaceData::build(problem, plan, &options.config, &Pool::new(workers))?;
+    let (plan, matrices) = (prepared.plan(), prepared.rank_matrices());
+    let b_blocks = stage_b_blocks(problem, &Pool::new(workers));
     let diagnostics = resolve_observability(&options.observability);
     let cluster = Cluster::new(problem.layout.nodes(), effective);
     cluster.set_fault_plan(options.fault_plan.clone());
@@ -152,20 +167,18 @@ pub fn run_sampled_twoface(
     let outputs = cluster.run(|ctx| {
         let rank = ctx.rank();
         let source = MaskedSource {
-            matrices: &data.rank_matrices[rank],
+            matrices: &matrices[rank],
             mask,
             row_base: problem.layout.row_range(rank).start,
             stripe: AsyncStripe::default(),
         };
-        let (plan, b_block) = (&data.plan, &data.b_blocks[rank]);
-        twoface_rank(ctx, |_, _, _| Ok(source), plan, b_block, &options.config, &exec)
+        twoface_rank(ctx, |_, _, _| Ok(source), plan, &b_blocks[rank], &options.config, &exec)
     });
     let (blocks, report) = harvest(outputs, &diagnostics)?;
-    let sampled = mask.apply(&problem.a);
     let output = exec.compute.then(|| stack_blocks(problem.a.rows(), k, &blocks));
     if options.validate {
         let got = output.as_ref().expect("validate implies compute");
-        let want = reference_spmm(&sampled, &problem.b);
+        let want = reference_spmm(&mask.apply(&problem.a), &problem.b);
         if !got.approx_eq(&want, 1e-9) {
             return Err(RunError::ValidationFailed { max_abs_diff: got.max_abs_diff(&want) });
         }
@@ -173,7 +186,7 @@ pub fn run_sampled_twoface(
     Ok(SampledReport {
         seconds: report.seconds,
         elements_received: report.elements_received,
-        active_nnz: sampled.nnz(),
+        active_nnz: problem.a.iter().filter(|&(row, col, _)| mask.is_active(row, col)).count(),
         metrics: report.metrics,
         output,
     })
@@ -243,12 +256,11 @@ impl StripeSource for MaskedSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prepare_plan;
+    use std::sync::Arc;
     use twoface_matrix::gen::{webcrawl, WebcrawlConfig};
     use twoface_net::FaultPlan;
-    use twoface_partition::ModelCoefficients;
 
-    fn fixture() -> (Problem, Arc<PartitionPlan>, CostModel) {
+    fn fixture() -> (Problem, PreparedMatrix, CostModel) {
         let a = webcrawl(
             &WebcrawlConfig {
                 n: 512,
@@ -261,8 +273,9 @@ mod tests {
         );
         let problem = Problem::with_generated_b(Arc::new(a), 8, 4, 32).expect("valid");
         let cost = CostModel::delta_scaled();
-        let plan = Arc::new(prepare_plan(&problem, &ModelCoefficients::from(&cost), &cost));
-        (problem, plan, cost)
+        let prepared =
+            PreparedMatrix::build(&problem, &cost, &RunOptions::default()).expect("fits");
+        (problem, prepared, cost)
     }
 
     #[test]
@@ -296,12 +309,12 @@ mod tests {
 
     #[test]
     fn sampled_epoch_validates_against_masked_reference() {
-        let (problem, plan, cost) = fixture();
+        let (problem, prepared, cost) = fixture();
         let sampler = EdgeSampler::new(0.6, 11);
         for epoch in 0..3 {
             let report = run_sampled_twoface(
                 &problem,
-                Arc::clone(&plan),
+                &prepared,
                 sampler.mask(epoch),
                 &cost,
                 &RunOptions { validate: true, ..Default::default() },
@@ -314,10 +327,10 @@ mod tests {
 
     #[test]
     fn sampling_reduces_async_transfer_volume() {
-        let (problem, plan, cost) = fixture();
+        let (problem, prepared, cost) = fixture();
         let full = run_sampled_twoface(
             &problem,
-            Arc::clone(&plan),
+            &prepared,
             EdgeSampler::new(1.0, 1).mask(0),
             &cost,
             &RunOptions { compute_values: false, ..Default::default() },
@@ -325,7 +338,7 @@ mod tests {
         .unwrap();
         let sampled = run_sampled_twoface(
             &problem,
-            Arc::clone(&plan),
+            &prepared,
             EdgeSampler::new(0.2, 1).mask(0),
             &cost,
             &RunOptions { compute_values: false, ..Default::default() },
@@ -345,14 +358,14 @@ mod tests {
 
     #[test]
     fn faulted_epoch_error_carries_the_flight_recorder_tail() {
-        let (problem, plan, cost) = fixture();
+        let (problem, prepared, cost) = fixture();
         let options = RunOptions {
             fault_plan: Some(FaultPlan::seeded(3).with_get_failure_rate(1.0)),
             ..Default::default()
         };
-        let err =
-            run_sampled_twoface(&problem, plan, EdgeSampler::new(0.6, 11).mask(0), &cost, &options)
-                .expect_err("every get fails");
+        let mask = EdgeSampler::new(0.6, 11).mask(0);
+        let err = run_sampled_twoface(&problem, &prepared, mask, &cost, &options)
+            .expect_err("every get fails");
         assert!(matches!(err, RunError::TransferTimeout { .. }), "got {err:?}");
         assert!(!err.flight().is_empty(), "the failing rank's last operations are attached");
     }

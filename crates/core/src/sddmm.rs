@@ -10,12 +10,13 @@
 //! multicasts, and coalesced one-sided gets therefore apply unchanged; only
 //! the local kernel differs (a dot product per nonzero instead of an axpy).
 
-use crate::algo::twoface::{sync_multicasts, TwoFaceData};
+use crate::algo::twoface::{stage_b_blocks, sync_multicasts};
 use crate::coalesce::coalesce_rows;
 use crate::config::TwoFaceConfig;
 use crate::kernels::{FetchedRows, RowCursor, RowSource};
+use crate::pool::{resolve_workers, Pool};
 use crate::runner::{check_plan_layout, harvest, resolve_observability, Problem};
-use crate::{prepare_plan, RunError, RunOptions};
+use crate::{prepare_plan_with_classifier, PreparedMatrix, RunError, RunOptions};
 use std::sync::Arc;
 use twoface_matrix::{CooMatrix, DenseMatrix, Entry, Scalar, Triplet};
 use twoface_net::{Cluster, CostModel, Lane, MetricsRegistry, NetError, PhaseClass};
@@ -84,7 +85,10 @@ fn dot(a: &[Scalar], b: &[Scalar]) -> Scalar {
 ///
 /// `problem.b` plays the role of `Y` (distributed like SpMM's `B`); `x` is
 /// the row-aligned dense factor (each rank holds its row block). Reuses the
-/// SpMM partition plan machinery verbatim.
+/// SpMM partition plan machinery verbatim: `options.plan` if supplied, else
+/// a plan built as [`run_algorithm`](crate::run_algorithm) builds one, with
+/// `options.classifier`; the ranks' structures are built as
+/// [`PreparedMatrix::build`] builds them.
 ///
 /// # Errors
 ///
@@ -130,13 +134,18 @@ pub fn run_sddmm(
             k,
             StripeClass::Sync,
         )),
-        (None, SddmmAlgorithm::TwoFace) => {
-            Arc::new(prepare_plan(problem, &coefficients, &effective))
-        }
+        (None, SddmmAlgorithm::TwoFace) => Arc::new(prepare_plan_with_classifier(
+            problem,
+            &coefficients,
+            &effective,
+            options.classifier,
+        )),
     };
     check_plan_layout(&plan, problem)?;
-    let pool = crate::pool::Pool::new(crate::pool::resolve_workers(options.workers));
-    let data = TwoFaceData::build(problem, plan, &options.config, &pool)?;
+    let pool = Pool::new(resolve_workers(options.workers));
+    let panel_height = options.config.row_panel_height;
+    let prepared = PreparedMatrix::from_plan(problem, plan, coefficients, panel_height, &pool)?;
+    let b_blocks = stage_b_blocks(problem, &pool);
     let compute = options.compute_values || options.validate;
 
     let p = problem.layout.nodes();
@@ -144,8 +153,10 @@ pub fn run_sddmm(
     let cluster = Cluster::new(p, effective);
     cluster.set_fault_plan(options.fault_plan.clone());
     cluster.set_observability(diagnostics.observability.clone());
-    let outputs =
-        cluster.run(|ctx| sddmm_rank(ctx, &data, problem, x, &options.config, compute, algorithm));
+    let outputs = cluster.run(|ctx| {
+        let b_block = &b_blocks[ctx.rank()];
+        sddmm_rank(ctx, &prepared, b_block, problem, x, &options.config, compute)
+    });
     let (rank_results, report) = harvest(outputs, &diagnostics)?;
     let output = compute.then(|| {
         CooMatrix::from_triplets(problem.a.rows(), problem.a.cols(), rank_results.concat())
@@ -176,23 +187,22 @@ pub fn run_sddmm(
 /// kernels. Returns the rank's output triplets in global coordinates.
 fn sddmm_rank(
     ctx: &mut twoface_net::RankCtx,
-    data: &TwoFaceData,
+    prepared: &PreparedMatrix,
+    b_block: &Arc<Vec<f64>>,
     problem: &Problem,
     x: &DenseMatrix,
     config: &TwoFaceConfig,
     compute: bool,
-    _algorithm: SddmmAlgorithm,
 ) -> Result<Vec<Triplet>, NetError> {
     let rank = ctx.rank();
     let layout = &problem.layout;
     let k = problem.k();
-    let plan = &data.plan;
-    let matrices = &data.rank_matrices[rank];
+    let matrices = &prepared.rank_matrices()[rank];
     let row_base = layout.row_range(rank).start;
 
-    let win = ctx.create_window(Arc::clone(&data.b_blocks[rank]))?;
+    let win = ctx.create_window(Arc::clone(b_block))?;
     // Sync lane: SpMM's dense-stripe multicasts, now carrying Y rows.
-    let stripe_buffers = sync_multicasts(ctx, plan, &data.b_blocks[rank], k)?;
+    let stripe_buffers = sync_multicasts(ctx, prepared.plan(), b_block, k)?;
 
     let mut out: Vec<Triplet> = Vec::with_capacity(matrices.nnz());
 
@@ -246,6 +256,7 @@ fn sddmm_rank(
 mod tests {
     use super::*;
     use twoface_matrix::gen::{webcrawl, WebcrawlConfig};
+    use twoface_partition::ClassifierKind;
 
     fn fixture() -> (Problem, DenseMatrix) {
         let a =
@@ -310,13 +321,21 @@ mod tests {
     #[test]
     fn sddmm_moves_same_data_as_spmm() {
         // The communication schedule is identical to SpMM's: same plan, same
-        // transfers, so the same element volume moves.
+        // transfers, so the same element volume moves, under either
+        // classifier.
         let (problem, x) = fixture();
         let cost = CostModel::delta_scaled();
-        let options = RunOptions { compute_values: false, ..Default::default() };
-        let sddmm = run_sddmm(SddmmAlgorithm::TwoFace, &problem, &x, &cost, &options).unwrap();
-        let spmm =
-            crate::run_algorithm(crate::Algorithm::TwoFace, &problem, &cost, &options).unwrap();
-        assert_eq!(sddmm.elements_received, spmm.elements_received);
+        let fanout_aware = ClassifierKind::FanoutAware { penalty: 1.0 };
+        let mut volumes = Vec::new();
+        for classifier in [ClassifierKind::Greedy, fanout_aware] {
+            let options = RunOptions { compute_values: false, classifier, ..Default::default() };
+            let sddmm = run_sddmm(SddmmAlgorithm::TwoFace, &problem, &x, &cost, &options).unwrap();
+            let spmm =
+                crate::run_algorithm(crate::Algorithm::TwoFace, &problem, &cost, &options).unwrap();
+            assert_eq!(sddmm.elements_received, spmm.elements_received, "{classifier:?}");
+            volumes.push(spmm.elements_received);
+        }
+        // The fan-out-aware plan is not the greedy one here.
+        assert_ne!(volumes[0], volumes[1], "both classifiers move the same volume");
     }
 }

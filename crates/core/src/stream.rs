@@ -853,7 +853,6 @@ pub fn run_twoface_streamed(
         &coefficients,
         effective.memory_per_node,
         options.classifier,
-        workers,
     );
     let plan = Arc::new(plan);
     let required_sim = memory_gate(

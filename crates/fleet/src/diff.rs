@@ -49,10 +49,6 @@ pub const INFO_KEYWORDS: &[&str] = &[
 /// Declared relative tolerance bands: `(file-name fragment, path fragment,
 /// relative band)`. First match wins over the keyword classification.
 pub const DECLARED_BANDS: &[(&str, &str, f64)] = &[
-    // The event-derived breakdown re-accumulates the same simulated spans in
-    // a different order than the aggregate trace; both are deterministic,
-    // but they are allowed to disagree in the last bits.
-    ("fig10_breakdown.json", "two_face_from_events", 1e-9),
     // Least-squares fit over simulated probes: deterministic, but the
     // normal-equation accumulation is sensitive to summation order, so give
     // it a declared band instead of bit-exactness.
@@ -395,7 +391,7 @@ mod tests {
     fn classification_follows_the_policy_ladder() {
         // Declared band beats everything.
         assert_eq!(
-            classify("results/fig10_breakdown.json", "$.data[0].two_face_from_events.seconds"),
+            classify("results/table3_calibration.json", "$.data[0].fitted"),
             Policy::Rel(1e-9)
         );
         // Wall-clock and metadata vocabulary is informational.
@@ -457,11 +453,11 @@ mod tests {
 
     #[test]
     fn declared_band_tolerates_last_bit_noise_but_not_real_drift() {
-        let base = v(r#"{"data": [{"two_face_from_events": {"seconds": 1.0000000000000002}}]}"#);
-        let ok = v(r#"{"data": [{"two_face_from_events": {"seconds": 1.0}}]}"#);
-        assert!(compare_reports("results/fig10_breakdown.json", &base, &ok).is_empty());
-        let bad = v(r#"{"data": [{"two_face_from_events": {"seconds": 1.001}}]}"#);
-        let diffs = compare_reports("results/fig10_breakdown.json", &base, &bad);
+        let base = v(r#"{"data": [{"fitted": 1.0000000000000002}]}"#);
+        let ok = v(r#"{"data": [{"fitted": 1.0}]}"#);
+        assert!(compare_reports("results/table3_calibration.json", &base, &ok).is_empty());
+        let bad = v(r#"{"data": [{"fitted": 1.001}]}"#);
+        let diffs = compare_reports("results/table3_calibration.json", &base, &bad);
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].gated);
         assert!(diffs[0].detail.contains("declared band"));

@@ -299,12 +299,13 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("twoface-market-test");
+        let dir = std::env::temp_dir().join(format!("twoface-market-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.mtx");
         let m = CooMatrix::from_triplets(2, 2, vec![(0, 1, 2.0)]).unwrap();
         write_market_file(&path, &m).unwrap();
-        assert_eq!(read_market_file(&path).unwrap(), m);
-        std::fs::remove_file(&path).ok();
+        let back = read_market_file(&path);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(back.unwrap(), m);
     }
 }

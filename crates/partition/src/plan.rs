@@ -29,7 +29,7 @@ pub enum ClassifierKind {
 }
 
 /// Options controlling plan construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlanOptions {
     /// Per-node byte budget for buffered synchronous dense stripes. When
     /// the classifier's choice would exceed it, stripes are flipped to async
@@ -37,51 +37,6 @@ pub struct PlanOptions {
     pub sync_buffer_budget: Option<usize>,
     /// The classifier to run (the paper's greedy model by default).
     pub classifier: ClassifierKind,
-    /// Real worker threads for the per-node classification fan-out (1 = run
-    /// serially, the default). Per-node results are collected in rank order,
-    /// so the plan is identical for any worker count.
-    pub workers: usize,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions { sync_buffer_budget: None, classifier: ClassifierKind::default(), workers: 1 }
-    }
-}
-
-/// A minimal scoped work-sharing map: runs `f(i)` for `i in 0..tasks` across
-/// `workers` threads (the caller included) and returns results in task
-/// order. Local to this crate — the partition layer sits below
-/// `twoface-core`'s pool and cannot depend on it.
-fn par_map_indexed<R, F>(workers: usize, tasks: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if workers <= 1 || tasks <= 1 {
-        return (0..tasks).map(f).collect();
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= tasks {
-            break;
-        }
-        *slots[i].lock().expect("slot poisoned") = Some(f(i));
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..workers.min(tasks) {
-            scope.spawn(work);
-        }
-        work();
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot poisoned").expect("every task ran"))
-        .collect()
 }
 
 /// A complete stripe classification for one matrix on one layout.
@@ -154,20 +109,17 @@ impl PartitionPlan {
             }
             _ => None,
         };
-        // Nodes classify independently; fan the map out across workers and
-        // collect per-node results (classification, flips) in rank order.
-        let classified = par_map_indexed(options.workers, profiles.len(), |i| {
-            let profile = &profiles[i];
-            let mut c = classify_node_fanout_aware(profile, &layout, coeffs, k, fanout);
-            let flips = match options.sync_buffer_budget {
-                Some(budget) => enforce_memory_cap(&mut c, profile, &layout, coeffs, k, budget),
-                None => 0,
-            };
-            (c, flips)
-        });
-        let memory_flips = classified.iter().map(|(_, flips)| flips).sum();
-        let classifications: Vec<NodeClassification> =
-            classified.into_iter().map(|(c, _)| c).collect();
+        let mut memory_flips = 0;
+        let classifications: Vec<NodeClassification> = profiles
+            .iter()
+            .map(|profile| {
+                let mut c = classify_node_fanout_aware(profile, &layout, coeffs, k, fanout);
+                if let Some(budget) = options.sync_buffer_budget {
+                    memory_flips += enforce_memory_cap(&mut c, profile, &layout, coeffs, k, budget);
+                }
+                c
+            })
+            .collect();
         let mut destinations = vec![Vec::new(); layout.num_stripes()];
         for c in &classifications {
             for &(stripe, class) in &c.classes {
@@ -270,11 +222,6 @@ impl PartitionPlan {
     /// Stable 64-bit fingerprint of everything about the plan that affects
     /// execution: the layout shape, `K`, every per-node stripe
     /// classification, and the multicast destination sets.
-    ///
-    /// Classification is deterministic and collected in rank order regardless
-    /// of [`PlanOptions::workers`], so plans built from the same inputs with
-    /// different worker counts fingerprint identically — a requirement for
-    /// worker-count-independent cache keys in the serving layer.
     pub fn fingerprint(&self) -> u64 {
         let mut f = Fingerprint::new();
         f.mix_bytes(b"plan")

@@ -12,7 +12,7 @@ use twoface_core::{
     RunOptions, StreamOptions, TwoFaceConfig,
 };
 use twoface_matrix::gen::{erdos_renyi, ErdosChunks};
-use twoface_matrix::{CooMatrix, DenseMatrix, Triplet};
+use twoface_matrix::{CooMatrix, DenseMatrix};
 use twoface_net::{Cluster, CostModel, FaultPlan, NetError, RankOutput};
 use twoface_partition::{ModelCoefficients, PartitionPlan, StripeClass};
 
@@ -115,6 +115,13 @@ fn plan_for_another_layout_is_a_shape_error() {
     let (other, problem) = (problem_of(256, 2000, 3), problem_of(300, 2400, 4));
     let plan = Arc::new(prepare_plan(&other, &ModelCoefficients::from(&cost), &cost));
     let prepared = Arc::new(PreparedMatrix::build(&other, &cost, &RunOptions::default()).unwrap());
+    let mask = EdgeSampler::new(0.7, 3).mask(0);
+    match run_sampled_twoface(&problem, &prepared, mask, &cost, &RunOptions::default()) {
+        Err(RunError::Shape { context }) => {
+            assert!(context.contains("256 × 256") && context.contains("300 × 300"), "{context}")
+        }
+        other => panic!("run_sampled_twoface: expected a shape error, got {other:?}"),
+    }
     // Two-Face with the plan is one of the entry points below.
     for (algorithm, options) in [
         (Algorithm::AsyncFine, RunOptions { plan: Some(Arc::clone(&plan)), ..Default::default() }),
@@ -189,8 +196,9 @@ fn plan_from_another_matrix_is_a_typed_error() {
 
 /// The five entry points that take a plan, each given `plan` for
 /// `problem`: one-shot `run_algorithm`, `PreparedMatrix::build`, a sampled
-/// epoch, an SDDMM and `RankMatrices::build` over every rank of the plan.
-/// Returns each one's outcome and host time, labelled.
+/// epoch over the artifact that builds, an SDDMM and `RankMatrices::build`
+/// over every rank of the plan. Returns each one's outcome and host time,
+/// labelled.
 fn through_every_entry_point(
     problem: &Problem,
     plan: &Arc<PartitionPlan>,
@@ -215,8 +223,8 @@ fn through_every_entry_point(
             PreparedMatrix::build(problem, cost, &options).map(drop)
         }),
         timed("run_sampled_twoface", &|| {
-            run_sampled_twoface(problem, Arc::clone(plan), mask, cost, &RunOptions::default())
-                .map(drop)
+            let prepared = PreparedMatrix::build(problem, cost, &options)?;
+            run_sampled_twoface(problem, &prepared, mask, cost, &RunOptions::default()).map(drop)
         }),
         timed("run_sddmm", &|| {
             run_sddmm(SddmmAlgorithm::TwoFace, problem, &x, cost, &options).map(drop)
@@ -252,6 +260,7 @@ fn zero_valued_config_fields_are_typed_errors_at_every_entry_point() {
     let problem = small_problem(4);
     let cost = CostModel::delta_scaled();
     let plan = Arc::new(prepare_plan(&problem, &ModelCoefficients::from(&cost), &cost));
+    let prepared = PreparedMatrix::build(&problem, &cost, &RunOptions::default()).expect("fits");
     let x = DenseMatrix::from_elem(problem.a.rows(), problem.k(), 0.5);
     let mask = EdgeSampler::new(0.7, 3).mask(0);
     let cluster = Cluster::new(problem.layout.nodes(), cost);
@@ -283,7 +292,7 @@ fn zero_valued_config_fields_are_typed_errors_at_every_entry_point() {
             PreparedMatrix::build(&problem, &cost, &options).map(drop)
         });
         assert_invalid_config("run_sampled_twoface", field, || {
-            run_sampled_twoface(&problem, Arc::clone(&plan), mask, &cost, &options).map(drop)
+            run_sampled_twoface(&problem, &prepared, mask, &cost, &options).map(drop)
         });
         for algorithm in
             [SddmmAlgorithm::TwoFace, SddmmAlgorithm::AsyncFine, SddmmAlgorithm::Allgather]
@@ -304,9 +313,6 @@ fn zero_valued_config_fields_are_typed_errors_at_every_entry_point() {
     std::fs::remove_dir(&spill_dir).expect("spill dir is empty");
     assert_invalid_config("RankMatrices::build", "row_panel_height", || {
         RankMatrices::build(&problem.a, &plan, 0, 0).map(drop)
-    });
-    assert_invalid_config("RankMatrices::build_from_rows", "row_panel_height", || {
-        RankMatrices::build_from_rows(&[], &plan, 0, 0).map(drop)
     });
 }
 
@@ -394,14 +400,6 @@ fn rank_matrices_given_a_plan_for_a_narrower_layout_are_a_shape_error() {
     match RankMatrices::build(&problem.a, &plan, 0, 32) {
         Err(RunError::Shape { context }) => {
             assert!(context.contains("256 × 256") && context.contains("300 × 300"), "{context}")
-        }
-        other => panic!("expected a shape error, got {other:?}"),
-    }
-    // `build_from_rows` has no matrix to compare with; it reports the
-    // first column past the layout.
-    match RankMatrices::build_from_rows(&[Triplet::new(3, 287, 1.0)], &plan, 0, 32) {
-        Err(RunError::Shape { context }) => {
-            assert!(context.contains("(3, 287), past the 256 columns"), "{context}")
         }
         other => panic!("expected a shape error, got {other:?}"),
     }

@@ -72,9 +72,13 @@ fn fingerprints_are_stable_across_workers_and_subprocess_env() {
     // Fleet-style subprocess re-invocation under env-inherited knobs: the
     // child is this same test binary, filtered to this test, with
     // TWOFACE_THREADS (and a throwaway TWOFACE_TRACE) injected.
+    // The children trace into a directory of this process's own, removed
+    // with whatever they wrote.
     let exe = std::env::current_exe().expect("test binary path");
+    let trace_dir = std::env::temp_dir().join(format!("twoface-fp-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&trace_dir).expect("temp dir is writable");
     for threads in ["1", "3", "8"] {
-        let trace_sink = std::env::temp_dir().join(format!("twoface-fp-trace-{threads}.jsonl"));
+        let trace_sink = trace_dir.join(format!("{threads}.jsonl"));
         let output = Command::new(&exe)
             .args([
                 "fingerprints_are_stable_across_workers_and_subprocess_env",
@@ -87,7 +91,6 @@ fn fingerprints_are_stable_across_workers_and_subprocess_env() {
             .env("TWOFACE_TRACE", &trace_sink)
             .output()
             .expect("child test process spawns");
-        std::fs::remove_file(&trace_sink).ok();
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(
             output.status.success(),
@@ -107,4 +110,5 @@ fn fingerprints_are_stable_across_workers_and_subprocess_env() {
             "env-inherited TWOFACE_THREADS={threads} leaked into a cache key"
         );
     }
+    std::fs::remove_dir_all(&trace_dir).expect("trace dir is removable");
 }

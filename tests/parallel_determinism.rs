@@ -1,7 +1,7 @@
 //! Parallel determinism suite: any real worker count must produce output
 //! *bit-identical* to serial execution — for the kernels in isolation, for
 //! full Two-Face/Allgather runs, for chaos-seeded (fault-injected) runs, and
-//! for the preprocessing that feeds them. Real workers may only move host
+//! for the prepared artifacts that feed them. Real workers may only move host
 //! wall-clock time; simulated seconds, traces, and every output bit are part
 //! of the determinism contract (see `twoface_core::pool`).
 
@@ -11,12 +11,12 @@ use twoface_core::kernels::{
 };
 use twoface_core::pool::Pool;
 use twoface_core::{
-    prepare_plan, reference_spmm_pooled, run_algorithm, Algorithm, Problem, RunOptions,
+    reference_spmm_pooled, run_algorithm, Algorithm, PreparedMatrix, Problem, RunOptions,
 };
 use twoface_matrix::gen::{erdos_renyi, webcrawl, WebcrawlConfig};
 use twoface_matrix::{DenseMatrix, Triplet};
 use twoface_net::{CostModel, FaultPlan};
-use twoface_partition::{ModelCoefficients, OneDimLayout, PartitionPlan, PlanOptions};
+use twoface_partition::OneDimLayout;
 
 const WORKER_SWEEP: [usize; 3] = [2, 3, 8];
 
@@ -248,47 +248,31 @@ fn chaos_seeded_runs_are_worker_independent() {
     }
 }
 
-/// Parallel preprocessing: the partition plan is identical for any worker
-/// count (per-node classifications are collected in rank order).
+/// Parallel preprocessing: a prepared artifact — the plan and every rank's
+/// structures, built across the pool and collected in rank order — is
+/// identical for any worker count.
 #[test]
-fn plans_are_identical_across_workers() {
-    let problem = fixture(512, 32, 4, 32);
+fn prepared_artifacts_are_identical_across_workers() {
     let cost = CostModel::delta_scaled();
-    let coeffs = ModelCoefficients::from(&cost);
-    let serial = prepare_plan(&problem, &coeffs, &cost);
-    let a = erdos_renyi(256, 256, 3000, 11);
-    let layout = OneDimLayout::new(256, 256, 4, 16);
-    for workers in WORKER_SWEEP {
-        let par = PartitionPlan::build(
-            &problem.a,
-            problem.layout.clone(),
-            &coeffs,
-            problem.k(),
-            PlanOptions { workers, ..Default::default() },
-        );
-        let uncapped_serial = PartitionPlan::build(
-            &problem.a,
-            problem.layout.clone(),
-            &coeffs,
-            problem.k(),
-            PlanOptions::default(),
-        );
-        assert_eq!(par, uncapped_serial, "uncapped plan differs at {workers} workers");
-        let er_par = PartitionPlan::build(
-            &a,
-            layout.clone(),
-            &coeffs,
-            8,
-            PlanOptions { workers, ..Default::default() },
-        );
-        let er_serial =
-            PartitionPlan::build(&a, layout.clone(), &coeffs, 8, PlanOptions::default());
-        assert_eq!(er_par, er_serial, "erdos-renyi plan differs at {workers} workers");
+    let erdos = Arc::new(erdos_renyi(256, 256, 3000, 11));
+    let erdos = Problem::with_generated_b(erdos, 8, 4, 16).expect("valid");
+    for (name, problem) in [("webcrawl", fixture(512, 32, 4, 32)), ("erdos-renyi", erdos)] {
+        let build = |workers| {
+            let options = RunOptions { workers: Some(workers), ..Default::default() };
+            PreparedMatrix::build(&problem, &cost, &options).expect("fixture fits")
+        };
+        let serial = build(1);
+        for workers in WORKER_SWEEP {
+            let par = build(workers);
+            assert_eq!(par.plan(), serial.plan(), "{name}: plan differs at {workers} workers");
+            assert_eq!(
+                par.rank_matrices(),
+                serial.rank_matrices(),
+                "{name}: rank structures differ at {workers} workers"
+            );
+            assert_eq!(par.fingerprint(), serial.fingerprint(), "{name} at {workers} workers");
+        }
     }
-    // The capped builder (prepare_plan) agrees with itself across env-driven
-    // worker counts too: rebuild through the public entry point.
-    let again = prepare_plan(&problem, &coeffs, &cost);
-    assert_eq!(serial, again);
 }
 
 /// The parallel verification oracle is bitwise equal to its serial form.

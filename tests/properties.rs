@@ -8,10 +8,11 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use twoface_core::sampling::{run_sampled_twoface, EdgeSampler};
 use twoface_core::{
-    coalesce_rows, run_algorithm, runs_to_rows, Algorithm, AsyncLayout, Problem, RunOptions,
-    TwoFaceConfig,
+    coalesce_rows, run_algorithm, runs_to_rows, Algorithm, AsyncLayout, PreparedMatrix, Problem,
+    RunError, RunOptions, TwoFaceConfig,
 };
 use twoface_matrix::{CooMatrix, DenseMatrix, Triplet};
 use twoface_net::{CostModel, FaultPlan, PhaseClass, RetryPolicy};
@@ -245,13 +246,15 @@ fn twoface_validates_on_arbitrary_matrices() {
 }
 
 /// §5.4's sketch, as a property: for arbitrary matrices and keep
-/// probabilities, a masked Two-Face run must agree with a serial SpMM over
-/// the materialized masked matrix — under both async stripe layouts — and
-/// bit for bit with a plain run over that matrix under the same plan. Its
-/// surviving `UniqueColIDs` fetch exactly what that run fetches, so the two
-/// receive the same number of elements; an all-async plan puts every remote
-/// stripe's fetch under the mask. Their seconds may differ: a masked run
-/// charges the unmasked matrix's non-empty panel count.
+/// probabilities, masked Two-Face epochs over one prepared artifact per plan
+/// must agree with a serial SpMM over the materialized masked matrix — under
+/// both async stripe layouts — and bit for bit with a plain run over that
+/// matrix under the same plan. Their surviving `UniqueColIDs` fetch exactly
+/// what that run fetches, so the two receive the same number of elements; an
+/// all-async plan puts every remote stripe's fetch under the mask. Their
+/// seconds may differ: a masked run charges the unmasked matrix's non-empty
+/// panel count. The artifact is a typed error, at once, for a run with
+/// another row-panel height or a problem with another layout.
 #[test]
 fn masked_run_matches_serial_reference_under_both_layouts() {
     let mut rng = StdRng::seed_from_u64(0xC5_0C);
@@ -267,6 +270,9 @@ fn masked_run_matches_serial_reference_under_both_layouts() {
         let all_async =
             Arc::new(PartitionPlan::build_uniform(&problem.a, layout, 4, StripeClass::Async));
         for (plan_name, plan) in [("model", model), ("all-async", all_async)] {
+            let planned = RunOptions { plan: Some(Arc::clone(&plan)), ..Default::default() };
+            let prepared = PreparedMatrix::build(&problem, &cost, &planned)
+                .unwrap_or_else(|e| panic!("case {case} {plan_name} plan: {e}"));
             for (keep, layout) in [0.0, 0.05, 0.3, 0.7, 1.0, drawn]
                 .into_iter()
                 .flat_map(|keep| [(keep, AsyncLayout::ColumnMajor), (keep, AsyncLayout::RowMajor)])
@@ -278,9 +284,8 @@ fn masked_run_matches_serial_reference_under_both_layouts() {
                     config: TwoFaceConfig { async_layout: layout, ..Default::default() },
                     ..Default::default()
                 };
-                let report =
-                    run_sampled_twoface(&problem, Arc::clone(&plan), mask, &cost, &options)
-                        .unwrap_or_else(|e| panic!("{label}: {e:?}"));
+                let report = run_sampled_twoface(&problem, &prepared, mask, &cost, &options)
+                    .unwrap_or_else(|e| panic!("{label}: {e:?}"));
                 let masked =
                     Problem::new(Arc::new(mask.apply(&problem.a)), Arc::clone(&problem.b), p, 5)
                         .expect("valid");
@@ -302,6 +307,23 @@ fn masked_run_matches_serial_reference_under_both_layouts() {
                     report.elements_received, direct.elements_received,
                     "{label}: masked fetches differ from a run on A'"
                 );
+            }
+            let taller = TwoFaceConfig {
+                row_panel_height: 2 * prepared.panel_height(),
+                ..Default::default()
+            };
+            let relaid =
+                Problem::new(Arc::clone(&problem.a), Arc::clone(&problem.b), p, 6).expect("valid");
+            let mask = EdgeSampler::new(0.5, case as u64).mask(0);
+            for (mismatch, problem, config) in
+                [("panel height", &problem, taller), ("layout", &relaid, TwoFaceConfig::default())]
+            {
+                let started = Instant::now();
+                let options = RunOptions { config, ..Default::default() };
+                let outcome = run_sampled_twoface(problem, &prepared, mask, &cost, &options);
+                let label = format!("case {case} {plan_name} plan, another {mismatch}");
+                assert!(matches!(outcome, Err(RunError::Shape { .. })), "{label}: {outcome:?}");
+                assert!(started.elapsed() < Duration::from_secs(1), "{label}: too slow");
             }
         }
     }

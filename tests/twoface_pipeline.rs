@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 use twoface_core::{
-    prepare_plan, run_algorithm, Algorithm, ExecutionReport, PreparedMatrix, Problem, RankMatrices,
-    RunError, RunOptions,
+    prepare_plan, run_algorithm, Algorithm, AsyncLayout, ExecutionReport, PreparedMatrix, Problem,
+    RankMatrices, RunError, RunOptions, TwoFaceConfig,
 };
 use twoface_matrix::gen::{
     banded, rmat, uniform_random, webcrawl, BandedConfig, RmatConfig, WebcrawlConfig,
@@ -308,6 +308,46 @@ fn oneshot_runs_equal_prepared_runs_bitwise() {
     }
     for (algorithm, (mixed, async_only)) in ["Two-Face", "Async Fine"].iter().zip(rows) {
         assert!(mixed > 0 && async_only > 0, "{algorithm}: {mixed} mixed, {async_only} async-only");
+    }
+}
+
+/// The async stripe layout selects only the charges: an Async Fine run
+/// computes bitwise-equal `C` under both, on problems with rows that hold
+/// nonzeros in two or more async stripes — the rows a kernel that summed a
+/// stripe's products before adding them into `C` would round differently
+/// once an earlier stripe had written the row.
+#[test]
+fn async_layouts_compute_bitwise_equal_c() {
+    let cost = CostModel::delta_scaled();
+    let c_bits = |problem: &Problem, async_layout, workers| {
+        let config = TwoFaceConfig { async_layout, ..Default::default() };
+        let options = RunOptions { config, workers: Some(workers), ..Default::default() };
+        let report = run_algorithm(Algorithm::AsyncFine, problem, &cost, &options).expect("runs");
+        let c = report.output.expect("values are computed");
+        c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    };
+    for (name, problem) in oneshot_problems(8) {
+        // Every remote stripe is async under Async Fine.
+        let layout = &problem.layout;
+        let spans_two_async_stripes =
+            problem.a.triplets().chunk_by(|a, b| a.row == b.row).any(|row| {
+                let owner = layout.owner_of_row(row[0].row);
+                let mut stripes: Vec<usize> = row
+                    .iter()
+                    .map(|t| layout.stripe_of_col(t.col))
+                    .filter(|&stripe| layout.stripe_owner(stripe) != owner)
+                    .collect();
+                stripes.dedup();
+                stripes.len() >= 2
+            });
+        assert!(spans_two_async_stripes, "{name}: no row spans two async stripes");
+        for workers in [1, 4] {
+            assert_eq!(
+                c_bits(&problem, AsyncLayout::ColumnMajor, workers),
+                c_bits(&problem, AsyncLayout::RowMajor, workers),
+                "{name} workers={workers}: C differs between the async layouts"
+            );
+        }
     }
 }
 
